@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from . import models, verification
 from .errors import ParameterError, PrecisionError, SelectionError
-from .models import BlockSpec, BlockResult, Example, ModelConfig
+from .models import Example, ModelConfig
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -115,19 +114,10 @@ def _root_json(root: models.SpectralRoot) -> dict:
     }
 
 
-def _spectrum_results(
-    config: ModelConfig, blocks: List[BlockSpec], jobs: int
-) -> List[BlockResult]:
-    if jobs > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda b: models.solve_block(config, b), blocks))
-    return [models.solve_block(config, b) for b in blocks]
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
     config = _config_from(args)
     blocks = models.permissible_blocks(config, n_max=args.n_max)
-    results = _spectrum_results(config, blocks, args.jobs)
+    results = [models.solve_block(config, b) for b in blocks]
     if args.format == "json":
         report = {
             "example": int(config.example),
@@ -230,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--n-max", type=int, default=10)
     p_spec.add_argument("--format", choices=("json", "csv"), default="json")
     p_spec.add_argument("--jobs", type=int, default=1,
-                        help="solve independent blocks in parallel")
+                        help="accepted for compatibility and ignored: blocks are "
+                             "solved one after another")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_wf = sub.add_parser("wavefunction", help="sample one bound state on a radial grid")

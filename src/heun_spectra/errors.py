@@ -9,16 +9,12 @@ class RecurrenceBreakdownError(ArithmeticError):
     """A super-diagonal entry vanished, so the coefficient recurrence cannot advance."""
 
 
-class DegeneratePolynomialError(ValueError):
-    """The determinant polynomial has an effectively vanishing leading coefficient."""
-
-
 class ResidualToleranceError(RuntimeError):
     """A candidate root failed the terminal-residual acceptance test."""
 
 
 class PrecisionError(RuntimeError):
-    """Escalating the working precision did not bring residuals under tolerance."""
+    """The eigensolver failed, or extended precision did not bring a residual under tolerance."""
 
 
 class SelectionError(LookupError):

@@ -1,36 +1,42 @@
-"""Determinant polynomials of the quantization matrices and their roots.
+"""Roots of the quantization matrices and the determinant routes that check them.
 
 The spectral condition is det A_{n+1}(s) = 0, with A_{n+1} the tridiagonal
-matrix built from the recurrence sequences.  The determinant is assembled by
-the continuant recurrence
+matrix built from the recurrence sequences.  Its determinant is the
+continuant
 
-    D_{-1} = 1,  D_0 = a_0,  D_j = a_j D_{j-1} - b_{j-1} c_{j-1} D_{j-2}
+    D_{-1} = 1,  D_0 = a_0,  D_j = a_j D_{j-1} - b_{j-1} c_{j-1} D_{j-2} .
 
-carried out in polynomial arithmetic over the spectral parameter, so the
-result is the exact characteristic polynomial of the block.  Root finding is
-companion-matrix based in double precision with a Newton polish, and switches
-to mpmath polyroots when the caller supplies extended-precision coefficients.
+Each model's matrix has a structure that turns the root problem into a
+matrix eigenproblem of size independent of any expanded polynomial:
+
+* model 1 diagonals are s + v_j with constant b_j c_j > 0, so the roots are
+  the eigenvalues of a symmetric tridiagonal matrix
+  (``symmetric_eigenvalue_roots``);
+* model 2 is the monic quadratic pencil s^2 I + s A1 + A0, whose 2(n+1)
+  roots are the eigenvalues of its companion linearization, polished by a
+  few Newton steps on the continuant and its derivative
+  (``quadratic_pencil_roots``, ``newton_corrections``).
+
+``determinant_polynomial`` (the continuant carried out in polynomial
+arithmetic), ``determinant_numeric`` and ``dense_determinant`` evaluate the
+same determinant by independent routes and serve as verification.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import mpmath
 import numpy as np
 
-from .errors import (
-    DegeneratePolynomialError,
-    ResidualToleranceError,
-)
+from .errors import ResidualToleranceError
 from .heun_core import PolynomialCoefficients, TridiagonalSequences, polynomial_from_recurrence
 from .spoly import Scalar, SPoly, horner
 
-LEADING_COEFF_FLOOR = 1e-300
-CLUSTER_TOL = 1e-7
 NULL_VECTOR_TOL = 1e-8
+NEWTON_STEPS = 3
+RESCALE_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -47,32 +53,8 @@ class DeterminantPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def coefficient_scale(self) -> float:
-        return float(max(abs(c) for c in self.coeffs))
-
     def __call__(self, s: Scalar) -> Scalar:
         return horner(self.coeffs, s)
-
-    def derivative_at(self, s: Scalar) -> Scalar:
-        return horner([j * c for j, c in enumerate(self.coeffs)][1:], s)
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Roots of a determinant polynomial with multiplicity and residual data.
-
-    roots carries every root (degree many, counted with multiplicity);
-    multiplicities[i] is the size of the near-coincident cluster root i
-    belongs to; residuals[i] is |det(root_i)| over the coefficient scale.
-    """
-
-    roots: Tuple[Scalar, ...]
-    multiplicities: Tuple[int, ...]
-    residuals: Tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.roots)
 
 
 def determinant_polynomial(seqs: TridiagonalSequences) -> DeterminantPolynomial:
@@ -140,87 +122,6 @@ def _is_mp(value: Scalar) -> bool:
     return isinstance(value, (mpmath.mpf, mpmath.mpc))
 
 
-def _cluster(roots: Sequence[complex], tol: float) -> Tuple[int, ...]:
-    order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
-    counts = [1] * len(roots)
-    group = [order[0]] if order else []
-    for prev, cur in zip(order, order[1:]):
-        gap = abs(roots[cur] - roots[prev])
-        scale = max(abs(roots[cur]), abs(roots[prev]))
-        if scale > 0 and gap <= tol * scale:
-            group.append(cur)
-        else:
-            for i in group:
-                counts[i] = len(group)
-            group = [cur]
-    for i in group:
-        counts[i] = len(group)
-    return tuple(counts)
-
-
-def find_roots(
-    det: DeterminantPolynomial,
-    seqs: Optional[TridiagonalSequences] = None,
-    cluster_tol: float = CLUSTER_TOL,
-) -> RootSet:
-    """All roots of the determinant polynomial, counted with multiplicity.
-
-    Double-precision coefficients go through companion-matrix eigenvalues of
-    the monic rescaled polynomial plus one Newton step per root; the Newton
-    step evaluates the determinant through the continuant recurrence when
-    seqs is given (better conditioned than the expanded coefficients).
-    Extended-precision coefficients are delegated to mpmath.polyroots.
-
-    Near-coincident roots (within cluster_tol relative) are flagged through
-    the multiplicities field and a warning, since their accuracy degrades.
-    """
-    if det.degree < 1:
-        raise ValueError("determinant polynomial must have degree >= 1")
-    lead = det.coeffs[-1]
-    if abs(lead) < LEADING_COEFF_FLOOR:
-        raise DegeneratePolynomialError(
-            f"leading coefficient {lead!r} below {LEADING_COEFF_FLOOR}"
-        )
-
-    if _is_mp(lead):
-        highest_first = [c for c in reversed(det.coeffs)]
-        mp_roots = mpmath.polyroots(highest_first, maxsteps=200, extraprec=80)
-        roots = tuple(mp_roots)
-    else:
-        monic = np.array(
-            [float(c) / float(lead) for c in reversed(det.coeffs)], dtype=float
-        )
-        raw = np.roots(monic)
-        polished = []
-        for r in raw:
-            r = complex(r)
-            fval = determinant_numeric(seqs, r) if seqs is not None else det(r)
-            fder = det.derivative_at(r)
-            if fder != 0:
-                candidate = r - fval / fder
-                fnew = (
-                    determinant_numeric(seqs, candidate)
-                    if seqs is not None
-                    else det(candidate)
-                )
-                if abs(fnew) <= abs(fval):
-                    r = candidate
-            polished.append(r)
-        roots = tuple(polished)
-
-    as_complex = [complex(r) for r in roots]
-    multiplicities = _cluster(as_complex, cluster_tol)
-    if any(m > 1 for m in multiplicities):
-        warnings.warn(
-            "near-coincident determinant roots; multiplicity flags set",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    scale = det.coefficient_scale
-    residuals = tuple(float(abs(det(r))) / scale for r in roots)
-    return RootSet(roots=roots, multiplicities=multiplicities, residuals=residuals)
-
-
 def null_vector(
     seqs: TridiagonalSequences,
     s_star: Scalar,
@@ -229,7 +130,7 @@ def null_vector(
     """Recurrence null vector of the quantization matrix at a candidate root.
 
     Raises ResidualToleranceError when the terminal residual exceeds tol,
-    which is the signal to retry the block at higher working precision.
+    which is the signal to refine the root at higher working precision.
     """
     poly = polynomial_from_recurrence(seqs, s_star)
     if poly.terminal_residual > tol:
@@ -247,8 +148,7 @@ def symmetric_eigenvalue_roots(seqs: TridiagonalSequences) -> np.ndarray:
     are constants, and b_j c_j > 0.  Then det A(s) = 0 exactly when s is an
     eigenvalue of the negated constant tridiagonal part, which is similar to
     a symmetric matrix with off-diagonal sqrt(b_j c_j); its eigenvalues are
-    provably real, certifying root reality independently of the polynomial
-    path.
+    provably real.  Returns them in ascending order.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
@@ -269,3 +169,127 @@ def symmetric_eigenvalue_roots(seqs: TridiagonalSequences) -> np.ndarray:
     if not off:
         return diag.copy()
     return eigvalsh_tridiagonal(diag, np.asarray(off, dtype=float))
+
+
+def quadratic_pencil_roots(seqs: TridiagonalSequences) -> Tuple[np.ndarray, np.ndarray]:
+    """Roots of a monic quadratic pencil through its companion linearization.
+
+    Applies when every a_j = s^2 + alpha_j s + beta_j, b_j is constant and
+    c_j is at most linear in s.  Then A(s) = s^2 I + s A1 + A0 and the
+    2(n+1) roots of det A(s) are the eigenvalues of
+
+        [[  0,   I ],
+         [ -A0, -A1 ]] .
+
+    Each eigenvalue is polished by up to NEWTON_STEPS Newton steps on the
+    continuant (``polish_roots``).  Returns (roots, corrections): complex
+    arrays of length 2(n+1), corrections[i] being the Newton correction
+    D/D' at roots[i].
+    """
+    size = seqs.size
+    a0 = np.zeros((size, size))
+    a1 = np.zeros((size, size))
+    for j, entry in enumerate(seqs.a):
+        if entry.degree != 2 or float(entry.coeffs[2]) != 1.0:
+            raise ValueError("diagonal entries must be monic quadratic in s")
+        a0[j, j] = float(entry.coeffs[0])
+        a1[j, j] = float(entry.coeffs[1])
+    for j, (bj, cj) in enumerate(zip(seqs.b, seqs.c)):
+        if not bj.is_constant or cj.degree > 1:
+            raise ValueError("b_j must be constant and c_j at most linear in s")
+        a0[j, j + 1] = float(bj.constant_value())
+        a0[j + 1, j] = float(cj.coeffs[0])
+        if cj.degree == 1:
+            a1[j + 1, j] = float(cj.coeffs[1])
+    companion = np.zeros((2 * size, 2 * size))
+    companion[:size, size:] = np.eye(size)
+    companion[size:, :size] = -a0
+    companion[size:, size:] = -a1
+    roots = np.linalg.eigvals(companion).astype(complex)
+    return polish_roots(seqs, roots)
+
+
+def polish_roots(
+    seqs: TridiagonalSequences, roots: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Up to NEWTON_STEPS Newton steps on the continuant, for all roots at once.
+
+    A step is taken only where the Newton correction it leads to is smaller
+    than the one before, so a root that has reached rounding level, or whose
+    iteration starts to wander, stays where it was.  Returns (roots,
+    corrections) with corrections[i] = D/D' at the returned roots[i].
+    """
+    coeffs = _continuant_coefficients(seqs)
+    step = _corrections(coeffs, roots)
+    for _ in range(NEWTON_STEPS):
+        moved = roots - step
+        after = _corrections(coeffs, moved)
+        better = np.abs(after) < np.abs(step)
+        if not better.any():
+            break
+        roots = np.where(better, moved, roots)
+        step = np.where(better, after, step)
+    return roots, step
+
+
+def newton_corrections(seqs: TridiagonalSequences, s: np.ndarray) -> np.ndarray:
+    """D(s) / D'(s) at every entry of the 1-d array s (0 where D' vanishes).
+
+    D and D' come from the continuant recurrence and its derivative
+
+        D'_j = a'_j D_{j-1} + a_j D'_{j-1} - e'_j D_{j-2} - e_j D'_{j-2},
+
+    e_j = b_{j-1} c_{j-1}, with the four running values rescaled every
+    RESCALE_ROWS rows so that high degrees cannot overflow.  s may hold
+    floats, complex numbers or mpmath numbers (an object array) together
+    with sequences built at the matching precision.
+    """
+    return _corrections(_continuant_coefficients(seqs), s)
+
+
+def _continuant_coefficients(seqs: TridiagonalSequences) -> Tuple[np.ndarray, np.ndarray]:
+    """Padded coefficient matrices (lowest degree first) of the a_j and e_j."""
+    return _coefficient_matrix(seqs.a), _coefficient_matrix(
+        [b * c for b, c in zip(seqs.b, seqs.c)]
+    )
+
+
+def _coefficient_matrix(polys) -> np.ndarray:
+    if not polys:
+        return np.zeros((0, 1))
+    width = max(len(p.coeffs) for p in polys)
+    return np.array([p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys])
+
+
+def _corrections(coeffs: Tuple[np.ndarray, np.ndarray], s: np.ndarray) -> np.ndarray:
+    a, da = _rows(coeffs[0], s)
+    e, de = _rows(coeffs[1], s)
+    d_prev, d = np.ones_like(s), a[0]
+    dd_prev, dd = np.zeros_like(s), da[0]
+    for j in range(1, len(a)):
+        ej, dej = e[j - 1], de[j - 1]
+        d, d_prev, dd, dd_prev = (
+            a[j] * d - ej * d_prev,
+            d,
+            da[j] * d + a[j] * dd - dej * d_prev - ej * dd_prev,
+            dd,
+        )
+        if j % RESCALE_ROWS == 0:
+            scale = np.abs(d) + np.abs(dd)
+            scale = np.where(scale == 0, 1, scale)
+            d, d_prev, dd, dd_prev = d / scale, d_prev / scale, dd / scale, dd_prev / scale
+    nonzero = dd != 0
+    return np.where(nonzero, d / np.where(nonzero, dd, 1), 0 * d)
+
+
+def _rows(coeffs: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives at every entry of s of the polynomials whose
+    coefficients are the rows of coeffs: Horner's rule, one array operation
+    per degree."""
+    top = coeffs.shape[1] - 1
+    value = coeffs[:, top, None] + 0 * s
+    deriv = 0 * value
+    for k in range(top - 1, -1, -1):
+        deriv = deriv * s + value
+        value = value * s + coeffs[:, k, None]
+    return value, deriv

@@ -120,10 +120,25 @@ class TestSpectrumCsv:
         assert first == second
 
     def test_jobs_flag_does_not_change_output(self, capsys):
-        argv = ["spectrum", *SPEC_ARGS, "--n-max", "4"]
+        # --jobs is accepted and ignored; n-max 26 reaches past n = 20
+        argv = ["spectrum", *SPEC_ARGS, "--n-max", "26"]
         _, serial, _ = run_cli([*argv, "--jobs", "1"], capsys)
         _, parallel, _ = run_cli([*argv, "--jobs", "2"], capsys)
         assert serial == parallel
+
+
+class TestHighDegree:
+    # chi = 0 is an exact root of the n = 3 block at epsilon 15
+    @pytest.mark.filterwarnings("ignore:root chi = .* of zero")
+    def test_model2_degree_30_spectrum_exits_0(self, capsys):
+        code, out, err = run_cli(
+            ["spectrum", "--example", "2", "--case", "second", "--k", "31",
+             "--epsilon", "15", "--n-max", "30"], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert len(doc["blocks"]) == 31
+        assert [b["n"] for b in doc["blocks"]] == list(range(30, -1, -1))
+        assert doc["precision_bits"] == 53
 
 
 class TestWavefunction:
@@ -201,6 +216,19 @@ class TestVerify:
             ["spectrum", *SPEC_ARGS, "--n-max", "0"], capsys)
         assert code == 3
         assert "precision ladder" in err
+
+    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        code, out, err = run_cli(
+            ["spectrum", "--example", "2", "--case", "second", "--k", "2",
+             "--epsilon", "3", "--n-max", "1"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "eigensolver failed" in err
+        assert "Traceback" not in err
 
     def test_bad_precision_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("HEUN_SPECTRA_PRECISION", "lots")

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,6 +12,7 @@ from heun_spectra import (
     BlockSpec,
     ModelConfig,
     ParameterError,
+    PrecisionError,
     SelectionError,
     block_sequences,
     magnetic_field,
@@ -28,7 +30,7 @@ from heun_spectra import (
     wavefunction,
 )
 from heun_spectra.models import Example
-from heun_spectra import models
+from heun_spectra import models, spectral
 
 
 class TestConfigValidation:
@@ -190,11 +192,67 @@ class TestSpectrum:
             assert r.eigenvector.coeffs[0] == 1.0
             assert r.residual < 1e-10
 
-    def test_high_degree_block_starts_escalated(self):
-        res = solve_block(
-            ModelConfig(Example(1), "a", 1, 0.5), BlockSpec(21, 21, +1))
-        assert res.precision_bits == 128
-        assert len(res.roots) == 22
+    def test_high_degree_blocks_stay_in_double(self):
+        # past n = 20, where the expanded-polynomial solver needed 128 bits;
+        # each physical root is confirmed by one 256-bit Newton step on
+        # determinant_numeric, with a central-difference derivative
+        cases = [
+            (ModelConfig(Example(1), "a", 2, -1.0), 21),
+            (ModelConfig(Example(1), "a", 3, 2.5), 30),
+            (ModelConfig(Example(1), "a", 1, 0.25), 40),
+            (ModelConfig(Example(2), "second", 22, 400.0), 21),
+            (ModelConfig(Example(2), "second", 25, 1600.0), 24),
+            (ModelConfig(Example(2), "second", 31, 900.0), 30),
+        ]
+        for config, n in cases:
+            block = make_block(config, n)
+            res = solve_block(config, block)
+            assert res.precision_bits == 53
+            physical = [r for r in res.roots if r.physical]
+            assert physical
+            with mpmath.workprec(256):
+                seqs = block_sequences(config, block, precision=256)
+                for root in physical:
+                    x = mpmath.mpf(root.value)
+                    h = mpmath.mpf(2) ** -100 * max(1, abs(x))
+                    slope = (spectral.determinant_numeric(seqs, x + h)
+                             - spectral.determinant_numeric(seqs, x - h)) / (2 * h)
+                    step = spectral.determinant_numeric(seqs, x) / slope
+                    assert abs(step) <= 1e-12 * max(1, abs(x)), (config, n, root.value)
+
+    def test_root_missing_the_residual_target_is_refined(self, monkeypatch):
+        # between the double (~1e-16) and 128-bit (~1e-38) terminal residuals
+        monkeypatch.setattr(models, "RESIDUAL_TARGET", 1e-20)
+        for config, block in (
+            (ModelConfig(Example(1), "a", 1, 0.5), BlockSpec(3, 3, +1)),
+            (ModelConfig(Example(2), "second", 4, 100.0), BlockSpec(3, -4, -1)),
+        ):
+            refined = solve_block(config, block)
+            assert refined.precision_bits == 128
+            monkeypatch.setattr(models, "RESIDUAL_TARGET", 1e-10)
+            plain = solve_block(config, block)
+            monkeypatch.setattr(models, "RESIDUAL_TARGET", 1e-20)
+            assert plain.precision_bits == 53
+            for r, p in zip(refined.roots, plain.roots):
+                assert r.physical == p.physical
+                if r.physical:
+                    assert r.residual <= 1e-20
+                    assert math.isclose(r.value, p.value, rel_tol=1e-12, abs_tol=1e-12)
+            assert solve_block(config, block, precision=200).precision_bits == 200
+
+    def test_fallback_rungs(self, monkeypatch):
+        monkeypatch.delenv("HEUN_SPECTRA_PRECISION", raising=False)
+        assert models.fallback_rungs() == (128, 256)
+        assert models.fallback_rungs(53) == (128, 256)
+        assert models.fallback_rungs(160) == (160, 320)
+        monkeypatch.setenv("HEUN_SPECTRA_PRECISION", "96")
+        assert models.fallback_rungs() == (96, 192)
+        assert models.fallback_rungs(300) == (300, 600)
+
+    def test_exhausted_rungs_raise_precision_error(self, monkeypatch):
+        monkeypatch.setattr(models, "RESIDUAL_TARGET", -1.0)
+        with pytest.raises(PrecisionError, match="precision ladder"):
+            solve_block(ModelConfig(Example(1), "a", 1, 0.5), BlockSpec(1, 1, +1))
 
 
 class TestFieldsAndPotentials:

@@ -1,7 +1,6 @@
 """Determinant assembly, root finding, and null vectors."""
 
 import math
-import warnings
 
 import mpmath
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 
 from heun_spectra import (
     BlockSpec,
-    DegeneratePolynomialError,
     DeterminantPolynomial,
     ModelConfig,
     ResidualToleranceError,
@@ -18,12 +16,28 @@ from heun_spectra import (
     dense_determinant,
     determinant_numeric,
     determinant_polynomial,
-    find_roots,
+    newton_corrections,
     null_vector,
+    quadratic_pencil_roots,
     symmetric_eigenvalue_roots,
 )
 from heun_spectra.models import Example
+from heun_spectra.spectral import polish_roots
 from heun_spectra.spoly import SPoly
+
+
+def expanded_roots(seqs):
+    """np.roots of the expanded determinant: the independent reference."""
+    det = determinant_polynomial(seqs)
+    return np.roots([float(c) for c in reversed(det.coeffs)])
+
+
+def assert_same_roots(got, want, rtol):
+    got = sorted(np.asarray(got, dtype=complex), key=lambda z: (z.real, z.imag))
+    want = sorted(np.asarray(want, dtype=complex), key=lambda z: (z.real, z.imag))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rtol * max(1.0, abs(w))
 
 
 def const_seqs(a, b, c):
@@ -110,28 +124,14 @@ class TestDeterminantNumeric:
 
 
 class TestFindRoots:
+    """Block roots by the structured routes, against np.roots of the expansion."""
+
     def test_quadratic(self):
-        roots = find_roots(DeterminantPolynomial((-16.0, 0.0, 1.0)))
-        values = sorted(r.real for r in roots.roots)
-        assert values == pytest.approx([-4.0, 4.0], abs=1e-12)
-
-    def test_near_multiple_root_is_flagged(self):
-        # (s - 1)^2 (s + 2) expanded, lowest degree first
-        det = DeterminantPolynomial((2.0, -3.0, 0.0, 1.0))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            roots = find_roots(det)
-        assert any("multiplicity" in str(w.message) for w in caught)
-        flagged = {
-            round(r.real): m
-            for r, m in zip(roots.roots, roots.multiplicities)
-        }
-        assert flagged[1] == 2
-        assert flagged[-2] == 1
-
-    def test_degenerate_leading_coefficient(self):
-        with pytest.raises(DegeneratePolynomialError):
-            find_roots(DeterminantPolynomial((1.0, 2.0, 1e-320)))
+        cfg = ModelConfig(Example(1), "a", 1, 0.0)
+        seqs = block_sequences(cfg, BlockSpec(n=1, l=1, sigma=+1))
+        roots = symmetric_eigenvalue_roots(seqs)
+        assert list(roots) == pytest.approx([-4.0, 4.0], abs=1e-12)
+        assert_same_roots(roots, expanded_roots(seqs), 1e-12)
 
     def test_closed_form_quadratic_of_model2(self):
         cfg = ModelConfig(Example(2), "first", -1, 15.0)
@@ -139,18 +139,91 @@ class TestFindRoots:
         det = determinant_polynomial(seqs)
         # the 1x1 determinant is (chi - 1)^2 - 4
         assert det.coeffs == pytest.approx((-3.0, -2.0, 1.0), abs=1e-12)
-        values = sorted(r.real for r in find_roots(det, seqs).roots)
+        roots, corrections = quadratic_pencil_roots(seqs)
+        values = sorted(r.real for r in roots)
         assert values == pytest.approx([-1.0, 3.0], abs=1e-10)
+        assert np.all(roots.imag == 0)
+        assert np.all(np.abs(corrections) <= 1e-12)
+        assert_same_roots(roots, expanded_roots(seqs), 1e-12)
 
     def test_root_count_matches_degree(self):
         rng = np.random.default_rng(19)
         for n, k in ((2, 1), (4, 2), (7, 3)):
             cfg = ModelConfig(Example(1), "a", k, float(rng.uniform(-2, 2)))
             seqs = block_sequences(cfg, BlockSpec(n=n, l=n + 1 - k, sigma=+1))
+            roots = symmetric_eigenvalue_roots(seqs)
+            assert len(roots) == determinant_polynomial(seqs).degree
+            assert_same_roots(roots, expanded_roots(seqs), 1e-8)
+        for n in (1, 3, 6):
+            for cfg, block in (
+                (ModelConfig(Example(2), "first", -(n + 1), float(rng.uniform(2, 40))),
+                 BlockSpec(n=n, l=n + 2, sigma=+1)),
+                (ModelConfig(Example(2), "second", n + 1, float(rng.uniform(2, 40))),
+                 BlockSpec(n=n, l=-n - 1, sigma=-1)),
+            ):
+                seqs = block_sequences(cfg, block)
+                roots, corrections = quadratic_pencil_roots(seqs)
+                assert len(roots) == determinant_polynomial(seqs).degree == 2 * (n + 1)
+                assert_same_roots(roots, expanded_roots(seqs), 1e-8)
+                assert np.all(np.abs(corrections) <= 1e-8 * np.maximum(1, np.abs(roots)))
+
+
+class TestNewtonCorrections:
+    def test_matches_expanded_polynomial_in_extended_precision(self):
+        cfg = ModelConfig(Example(2), "second", 6, 7.0)
+        block = BlockSpec(n=5, l=-6, sigma=-1)
+        rng = np.random.default_rng(31)
+        points = rng.uniform(-6, 6, 4) + 1j * rng.uniform(-2, 2, 4)
+        with mpmath.workprec(200):
+            seqs = block_sequences(cfg, block, precision=200)
             det = determinant_polynomial(seqs)
-            roots = find_roots(det, seqs)
-            assert len(roots.roots) == det.degree
-            assert all(abs(res) < 1e-8 for res in roots.residuals)
+            slope = DeterminantPolynomial(
+                tuple(j * c for j, c in enumerate(det.coeffs))[1:])
+            xs = np.array([mpmath.mpc(z.real, z.imag) for z in points], dtype=object)
+            got = newton_corrections(seqs, xs)
+            for x, g in zip(xs, got):
+                want = det(x) / slope(x)
+                assert abs(g - want) <= mpmath.mpf(10) ** -50 * max(1, abs(want))
+        doubles = newton_corrections(block_sequences(cfg, block), points)
+        for d, x in zip(doubles, xs):
+            with mpmath.workprec(200):
+                want = complex(det(x) / slope(x))
+            assert abs(d - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_rescaling_survives_overflowing_continuants(self):
+        base = block_sequences(
+            ModelConfig(Example(1), "a", 1, 1.0), BlockSpec(n=60, l=60, sigma=+1)
+        )
+        scaled = TridiagonalSequences(
+            a=tuple(e * 1e6 for e in base.a),
+            b=tuple(e * 1e6 for e in base.b),
+            c=tuple(e * 1e6 for e in base.c),
+        )
+        s = np.array([0.5, -3.25, 7.0])
+        # every entry scaled by 1e6 scales D and D' alike, so D/D' is unchanged
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not all(math.isfinite(determinant_numeric(scaled, x)) for x in s)
+        got = newton_corrections(scaled, s)
+        want = newton_corrections(base, s)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_polish_never_grows_a_correction(self):
+        cfg = ModelConfig(Example(2), "first", -9, 30.0)
+        seqs = block_sequences(cfg, BlockSpec(n=8, l=10, sigma=+1))
+        exact, _ = quadratic_pencil_roots(seqs)
+        polished, _ = polish_roots(seqs, exact * (1 + 1e-4))
+        assert_same_roots(polished, exact, 1e-9)
+        # at n = 30 the double-precision continuant is noise-limited, and
+        # unguarded Newton steps from the expanded polynomial's roots make
+        # some corrections grow
+        cfg = ModelConfig(Example(2), "second", 31, 900.0)
+        seqs = block_sequences(cfg, BlockSpec(n=30, l=-31, sigma=-1))
+        start = expanded_roots(seqs)
+        before = np.abs(newton_corrections(seqs, start))
+        polished, corrections = polish_roots(seqs, start)
+        assert np.all(np.abs(corrections) <= before)
+        assert np.array_equal(corrections, newton_corrections(seqs, polished))
 
 
 class TestNullVector:
@@ -176,9 +249,9 @@ class TestNullVector:
         rng = np.random.default_rng(23)
         cfg = ModelConfig(Example(1), "a", 2, float(rng.uniform(-2, 2)))
         seqs = block_sequences(cfg, BlockSpec(n=4, l=3, sigma=+1))
-        det = determinant_polynomial(seqs)
-        for root in find_roots(det, seqs).roots:
-            s = root.real
+        roots = symmetric_eigenvalue_roots(seqs)
+        assert_same_roots(roots, expanded_roots(seqs), 1e-9)
+        for s in roots:
             p = null_vector(seqs, s).coeffs
             a, b, c = seqs.at(s)
             scale = max(abs(x) for x in p) * max(
@@ -199,27 +272,26 @@ class TestSymmetricPath:
         cfg = ModelConfig(Example(1), "a", 2, 1.3)
         seqs = block_sequences(cfg, BlockSpec(n=6, l=5, sigma=+1))
         sym = symmetric_eigenvalue_roots(seqs)
-        poly_roots = sorted(
-            r.real for r in find_roots(determinant_polynomial(seqs), seqs).roots
-        )
+        poly_roots = sorted(r.real for r in expanded_roots(seqs))
         assert np.allclose(sym, poly_roots, rtol=1e-9, atol=1e-9)
 
     def test_matches_polynomial_roots_case_b(self):
         cfg = ModelConfig(Example(1), "b", 9, -0.8)
         seqs = block_sequences(cfg, BlockSpec(n=4, l=2, sigma=-1))
         sym = symmetric_eigenvalue_roots(seqs)
-        poly_roots = sorted(
-            r.real for r in find_roots(determinant_polynomial(seqs), seqs).roots
-        )
+        poly_roots = sorted(r.real for r in expanded_roots(seqs))
         assert np.allclose(sym, poly_roots, rtol=1e-9, atol=1e-9)
 
     def test_certifies_reality(self):
+        # the expanded polynomial's roots, found with no knowledge of the
+        # symmetric structure, are real and are the symmetric eigenvalues
         rng = np.random.default_rng(29)
         for k in (1, 2, 3, 4):
             eps = float(rng.uniform(-3, 3))
             cfg = ModelConfig(Example(1), "a", k, eps)
             n = int(rng.integers(max(0, k - 1), 9))
             seqs = block_sequences(cfg, BlockSpec(n=n, l=n + 1 - k, sigma=+1))
-            roots = find_roots(determinant_polynomial(seqs), seqs)
-            scale = max(1.0, max(abs(r) for r in roots.roots))
-            assert all(abs(r.imag) < 1e-9 * scale for r in roots.roots)
+            roots = expanded_roots(seqs)
+            scale = max(1.0, max(abs(r) for r in roots))
+            assert all(abs(r.imag) < 1e-9 * scale for r in roots)
+            assert_same_roots(symmetric_eigenvalue_roots(seqs), roots, 1e-9)
