@@ -14,7 +14,11 @@ class ResidualToleranceError(RuntimeError):
 
 
 class PrecisionError(RuntimeError):
-    """The eigensolver failed, or extended precision did not bring a residual under tolerance."""
+    """A solve or a quadrature could not reach its tolerance.
+
+    Raised when an eigensolver fails, when extended precision does not bring
+    a residual under tolerance, or when a norm quadrature does not converge.
+    """
 
 
 class SelectionError(LookupError):

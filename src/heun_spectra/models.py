@@ -43,7 +43,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 import numpy as np
@@ -652,6 +652,18 @@ def t_of_rho(rho) -> ArrayF:
 # ---------------------------------------------------------------------------
 # wavefunctions
 
+# Norm quadrature (_gauss_integral).  Its tolerance is relative only:
+# model 2 norms run down to 1e-34, below any useful absolute floor.
+GAUSS_ORDER = 32
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+NORM_RTOL = 1e-10
+NORM_START_PANELS = 4
+NORM_MAX_PANELS = 512
+# Cancellation in the p_0 = 1 polynomial leaves rounding noise in the
+# integrand that can keep successive estimates from agreeing to NORM_RTOL;
+# at the panel cap, agreement to this is accepted instead.
+NORM_FLOOR_RTOL = 1e-6
+
 
 def _require_physical(root: SpectralRoot) -> None:
     if not root.physical or root.eigenvector is None:
@@ -712,19 +724,58 @@ def decay_split(config: ModelConfig, root: SpectralRoot) -> float:
     return max(20.0, 10.0 + 35.0 / max(chi, 1e-6))
 
 
+def _gauss_integral(
+    integrand: Callable[[ArrayF], ArrayF], a: float, b: float, scale: float = 0.0
+) -> float:
+    """Integral over [a, b] of an integrand evaluated on whole node arrays.
+
+    Composite GAUSS_ORDER-point Gauss-Legendre on NORM_START_PANELS equal
+    panels, doubled until two successive estimates differ by at most
+    NORM_RTOL * max(|estimate|, scale).  scale lets an integral that should
+    be small (a tail, an overlap) converge relative to a larger one.  At
+    NORM_MAX_PANELS the finer estimate is still returned if the last two
+    agree to NORM_FLOOR_RTOL; otherwise PrecisionError.
+    """
+    panels = NORM_START_PANELS
+    previous = None
+    while True:
+        edges = np.linspace(a, b, panels + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        nodes = (edges[:-1, None] + half * (1.0 + _GAUSS_NODES)).ravel()
+        weights = (half * _GAUSS_WEIGHTS).ravel()
+        estimate = float(np.dot(weights, integrand(nodes)))
+        if not math.isfinite(estimate):
+            return estimate
+        if previous is not None:
+            at_cap = panels >= NORM_MAX_PANELS
+            rtol = NORM_FLOOR_RTOL if at_cap else NORM_RTOL
+            if abs(estimate - previous) <= rtol * max(abs(estimate), scale):
+                return estimate
+            if at_cap:
+                raise PrecisionError(
+                    f"quadrature over [{a:g}, {b:g}] did not converge: "
+                    f"{panels} panels give {estimate!r}, {panels // 2} give {previous!r}"
+                )
+        previous = estimate
+        panels *= 2
+
+
 def radial_norm(
     config: ModelConfig, block: BlockSpec, root: SpectralRoot
 ) -> Tuple[float, float]:
-    """(integral of |R|^2 rho d rho, fraction contributed past the decay radius)."""
-    _require_physical(root)
-    from scipy.integrate import quad
+    """(integral of |R|^2 rho d rho, fraction contributed past the decay radius).
 
-    def integrand(r: float) -> float:
-        return float(radial_values(config, block, root, r)) ** 2 * r
+    Both parts are relative-accurate to about NORM_RTOL (the tail relative
+    to the head); see _gauss_integral.
+    """
+    _require_physical(root)
+
+    def integrand(r: ArrayF) -> ArrayF:
+        return radial_values(config, block, root, r) ** 2 * r
 
     split = decay_split(config, root)
-    head, _ = quad(integrand, 0.0, split, limit=200)
-    tail, _ = quad(integrand, split, 2.0 * split, limit=200)
+    head = _gauss_integral(integrand, 0.0, split)
+    tail = _gauss_integral(integrand, split, 2.0 * split, scale=head)
     total = head + tail
     if not (math.isfinite(total) and total > 0):
         raise ValueError("state norm is not finite and positive")

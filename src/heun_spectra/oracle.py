@@ -35,7 +35,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ParameterError
 from .models import ModelConfig, effective_potential
@@ -75,6 +74,9 @@ def solve_effective_potential(
     flux-form couplings (see the module docstring).  Returns (eigenvalues,
     eigenvectors) with eigenvectors in columns, in the scaled variable u.
     """
+    # Imported here so that importing the package loads no scipy.
+    from scipy.linalg import eigh_tridiagonal
+
     if count < 1:
         raise ParameterError("need at least one eigenvalue")
     if count > grid.points - 2:

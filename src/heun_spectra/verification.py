@@ -358,8 +358,6 @@ def check_schrodinger_residuals(
 
 def check_orthogonality(rng: np.random.Generator, full: bool) -> Tuple[bool, str]:
     """Distinct physical states of one block are orthogonal under rho d rho."""
-    from scipy.integrate import quad
-
     configs = [
         (ModelConfig(Example(1), "a", 1, 0.0), BlockSpec(n=1, l=1, sigma=+1)),
         (ModelConfig(Example(1), "a", 2, 0.8), BlockSpec(n=2, l=1, sigma=+1)),
@@ -377,18 +375,16 @@ def check_orthogonality(rng: np.random.Generator, full: bool) -> Tuple[bool, str
             for j in range(i + 1, len(roots)):
                 ri, rj = roots[i], roots[j]
 
-                def integrand(r: float) -> float:
+                def integrand(r: np.ndarray) -> np.ndarray:
                     return (
-                        float(models.radial_values(config, block, ri, r))
-                        * float(models.radial_values(config, block, rj, r))
+                        models.radial_values(config, block, ri, r)
+                        * models.radial_values(config, block, rj, r)
                         * r
                     )
 
-                overlap, _ = quad(integrand, 0.0, split, limit=200)
-                worst = max(
-                    worst,
-                    abs(overlap) / math.sqrt(norms[ri.value] * norms[rj.value]),
-                )
+                scale = math.sqrt(norms[ri.value] * norms[rj.value])
+                overlap = models._gauss_integral(integrand, 0.0, split, scale=scale)
+                worst = max(worst, abs(overlap) / scale)
                 pairs += 1
     ok = pairs >= 4 and worst <= 1e-6
     return ok, f"{pairs} pairs, worst normalized overlap {worst:.2e}"

@@ -248,6 +248,18 @@ class TestSubprocess:
         doc = json.loads(proc.stdout)
         assert doc["blocks"][0]["roots"][0]["value"] == pytest.approx(1.0)
 
+    def test_import_loads_no_scipy_linalg_or_integrate(self):
+        # Cold start-up: commands that never solve a block or integrate a
+        # norm must not pay for these imports.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import heun_spectra, sys; "
+             "print(' '.join(m for m in ('scipy.linalg', 'scipy.integrate') "
+             "if m in sys.modules))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "heun_spectra"],

@@ -359,6 +359,53 @@ class TestWavefunctions:
         assert math.isfinite(total) and total > 0
         assert tail < 1e-12
 
+    @staticmethod
+    def scalar_quad_norm(cfg, block, root):
+        split = models.decay_split(cfg, root)
+
+        def integrand(r):
+            return float(models.radial_values(cfg, block, root, r)) ** 2 * r
+
+        return sum(
+            quad(integrand, a, b, epsabs=0, epsrel=1e-12, limit=1000)[0]
+            for a, b in ((0.0, split), (split, 2.0 * split)))
+
+    def test_tiny_norms_are_relative_accurate(self):
+        # Norms from 6.6e-27 down to 2.3e-34, far below any absolute floor.
+        cfg = ModelConfig(Example(2), "second", 5, 1600.0)
+        block = make_block(cfg, 4)
+        bound = [r for r in spectrum(cfg, block) if r.physical]
+        assert len(bound) == 5
+        for root in bound:
+            total, _ = radial_norm(cfg, block, root)
+            assert total < 1e-26
+            assert total == pytest.approx(
+                self.scalar_quad_norm(cfg, block, root), rel=1e-6, abs=0)
+
+    def test_small_chi_state_keeps_a_negligible_tail(self):
+        cfg = ModelConfig(Example(2), "second", 2, 4.0)
+        block = make_block(cfg, 0)
+        root = [r for r in spectrum(cfg, block) if r.physical][0]
+        assert models.decay_split(cfg, root) > 100
+        total, tail = radial_norm(cfg, block, root)
+        assert tail < 1e-12
+        assert total == pytest.approx(
+            self.scalar_quad_norm(cfg, block, root), rel=1e-9, abs=0)
+
+    def test_unconverged_norm_raises_precision_error(self, monkeypatch):
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        block = make_block(cfg, 0)
+        root = spectrum(cfg, block)[0]
+        rng = np.random.default_rng(0)
+
+        def noisy(config, block, root, rho):
+            r = np.asarray(rho, dtype=float)
+            return np.exp(-r * r) * (1.0 + 1e-2 * rng.standard_normal(r.shape))
+
+        monkeypatch.setattr(models, "radial_values", noisy)
+        with pytest.raises(PrecisionError, match="did not converge"):
+            radial_norm(cfg, block, root)
+
     def test_normalized_profile_integrates_to_one(self):
         cfg = ModelConfig(Example(2), "second", 2, 30.0)
         block = make_block(cfg, 1)
