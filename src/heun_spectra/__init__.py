@@ -33,7 +33,6 @@ from .models import (
     ModelConfig,
     RadialProfile,
     SpectralRoot,
-    UnitSystem,
     block_sequences,
     magnetic_field,
     make_block,
@@ -51,7 +50,6 @@ from .models import (
 )
 from .oracle import GridSpec, MatchReport, compare_spectra, radial_eigensolve
 from .spectral import (
-    DeterminantPolynomial,
     dense_determinant,
     determinant_numeric,
     determinant_polynomial,
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockResult",
     "BlockSpec",
-    "DeterminantPolynomial",
     "Example",
     "GridSpec",
     "HeunBParams",
@@ -82,7 +79,6 @@ __all__ = [
     "SelectionError",
     "SpectralRoot",
     "TridiagonalSequences",
-    "UnitSystem",
     "block_sequences",
     "compare_spectra",
     "dense_determinant",

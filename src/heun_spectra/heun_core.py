@@ -31,7 +31,7 @@ substituted before or after the sequences are formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from .errors import RecurrenceBreakdownError
@@ -54,8 +54,7 @@ def _require_finite(name: str, value: Entry) -> None:
 class HeunBParams:
     """Parameters (alpha, beta, gamma, delta) of the biconfluent equation.
 
-    Any field may carry an SPoly in the spectral parameter; in the model
-    pipeline delta does (delta is affine in the eigenvalue).
+    Any field may carry an SPoly in the spectral parameter.
     """
 
     alpha: Entry
@@ -154,10 +153,6 @@ class TridiagonalSequences:
             e.is_constant for seq in (self.a, self.b, self.c) for e in seq
         )
 
-    @property
-    def max_entry_degree(self) -> int:
-        return max(e.degree for seq in (self.a, self.b, self.c) for e in seq)
-
     def at(self, s: Scalar) -> Tuple[list, list, list]:
         """Substitute the spectral parameter, returning numeric entry lists."""
         return (
@@ -171,14 +166,6 @@ class TridiagonalSequences:
             [e.constant_value() for e in self.a],
             [e.constant_value() for e in self.b],
             [e.constant_value() for e in self.c],
-        )
-
-    def map(self, fn) -> "TridiagonalSequences":
-        """Convert every coefficient, e.g. to mpmath.mpf."""
-        return TridiagonalSequences(
-            a=tuple(e.map(fn) for e in self.a),
-            b=tuple(e.map(fn) for e in self.b),
-            c=tuple(e.map(fn) for e in self.c),
         )
 
 

@@ -39,18 +39,16 @@ or 2(n+1) (model 2), found as the eigenvalues of a structured matrix.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
-import mpmath
 import numpy as np
 from numpy.typing import NDArray
 
-from . import heun_core, spectral
-from .errors import ParameterError, PrecisionError, ResidualToleranceError, SelectionError
+from . import spectral
+from .errors import ParameterError, PrecisionError, SelectionError
 from .heun_core import PolynomialCoefficients, TridiagonalSequences
 from .spoly import SPoly, horner
 
@@ -59,9 +57,9 @@ ArrayF = NDArray[np.floating]
 REALITY_TOL = 1e-9
 PHYSICAL_NEG_TOL = 1e-9
 RESIDUAL_TARGET = 1e-10
-PRECISION_ENV = "HEUN_SPECTRA_PRECISION"
-DEFAULT_RUNGS = (128, 256)
-REFINE_STEPS = 40
+# Bit width at which a physical root that misses RESIDUAL_TARGET in double
+# precision is Newton-polished once more.
+FALLBACK_BITS = 128
 # Degree past which the earlier expanded-determinant solver switched to
 # 128-bit root finding and slowed by three orders of magnitude.  Nothing
 # here branches on it; it marks the old cliff that the benchmark's
@@ -83,27 +81,6 @@ VARIANTS = {
 
 
 @dataclass(frozen=True)
-class UnitSystem:
-    """Unit labels for reported quantities; all computation is dimensionless.
-
-    The length scale a is the only free unit.  Energies are reported in
-    hbar^2/(2 m a^2), the vector potential in c hbar/(e a), the magnetic
-    field in c hbar/(e a^2) and flux in c hbar/e.
-    """
-
-    a: float = 1.0
-    length: str = "a"
-    energy: str = "hbar^2/(2*m*a^2)"
-    vector_potential: str = "c*hbar/(e*a)"
-    magnetic_field: str = "c*hbar/(e*a^2)"
-    flux: str = "c*hbar/e"
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0 and math.isfinite(self.a)):
-            raise ParameterError("length scale a must be positive and finite")
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     """A fully specified model: example, variant, integer k, real epsilon."""
 
@@ -111,7 +88,6 @@ class ModelConfig:
     variant: str
     k: int
     epsilon: float
-    units: UnitSystem = field(default_factory=UnitSystem)
 
     def __post_init__(self) -> None:
         try:
@@ -336,7 +312,12 @@ def block_sequences(
     context); otherwise plain floats are used.
     """
     validate_block(config, block)
-    conv = float if precision is None else mpmath.mpf
+    if precision is None:
+        conv = float
+    else:
+        import mpmath
+
+        conv = mpmath.mpf
     e = conv(config.epsilon)
     k, n, l = config.k, block.n, block.l
     zero, one = conv(0.0), conv(1.0)
@@ -384,26 +365,6 @@ def block_sequences(
     return TridiagonalSequences(a=a, b=b, c=c)
 
 
-def fallback_rungs(precision: Optional[int] = None) -> Tuple[int, int]:
-    """Bit widths at which a physical root that fails the double gate is refined.
-
-    128 and 256 bits by default; p and 2p when precision (or, if it is None,
-    the HEUN_SPECTRA_PRECISION environment variable) asks for p > 53 bits.
-    """
-    if precision is None:
-        env = os.environ.get(PRECISION_ENV)
-        if env:
-            try:
-                precision = int(env)
-            except ValueError:
-                raise ParameterError(
-                    f"{PRECISION_ENV} must be an integer bit count, got {env!r}"
-                ) from None
-    if precision is not None and precision > 53:
-        return precision, 2 * precision
-    return DEFAULT_RUNGS
-
-
 def _structured_roots(config: ModelConfig, block: BlockSpec, seqs: TridiagonalSequences):
     """(roots, Newton corrections) of a block as complex arrays."""
     try:
@@ -415,64 +376,22 @@ def _structured_roots(config: ModelConfig, block: BlockSpec, seqs: TridiagonalSe
         raise PrecisionError(f"eigensolver failed on block {block}: {exc}") from None
 
 
-def _refined(
-    config: ModelConfig, block: BlockSpec, value: float, bits: int
-) -> Tuple[object, PolynomialCoefficients]:
-    """Newton-refine a real root at the given bit width and take its null vector.
-
-    Newton stops when its correction stops shrinking, which happens at the
-    rounding level of the bit width.  Raises ResidualToleranceError when that
-    takes more than REFINE_STEPS steps or the null vector misses
-    RESIDUAL_TARGET.
-    """
-    with mpmath.workprec(bits):
-        seqs = block_sequences(config, block, precision=bits)
-        x = np.array([mpmath.mpf(value)], dtype=object)
-        previous = None
-        for _ in range(REFINE_STEPS):
-            step = spectral.newton_corrections(seqs, x)
-            size = abs(step[0])
-            if previous is not None and size >= previous:
-                break  # the corrections stopped shrinking: rounding level
-            x = x - step
-            previous = size
-        else:
-            raise ResidualToleranceError(
-                f"Newton did not settle in {REFINE_STEPS} steps"
-            )
-        return x[0], spectral.null_vector(seqs, x[0], tol=RESIDUAL_TARGET)
-
-
 def _physical_root(
     config: ModelConfig,
     block: BlockSpec,
     seqs: TridiagonalSequences,
     value: float,
-    rungs: Sequence[int],
 ) -> Tuple[SpectralRoot, int]:
     """A physical root certified by its null vector, and the bits that took.
 
     The double-precision root is tried first; if its null vector misses
-    RESIDUAL_TARGET, it is refined at each rung in turn.  Exhausting the
-    rungs raises PrecisionError.
+    RESIDUAL_TARGET, the root is polished at FALLBACK_BITS (``_polished``).
     """
     bits = 53
-    try:
-        vec = spectral.null_vector(seqs, value, tol=RESIDUAL_TARGET)
-    except ResidualToleranceError as exc:
-        failures = [f"53 bits: {exc}"]
-        for bits in rungs:
-            try:
-                s_mp, vec = _refined(config, block, value, bits)
-                value = float(s_mp)
-                break
-            except ResidualToleranceError as exc:
-                failures.append(f"{bits} bits: {exc}")
-        else:
-            raise PrecisionError(
-                f"root {value!r} of block {block}: residuals stayed above "
-                f"tolerance on the precision ladder: " + "; ".join(failures)
-            ) from None
+    vec = spectral.null_vector(seqs, value, tol=math.inf)
+    if vec.terminal_residual > RESIDUAL_TARGET:
+        value, vec = _polished(config, block, value, vec.terminal_residual)
+        bits = FALLBACK_BITS
     eigen = PolynomialCoefficients(
         degree=vec.degree,
         coeffs=tuple(float(p) for p in vec.coeffs),
@@ -487,6 +406,32 @@ def _physical_root(
         eigenvector=eigen,
     )
     return root, bits
+
+
+def _polished(
+    config: ModelConfig, block: BlockSpec, value: float, double_residual: float
+) -> Tuple[float, PolynomialCoefficients]:
+    """Newton-polish a real root at FALLBACK_BITS and take its null vector there.
+
+    The polish is ``spectral.polish_roots`` on the block's sequences built at
+    FALLBACK_BITS.  Raises PrecisionError when the null vector at the polished
+    root still misses RESIDUAL_TARGET.
+    """
+    import mpmath
+
+    with mpmath.workprec(FALLBACK_BITS):
+        seqs = block_sequences(config, block, precision=FALLBACK_BITS)
+        start = np.array([mpmath.mpf(value)], dtype=object)
+        root = spectral.polish_roots(seqs, start)[0][0]
+        vec = spectral.null_vector(seqs, root, tol=math.inf)
+    if vec.terminal_residual > RESIDUAL_TARGET:
+        raise PrecisionError(
+            f"root {value!r} of block {block} misses the terminal-residual "
+            f"target {RESIDUAL_TARGET:.0e}: {double_residual:.3e} in double "
+            f"precision, {vec.terminal_residual:.3e} after Newton polish at "
+            f"{FALLBACK_BITS} bits"
+        )
+    return float(root), vec
 
 
 def _sort_key(r: SpectralRoot):
@@ -505,12 +450,12 @@ def solve_block(
     quadratic pencil, Newton-polished on the continuant.  Roots are then
     classified by REALITY_TOL and PHYSICAL_NEG_TOL.  Each physical root must
     have a null vector whose terminal residual is at most RESIDUAL_TARGET; a
-    root that misses it is refined by extended-precision Newton steps at the
-    rungs of ``fallback_rungs(precision)``, and one that misses it at every
-    rung raises PrecisionError, as does a failing eigensolver.
-    precision_bits reports the widest bit width any root needed.
+    root that misses it is Newton-polished once at FALLBACK_BITS, and one that
+    still misses it raises PrecisionError, as does a failing eigensolver.
+    precision_bits is FALLBACK_BITS when some root needed that polish and 53
+    otherwise.  precision is accepted and ignored, for callers that still
+    pass it.
     """
-    rungs = fallback_rungs(precision)
     seqs = block_sequences(config, block)
     values, steps = _structured_roots(config, block, seqs)
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
@@ -533,7 +478,7 @@ def solve_block(
                     stacklevel=2,
                 )
         if physical:
-            root, bits = _physical_root(config, block, seqs, rc.real, rungs)
+            root, bits = _physical_root(config, block, seqs, rc.real)
             precision_bits = max(precision_bits, bits)
             entries.append(root)
             continue
@@ -562,9 +507,7 @@ def solve_block(
     )
 
 
-def spectrum(
-    config: ModelConfig, block: BlockSpec, precision: Optional[int] = None
-) -> List[SpectralRoot]:
+def spectrum(config: ModelConfig, block: BlockSpec) -> List[SpectralRoot]:
     """All determinant roots of a block, physical ones carrying null vectors.
 
     Model 1 yields n+1 roots (all real for permissible blocks), model 2
@@ -572,7 +515,7 @@ def spectrum(
     Roots are sorted by ascending energy; non-real roots, which can only be
     unphysical, come last.
     """
-    return list(solve_block(config, block, precision).roots)
+    return list(solve_block(config, block).roots)
 
 
 # ---------------------------------------------------------------------------

@@ -24,47 +24,27 @@ same determinant by independent routes and serve as verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
-import mpmath
 import numpy as np
 
 from .errors import ResidualToleranceError
 from .heun_core import PolynomialCoefficients, TridiagonalSequences, polynomial_from_recurrence
-from .spoly import Scalar, SPoly, horner
+from .spoly import Scalar, SPoly
 
 NULL_VECTOR_TOL = 1e-8
 NEWTON_STEPS = 3
 RESCALE_ROWS = 8
 
 
-@dataclass(frozen=True)
-class DeterminantPolynomial:
-    """det A_{n+1}(s) as dense coefficients, lowest degree first."""
-
-    coeffs: Tuple[Scalar, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("determinant polynomial needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, s: Scalar) -> Scalar:
-        return horner(self.coeffs, s)
-
-
-def determinant_polynomial(seqs: TridiagonalSequences) -> DeterminantPolynomial:
+def determinant_polynomial(seqs: TridiagonalSequences) -> SPoly:
     """Exact determinant of the quantization matrix as a polynomial in s."""
     a, b, c = seqs.a, seqs.b, seqs.c
     d_prev2 = SPoly((1.0,))
     d_prev = a[0]
     for j in range(1, seqs.size):
         d_prev2, d_prev = d_prev, a[j] * d_prev - (b[j - 1] * c[j - 1]) * d_prev2
-    return DeterminantPolynomial(coeffs=d_prev.coeffs)
+    return d_prev
 
 
 def determinant_numeric(seqs: TridiagonalSequences, s: Scalar) -> Scalar:
@@ -84,9 +64,12 @@ def dense_determinant(seqs: TridiagonalSequences, s: Scalar) -> Scalar:
     comparison can be run above float64 where high-degree determinants lose
     digits to cancellation.
     """
+    import mpmath
+
     a, b, c = seqs.at(s)
     n1 = seqs.size
-    if not any(_is_mp(v) for v in (a[0], b[0] if b else 0.0, s)):
+    mp_types = (mpmath.mpf, mpmath.mpc)
+    if not any(isinstance(v, mp_types) for v in (a[0], b[0] if b else 0.0, s)):
         m = np.zeros((n1, n1), dtype=float)
         for j in range(n1):
             m[j, j] = float(a[j])
@@ -116,10 +99,6 @@ def dense_determinant(seqs: TridiagonalSequences, s: Scalar) -> Scalar:
                 for k in range(col, n1):
                     rows[r][k] = rows[r][k] - factor * rows[col][k]
     return det
-
-
-def _is_mp(value: Scalar) -> bool:
-    return isinstance(value, (mpmath.mpf, mpmath.mpc))
 
 
 def null_vector(

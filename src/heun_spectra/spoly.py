@@ -10,7 +10,7 @@ block needs it, in mpmath extended precision.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Union
+from typing import Any, Iterable, Union
 
 Scalar = Any  # float, complex, or an mpmath number
 
@@ -109,10 +109,6 @@ class SPoly:
         if self.is_constant:
             return SPoly((0.0,))
         return SPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
-
-    def map(self, fn: Callable[[Scalar], Scalar]) -> "SPoly":
-        """Convert coefficients, e.g. to mpmath.mpf for extended precision."""
-        return SPoly(tuple(fn(c) for c in self.coeffs))
 
     def is_finite(self) -> bool:
         return all(scalar_is_finite(c) for c in self.coeffs)

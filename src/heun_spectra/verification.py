@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import mpmath
 import numpy as np
 
 from . import heun_core, models, oracle, spectral
@@ -201,6 +200,8 @@ def check_determinant_dual_path(
     rng: np.random.Generator, full: bool
 ) -> Tuple[bool, str]:
     """Continuant polynomial vs dense LU determinant at random spectral values."""
+    import mpmath
+
     n_cap = 20 if full else 8
     worst = 0.0
     cases = []

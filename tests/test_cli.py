@@ -215,7 +215,17 @@ class TestVerify:
         code, _, err = run_cli(
             ["spectrum", *SPEC_ARGS, "--n-max", "0"], capsys)
         assert code == 3
-        assert "precision ladder" in err
+        assert "after Newton polish at 128 bits" in err
+        assert "Traceback" not in err
+
+    def test_duplicate_state_block_exits_3(self, capsys):
+        code, out, err = run_cli(
+            ["spectrum", "--example", "2", "--case", "second", "--k", "31",
+             "--epsilon", "5000", "--n-max", "30"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "BlockSpec(n=27" in err
+        assert "Traceback" not in err
 
     def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
         def fail(matrix):
@@ -230,13 +240,6 @@ class TestVerify:
         assert "eigensolver failed" in err
         assert "Traceback" not in err
 
-    def test_bad_precision_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEUN_SPECTRA_PRECISION", "lots")
-        code, _, err = run_cli(
-            ["spectrum", *SPEC_ARGS, "--n-max", "0"], capsys)
-        assert code == 2
-        assert "HEUN_SPECTRA_PRECISION" in err
-
 
 class TestSubprocess:
     def test_module_entry_point(self):
@@ -249,13 +252,14 @@ class TestSubprocess:
         assert doc["blocks"][0]["roots"][0]["value"] == pytest.approx(1.0)
 
     def test_import_loads_no_scipy_linalg_or_integrate(self):
-        # Cold start-up: commands that never solve a block or integrate a
-        # norm must not pay for these imports.
+        # Cold start-up: commands that never solve a block, integrate a norm
+        # or polish a root in extended precision must not pay for these
+        # imports.
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import heun_spectra, sys; "
-             "print(' '.join(m for m in ('scipy.linalg', 'scipy.integrate') "
-             "if m in sys.modules))"],
+             "import heun_spectra, heun_spectra.cli, sys; "
+             "print(' '.join(m for m in ('scipy.linalg', 'scipy.integrate', "
+             "'mpmath') if m in sys.modules))"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""

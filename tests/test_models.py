@@ -238,21 +238,32 @@ class TestSpectrum:
                 if r.physical:
                     assert r.residual <= 1e-20
                     assert math.isclose(r.value, p.value, rel_tol=1e-12, abs_tol=1e-12)
-            assert solve_block(config, block, precision=200).precision_bits == 200
-
-    def test_fallback_rungs(self, monkeypatch):
-        monkeypatch.delenv("HEUN_SPECTRA_PRECISION", raising=False)
-        assert models.fallback_rungs() == (128, 256)
-        assert models.fallback_rungs(53) == (128, 256)
-        assert models.fallback_rungs(160) == (160, 320)
-        monkeypatch.setenv("HEUN_SPECTRA_PRECISION", "96")
-        assert models.fallback_rungs() == (96, 192)
-        assert models.fallback_rungs(300) == (300, 600)
 
     def test_exhausted_rungs_raise_precision_error(self, monkeypatch):
         monkeypatch.setattr(models, "RESIDUAL_TARGET", -1.0)
-        with pytest.raises(PrecisionError, match="precision ladder"):
+        with pytest.raises(PrecisionError, match="after Newton polish at 128 bits"):
             solve_block(ModelConfig(Example(1), "a", 1, 0.5), BlockSpec(1, 1, +1))
+
+    def test_root_missing_the_target_in_double_is_polished_at_128_bits(self):
+        # the double null vector of this root has a terminal residual of
+        # 2.3e-9; a 128-bit Newton polish moves the root by 3e-17 relative
+        # and brings the residual to rounding level
+        config = ModelConfig(Example(1), "a", 14, 30.0)
+        res = solve_block(config, make_block(config, 13))
+        assert res.precision_bits == 128
+        assert 28.222332638496038 in [r.value for r in res.roots]
+        physical = [r for r in res.roots if r.physical]
+        assert len(physical) == len(res.roots) == 14
+        assert all(r.residual <= 1e-10 for r in physical)
+
+    def test_spurious_physical_root_raises_instead_of_duplicating_a_state(self):
+        # the double eigensolver returns a spurious real negative chi whose
+        # Newton iteration at 128 bits would land on another physical root
+        # of the same block, which was then reported twice
+        for k, epsilon, n in ((31, 5000.0, 27), (45, 1600.0, 37)):
+            config = ModelConfig(Example(2), "second", k, epsilon)
+            with pytest.raises(PrecisionError, match="after Newton polish at 128 bits"):
+                solve_block(config, make_block(config, n))
 
 
 class TestFieldsAndPotentials:

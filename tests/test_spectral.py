@@ -8,7 +8,6 @@ import pytest
 
 from heun_spectra import (
     BlockSpec,
-    DeterminantPolynomial,
     ModelConfig,
     ResidualToleranceError,
     TridiagonalSequences,
@@ -177,8 +176,7 @@ class TestNewtonCorrections:
         with mpmath.workprec(200):
             seqs = block_sequences(cfg, block, precision=200)
             det = determinant_polynomial(seqs)
-            slope = DeterminantPolynomial(
-                tuple(j * c for j, c in enumerate(det.coeffs))[1:])
+            slope = det.derivative()
             xs = np.array([mpmath.mpc(z.real, z.imag) for z in points], dtype=object)
             got = newton_corrections(seqs, xs)
             for x, g in zip(xs, got):
