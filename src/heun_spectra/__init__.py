@@ -55,6 +55,7 @@ from .spectral import (
     determinant_polynomial,
     newton_corrections,
     null_vector,
+    null_vectors,
     quadratic_pencil_roots,
     symmetric_eigenvalue_roots,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "make_block",
     "newton_corrections",
     "null_vector",
+    "null_vectors",
     "permissible_blocks",
     "polynomial_from_recurrence",
     "quadratic_pencil_roots",

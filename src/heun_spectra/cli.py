@@ -32,6 +32,8 @@ def _fmt(x: float) -> str:
 
 
 def _json_value(value: Any, indent: int) -> str:
+    if isinstance(value, float):  # the bulk of a report: test it first
+        return format(value, ".17g")
     pad = "  " * indent
     if value is None:
         return "null"
@@ -39,8 +41,6 @@ def _json_value(value: Any, indent: int) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float):
-        return _fmt(value)
     if isinstance(value, complex):
         return f"[{_fmt(value.real)}, {_fmt(value.imag)}]"
     if isinstance(value, str):

@@ -377,61 +377,47 @@ def _structured_roots(config: ModelConfig, block: BlockSpec, seqs: TridiagonalSe
 
 
 def _physical_root(
-    config: ModelConfig,
-    block: BlockSpec,
-    seqs: TridiagonalSequences,
-    value: float,
-) -> Tuple[SpectralRoot, int]:
-    """A physical root certified by its null vector, and the bits that took.
-
-    The double-precision root is tried first; if its null vector misses
-    RESIDUAL_TARGET, the root is polished at FALLBACK_BITS (``_polished``).
-    """
-    bits = 53
-    vec = spectral.null_vector(seqs, value, tol=math.inf)
-    if vec.terminal_residual > RESIDUAL_TARGET:
-        value, vec = _polished(config, block, value, vec.terminal_residual)
-        bits = FALLBACK_BITS
-    eigen = PolynomialCoefficients(
-        degree=vec.degree,
-        coeffs=tuple(float(p) for p in vec.coeffs),
-        terminal_residual=vec.terminal_residual,
-    )
+    config: ModelConfig, value: float, coeffs: Tuple[float, ...], residual: float
+) -> SpectralRoot:
+    """A physical root with its null vector p_0..p_n and terminal residual."""
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
-    root = SpectralRoot(
+    return SpectralRoot(
         value=value,
         energy=value if is_model_1 else -(value**2),
         physical=True,
-        residual=vec.terminal_residual,
-        eigenvector=eigen,
+        residual=residual,
+        eigenvector=PolynomialCoefficients(
+            degree=len(coeffs) - 1, coeffs=coeffs, terminal_residual=residual
+        ),
     )
-    return root, bits
 
 
 def _polished(
     config: ModelConfig, block: BlockSpec, value: float, double_residual: float
-) -> Tuple[float, PolynomialCoefficients]:
+) -> Tuple[float, Tuple[float, ...], float]:
     """Newton-polish a real root at FALLBACK_BITS and take its null vector there.
 
     The polish is ``spectral.polish_roots`` on the block's sequences built at
-    FALLBACK_BITS.  Raises PrecisionError when the null vector at the polished
-    root still misses RESIDUAL_TARGET.
+    FALLBACK_BITS, the null vector ``spectral.null_vectors`` at the polished
+    root.  Returns (root, coefficients, terminal residual) rounded to double.
+    Raises PrecisionError when the residual still misses RESIDUAL_TARGET.
     """
     import mpmath
 
     with mpmath.workprec(FALLBACK_BITS):
         seqs = block_sequences(config, block, precision=FALLBACK_BITS)
         start = np.array([mpmath.mpf(value)], dtype=object)
-        root = spectral.polish_roots(seqs, start)[0][0]
-        vec = spectral.null_vector(seqs, root, tol=math.inf)
-    if vec.terminal_residual > RESIDUAL_TARGET:
+        root = spectral.polish_roots(seqs, start)[0]
+        coeffs, residuals = spectral.null_vectors(seqs, root)
+    residual = float(residuals[0])
+    if residual > RESIDUAL_TARGET:
         raise PrecisionError(
             f"root {value!r} of block {block} misses the terminal-residual "
             f"target {RESIDUAL_TARGET:.0e}: {double_residual:.3e} in double "
-            f"precision, {vec.terminal_residual:.3e} after Newton polish at "
+            f"precision, {residual:.3e} after Newton polish at "
             f"{FALLBACK_BITS} bits"
         )
-    return float(root), vec
+    return float(root[0]), tuple(float(p) for p in coeffs[0]), residual
 
 
 def _sort_key(r: SpectralRoot):
@@ -448,9 +434,10 @@ def solve_block(
     Model 1 roots are the eigenvalues of a symmetric tridiagonal matrix;
     model 2 roots are the eigenvalues of the companion linearization of its
     quadratic pencil, Newton-polished on the continuant.  Roots are then
-    classified by REALITY_TOL and PHYSICAL_NEG_TOL.  Each physical root must
-    have a null vector whose terminal residual is at most RESIDUAL_TARGET; a
-    root that misses it is Newton-polished once at FALLBACK_BITS, and one that
+    classified by REALITY_TOL and PHYSICAL_NEG_TOL.  The null vectors of all
+    physical roots come from one ``spectral.null_vectors`` call, and each
+    must have a terminal residual of at most RESIDUAL_TARGET; a root that
+    misses it is Newton-polished once at FALLBACK_BITS, and one that
     still misses it raises PrecisionError, as does a failing eigensolver.
     precision_bits is FALLBACK_BITS when some root needed that polish and 53
     otherwise.  precision is accepted and ignored, for callers that still
@@ -459,8 +446,10 @@ def solve_block(
     seqs = block_sequences(config, block)
     values, steps = _structured_roots(config, block, seqs)
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
-    entries = []
-    precision_bits = 53
+    # a physical root holds its place in entries as a bare float until its
+    # null vector is taken, all physical roots in one recurrence
+    entries: List[Union[SpectralRoot, float]] = []
+    physical_at = []
     for rc, step in zip(values.tolist(), steps.tolist()):
         scale = max(1.0, abs(rc))
         is_real = abs(rc.imag) <= REALITY_TOL * scale
@@ -478,9 +467,8 @@ def solve_block(
                     stacklevel=2,
                 )
         if physical:
-            root, bits = _physical_root(config, block, seqs, rc.real)
-            precision_bits = max(precision_bits, bits)
-            entries.append(root)
+            physical_at.append(len(entries))
+            entries.append(rc.real)
             continue
         if is_real:
             value: Union[float, complex] = rc.real
@@ -498,6 +486,17 @@ def solve_block(
                 borderline=borderline,
             )
         )
+    precision_bits = 53
+    if physical_at:
+        roots = np.array([entries[i] for i in physical_at])
+        coeffs, residuals = spectral.null_vectors(seqs, roots)
+        for i, value, vec, residual in zip(
+            physical_at, roots.tolist(), coeffs.tolist(), residuals.tolist()
+        ):
+            if residual > RESIDUAL_TARGET:
+                value, vec, residual = _polished(config, block, value, residual)
+                precision_bits = FALLBACK_BITS
+            entries[i] = _physical_root(config, value, tuple(vec), residual)
     entries.sort(key=_sort_key)
     return BlockResult(
         block=block,

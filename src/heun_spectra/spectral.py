@@ -17,6 +17,11 @@ matrix eigenproblem of size independent of any expanded polynomial:
   few Newton steps on the continuant and its derivative
   (``quadratic_pencil_roots``, ``newton_corrections``).
 
+A root's bound state is the null vector of its matrix, the coefficients of
+the three-term recurrence run at the root; ``null_vectors`` runs it for all
+roots of a block at once on the same padded coefficient matrices as the
+Newton polish, and its terminal residual certifies each root.
+
 ``determinant_polynomial`` (the continuant carried out in polynomial
 arithmetic), ``determinant_numeric`` and ``dense_determinant`` evaluate the
 same determinant by independent routes and serve as verification.
@@ -28,8 +33,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ResidualToleranceError
-from .heun_core import PolynomialCoefficients, TridiagonalSequences, polynomial_from_recurrence
+from .errors import RecurrenceBreakdownError, ResidualToleranceError
+from .heun_core import PolynomialCoefficients, TridiagonalSequences
 from .spoly import Scalar, SPoly
 
 NULL_VECTOR_TOL = 1e-8
@@ -106,18 +111,63 @@ def null_vector(
     s_star: Scalar,
     tol: float = NULL_VECTOR_TOL,
 ) -> PolynomialCoefficients:
-    """Recurrence null vector of the quantization matrix at a candidate root.
+    """Recurrence null vector of the quantization matrix at one candidate root.
 
-    Raises ResidualToleranceError when the terminal residual exceeds tol,
-    which is the signal to refine the root at higher working precision.
+    The single-point case of ``null_vectors``.  Raises ResidualToleranceError
+    when the terminal residual exceeds tol, i.e. when s_star is not a root
+    to that accuracy.
     """
-    poly = polynomial_from_recurrence(seqs, s_star)
-    if poly.terminal_residual > tol:
+    coeffs, residuals = null_vectors(seqs, np.array([s_star]))
+    residual = float(residuals[0])
+    if residual > tol:
         raise ResidualToleranceError(
-            f"terminal residual {poly.terminal_residual:.3e} exceeds {tol:.1e} "
-            f"at s = {s_star}"
+            f"terminal residual {residual:.3e} exceeds {tol:.1e} at s = {s_star}"
         )
-    return poly
+    return PolynomialCoefficients(
+        degree=seqs.size - 1,
+        coeffs=tuple(coeffs[0].tolist()),
+        terminal_residual=residual,
+    )
+
+
+def null_vectors(seqs: TridiagonalSequences, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Recurrence null vectors of the quantization matrix at every entry of s.
+
+    Runs p_{-1} = 0, p_0 = 1, p_{j+1} = -(c_{j-1} p_{j-1} + a_j p_j) / b_j
+    over the whole 1-d array s at once, with the floating-point operations of
+    ``polynomial_from_recurrence`` in the same order, so every coefficient
+    and residual equals the one that routine gives at each point alone.  s
+    may hold floats, complex numbers or mpmath numbers (an object array, with
+    sequences built at the matching precision).  Returns (coeffs, residuals):
+    coeffs[i] holds p_0..p_n at s[i] and residuals[i] its scaled terminal
+    residual (see PolynomialCoefficients).  Raises RecurrenceBreakdownError
+    when some b_j vanishes.
+    """
+    s = np.asarray(s)
+    a = _rows(_coefficient_matrix(seqs.a), s)[0]
+    b = _rows(_coefficient_matrix(seqs.b), s)[0]
+    c = _rows(_coefficient_matrix(seqs.c), s)[0]
+    stalled = (b == 0).any(axis=1)
+    if stalled.any():
+        j = int(np.argmax(stalled))
+        raise RecurrenceBreakdownError(f"b_{j} = 0 stalls the recurrence")
+    n = seqs.size - 1
+    # like Python floats, overflow to inf and inf - inf = nan pass silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = [0 * s + 1]  # p_0 = 1 in the scalar type of s
+        for j in range(n):
+            prev = c[j - 1] * p[j - 1] if j >= 1 else 0.0
+            p.append(-(prev + a[j] * p[j]) / b[j])
+        if n == 0:
+            terminal = a[0] * p[0]
+            entry_scale = np.maximum(np.abs(a[0]), 1.0)
+        else:
+            terminal = c[n - 1] * p[n - 1] + a[n] * p[n]
+            entry_scale = np.maximum(np.maximum(np.abs(a[n]), np.abs(c[n - 1])), 1.0)
+        coeffs = np.stack(p, axis=1)
+        coeff_scale = np.abs(coeffs).max(axis=1)
+        residuals = (np.abs(terminal) / (coeff_scale * entry_scale)).astype(float)
+    return coeffs, residuals
 
 
 def symmetric_eigenvalue_roots(seqs: TridiagonalSequences) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -17,6 +18,16 @@ def run_cli(argv, capsys):
 
 
 SPEC_ARGS = ["--example", "1", "--case", "a", "--k", "1", "--epsilon", "1"]
+
+# Child interpreters import the package these tests imported, whether it
+# came from PYTHONPATH or from pytest's pythonpath setting.
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 
 class TestBlocks:
@@ -246,7 +257,7 @@ class TestSubprocess:
         proc = subprocess.run(
             [sys.executable, "-m", "heun_spectra", "spectrum", *SPEC_ARGS,
              "--n-max", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["blocks"][0]["roots"][0]["value"] == pytest.approx(1.0)
@@ -260,13 +271,13 @@ class TestSubprocess:
              "import heun_spectra, heun_spectra.cli, sys; "
              "print(' '.join(m for m in ('scipy.linalg', 'scipy.integrate', "
              "'mpmath') if m in sys.modules))"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "heun_spectra"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 2
         assert "usage" in proc.stderr

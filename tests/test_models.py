@@ -1,6 +1,7 @@
 """Block rules, sequences, spectra, fields, wavefunctions, and residuals."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -18,6 +19,7 @@ from heun_spectra import (
     magnetic_field,
     make_block,
     permissible_blocks,
+    polynomial_from_recurrence,
     radial_norm,
     radial_profile,
     scalar_potential,
@@ -255,14 +257,25 @@ class TestSpectrum:
         physical = [r for r in res.roots if r.physical]
         assert len(physical) == len(res.roots) == 14
         assert all(r.residual <= 1e-10 for r in physical)
+        # the other 13 roots keep the null vectors of the per-root reference
+        seqs = block_sequences(config, make_block(config, 13))
+        for r in physical:
+            if r.value != 28.222332638496038:
+                want = polynomial_from_recurrence(seqs, r.value)
+                assert r.eigenvector.coeffs == want.coeffs
+                assert r.residual == want.terminal_residual
 
     def test_spurious_physical_root_raises_instead_of_duplicating_a_state(self):
         # the double eigensolver returns a spurious real negative chi whose
         # Newton iteration at 128 bits would land on another physical root
         # of the same block, which was then reported twice
-        for k, epsilon, n in ((31, 5000.0, 27), (45, 1600.0, 37)):
+        for k, epsilon, n, root in (
+            (31, 5000.0, 27, -35.42581300892498),
+            (45, 1600.0, 37, -9.419512573873368),
+        ):
             config = ModelConfig(Example(2), "second", k, epsilon)
-            with pytest.raises(PrecisionError, match="after Newton polish at 128 bits"):
+            message = rf"^root {re.escape(repr(root))} of block .* at 128 bits$"
+            with pytest.raises(PrecisionError, match=message):
                 solve_block(config, make_block(config, n))
 
 

@@ -9,6 +9,7 @@ import pytest
 from heun_spectra import (
     BlockSpec,
     ModelConfig,
+    RecurrenceBreakdownError,
     ResidualToleranceError,
     TridiagonalSequences,
     block_sequences,
@@ -16,8 +17,12 @@ from heun_spectra import (
     determinant_numeric,
     determinant_polynomial,
     newton_corrections,
+    make_block,
     null_vector,
+    null_vectors,
+    polynomial_from_recurrence,
     quadratic_pencil_roots,
+    solve_block,
     symmetric_eigenvalue_roots,
 )
 from heun_spectra.models import Example
@@ -263,6 +268,65 @@ class TestNullVector:
                 if j + 1 < n1:
                     row += b[j] * p[j + 1]
                 assert abs(row) / scale < 1e-8
+
+
+    @pytest.mark.parametrize(
+        "example, case, k, epsilon, n, l",
+        [
+            (1, "a", 2, 1.5, 40, None),
+            (1, "b", 31, -0.8, 30, None),
+            (2, "second", 31, 1600.0, 30, None),
+            (2, "first", -31, 1600.0, 30, 31),
+        ],
+    )
+    def test_vectorized_recurrence_equals_the_per_root_reference(
+        self, example, case, k, epsilon, n, l
+    ):
+        config = ModelConfig(Example(example), case, k, epsilon)
+        block = make_block(config, n, l)
+        roots = [r.value for r in solve_block(config, block).roots if r.physical]
+        assert roots
+        seqs = block_sequences(config, block)
+        coeffs, residuals = null_vectors(seqs, np.array(roots))
+        assert coeffs.shape == (len(roots), n + 1)
+        for s, got, residual in zip(roots, coeffs.tolist(), residuals.tolist()):
+            want = polynomial_from_recurrence(seqs, s)
+            assert tuple(got) == want.coeffs
+            assert residual == want.terminal_residual
+
+    def test_vectorized_recurrence_at_128_bits(self):
+        config = ModelConfig(Example(2), "second", 22, 400.0)
+        block = make_block(config, 21)
+        roots = [r.value for r in solve_block(config, block).roots if r.physical]
+        assert len(roots) > 1
+        with mpmath.workprec(128):
+            seqs = block_sequences(config, block, precision=128)
+            s = np.array([mpmath.mpf(r) for r in roots], dtype=object)
+            coeffs, residuals = null_vectors(seqs, s)
+            wants = [polynomial_from_recurrence(seqs, x) for x in s]
+        for got, residual, want in zip(coeffs, residuals, wants):
+            assert all(isinstance(p, mpmath.mpf) for p in got)
+            assert tuple(got) == want.coeffs
+            assert residual == want.terminal_residual
+
+    def test_vectorized_recurrence_on_a_degree_zero_block(self):
+        config = ModelConfig(Example(1), "a", 1, 2.0)
+        seqs = block_sequences(config, BlockSpec(n=0, l=0, sigma=+1))
+        s = np.array([2.0, -1.5, 0.0])
+        coeffs, residuals = null_vectors(seqs, s)
+        assert coeffs.shape == (3, 1)
+        for x, got, residual in zip(s, coeffs.tolist(), residuals.tolist()):
+            want = polynomial_from_recurrence(seqs, x)
+            assert tuple(got) == want.coeffs == (1.0,)
+            assert residual == want.terminal_residual
+        assert residuals[0] == 0.0 and residuals[1] > 0.5
+
+    def test_vanishing_super_diagonal_breaks_down(self):
+        seqs = const_seqs((1, 2, 3), (1, 0), (1, 1))
+        with pytest.raises(RecurrenceBreakdownError, match="b_1 = 0"):
+            null_vectors(seqs, np.array([0.0, 1.0]))
+        with pytest.raises(RecurrenceBreakdownError, match="b_1 = 0"):
+            polynomial_from_recurrence(seqs)
 
 
 class TestSymmetricPath:
