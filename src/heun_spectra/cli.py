@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,38 +29,6 @@ EXIT_VERIFICATION = 5
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _json_value(value: Any, indent: int) -> str:
-    if isinstance(value, float):  # the bulk of a report: test it first
-        return format(value, ".17g")
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, complex):
-        return f"[{_fmt(value.real)}, {_fmt(value.imag)}]"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(
-            pad + "  " + _json_value(v, indent + 1) for v in value
-        )
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(k) + ": " + _json_value(v, indent + 1)
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"unserializable value {value!r}")
 
 
 def _config_from(args: argparse.Namespace) -> ModelConfig:
@@ -98,61 +66,93 @@ def cmd_blocks(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _root_json(root: models.SpectralRoot) -> dict:
-    coeffs = None
-    if root.eigenvector is not None:
-        coeffs = [float(c) for c in root.eigenvector.coeffs]
-    value: Any = root.value
-    if isinstance(value, complex):
-        value = value if value.imag != 0 else value.real
-    return {
-        "value": value,
-        "energy": root.energy,
-        "physical": root.physical,
-        "residual": float(root.residual),
-        "coefficients": coeffs,
-    }
+# One root of the JSON report, at the indentation of its place in it.
+_JSON_ROOT = """        {{
+          "value": {},
+          "energy": {},
+          "physical": {},
+          "residual": {},
+          "coefficients": {}
+        }}"""
+
+
+def _json_root(root: models.SpectralRoot) -> str:
+    value = root.value
+    if isinstance(value, complex) and value.imag != 0:
+        value_text = f"[{_fmt(value.real)}, {_fmt(value.imag)}]"
+    else:
+        value_text = _fmt(value.real)
+    if root.eigenvector is None:
+        coeffs = "null"
+    else:
+        values = root.eigenvector.coeffs
+        # one %-format call for all coefficients; "%.17g" % x == _fmt(x)
+        coeffs = (
+            "[\n            "
+            + ",\n            ".join(["%.17g"] * len(values)) % tuple(values)
+            + "\n          ]"
+        )
+    return _JSON_ROOT.format(
+        value_text,
+        "null" if root.energy is None else _fmt(root.energy),
+        "true" if root.physical else "false",
+        _fmt(root.residual),
+        coeffs,
+    )
+
+
+def _json_list(items: Sequence[str], pad: str) -> str:
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+
+
+def _json_report(config: ModelConfig, results: Sequence[models.BlockResult]) -> str:
+    """The spectrum report as JSON, two-space indented, floats as %.17g."""
+    blocks = [
+        "    {\n"
+        f'      "n": {res.block.n},\n'
+        f'      "l": {res.block.l},\n'
+        f'      "sigma": {res.block.sigma},\n'
+        f'      "roots": {_json_list([_json_root(r) for r in res.roots], "      ")}\n'
+        "    }"
+        for res in results
+    ]
+    precision_bits = max((res.precision_bits for res in results), default=53)
+    return (
+        "{\n"
+        f'  "example": {int(config.example)},\n'
+        f'  "case": {json.dumps(config.variant)},\n'
+        f'  "k": {config.k},\n'
+        f'  "epsilon": {_fmt(config.epsilon)},\n'
+        f'  "blocks": {_json_list(blocks, "  ")},\n'
+        f'  "filtered_root_count": {sum(res.filtered_count for res in results)},\n'
+        f'  "precision_bits": {precision_bits}\n'
+        "}"
+    )
+
+
+def _csv_row(block: models.BlockSpec, r: models.SpectralRoot) -> str:
+    if isinstance(r.value, complex) and r.value.imag != 0:
+        root_cell = f"{_fmt(r.value.real)}{r.value.imag:+.17g}j"
+    else:
+        root_cell = _fmt(r.value.real)
+    energy_cell = "" if r.energy is None else _fmt(r.energy)
+    return (
+        f"{block.n},{block.l},{block.sigma},{root_cell},{energy_cell},"
+        f"{'true' if r.physical else 'false'},{_fmt(r.residual)}"
+    )
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     config = _config_from(args)
     blocks = models.permissible_blocks(config, n_max=args.n_max)
-    results = [models.solve_block(config, b) for b in blocks]
+    results = models.solve_blocks(config, blocks)
     if args.format == "json":
-        report = {
-            "example": int(config.example),
-            "case": config.variant,
-            "k": config.k,
-            "epsilon": config.epsilon,
-            "blocks": [
-                {
-                    "n": res.block.n,
-                    "l": res.block.l,
-                    "sigma": res.block.sigma,
-                    "roots": [_root_json(r) for r in res.roots],
-                }
-                for res in results
-            ],
-            "filtered_root_count": sum(res.filtered_count for res in results),
-            "precision_bits": max(
-                (res.precision_bits for res in results), default=53
-            ),
-        }
-        print(_json_value(report, 0))
+        print(_json_report(config, results))
         return EXIT_OK
-    print("n,l,sigma,root,energy,physical,residual")
-    for res in results:
-        b = res.block
-        for r in res.roots:
-            if isinstance(r.value, complex) and r.value.imag != 0:
-                root_cell = f"{_fmt(r.value.real)}{r.value.imag:+.17g}j"
-            else:
-                root_cell = _fmt(complex(r.value).real)
-            energy_cell = "" if r.energy is None else _fmt(r.energy)
-            print(
-                f"{b.n},{b.l},{b.sigma},{root_cell},{energy_cell},"
-                f"{'true' if r.physical else 'false'},{_fmt(r.residual)}"
-            )
+    rows = [_csv_row(res.block, r) for res in results for r in res.roots]
+    print("\n".join(["n,l,sigma,root,energy,physical,residual", *rows]))
     return EXIT_OK
 
 
@@ -194,7 +194,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.name} ({r.seconds:.2f} s): {r.detail}")
+        print(f"{status} {r.name}: {r.detail}")
+        # wall times vary from run to run, so they stay off stdout
+        print(f"{r.name}: {r.seconds:.2f} s", file=sys.stderr)
     if failed:
         print(f"verification failed: {', '.join(r.name for r in failed)}")
         return EXIT_VERIFICATION

@@ -42,7 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -298,82 +298,68 @@ def make_block(config: ModelConfig, n: int, l: Optional[int] = None) -> BlockSpe
 # sequences and spectra
 
 
-def block_sequences(
+def block_recurrence(
     config: ModelConfig, block: BlockSpec, precision: Optional[int] = None
-) -> TridiagonalSequences:
-    """Quantization sequences of a block, polynomial in the spectral parameter.
+) -> spectral.Recurrence:
+    """The block's quantization sequences as coefficient arrays.
 
     Model 1 diagonals are affine in lambda with unit leading coefficient;
     model 2 diagonals are monic quadratic in chi and the sub-diagonal is
-    linear, so the determinant degrees are n+1 and 2(n+1).
-
-    precision, when given, builds the entries in mpmath arithmetic at the
-    current working precision (the caller is expected to hold a workprec
-    context); otherwise plain floats are used.
+    linear, so the determinant degrees are n+1 and 2(n+1).  The arrays come
+    straight from the closed forms: a of shape (n+1, 2) or (n+1, 3), b
+    (n, 1), c (n, 1) or (n, 2), and e = 0.0 + b c as SPoly multiplication
+    forms it.  precision, when given, builds mpmath entries (object arrays)
+    at the current working precision (the caller holds a workprec context);
+    otherwise they are floats.
     """
     validate_block(config, block)
     if precision is None:
-        conv = float
+        one, j = 1.0, np.arange(block.n + 1)
     else:
         import mpmath
 
-        conv = mpmath.mpf
-    e = conv(config.epsilon)
+        # Python integers, exact until they meet an mpf
+        one, j = mpmath.mpf(1), np.arange(block.n + 1, dtype=object)
+    e = one * config.epsilon
     k, n, l = config.k, block.n, block.l
-    zero, one = conv(0.0), conv(1.0)
+    i = j[:-1]
     if config.example is Example.REPULSIVE_POLYNOMIAL:
+        # a huge epsilon overflows silently, as Python floats do, and is
+        # rejected below
+        with np.errstate(over="ignore"):
+            beta = -e * (2 * j + 1 if config.variant == "a" else k - n + 2 * j)
         if config.variant == "a":
-            a = tuple(SPoly((-e * (2 * j + 1), one)) for j in range(n + 1))
-            b = tuple(
-                SPoly((conv(2 * (j * (j + n - k + 3) + n - k + 2)),))
-                for j in range(n)
-            )
+            b = 2 * (i * (i + n - k + 3) + n - k + 2)
         else:
-            a = tuple(SPoly((-e * (k - n + 2 * j), one)) for j in range(n + 1))
-            b = tuple(
-                SPoly((conv(j * (2 * j - n + k + 3) - n + k + 1),)) for j in range(n)
-            )
-        c = tuple(SPoly((conv(4 * (n - j)),)) for j in range(n))
-        return TridiagonalSequences(a=a, b=b, c=c)
-    quarter = conv(1.0) / 4
-    if config.variant == "first":
-        a = tuple(
-            SPoly(
-                (
-                    conv(l * l - n * n - n - j * (j - 2 * n - 1))
-                    - quarter * (1 + e),
-                    conv(2 * (2 * j - n - l)),
-                    one,
-                )
-            )
-            for j in range(n + 1)
-        )
-        b = tuple(SPoly((conv((j + 1) * (j - n - l)),)) for j in range(n))
+            b = i * (2 * i - n + k + 3) - n + k + 1
+        a = np.stack([beta, np.full(n + 1, one)], axis=1)
+        c = (4 * (n - i) * one)[:, None]
     else:
-        a = tuple(
-            SPoly(
-                (
-                    conv(-j * (j - 2 * n - 1) + n) + quarter * (3 - e),
-                    conv(2 * (2 * j - k - n)),
-                    one,
-                )
-            )
-            for j in range(n + 1)
-        )
-        b = tuple(SPoly((conv((j + 1) * (j - n - k)),)) for j in range(n))
-    c = tuple(SPoly((zero, conv(4 * (n - j)))) for j in range(n))
-    return TridiagonalSequences(a=a, b=b, c=c)
+        if config.variant == "first":
+            beta = (l * l - n * n - n - j * (j - 2 * n - 1)) - one / 4 * (1 + e)
+            alpha = 2 * (2 * j - n - l)
+            b = (i + 1) * (i - n - l)
+        else:
+            beta = (-j * (j - 2 * n - 1) + n) + one / 4 * (3 - e)
+            alpha = 2 * (2 * j - k - n)
+            b = (i + 1) * (i - n - k)
+        a = np.stack([beta, alpha * one, np.full(n + 1, one)], axis=1)
+        c = np.stack([np.full(n, 0 * one), 4 * (n - i) * one], axis=1)
+    if precision is None and not np.isfinite(a).all():
+        raise ValueError("sequence a has a non-finite entry")
+    b = (b * one)[:, None]
+    return spectral.Recurrence(a, b, c, 0.0 + b * c)
 
 
-def _structured_roots(config: ModelConfig, block: BlockSpec, seqs: TridiagonalSequences):
-    """(roots, Newton corrections) of a block as complex arrays."""
-    try:
-        if config.example is Example.REPULSIVE_POLYNOMIAL:
-            roots = spectral.symmetric_eigenvalue_roots(seqs).astype(complex)
-            return roots, np.zeros_like(roots)
-        return spectral.quadratic_pencil_roots(seqs)
-    except np.linalg.LinAlgError as exc:
-        raise PrecisionError(f"eigensolver failed on block {block}: {exc}") from None
+def block_sequences(
+    config: ModelConfig, block: BlockSpec, precision: Optional[int] = None
+) -> TridiagonalSequences:
+    """The entries of ``block_recurrence`` as SPoly sequences, for the
+    verification routes (determinant expansion, identities)."""
+    rec = block_recurrence(config, block, precision)
+    return TridiagonalSequences(
+        *(tuple(SPoly(row) for row in m.tolist()) for m in (rec.a, rec.b, rec.c))
+    )
 
 
 def _physical_root(
@@ -397,18 +383,18 @@ def _polished(
 ) -> Tuple[float, Tuple[float, ...], float]:
     """Newton-polish a real root at FALLBACK_BITS and take its null vector there.
 
-    The polish is ``spectral.polish_roots`` on the block's sequences built at
-    FALLBACK_BITS, the null vector ``spectral.null_vectors`` at the polished
-    root.  Returns (root, coefficients, terminal residual) rounded to double.
-    Raises PrecisionError when the residual still misses RESIDUAL_TARGET.
+    The polish and the null vector are the ragged kernel's, run on the one
+    root with the block's recurrence built at FALLBACK_BITS.  Returns (root,
+    coefficients, terminal residual) rounded to double.  Raises
+    PrecisionError when the residual still misses RESIDUAL_TARGET.
     """
     import mpmath
 
     with mpmath.workprec(FALLBACK_BITS):
-        seqs = block_sequences(config, block, precision=FALLBACK_BITS)
+        recs = [block_recurrence(config, block, precision=FALLBACK_BITS)]
         start = np.array([mpmath.mpf(value)], dtype=object)
-        root = spectral.polish_roots(seqs, start)[0]
-        coeffs, residuals = spectral.null_vectors(seqs, root)
+        root = spectral.ragged_polish(recs, start)[0]
+        coeffs, residuals = spectral.ragged_null_vectors(recs, root)
     residual = float(residuals[0])
     if residual > RESIDUAL_TARGET:
         raise PrecisionError(
@@ -426,31 +412,76 @@ def _sort_key(r: SpectralRoot):
     return (1, complex(r.value).real, complex(r.value).imag)
 
 
+def solve_blocks(config: ModelConfig, blocks: Sequence[BlockSpec]) -> List[BlockResult]:
+    """Solve blocks of one configuration: ``[solve_block(config, b) for b in blocks]``.
+
+    Each block has its own eigensolve; then all model 2 roots take one
+    ragged Newton polish and all physical roots one ragged null-vector
+    recurrence (``spectral.ragged_polish``, ``spectral.ragged_null_vectors``),
+    which give each root the bits it gets alone.  Warnings and errors come
+    block by block, in the order of that loop.
+    """
+    return _solve(config, list(blocks))
+
+
 def solve_block(
     config: ModelConfig, block: BlockSpec, precision: Optional[int] = None
 ) -> BlockResult:
     """Solve one block as a structured eigenproblem in double precision.
 
-    Model 1 roots are the eigenvalues of a symmetric tridiagonal matrix;
-    model 2 roots are the eigenvalues of the companion linearization of its
-    quadratic pencil, Newton-polished on the continuant.  Roots are then
-    classified by REALITY_TOL and PHYSICAL_NEG_TOL.  The null vectors of all
-    physical roots come from one ``spectral.null_vectors`` call, and each
-    must have a terminal residual of at most RESIDUAL_TARGET; a root that
-    misses it is Newton-polished once at FALLBACK_BITS, and one that
-    still misses it raises PrecisionError, as does a failing eigensolver.
-    precision_bits is FALLBACK_BITS when some root needed that polish and 53
-    otherwise.  precision is accepted and ignored, for callers that still
-    pass it.
+    Model 1 roots are the eigenvalues of a symmetric tridiagonal matrix
+    (``numpy.linalg.eigvalsh`` on the dense matrix); model 2 roots are the
+    eigenvalues of the companion linearization of its quadratic pencil,
+    Newton-polished on the continuant.  Roots are then classified by
+    REALITY_TOL and PHYSICAL_NEG_TOL.  Each physical root's null vector must
+    have a terminal residual of at most RESIDUAL_TARGET; a root that misses
+    it is Newton-polished once at FALLBACK_BITS, and one that still misses
+    it raises PrecisionError, as does a failing eigensolver.  precision_bits
+    is FALLBACK_BITS when some root needed that polish and 53 otherwise.
+    This is ``solve_blocks(config, [block])[0]``; precision is accepted and
+    ignored, for callers that still pass it.
     """
-    seqs = block_sequences(config, block)
-    values, steps = _structured_roots(config, block, seqs)
+    return _solve(config, [block])[0]
+
+
+def _solve(config: ModelConfig, blocks: List[BlockSpec]) -> List[BlockResult]:
+    recs = [block_recurrence(config, block) for block in blocks]
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
-    # a physical root holds its place in entries as a bare float until its
-    # null vector is taken, all physical roots in one recurrence
-    entries: List[Union[SpectralRoot, float]] = []
-    physical_at = []
-    for rc, step in zip(values.tolist(), steps.tolist()):
+    eigensolve = (
+        spectral.symmetric_eigenvalues if is_model_1 else spectral.companion_eigenvalues
+    )
+    values, failure = [], None
+    for block, rec in zip(blocks, recs):
+        try:
+            values.append(eigensolve(rec))
+        except np.linalg.LinAlgError as exc:
+            # the blocks before this one still report first
+            failure = PrecisionError(f"eigensolver failed on block {block}: {exc}")
+            blocks, recs = blocks[: len(values)], recs[: len(values)]
+            break
+    results = []
+    if blocks:
+        owner = np.repeat(np.arange(len(values)), [len(v) for v in values])
+        roots = np.concatenate(values).astype(complex)
+        if is_model_1:
+            steps = np.zeros_like(roots)
+        else:
+            roots, steps = spectral.ragged_polish(recs, roots, owner)
+        results = _classified(config, blocks, recs, owner, roots, steps)
+    if failure is not None:
+        raise failure
+    return results
+
+
+def _classified(config, blocks, recs, owner, roots, steps) -> List[BlockResult]:
+    """Classify, take the null vectors, and build the results in block order."""
+    is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
+    # a physical root holds its place in its block's entries as None until
+    # its null vector is taken, all physical roots in one recurrence
+    entries: List[List[Optional[SpectralRoot]]] = [[] for _ in blocks]
+    borderline_notes: List[List[str]] = [[] for _ in blocks]
+    physical_at: List[Tuple[int, int, float]] = []
+    for b, rc, step in zip(owner.tolist(), roots.tolist(), steps.tolist()):
         scale = max(1.0, abs(rc))
         is_real = abs(rc.imag) <= REALITY_TOL * scale
         borderline = False
@@ -460,15 +491,13 @@ def solve_block(
             physical = is_real and rc.real < -PHYSICAL_NEG_TOL
             borderline = is_real and -PHYSICAL_NEG_TOL <= rc.real < 0.0
             if borderline:
-                warnings.warn(
+                borderline_notes[b].append(
                     f"root chi = {rc.real:.3e} sits within {PHYSICAL_NEG_TOL:.0e} "
-                    "of zero; treated as unphysical borderline",
-                    RuntimeWarning,
-                    stacklevel=2,
+                    "of zero; treated as unphysical borderline"
                 )
         if physical:
-            physical_at.append(len(entries))
-            entries.append(rc.real)
+            physical_at.append((b, len(entries[b]), rc.real))
+            entries[b].append(None)
             continue
         if is_real:
             value: Union[float, complex] = rc.real
@@ -476,7 +505,7 @@ def solve_block(
         else:
             value = rc
             energy = None
-        entries.append(
+        entries[b].append(
             SpectralRoot(
                 value=value,
                 energy=energy,
@@ -486,24 +515,40 @@ def solve_block(
                 borderline=borderline,
             )
         )
-    precision_bits = 53
+    pending: List[list] = [[] for _ in blocks]  # (slot, root, p, residual)
     if physical_at:
-        roots = np.array([entries[i] for i in physical_at])
-        coeffs, residuals = spectral.null_vectors(seqs, roots)
-        for i, value, vec, residual in zip(
-            physical_at, roots.tolist(), coeffs.tolist(), residuals.tolist()
+        owners, slots, points = zip(*physical_at)
+        coeffs, residuals = spectral.ragged_null_vectors(
+            recs, np.array(points), np.array(owners)
+        )
+        for b, slot, value, vec, residual in zip(
+            owners, slots, points, coeffs.tolist(), residuals.tolist()
         ):
+            pending[b].append((slot, value, vec[: blocks[b].n + 1], residual))
+    results = []
+    for block, block_entries, notes, physical in zip(
+        blocks, entries, borderline_notes, pending
+    ):
+        for note in notes:
+            # at the caller of solve_block / solve_blocks, which both call
+            # _solve directly
+            warnings.warn(note, RuntimeWarning, stacklevel=4)
+        precision_bits = 53
+        for slot, value, vec, residual in physical:
             if residual > RESIDUAL_TARGET:
                 value, vec, residual = _polished(config, block, value, residual)
                 precision_bits = FALLBACK_BITS
-            entries[i] = _physical_root(config, value, tuple(vec), residual)
-    entries.sort(key=_sort_key)
-    return BlockResult(
-        block=block,
-        roots=tuple(entries),
-        precision_bits=precision_bits,
-        filtered_count=sum(1 for r in entries if not r.physical),
-    )
+            block_entries[slot] = _physical_root(config, value, tuple(vec), residual)
+        block_entries.sort(key=_sort_key)
+        results.append(
+            BlockResult(
+                block=block,
+                roots=tuple(block_entries),
+                precision_bits=precision_bits,
+                filtered_count=sum(1 for r in block_entries if not r.physical),
+            )
+        )
+    return results
 
 
 def spectrum(config: ModelConfig, block: BlockSpec) -> List[SpectralRoot]:

@@ -18,9 +18,16 @@ matrix eigenproblem of size independent of any expanded polynomial:
   (``quadratic_pencil_roots``, ``newton_corrections``).
 
 A root's bound state is the null vector of its matrix, the coefficients of
-the three-term recurrence run at the root; ``null_vectors`` runs it for all
-roots of a block at once on the same padded coefficient matrices as the
-Newton polish, and its terminal residual certifies each root.
+the three-term recurrence run at the root, and its terminal residual
+certifies the root.
+
+The numerical routes work on ``Recurrence`` coefficient arrays.  The Newton
+polish and the null vectors run over the roots of several blocks at once
+(``ragged_polish``, ``ragged_null_vectors``): rows are padded to the longest
+block, and a root whose block has ended keeps its values, so every root
+sees the floating-point operations it would see alone.
+``polish_roots``, ``newton_corrections`` and ``null_vectors`` are the
+one-block case.
 
 ``determinant_polynomial`` (the continuant carried out in polynomial
 arithmetic), ``determinant_numeric`` and ``dense_determinant`` evaluate the
@@ -29,7 +36,7 @@ same determinant by independent routes and serve as verification.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,46 +71,62 @@ def determinant_numeric(seqs: TridiagonalSequences, s: Scalar) -> Scalar:
 def dense_determinant(seqs: TridiagonalSequences, s: Scalar) -> Scalar:
     """LU determinant of the explicitly assembled matrix; dual-path check.
 
-    Float entries go through numpy's LAPACK LU.  mpmath entries fall back to
-    a pivoted Gaussian elimination in the same precision, so the dual-path
-    comparison can be run above float64 where high-degree determinants lose
-    digits to cancellation.
+    Float entries go through numpy's LAPACK LU, mpmath entries through
+    ``mpmath.det`` at the working precision, so the dual-path comparison can
+    be run above float64 where high-degree determinants lose digits to
+    cancellation.
     """
     import mpmath
 
     a, b, c = seqs.at(s)
     n1 = seqs.size
     mp_types = (mpmath.mpf, mpmath.mpc)
-    if not any(isinstance(v, mp_types) for v in (a[0], b[0] if b else 0.0, s)):
-        m = np.zeros((n1, n1), dtype=float)
-        for j in range(n1):
-            m[j, j] = float(a[j])
-            if j + 1 < n1:
-                m[j, j + 1] = float(b[j])
-                m[j + 1, j] = float(c[j])
-        return float(np.linalg.det(m))
-    zero = a[0] * 0
-    rows = [[zero] * n1 for _ in range(n1)]
+    extended = any(isinstance(v, mp_types) for v in (a[0], b[0] if b else 0.0, s))
+    m = np.zeros((n1, n1), dtype=object if extended else float)
     for j in range(n1):
-        rows[j][j] = a[j]
+        m[j, j] = a[j]
         if j + 1 < n1:
-            rows[j][j + 1] = b[j]
-            rows[j + 1][j] = c[j]
-    det = zero + 1
-    for col in range(n1):
-        pivot = max(range(col, n1), key=lambda r: abs(rows[r][col]))
-        if rows[pivot][col] == 0:
-            return zero
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        for r in range(col + 1, n1):
-            factor = rows[r][col] / rows[col][col]
-            if factor != 0:
-                for k in range(col, n1):
-                    rows[r][k] = rows[r][k] - factor * rows[col][k]
-    return det
+            m[j, j + 1] = b[j]
+            m[j + 1, j] = c[j]
+    if extended:
+        return mpmath.det(mpmath.matrix(m.tolist()))
+    return float(np.linalg.det(m))
+
+
+class Recurrence(NamedTuple):
+    """One block's recurrence as coefficient arrays in the spectral parameter.
+
+    Each row holds one entry's coefficients, lowest degree first: a has
+    shape (n+1, da), b (n, db) and c (n, dc), and e (n, de) holds the
+    products b_j c_j that enter the continuant.  Entries are floats, or
+    mpmath numbers in object arrays.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    e: np.ndarray
+
+    @property
+    def degree(self) -> int:
+        return len(self.a) - 1
+
+
+def recurrence(seqs: TridiagonalSequences) -> Recurrence:
+    """The coefficient arrays of seqs, e built by SPoly multiplication."""
+    return Recurrence(
+        _coefficient_matrix(seqs.a),
+        _coefficient_matrix(seqs.b),
+        _coefficient_matrix(seqs.c),
+        _coefficient_matrix([b * c for b, c in zip(seqs.b, seqs.c)]),
+    )
+
+
+def _coefficient_matrix(polys) -> np.ndarray:
+    if not polys:
+        return np.zeros((0, 1))
+    width = max(len(p.coeffs) for p in polys)
+    return np.array([p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys])
 
 
 def null_vector(
@@ -133,41 +156,11 @@ def null_vector(
 def null_vectors(seqs: TridiagonalSequences, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Recurrence null vectors of the quantization matrix at every entry of s.
 
-    Runs p_{-1} = 0, p_0 = 1, p_{j+1} = -(c_{j-1} p_{j-1} + a_j p_j) / b_j
-    over the whole 1-d array s at once, with the floating-point operations of
-    ``polynomial_from_recurrence`` in the same order, so every coefficient
-    and residual equals the one that routine gives at each point alone.  s
-    may hold floats, complex numbers or mpmath numbers (an object array, with
-    sequences built at the matching precision).  Returns (coeffs, residuals):
-    coeffs[i] holds p_0..p_n at s[i] and residuals[i] its scaled terminal
-    residual (see PolynomialCoefficients).  Raises RecurrenceBreakdownError
-    when some b_j vanishes.
+    The one-block case of ``ragged_null_vectors``: coeffs[i] holds p_0..p_n
+    at s[i] and residuals[i] its scaled terminal residual, each equal to
+    what ``polynomial_from_recurrence`` gives at that point alone.
     """
-    s = np.asarray(s)
-    a = _rows(_coefficient_matrix(seqs.a), s)[0]
-    b = _rows(_coefficient_matrix(seqs.b), s)[0]
-    c = _rows(_coefficient_matrix(seqs.c), s)[0]
-    stalled = (b == 0).any(axis=1)
-    if stalled.any():
-        j = int(np.argmax(stalled))
-        raise RecurrenceBreakdownError(f"b_{j} = 0 stalls the recurrence")
-    n = seqs.size - 1
-    # like Python floats, overflow to inf and inf - inf = nan pass silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = [0 * s + 1]  # p_0 = 1 in the scalar type of s
-        for j in range(n):
-            prev = c[j - 1] * p[j - 1] if j >= 1 else 0.0
-            p.append(-(prev + a[j] * p[j]) / b[j])
-        if n == 0:
-            terminal = a[0] * p[0]
-            entry_scale = np.maximum(np.abs(a[0]), 1.0)
-        else:
-            terminal = c[n - 1] * p[n - 1] + a[n] * p[n]
-            entry_scale = np.maximum(np.maximum(np.abs(a[n]), np.abs(c[n - 1])), 1.0)
-        coeffs = np.stack(p, axis=1)
-        coeff_scale = np.abs(coeffs).max(axis=1)
-        residuals = (np.abs(terminal) / (coeff_scale * entry_scale)).astype(float)
-    return coeffs, residuals
+    return ragged_null_vectors([recurrence(seqs)], np.asarray(s))
 
 
 def symmetric_eigenvalue_roots(seqs: TridiagonalSequences) -> np.ndarray:
@@ -179,25 +172,33 @@ def symmetric_eigenvalue_roots(seqs: TridiagonalSequences) -> np.ndarray:
     a symmetric matrix with off-diagonal sqrt(b_j c_j); its eigenvalues are
     provably real.  Returns them in ascending order.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    v = []
     for entry in seqs.a:
         if entry.degree != 1 or float(entry.coeffs[1]) != 1.0:
             raise ValueError("diagonal entries must be monic affine in s")
-        v.append(float(entry.coeffs[0]))
-    off = []
     for bj, cj in zip(seqs.b, seqs.c):
         if not (bj.is_constant and cj.is_constant):
             raise ValueError("off-diagonal entries must be constant in s")
-        prod = float(bj.constant_value()) * float(cj.constant_value())
-        if prod <= 0:
+        if float(bj.constant_value()) * float(cj.constant_value()) <= 0:
             raise ValueError("b_j c_j must be positive for symmetrization")
-        off.append(np.sqrt(prod))
-    diag = -np.asarray(v, dtype=float)
-    if not off:
-        return diag.copy()
-    return eigvalsh_tridiagonal(diag, np.asarray(off, dtype=float))
+    return symmetric_eigenvalues(recurrence(seqs))
+
+
+def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized constant part of rec.
+
+    The dense symmetric (n+1) x (n+1) matrix with diagonal -a_j(0) and
+    off-diagonal sqrt(b_j c_j), solved by ``numpy.linalg.eigvalsh``; rec
+    must meet the conditions of ``symmetric_eigenvalue_roots``.
+    """
+    diag = -rec.a[:, 0]
+    if not len(rec.b):
+        return diag
+    off = np.sqrt(rec.b[:, 0] * rec.c[:, 0])
+    i = np.arange(len(off))
+    matrix = np.diag(diag)
+    matrix[i, i + 1] = off
+    matrix[i + 1, i] = off
+    return np.linalg.eigvalsh(matrix)
 
 
 def quadratic_pencil_roots(seqs: TridiagonalSequences) -> Tuple[np.ndarray, np.ndarray]:
@@ -215,50 +216,44 @@ def quadratic_pencil_roots(seqs: TridiagonalSequences) -> Tuple[np.ndarray, np.n
     arrays of length 2(n+1), corrections[i] being the Newton correction
     D/D' at roots[i].
     """
-    size = seqs.size
-    a0 = np.zeros((size, size))
-    a1 = np.zeros((size, size))
-    for j, entry in enumerate(seqs.a):
+    for entry in seqs.a:
         if entry.degree != 2 or float(entry.coeffs[2]) != 1.0:
             raise ValueError("diagonal entries must be monic quadratic in s")
-        a0[j, j] = float(entry.coeffs[0])
-        a1[j, j] = float(entry.coeffs[1])
-    for j, (bj, cj) in enumerate(zip(seqs.b, seqs.c)):
+    for bj, cj in zip(seqs.b, seqs.c):
         if not bj.is_constant or cj.degree > 1:
             raise ValueError("b_j must be constant and c_j at most linear in s")
-        a0[j, j + 1] = float(bj.constant_value())
-        a0[j + 1, j] = float(cj.coeffs[0])
-        if cj.degree == 1:
-            a1[j + 1, j] = float(cj.coeffs[1])
+    rec = recurrence(seqs)
+    return ragged_polish([rec], companion_eigenvalues(rec))
+
+
+def companion_eigenvalues(rec: Recurrence) -> np.ndarray:
+    """Eigenvalues (complex) of the companion matrix of a monic quadratic pencil.
+
+    rec must meet the conditions of ``quadratic_pencil_roots``.  The matrix
+    is filled by index arrays; its lower half starts as -0.0, the negated
+    zeros of A0 and A1.
+    """
+    size = len(rec.a)
     companion = np.zeros((2 * size, 2 * size))
-    companion[:size, size:] = np.eye(size)
-    companion[size:, :size] = -a0
-    companion[size:, size:] = -a1
-    roots = np.linalg.eigvals(companion).astype(complex)
-    return polish_roots(seqs, roots)
+    companion[size:] = -0.0
+    i = np.arange(size)
+    companion[i, size + i] = 1.0
+    companion[size + i, i] = -rec.a[:, 0]
+    companion[size + i, size + i] = -rec.a[:, 1]
+    j = i[:-1]
+    companion[size + j, j + 1] = -rec.b[:, 0]
+    companion[size + j + 1, j] = -rec.c[:, 0]
+    if rec.c.shape[1] > 1:
+        companion[size + j + 1, size + j] = -rec.c[:, 1]
+    return np.linalg.eigvals(companion).astype(complex)
 
 
 def polish_roots(
     seqs: TridiagonalSequences, roots: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Up to NEWTON_STEPS Newton steps on the continuant, for all roots at once.
-
-    A step is taken only where the Newton correction it leads to is smaller
-    than the one before, so a root that has reached rounding level, or whose
-    iteration starts to wander, stays where it was.  Returns (roots,
-    corrections) with corrections[i] = D/D' at the returned roots[i].
-    """
-    coeffs = _continuant_coefficients(seqs)
-    step = _corrections(coeffs, roots)
-    for _ in range(NEWTON_STEPS):
-        moved = roots - step
-        after = _corrections(coeffs, moved)
-        better = np.abs(after) < np.abs(step)
-        if not better.any():
-            break
-        roots = np.where(better, moved, roots)
-        step = np.where(better, after, step)
-    return roots, step
+    """Up to NEWTON_STEPS guarded Newton steps on the continuant
+    (``ragged_polish`` for one block)."""
+    return ragged_polish([recurrence(seqs)], roots)
 
 
 def newton_corrections(seqs: TridiagonalSequences, s: np.ndarray) -> np.ndarray:
@@ -273,29 +268,138 @@ def newton_corrections(seqs: TridiagonalSequences, s: np.ndarray) -> np.ndarray:
     floats, complex numbers or mpmath numbers (an object array) together
     with sequences built at the matching precision.
     """
-    return _corrections(_continuant_coefficients(seqs), s)
+    s = np.asarray(s)
+    return _corrections(_continuant_lanes([recurrence(seqs)], _owners(s, None)), s)
 
 
-def _continuant_coefficients(seqs: TridiagonalSequences) -> Tuple[np.ndarray, np.ndarray]:
-    """Padded coefficient matrices (lowest degree first) of the a_j and e_j."""
-    return _coefficient_matrix(seqs.a), _coefficient_matrix(
-        [b * c for b, c in zip(seqs.b, seqs.c)]
+# ---------------------------------------------------------------------------
+# the ragged kernel: point i belongs to recurrence owner[i] (all to recs[0]
+# when owner is None)
+
+
+def ragged_polish(
+    recs: Sequence[Recurrence], roots: np.ndarray, owner: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Up to NEWTON_STEPS Newton steps on the continuant, for all roots at once.
+
+    roots[i] is a root of recs[owner[i]].  A step is taken only where the
+    Newton correction it leads to is smaller than the one before, so a root
+    that has reached rounding level, or whose iteration starts to wander,
+    stays where it was; such a root computes the same step again on every
+    later pass, so it does not matter which other roots share the batch.
+    Returns (roots, corrections) with corrections[i] = D/D' at the returned
+    roots[i].
+    """
+    lanes = _continuant_lanes(recs, _owners(roots, owner))
+    step = _corrections(lanes, roots)
+    for _ in range(NEWTON_STEPS):
+        moved = roots - step
+        after = _corrections(lanes, moved)
+        better = np.abs(after) < np.abs(step)
+        if not better.any():
+            break
+        roots = np.where(better, moved, roots)
+        step = np.where(better, after, step)
+    return roots, step
+
+
+def ragged_null_vectors(
+    recs: Sequence[Recurrence], s: np.ndarray, owner: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Recurrence null vectors at every s[i], a point of recs[owner[i]].
+
+    Runs p_{-1} = 0, p_0 = 1, p_{j+1} = -(c_{j-1} p_{j-1} + a_j p_j) / b_j
+    with the operations of ``polynomial_from_recurrence`` in the same order,
+    so for real or mpmath points (an object array, with recurrences built
+    at the matching precision) every coefficient and residual equals that
+    routine's at each point alone.  Returns (coeffs, residuals):
+    coeffs[i, :n+1] holds p_0..p_n at s[i], n its recurrence's degree (the
+    columns past it are padding), and residuals[i] the scaled terminal
+    residual (see PolynomialCoefficients).  Raises RecurrenceBreakdownError
+    when some b_j vanishes.
+    """
+    owner = _owners(s, owner)
+    last = _degrees(recs, owner)
+    rows = max(rec.degree for rec in recs) + 1
+    a = _horner(_gather([r.a for r in recs], owner, rows, 0), s, derivative=False)[0]
+    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 1), s, derivative=False)[0]
+    c = _horner(_gather([r.c for r in recs], owner, rows - 1, 0), s, derivative=False)[0]
+    stalled = (b == 0).any(axis=1)
+    if stalled.any():
+        j = int(np.argmax(stalled))
+        raise RecurrenceBreakdownError(f"b_{j} = 0 stalls the recurrence")
+    n = rows - 1
+    # like Python floats, overflow to inf and inf - inf = nan pass silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = [0 * s + 1]  # p_0 = 1 in the scalar type of s
+        for j in range(n):
+            prev = c[j - 1] * p[j - 1] if j >= 1 else 0.0
+            p.append(-(prev + a[j] * p[j]) / b[j])
+        coeffs = np.stack(p, axis=1)
+        lane = np.arange(len(s))
+        a_n, p_n = a[last, lane], coeffs[lane, last]
+        if n == 0:
+            terminal = a_n * p_n
+            entry_scale = np.maximum(np.abs(a_n), 1.0)
+        else:
+            # a point of a degree-0 block reads its padding in row -1, c = 0
+            # next to a finite p, which leaves |terminal| and the scale as
+            # they are without c
+            c_n, p_m = c[last - 1, lane], coeffs[lane, last - 1]
+            terminal = c_n * p_m + a_n * p_n
+            entry_scale = np.maximum(np.maximum(np.abs(a_n), np.abs(c_n)), 1.0)
+        inside = np.arange(n + 1) <= last[:, None]
+        coeff_scale = np.where(inside, np.abs(coeffs), 0).max(axis=1)
+        residuals = (np.abs(terminal) / (coeff_scale * entry_scale)).astype(float)
+    return coeffs, residuals
+
+
+def _owners(s: np.ndarray, owner: Optional[np.ndarray]) -> np.ndarray:
+    return np.zeros(len(s), dtype=np.intp) if owner is None else owner
+
+
+def _degrees(recs: Sequence[Recurrence], owner: np.ndarray) -> np.ndarray:
+    return np.array([rec.degree for rec in recs], dtype=np.intp)[owner]
+
+
+def _gather(mats: List[np.ndarray], owner: np.ndarray, rows: int, pad) -> np.ndarray:
+    """Coefficient matrices laid out by point: out[k, j, i] is coefficient k
+    of row j of mats[owner[i]], and the constant pad past its last row."""
+    width = max(m.shape[1] for m in mats)
+    dtype = object if any(m.dtype == object for m in mats) else float
+    stacked = np.zeros((width, rows, len(mats)), dtype=dtype)
+    for i, m in enumerate(mats):
+        stacked[: m.shape[1], : len(m), i] = m.T
+        stacked[0, len(m):, i] = pad
+    return stacked[:, :, owner]
+
+
+def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
+    """(a, e, degrees) of the continuant laid out by point, for ``_corrections``."""
+    rows = max(rec.degree for rec in recs) + 1
+    return (
+        _gather([r.a for r in recs], owner, rows, 0),
+        _gather([r.e for r in recs], owner, rows - 1, 0),
+        _degrees(recs, owner),
     )
 
 
-def _coefficient_matrix(polys) -> np.ndarray:
-    if not polys:
-        return np.zeros((0, 1))
-    width = max(len(p.coeffs) for p in polys)
-    return np.array([p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys])
+def _corrections(lanes, s: np.ndarray) -> np.ndarray:
+    """D(s) / D'(s) at every point (see ``newton_corrections``).
 
-
-def _corrections(coeffs: Tuple[np.ndarray, np.ndarray], s: np.ndarray) -> np.ndarray:
-    a, da = _rows(coeffs[0], s)
-    e, de = _rows(coeffs[1], s)
+    Up to the shortest recurrence every point takes every row; past it a
+    point whose recurrence has ended keeps its running values, including
+    through the rescaling, which happens at each row index j that is a
+    multiple of RESCALE_ROWS, as for a single block.
+    """
+    a_coeffs, e_coeffs, last = lanes
+    a, da = _horner(a_coeffs, s)
+    e, de = _horner(e_coeffs, s)
+    shortest = last.min(initial=len(a))
     d_prev, d = np.ones_like(s), a[0]
     dd_prev, dd = np.zeros_like(s), da[0]
     for j in range(1, len(a)):
+        held = d, d_prev, dd, dd_prev
         ej, dej = e[j - 1], de[j - 1]
         d, d_prev, dd, dd_prev = (
             a[j] * d - ej * d_prev,
@@ -307,18 +411,23 @@ def _corrections(coeffs: Tuple[np.ndarray, np.ndarray], s: np.ndarray) -> np.nda
             scale = np.abs(d) + np.abs(dd)
             scale = np.where(scale == 0, 1, scale)
             d, d_prev, dd, dd_prev = d / scale, d_prev / scale, dd / scale, dd_prev / scale
+        if j > shortest:
+            d, d_prev, dd, dd_prev = (
+                np.where(last >= j, x, y) for x, y in zip((d, d_prev, dd, dd_prev), held)
+            )
     nonzero = dd != 0
     return np.where(nonzero, d / np.where(nonzero, dd, 1), 0 * d)
 
 
-def _rows(coeffs: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Values and derivatives at every entry of s of the polynomials whose
-    coefficients are the rows of coeffs: Horner's rule, one array operation
-    per degree."""
-    top = coeffs.shape[1] - 1
-    value = coeffs[:, top, None] + 0 * s
+def _horner(coeffs: np.ndarray, s: np.ndarray, derivative: bool = True):
+    """Values (and derivatives) at every point of the polynomials whose
+    coefficients are coeffs[:, j, i]: Horner's rule, one array operation per
+    degree."""
+    top = len(coeffs) - 1
+    value = coeffs[top] + 0 * s
     deriv = 0 * value
     for k in range(top - 1, -1, -1):
-        deriv = deriv * s + value
-        value = value * s + coeffs[:, k, None]
+        if derivative:
+            deriv = deriv * s + value
+        value = value * s + coeffs[k]
     return value, deriv

@@ -103,6 +103,69 @@ class TestSpectrumJson:
                 assert jr["residual"] == float(r.residual)
 
 
+def reference_json(value, indent=0):
+    """A generic recursive emitter of the report's layout: the reference
+    for the flat emitter in ``cli``."""
+    pad = "  " * indent
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, complex):
+        return f"[{value.real:.17g}, {value.imag:.17g}]"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = ",\n".join(pad + "  " + reference_json(v, indent + 1) for v in value)
+        return "[\n" + inner + "\n" + pad + "]"
+    inner = ",\n".join(
+        pad + "  " + json.dumps(k) + ": " + reference_json(v, indent + 1)
+        for k, v in value.items()
+    )
+    return "{\n" + inner + "\n" + pad + "}"
+
+
+class TestJsonEmitter:
+    @pytest.mark.filterwarnings("ignore:k = 0 supports no bound multiplets")
+    @pytest.mark.parametrize("example, case, k, epsilon, n_max", [
+        (1, "a", 1, 1.0, 3),  # several coefficients per state
+        (1, "a", 0, 0.0, 3),  # no blocks at all
+        (2, "second", 2, 3.0, 1),  # complex roots, null energies, -0
+        (2, "first", -4, 150.0, 2),
+    ])
+    def test_bytes_match_the_recursive_layout(self, capsys, example, case, k,
+                                              epsilon, n_max):
+        code, out, _ = run_cli(
+            ["spectrum", "--example", str(example), "--case", case,
+             "--k", str(k), "--epsilon", repr(epsilon),
+             "--n-max", str(n_max)], capsys)
+        assert code == 0
+        config = models.ModelConfig(models.Example(example), case, k, epsilon)
+        blocks = models.permissible_blocks(config, n_max=n_max)
+        results = models.solve_blocks(config, blocks)
+        report = {
+            "example": example, "case": case, "k": k, "epsilon": epsilon,
+            "blocks": [
+                {"n": res.block.n, "l": res.block.l, "sigma": res.block.sigma,
+                 "roots": [
+                     {"value": r.value, "energy": r.energy,
+                      "physical": r.physical, "residual": r.residual,
+                      "coefficients": None if r.eigenvector is None
+                      else list(r.eigenvector.coeffs)}
+                     for r in res.roots]}
+                for res in results],
+            "filtered_root_count": sum(res.filtered_count for res in results),
+            "precision_bits": max((res.precision_bits for res in results), default=53),
+        }
+        assert out == reference_json(report) + "\n"
+
+
 class TestSpectrumCsv:
     def test_header_and_agreement_with_json(self, capsys):
         _, csv_out, _ = run_cli(
@@ -238,6 +301,27 @@ class TestVerify:
         assert "BlockSpec(n=27" in err
         assert "Traceback" not in err
 
+    def test_failing_block_exits_3_with_its_message(self, capsys):
+        code, out, err = run_cli(
+            ["spectrum", "--example", "2", "--case", "first", "--k", "-27",
+             "--epsilon", "-5", "--n-max", "2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: root -89.60788950956042 of block BlockSpec(n=26, l=29, "
+            "sigma=1) misses the terminal-residual target 1e-10: 9.969e-01 in "
+            "double precision, 9.963e-01 after Newton polish at 128 bits\n"
+        )
+
+    def test_stdout_is_deterministic(self, capsys):
+        code, first, first_err = run_cli(["verify", "--level", "quick"], capsys)
+        _, second, _ = run_cli(["verify", "--level", "quick"], capsys)
+        assert code == 0
+        assert first == second
+        # the wall times go to stderr, one line per check
+        assert len(first_err.splitlines()) == len(first.splitlines()) - 1
+        assert all(line.endswith(" s") for line in first_err.splitlines())
+
     def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
         def fail(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -274,6 +358,25 @@ class TestSubprocess:
             capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
+
+    @pytest.mark.parametrize("family", [
+        ["--example", "1", "--case", "a", "--k", "1"],
+        ["--example", "2", "--case", "second", "--k", "4", "--epsilon", "30"],
+    ])
+    def test_spectrum_loads_no_scipy_or_mpmath(self, family):
+        # the solve path uses numpy's eigensolvers only; scipy serves the
+        # oracle and mpmath the 128-bit polish and verification
+        script = (
+            "import sys\n"
+            "from heun_spectra import cli\n"
+            f"code = cli.main(['spectrum', *{family!r}, '--n-max', '3'])\n"
+            "loaded = [m for m in ('scipy', 'mpmath') if m in sys.modules]\n"
+            "print(code, loaded, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.stderr == "0 []\n"
+        assert len(json.loads(proc.stdout)["blocks"]) == 4
 
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run(

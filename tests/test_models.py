@@ -279,6 +279,71 @@ class TestSpectrum:
                 solve_block(config, make_block(config, n))
 
 
+class TestSolveBlocks:
+    def test_batch_equals_blocks_solved_one_at_a_time(self):
+        # model 1b k = 37, epsilon = 30 has blocks whose roots take the
+        # 128-bit polish; model 2 adds the ragged Newton polish and a
+        # borderline root at chi ~ 0
+        for config, n_max in (
+            (ModelConfig(Example(1), "b", 37, 30.0), 40),
+            (ModelConfig(Example(2), "second", 21, 1200.0), 20),
+            (ModelConfig(Example(2), "second", 31, 15.0), 30),
+        ):
+            blocks = permissible_blocks(config, n_max=n_max)
+            with warnings.catch_warnings(record=True) as batch_warnings:
+                warnings.simplefilter("always")
+                batch = models.solve_blocks(config, blocks)
+            with warnings.catch_warnings(record=True) as alone_warnings:
+                warnings.simplefilter("always")
+                alone = [solve_block(config, b) for b in blocks]
+            assert [repr(r) for r in batch] == [repr(r) for r in alone]
+            # the same warnings, in the same order, at the caller's line
+            assert [str(w.message) for w in batch_warnings] == [
+                str(w.message) for w in alone_warnings
+            ]
+            assert all(w.filename == __file__ for w in batch_warnings + alone_warnings)
+        assert batch_warnings  # the borderline root of the last configuration
+        config = ModelConfig(Example(1), "b", 37, 30.0)
+        bits = [r.precision_bits for r in models.solve_blocks(
+            config, permissible_blocks(config, n_max=40))]
+        assert 128 in bits and 53 in bits
+
+    def test_first_failing_block_raises_after_earlier_warnings(self):
+        # of the blocks l = 27, 28, 29 (n = 26), the last fails its 128-bit
+        # polish; the batch raises the same error as the loop
+        config = ModelConfig(Example(2), "first", -27, -5.0)
+        blocks = permissible_blocks(config, n_max=2)
+        with pytest.raises(PrecisionError) as batch:
+            models.solve_blocks(config, blocks)
+        with pytest.raises(PrecisionError) as alone:
+            for block in blocks:
+                solve_block(config, block)
+        assert str(batch.value) == str(alone.value)
+
+    def test_eigensolver_failure_lets_earlier_blocks_report_first(self, monkeypatch):
+        real_eigvals, calls = np.linalg.eigvals, []
+
+        def fail_second(matrix):
+            calls.append(matrix)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail_second)
+        config = ModelConfig(Example(2), "second", 3, 30.0)
+        blocks = permissible_blocks(config, n_max=2)
+        with pytest.raises(PrecisionError, match=r"eigensolver failed on block BlockSpec\(n=1"):
+            models.solve_blocks(config, blocks)
+        # a loop over solve_block would stop at the first block's polish
+        calls.clear()
+        monkeypatch.setattr(models, "RESIDUAL_TARGET", -1.0)
+        with pytest.raises(PrecisionError, match=r"BlockSpec\(n=2.* at 128 bits$"):
+            models.solve_blocks(config, blocks)
+
+    def test_empty_block_list(self):
+        assert models.solve_blocks(ModelConfig(Example(1), "a", 2, 0.5), []) == []
+
+
 class TestFieldsAndPotentials:
     def test_vector_potential_model1(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.0)

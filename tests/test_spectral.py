@@ -25,8 +25,14 @@ from heun_spectra import (
     solve_block,
     symmetric_eigenvalue_roots,
 )
-from heun_spectra.models import Example
-from heun_spectra.spectral import polish_roots
+from heun_spectra.models import Example, block_recurrence
+from heun_spectra.spectral import (
+    RESCALE_ROWS,
+    polish_roots,
+    ragged_null_vectors,
+    ragged_polish,
+    recurrence,
+)
 from heun_spectra.spoly import SPoly
 
 
@@ -357,3 +363,130 @@ class TestSymmetricPath:
             scale = max(1.0, max(abs(r) for r in roots))
             assert all(abs(r.imag) < 1e-9 * scale for r in roots)
             assert_same_roots(symmetric_eigenvalue_roots(seqs), roots, 1e-9)
+
+
+def _batch(recs, points):
+    """Points of several recurrences concatenated, with each one's owner."""
+    owner = np.repeat(np.arange(len(recs)), [len(p) for p in points])
+    return np.concatenate(points), owner
+
+
+class TestRaggedKernel:
+    """One pass over the roots of several blocks gives each root's own bits."""
+
+    def check_null_vectors(self, seqs_list, points):
+        recs = [recurrence(seqs) for seqs in seqs_list]
+        s, owner = _batch(recs, points)
+        coeffs, residuals = ragged_null_vectors(recs, s, owner)
+        assert coeffs.shape == (len(s), max(r.degree for r in recs) + 1)
+        for x, i, got, residual in zip(s, owner, coeffs, residuals):
+            want = polynomial_from_recurrence(seqs_list[i], x)
+            assert tuple(got[: seqs_list[i].size]) == want.coeffs
+            assert residual == want.terminal_residual
+
+    def check_polish(self, seqs_list, points):
+        recs = [recurrence(seqs) for seqs in seqs_list]
+        s, owner = _batch(recs, points)
+        roots, corrections = ragged_polish(recs, s, owner)
+        for i, (seqs, start) in enumerate(zip(seqs_list, points)):
+            alone, alone_corrections = polish_roots(seqs, start)
+            assert np.array_equal(roots[owner == i], alone)
+            assert np.array_equal(corrections[owner == i], alone_corrections)
+            assert np.array_equal(
+                corrections[owner == i], newton_corrections(seqs, roots[owner == i])
+            )
+
+    def test_batch_with_a_degree_zero_block(self):
+        config = ModelConfig(Example(1), "a", 1, 0.75)
+        blocks = [make_block(config, n) for n in (3, 0, 5)]
+        seqs_list = [block_sequences(config, b) for b in blocks]
+        points = [symmetric_eigenvalue_roots(seqs) for seqs in seqs_list]
+        self.check_null_vectors(seqs_list, points)
+        # away from the roots the terminal residuals are large
+        self.check_null_vectors(seqs_list, [p * 1.1 + 0.3 for p in points])
+        self.check_polish(seqs_list, [p * (1 + 1e-6) + 0j for p in points])
+
+    def test_blocks_straddling_the_rescaled_rows(self):
+        # n = 7, 8, 16, 17 end just before and just at the rows where the
+        # continuant is rescaled, and the batch runs on past each of them
+        assert RESCALE_ROWS == 8
+        config = ModelConfig(Example(2), "second", 18, 400.0)
+        blocks = [make_block(config, n) for n in (17, 7, 16, 8)]
+        seqs_list = [block_sequences(config, b) for b in blocks]
+        starts = [quadratic_pencil_roots(seqs)[0] * (1 + 1e-7) for seqs in seqs_list]
+        self.check_polish(seqs_list, starts)
+        physical = [
+            np.array([r.value for r in solve_block(config, b).roots if r.physical])
+            for b in blocks
+        ]
+        self.check_null_vectors(seqs_list, physical)
+
+    def test_batch_of_one(self):
+        config = ModelConfig(Example(2), "first", -9, 30.0)
+        block = make_block(config, 8, 10)
+        seqs = block_sequences(config, block)
+        roots, _ = quadratic_pencil_roots(seqs)
+        self.check_polish([seqs], [roots * (1 - 1e-5)])
+        # real points, as the solver passes them: numpy's complex array
+        # arithmetic need not round like the per-point scalar reference
+        physical = [r.value for r in solve_block(config, block).roots if r.physical]
+        self.check_null_vectors([seqs], [np.array(physical)])
+
+    def test_extended_precision_batch(self):
+        config = ModelConfig(Example(2), "second", 12, 150.0)
+        blocks = [make_block(config, n) for n in (11, 2, 9)]
+        starts = [
+            [r.value for r in solve_block(config, b).roots if r.physical] for b in blocks
+        ]
+        with mpmath.workprec(128):
+            seqs_list = [block_sequences(config, b, precision=128) for b in blocks]
+            points = [np.array([mpmath.mpf(x) for x in p], dtype=object) for p in starts]
+            self.check_null_vectors(seqs_list, points)
+            self.check_polish(seqs_list, points)
+
+    def test_block_recurrence_matches_the_scalar_closed_forms(self):
+        # the arrays carry the bits (signed zeros included) and, at 128
+        # bits, the mpmath numbers of the closed forms evaluated one entry
+        # at a time, and e is the SPoly product of b and c
+        cases = [
+            (ModelConfig(Example(1), "a", 3, 0.0), [2, 5]),
+            (ModelConfig(Example(1), "a", 1, -1.7), [0, 9]),
+            (ModelConfig(Example(1), "b", 14, 2.3), [1, 13]),
+            (ModelConfig(Example(2), "first", -6, 0.0), [5]),
+            (ModelConfig(Example(2), "second", 9, -3.1), [0, 8]),
+        ]
+        for config, degrees in cases:
+            for n in degrees:
+                block = make_block(config, n, -config.k if config.k < 0 else None)
+                for precision in (None, 128):
+                    with mpmath.workprec(precision or 53):
+                        got = block_recurrence(config, block, precision)
+                        want = closed_form_entries(
+                            config, block, float if precision is None else mpmath.mpf)
+                        seqs = block_sequences(config, block, precision)
+                    for g, w in zip(got[:3], want):
+                        assert repr(g.tolist()) == repr(w)
+                    assert repr(got.e.tolist()) == repr(recurrence(seqs).e.tolist())
+
+
+def closed_form_entries(config, block, conv):
+    """Coefficient rows of a, b and c, one entry at a time in type conv."""
+    e, k, n, l = conv(config.epsilon), config.k, block.n, block.l
+    one, quarter = conv(1.0), conv(1.0) / 4
+    if config.example is Example.REPULSIVE_POLYNOMIAL:
+        if config.variant == "a":
+            a = [[-e * (2 * j + 1), one] for j in range(n + 1)]
+            b = [[conv(2 * (j * (j + n - k + 3) + n - k + 2))] for j in range(n)]
+        else:
+            a = [[-e * (k - n + 2 * j), one] for j in range(n + 1)]
+            b = [[conv(j * (2 * j - n + k + 3) - n + k + 1)] for j in range(n)]
+        return a, b, [[conv(4 * (n - j))] for j in range(n)]
+    if config.variant == "first":
+        a = [[conv(l * l - n * n - n - j * (j - 2 * n - 1)) - quarter * (1 + e),
+              conv(2 * (2 * j - n - l)), one] for j in range(n + 1)]
+        b = [[conv((j + 1) * (j - n - l))] for j in range(n)]
+    else:
+        a = [[conv(-j * (j - 2 * n - 1) + n) + quarter * (3 - e),
+              conv(2 * (2 * j - k - n)), one] for j in range(n + 1)]
+        b = [[conv((j + 1) * (j - n - k))] for j in range(n)]
+    return a, b, [[conv(0.0), conv(4 * (n - j))] for j in range(n)]
