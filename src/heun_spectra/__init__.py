@@ -10,7 +10,6 @@ from .errors import (
     ParameterError,
     PrecisionError,
     RecurrenceBreakdownError,
-    ResidualToleranceError,
     SelectionError,
 )
 from .heun_core import (
@@ -54,11 +53,6 @@ from .spectral import (
     dense_determinant,
     determinant_numeric,
     determinant_polynomial,
-    newton_corrections,
-    null_vector,
-    null_vectors,
-    quadratic_pencil_roots,
-    symmetric_eigenvalue_roots,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +71,6 @@ __all__ = [
     "PrecisionError",
     "RadialProfile",
     "RecurrenceBreakdownError",
-    "ResidualToleranceError",
     "SelectionError",
     "SpectralRoot",
     "TridiagonalSequences",
@@ -94,12 +87,8 @@ __all__ = [
     "heunc_sequences",
     "magnetic_field",
     "make_block",
-    "newton_corrections",
-    "null_vector",
-    "null_vectors",
     "permissible_blocks",
     "polynomial_from_recurrence",
-    "quadratic_pencil_roots",
     "radial_eigensolve",
     "radial_norm",
     "radial_profile",
@@ -108,7 +97,6 @@ __all__ = [
     "solve_block",
     "solve_blocks",
     "spectrum",
-    "symmetric_eigenvalue_roots",
     "t_of_rho",
     "total_flux",
     "vector_potential",

@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -204,7 +205,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing does not
+    change it)."""
     parser = argparse.ArgumentParser(
         prog="heun-spectra",
         description="Bound-state spectra of two integrable planar magnetic systems",
@@ -221,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_spec)
     p_spec.add_argument("--n-max", type=int, default=10)
     p_spec.add_argument("--format", choices=("json", "csv"), default="json")
-    p_spec.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility and ignored: blocks are "
-                             "solved one after another")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_wf = sub.add_parser("wavefunction", help="sample one bound state on a radial grid")

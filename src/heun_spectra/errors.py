@@ -9,10 +9,6 @@ class RecurrenceBreakdownError(ArithmeticError):
     """A super-diagonal entry vanished, so the coefficient recurrence cannot advance."""
 
 
-class ResidualToleranceError(RuntimeError):
-    """A candidate root failed the terminal-residual acceptance test."""
-
-
 class PrecisionError(RuntimeError):
     """A solve or a quadrature could not reach its tolerance.
 

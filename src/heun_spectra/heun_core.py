@@ -247,8 +247,9 @@ def polynomial_from_recurrence(
 
     The terminal relation c_{n-1} p_{n-1} + a_n p_n (just a_0 for n = 0) is
     returned as a scaled residual; it is the singularity test for the matrix.
-    This is the per-point reference for ``spectral.null_vectors``, which
-    runs the same operations over an array of points.
+    This is the per-point reference for ``spectral.ragged_null_vectors``,
+    which runs the same operations over an array of points on the block's
+    coefficient arrays.
     """
     if s is None:
         if not seqs.is_constant:

@@ -307,10 +307,9 @@ def block_recurrence(
     model 2 diagonals are monic quadratic in chi and the sub-diagonal is
     linear, so the determinant degrees are n+1 and 2(n+1).  The arrays come
     straight from the closed forms: a of shape (n+1, 2) or (n+1, 3), b
-    (n, 1), c (n, 1) or (n, 2), and e = 0.0 + b c as SPoly multiplication
-    forms it.  precision, when given, builds mpmath entries (object arrays)
-    at the current working precision (the caller holds a workprec context);
-    otherwise they are floats.
+    (n, 1), and c (n, 1) or (n, 2).  precision, when given, builds mpmath
+    entries (object arrays) at the current working precision (the caller
+    holds a workprec context); otherwise they are floats.
     """
     validate_block(config, block)
     if precision is None:
@@ -348,7 +347,7 @@ def block_recurrence(
     if precision is None and not np.isfinite(a).all():
         raise ValueError("sequence a has a non-finite entry")
     b = (b * one)[:, None]
-    return spectral.Recurrence(a, b, c, 0.0 + b * c)
+    return spectral.Recurrence(a, b, c)
 
 
 def block_sequences(

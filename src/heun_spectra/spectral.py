@@ -6,32 +6,35 @@ continuant
 
     D_{-1} = 1,  D_0 = a_0,  D_j = a_j D_{j-1} - b_{j-1} c_{j-1} D_{j-2} .
 
-Each model's matrix has a structure that turns the root problem into a
-matrix eigenproblem of size independent of any expanded polynomial:
+The solve routines take a block's recurrence as ``Recurrence`` coefficient
+arrays (``models.block_recurrence`` builds them).  Each model's matrix has a
+structure that turns the root problem into a matrix eigenproblem of size
+independent of any expanded polynomial:
 
 * model 1 diagonals are s + v_j with constant b_j c_j > 0, so the roots are
   the eigenvalues of a symmetric tridiagonal matrix
-  (``symmetric_eigenvalue_roots``);
+  (``symmetric_eigenvalues``);
 * model 2 is the monic quadratic pencil s^2 I + s A1 + A0, whose 2(n+1)
-  roots are the eigenvalues of its companion linearization, polished by a
-  few Newton steps on the continuant and its derivative
-  (``quadratic_pencil_roots``, ``newton_corrections``).
+  roots are the eigenvalues of its companion linearization
+  (``companion_eigenvalues``), polished by a few Newton steps on the
+  continuant and its derivative (``ragged_polish``, ``newton_corrections``).
+
+Both eigensolvers check that structure and raise ValueError without it.
 
 A root's bound state is the null vector of its matrix, the coefficients of
 the three-term recurrence run at the root, and its terminal residual
-certifies the root.
+certifies the root (``ragged_null_vectors``).
 
-The numerical routes work on ``Recurrence`` coefficient arrays.  The Newton
-polish and the null vectors run over the roots of several blocks at once
-(``ragged_polish``, ``ragged_null_vectors``): rows are padded to the longest
-block, and a root whose block has ended keeps its values, so every root
-sees the floating-point operations it would see alone.
-``polish_roots``, ``newton_corrections`` and ``null_vectors`` are the
-one-block case.
+The Newton polish, the corrections and the null vectors run over the roots
+of several blocks at once: point i belongs to recurrence owner[i], and to
+the only one when owner is None.  Rows are padded to the longest block, and
+a root whose block has ended keeps its values, so every root sees the
+floating-point operations it would see alone.
 
 ``determinant_polynomial`` (the continuant carried out in polynomial
 arithmetic), ``determinant_numeric`` and ``dense_determinant`` evaluate the
-same determinant by independent routes and serve as verification.
+same determinant by independent routes on ``TridiagonalSequences`` and
+serve as verification.
 """
 
 from __future__ import annotations
@@ -40,11 +43,10 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import RecurrenceBreakdownError, ResidualToleranceError
-from .heun_core import PolynomialCoefficients, TridiagonalSequences
+from .errors import RecurrenceBreakdownError
+from .heun_core import TridiagonalSequences
 from .spoly import Scalar, SPoly
 
-NULL_VECTOR_TOL = 1e-8
 NEWTON_STEPS = 3
 RESCALE_ROWS = 8
 
@@ -97,99 +99,36 @@ class Recurrence(NamedTuple):
     """One block's recurrence as coefficient arrays in the spectral parameter.
 
     Each row holds one entry's coefficients, lowest degree first: a has
-    shape (n+1, da), b (n, db) and c (n, dc), and e (n, de) holds the
-    products b_j c_j that enter the continuant.  Entries are floats, or
+    shape (n+1, da), b (n, db) and c (n, dc).  Entries are floats, or
     mpmath numbers in object arrays.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    e: np.ndarray
 
     @property
     def degree(self) -> int:
         return len(self.a) - 1
 
 
-def recurrence(seqs: TridiagonalSequences) -> Recurrence:
-    """The coefficient arrays of seqs, e built by SPoly multiplication."""
-    return Recurrence(
-        _coefficient_matrix(seqs.a),
-        _coefficient_matrix(seqs.b),
-        _coefficient_matrix(seqs.c),
-        _coefficient_matrix([b * c for b, c in zip(seqs.b, seqs.c)]),
-    )
-
-
-def _coefficient_matrix(polys) -> np.ndarray:
-    if not polys:
-        return np.zeros((0, 1))
-    width = max(len(p.coeffs) for p in polys)
-    return np.array([p.coeffs + (0,) * (width - len(p.coeffs)) for p in polys])
-
-
-def null_vector(
-    seqs: TridiagonalSequences,
-    s_star: Scalar,
-    tol: float = NULL_VECTOR_TOL,
-) -> PolynomialCoefficients:
-    """Recurrence null vector of the quantization matrix at one candidate root.
-
-    The single-point case of ``null_vectors``.  Raises ResidualToleranceError
-    when the terminal residual exceeds tol, i.e. when s_star is not a root
-    to that accuracy.
-    """
-    coeffs, residuals = null_vectors(seqs, np.array([s_star]))
-    residual = float(residuals[0])
-    if residual > tol:
-        raise ResidualToleranceError(
-            f"terminal residual {residual:.3e} exceeds {tol:.1e} at s = {s_star}"
-        )
-    return PolynomialCoefficients(
-        degree=seqs.size - 1,
-        coeffs=tuple(coeffs[0].tolist()),
-        terminal_residual=residual,
-    )
-
-
-def null_vectors(seqs: TridiagonalSequences, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Recurrence null vectors of the quantization matrix at every entry of s.
-
-    The one-block case of ``ragged_null_vectors``: coeffs[i] holds p_0..p_n
-    at s[i] and residuals[i] its scaled terminal residual, each equal to
-    what ``polynomial_from_recurrence`` gives at that point alone.
-    """
-    return ragged_null_vectors([recurrence(seqs)], np.asarray(s))
-
-
-def symmetric_eigenvalue_roots(seqs: TridiagonalSequences) -> np.ndarray:
-    """Roots via a symmetrized eigenvalue problem, for monic-affine diagonals.
+def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
+    """Roots of a block with monic affine diagonal, as symmetric eigenvalues.
 
     Applies when every a_j = s + v_j (unit spectral coefficient), b_j and c_j
     are constants, and b_j c_j > 0.  Then det A(s) = 0 exactly when s is an
     eigenvalue of the negated constant tridiagonal part, which is similar to
     a symmetric matrix with off-diagonal sqrt(b_j c_j); its eigenvalues are
-    provably real.  Returns them in ascending order.
+    provably real.  Returns them in ascending order, from
+    ``numpy.linalg.eigvalsh`` on the dense matrix.  Raises ValueError when
+    rec lacks that structure.
     """
-    for entry in seqs.a:
-        if entry.degree != 1 or float(entry.coeffs[1]) != 1.0:
-            raise ValueError("diagonal entries must be monic affine in s")
-    for bj, cj in zip(seqs.b, seqs.c):
-        if not (bj.is_constant and cj.is_constant):
-            raise ValueError("off-diagonal entries must be constant in s")
-        if float(bj.constant_value()) * float(cj.constant_value()) <= 0:
-            raise ValueError("b_j c_j must be positive for symmetrization")
-    return symmetric_eigenvalues(recurrence(seqs))
-
-
-def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrized constant part of rec.
-
-    The dense symmetric (n+1) x (n+1) matrix with diagonal -a_j(0) and
-    off-diagonal sqrt(b_j c_j), solved by ``numpy.linalg.eigvalsh``; rec
-    must meet the conditions of ``symmetric_eigenvalue_roots``.
-    """
+    if not _monic(rec.a, 1):
+        raise ValueError("diagonal entries must be monic affine in s")
+    if not (_degree_at_most(rec.b, 0) and _degree_at_most(rec.c, 0)):
+        raise ValueError("off-diagonal entries must be constant in s")
+    if (rec.b[:, 0] * rec.c[:, 0] <= 0).any():
+        raise ValueError("b_j c_j must be positive for symmetrization")
     diag = -rec.a[:, 0]
     if not len(rec.b):
         return diag
@@ -201,38 +140,24 @@ def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
     return np.linalg.eigvalsh(matrix)
 
 
-def quadratic_pencil_roots(seqs: TridiagonalSequences) -> Tuple[np.ndarray, np.ndarray]:
-    """Roots of a monic quadratic pencil through its companion linearization.
+def companion_eigenvalues(rec: Recurrence) -> np.ndarray:
+    """Roots of a monic quadratic pencil, as eigenvalues of its linearization.
 
     Applies when every a_j = s^2 + alpha_j s + beta_j, b_j is constant and
     c_j is at most linear in s.  Then A(s) = s^2 I + s A1 + A0 and the
-    2(n+1) roots of det A(s) are the eigenvalues of
+    2(n+1) roots of det A(s) are the (complex) eigenvalues of
 
         [[  0,   I ],
-         [ -A0, -A1 ]] .
+         [ -A0, -A1 ]] ,
 
-    Each eigenvalue is polished by up to NEWTON_STEPS Newton steps on the
-    continuant (``polish_roots``).  Returns (roots, corrections): complex
-    arrays of length 2(n+1), corrections[i] being the Newton correction
-    D/D' at roots[i].
+    for ``ragged_polish`` to refine.  The matrix is filled by index arrays;
+    its lower half starts as -0.0, the negated zeros of A0 and A1.  Raises
+    ValueError when rec lacks that structure.
     """
-    for entry in seqs.a:
-        if entry.degree != 2 or float(entry.coeffs[2]) != 1.0:
-            raise ValueError("diagonal entries must be monic quadratic in s")
-    for bj, cj in zip(seqs.b, seqs.c):
-        if not bj.is_constant or cj.degree > 1:
-            raise ValueError("b_j must be constant and c_j at most linear in s")
-    rec = recurrence(seqs)
-    return ragged_polish([rec], companion_eigenvalues(rec))
-
-
-def companion_eigenvalues(rec: Recurrence) -> np.ndarray:
-    """Eigenvalues (complex) of the companion matrix of a monic quadratic pencil.
-
-    rec must meet the conditions of ``quadratic_pencil_roots``.  The matrix
-    is filled by index arrays; its lower half starts as -0.0, the negated
-    zeros of A0 and A1.
-    """
+    if not _monic(rec.a, 2):
+        raise ValueError("diagonal entries must be monic quadratic in s")
+    if not (_degree_at_most(rec.b, 0) and _degree_at_most(rec.c, 1)):
+        raise ValueError("b_j must be constant and c_j at most linear in s")
     size = len(rec.a)
     companion = np.zeros((2 * size, 2 * size))
     companion[size:] = -0.0
@@ -248,16 +173,27 @@ def companion_eigenvalues(rec: Recurrence) -> np.ndarray:
     return np.linalg.eigvals(companion).astype(complex)
 
 
-def polish_roots(
-    seqs: TridiagonalSequences, roots: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Up to NEWTON_STEPS guarded Newton steps on the continuant
-    (``ragged_polish`` for one block)."""
-    return ragged_polish([recurrence(seqs)], roots)
+def _monic(m: np.ndarray, degree: int) -> bool:
+    """Whether every row of m is of that degree with leading coefficient 1."""
+    return (
+        m.shape[1] > degree and bool((m[:, degree] == 1.0).all())
+        and _degree_at_most(m, degree)
+    )
 
 
-def newton_corrections(seqs: TridiagonalSequences, s: np.ndarray) -> np.ndarray:
-    """D(s) / D'(s) at every entry of the 1-d array s (0 where D' vanishes).
+def _degree_at_most(m: np.ndarray, degree: int) -> bool:
+    return not m[:, degree + 1:].any()
+
+
+# ---------------------------------------------------------------------------
+# the ragged kernel: point i belongs to recurrence owner[i] (all to recs[0]
+# when owner is None)
+
+
+def newton_corrections(
+    recs: Sequence[Recurrence], s: np.ndarray, owner: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """D(s) / D'(s) at every s[i], a point of recs[owner[i]] (0 where D' vanishes).
 
     D and D' come from the continuant recurrence and its derivative
 
@@ -266,15 +202,10 @@ def newton_corrections(seqs: TridiagonalSequences, s: np.ndarray) -> np.ndarray:
     e_j = b_{j-1} c_{j-1}, with the four running values rescaled every
     RESCALE_ROWS rows so that high degrees cannot overflow.  s may hold
     floats, complex numbers or mpmath numbers (an object array) together
-    with sequences built at the matching precision.
+    with recurrences built at the matching precision.
     """
     s = np.asarray(s)
-    return _corrections(_continuant_lanes([recurrence(seqs)], _owners(s, None)), s)
-
-
-# ---------------------------------------------------------------------------
-# the ragged kernel: point i belongs to recurrence owner[i] (all to recs[0]
-# when owner is None)
+    return _corrections(_continuant_lanes(recs, _owners(s, owner)), s)
 
 
 def ragged_polish(
@@ -379,7 +310,9 @@ def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
     rows = max(rec.degree for rec in recs) + 1
     return (
         _gather([r.a for r in recs], owner, rows, 0),
-        _gather([r.e for r in recs], owner, rows - 1, 0),
+        # e_j = b_j c_j; the 0.0 + turns a -0.0 coefficient into 0.0, as
+        # SPoly multiplication does
+        _gather([0.0 + r.b * r.c for r in recs], owner, rows - 1, 0),
         _degrees(recs, owner),
     )
 

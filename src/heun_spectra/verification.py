@@ -483,10 +483,6 @@ _REGISTRY: List[Tuple[str, Callable, bool]] = [
 ]
 
 
-def check_names() -> List[str]:
-    return [name for name, _, _ in _REGISTRY]
-
-
 def run_checks(
     level: str = QUICK,
     seed: int = DEFAULT_SEED,

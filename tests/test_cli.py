@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -193,13 +194,6 @@ class TestSpectrumCsv:
         _, second, _ = run_cli(argv, capsys)
         assert first == second
 
-    def test_jobs_flag_does_not_change_output(self, capsys):
-        # --jobs is accepted and ignored; n-max 26 reaches past n = 20
-        argv = ["spectrum", *SPEC_ARGS, "--n-max", "26"]
-        _, serial, _ = run_cli([*argv, "--jobs", "1"], capsys)
-        _, parallel, _ = run_cli([*argv, "--jobs", "2"], capsys)
-        assert serial == parallel
-
 
 class TestHighDegree:
     # chi = 0 is an exact root of the n = 3 block at epsilon 15
@@ -334,6 +328,29 @@ class TestVerify:
         assert out == ""
         assert "eigensolver failed" in err
         assert "Traceback" not in err
+
+
+def load_compare_stdout():
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "tools", "compare_stdout.py")
+    spec = importlib.util.spec_from_file_location("compare_stdout", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCommandList:
+    def test_every_listed_command_parses(self):
+        # a flag the parser no longer knows would turn the byte-identity
+        # comparison of tools/compare_stdout.py into exit-2 comparisons
+        tool = load_compare_stdout()
+        commands = tool.read_commands(tool.DEFAULT_COMMANDS)
+        assert commands
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        for argv in commands:
+            assert parser.parse_args(argv).command == argv[0]
 
 
 class TestSubprocess:

@@ -1,6 +1,11 @@
-"""Determinant assembly, root finding, and null vectors."""
+"""Determinant assembly, root finding, and null vectors.
+
+The solve routines take ``Recurrence`` arrays from ``block_recurrence``;
+the determinant routes and ``polynomial_from_recurrence``, which check them,
+take the same entries as SPoly sequences."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,28 +15,25 @@ from heun_spectra import (
     BlockSpec,
     ModelConfig,
     RecurrenceBreakdownError,
-    ResidualToleranceError,
     TridiagonalSequences,
     block_sequences,
     dense_determinant,
     determinant_numeric,
     determinant_polynomial,
-    newton_corrections,
     make_block,
-    null_vector,
-    null_vectors,
     polynomial_from_recurrence,
-    quadratic_pencil_roots,
     solve_block,
-    symmetric_eigenvalue_roots,
 )
-from heun_spectra.models import Example, block_recurrence
+from heun_spectra.models import RESIDUAL_TARGET, Example, block_recurrence
 from heun_spectra.spectral import (
     RESCALE_ROWS,
-    polish_roots,
+    Recurrence,
+    _continuant_lanes,
+    companion_eigenvalues,
+    newton_corrections,
     ragged_null_vectors,
     ragged_polish,
-    recurrence,
+    symmetric_eigenvalues,
 )
 from heun_spectra.spoly import SPoly
 
@@ -56,6 +58,24 @@ def const_seqs(a, b, c):
         b=tuple(SPoly((float(x),)) for x in b),
         c=tuple(SPoly((float(x),)) for x in c),
     )
+
+
+def sequences(rec):
+    """The entries of rec as SPoly sequences, as ``block_sequences`` forms them."""
+    return TridiagonalSequences(
+        *(tuple(SPoly(row) for row in m.tolist()) for m in (rec.a, rec.b, rec.c))
+    )
+
+
+def pencil_roots(rec):
+    """Model 2 roots: companion eigenvalues, Newton-polished on the continuant."""
+    return ragged_polish([rec], companion_eigenvalues(rec))
+
+
+def null_vector_at(rec, s):
+    """Coefficients and terminal residual at one point of one block."""
+    coeffs, residuals = ragged_null_vectors([rec], np.array([s]))
+    return tuple(coeffs[0].tolist()), float(residuals[0])
 
 
 class TestDeterminantPolynomial:
@@ -138,18 +158,20 @@ class TestFindRoots:
 
     def test_quadratic(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.0)
-        seqs = block_sequences(cfg, BlockSpec(n=1, l=1, sigma=+1))
-        roots = symmetric_eigenvalue_roots(seqs)
+        rec = block_recurrence(cfg, BlockSpec(n=1, l=1, sigma=+1))
+        seqs = sequences(rec)
+        roots = symmetric_eigenvalues(rec)
         assert list(roots) == pytest.approx([-4.0, 4.0], abs=1e-12)
         assert_same_roots(roots, expanded_roots(seqs), 1e-12)
 
     def test_closed_form_quadratic_of_model2(self):
         cfg = ModelConfig(Example(2), "first", -1, 15.0)
-        seqs = block_sequences(cfg, BlockSpec(n=0, l=1, sigma=+1))
+        rec = block_recurrence(cfg, BlockSpec(n=0, l=1, sigma=+1))
+        seqs = sequences(rec)
         det = determinant_polynomial(seqs)
         # the 1x1 determinant is (chi - 1)^2 - 4
         assert det.coeffs == pytest.approx((-3.0, -2.0, 1.0), abs=1e-12)
-        roots, corrections = quadratic_pencil_roots(seqs)
+        roots, corrections = pencil_roots(rec)
         values = sorted(r.real for r in roots)
         assert values == pytest.approx([-1.0, 3.0], abs=1e-10)
         assert np.all(roots.imag == 0)
@@ -160,8 +182,9 @@ class TestFindRoots:
         rng = np.random.default_rng(19)
         for n, k in ((2, 1), (4, 2), (7, 3)):
             cfg = ModelConfig(Example(1), "a", k, float(rng.uniform(-2, 2)))
-            seqs = block_sequences(cfg, BlockSpec(n=n, l=n + 1 - k, sigma=+1))
-            roots = symmetric_eigenvalue_roots(seqs)
+            rec = block_recurrence(cfg, BlockSpec(n=n, l=n + 1 - k, sigma=+1))
+            seqs = sequences(rec)
+            roots = symmetric_eigenvalues(rec)
             assert len(roots) == determinant_polynomial(seqs).degree
             assert_same_roots(roots, expanded_roots(seqs), 1e-8)
         for n in (1, 3, 6):
@@ -171,8 +194,9 @@ class TestFindRoots:
                 (ModelConfig(Example(2), "second", n + 1, float(rng.uniform(2, 40))),
                  BlockSpec(n=n, l=-n - 1, sigma=-1)),
             ):
-                seqs = block_sequences(cfg, block)
-                roots, corrections = quadratic_pencil_roots(seqs)
+                rec = block_recurrence(cfg, block)
+                seqs = sequences(rec)
+                roots, corrections = pencil_roots(rec)
                 assert len(roots) == determinant_polynomial(seqs).degree == 2 * (n + 1)
                 assert_same_roots(roots, expanded_roots(seqs), 1e-8)
                 assert np.all(np.abs(corrections) <= 1e-8 * np.maximum(1, np.abs(roots)))
@@ -185,83 +209,84 @@ class TestNewtonCorrections:
         rng = np.random.default_rng(31)
         points = rng.uniform(-6, 6, 4) + 1j * rng.uniform(-2, 2, 4)
         with mpmath.workprec(200):
-            seqs = block_sequences(cfg, block, precision=200)
-            det = determinant_polynomial(seqs)
+            rec = block_recurrence(cfg, block, precision=200)
+            det = determinant_polynomial(sequences(rec))
             slope = det.derivative()
             xs = np.array([mpmath.mpc(z.real, z.imag) for z in points], dtype=object)
-            got = newton_corrections(seqs, xs)
+            got = newton_corrections([rec], xs)
             for x, g in zip(xs, got):
                 want = det(x) / slope(x)
                 assert abs(g - want) <= mpmath.mpf(10) ** -50 * max(1, abs(want))
-        doubles = newton_corrections(block_sequences(cfg, block), points)
+        doubles = newton_corrections([block_recurrence(cfg, block)], points)
         for d, x in zip(doubles, xs):
             with mpmath.workprec(200):
                 want = complex(det(x) / slope(x))
             assert abs(d - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_rescaling_survives_overflowing_continuants(self):
-        base = block_sequences(
+        base = block_recurrence(
             ModelConfig(Example(1), "a", 1, 1.0), BlockSpec(n=60, l=60, sigma=+1)
         )
-        scaled = TridiagonalSequences(
-            a=tuple(e * 1e6 for e in base.a),
-            b=tuple(e * 1e6 for e in base.b),
-            c=tuple(e * 1e6 for e in base.c),
-        )
+        scaled = Recurrence(*(m * 1e6 for m in base))
         s = np.array([0.5, -3.25, 7.0])
         # every entry scaled by 1e6 scales D and D' alike, so D/D' is unchanged
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not all(math.isfinite(determinant_numeric(scaled, x)) for x in s)
-        got = newton_corrections(scaled, s)
-        want = newton_corrections(base, s)
+            assert not all(
+                math.isfinite(determinant_numeric(sequences(scaled), x)) for x in s
+            )
+        got = newton_corrections([scaled], s)
+        want = newton_corrections([base], s)
         assert np.all(np.isfinite(got))
         assert np.allclose(got, want, rtol=1e-10, atol=0)
 
     def test_polish_never_grows_a_correction(self):
         cfg = ModelConfig(Example(2), "first", -9, 30.0)
-        seqs = block_sequences(cfg, BlockSpec(n=8, l=10, sigma=+1))
-        exact, _ = quadratic_pencil_roots(seqs)
-        polished, _ = polish_roots(seqs, exact * (1 + 1e-4))
+        rec = block_recurrence(cfg, BlockSpec(n=8, l=10, sigma=+1))
+        exact, _ = pencil_roots(rec)
+        polished, _ = ragged_polish([rec], exact * (1 + 1e-4))
         assert_same_roots(polished, exact, 1e-9)
         # at n = 30 the double-precision continuant is noise-limited, and
         # unguarded Newton steps from the expanded polynomial's roots make
         # some corrections grow
         cfg = ModelConfig(Example(2), "second", 31, 900.0)
-        seqs = block_sequences(cfg, BlockSpec(n=30, l=-31, sigma=-1))
-        start = expanded_roots(seqs)
-        before = np.abs(newton_corrections(seqs, start))
-        polished, corrections = polish_roots(seqs, start)
+        rec = block_recurrence(cfg, BlockSpec(n=30, l=-31, sigma=-1))
+        start = expanded_roots(sequences(rec))
+        before = np.abs(newton_corrections([rec], start))
+        polished, corrections = ragged_polish([rec], start)
         assert np.all(np.abs(corrections) <= before)
-        assert np.array_equal(corrections, newton_corrections(seqs, polished))
+        assert np.array_equal(corrections, newton_corrections([rec], polished))
 
 
 class TestNullVector:
     def test_degree_zero_block(self):
         cfg = ModelConfig(Example(1), "a", 1, 2.0)
-        seqs = block_sequences(cfg, BlockSpec(n=0, l=0, sigma=+1))
-        poly = null_vector(seqs, 2.0)
-        assert poly.coeffs == (1.0,)
+        rec = block_recurrence(cfg, BlockSpec(n=0, l=0, sigma=+1))
+        assert null_vector_at(rec, 2.0)[0] == (1.0,)
 
     def test_contract_example_coefficients(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.0)
-        seqs = block_sequences(cfg, BlockSpec(n=1, l=1, sigma=+1))
-        poly = null_vector(seqs, 4.0)
-        assert poly.coeffs == pytest.approx((1.0, -1.0), abs=1e-14)
+        rec = block_recurrence(cfg, BlockSpec(n=1, l=1, sigma=+1))
+        coeffs, residual = null_vector_at(rec, 4.0)
+        assert coeffs == pytest.approx((1.0, -1.0), abs=1e-14)
+        assert residual <= RESIDUAL_TARGET
 
     def test_off_root_value_is_rejected(self):
+        # the terminal residual certifies a root: the solver rejects a point
+        # whose residual misses RESIDUAL_TARGET
         cfg = ModelConfig(Example(1), "a", 1, 0.0)
-        seqs = block_sequences(cfg, BlockSpec(n=1, l=1, sigma=+1))
-        with pytest.raises(ResidualToleranceError):
-            null_vector(seqs, 4.01)
+        rec = block_recurrence(cfg, BlockSpec(n=1, l=1, sigma=+1))
+        assert null_vector_at(rec, 4.01)[1] > RESIDUAL_TARGET
 
     def test_vector_annihilates_the_assembled_matrix(self):
         rng = np.random.default_rng(23)
         cfg = ModelConfig(Example(1), "a", 2, float(rng.uniform(-2, 2)))
-        seqs = block_sequences(cfg, BlockSpec(n=4, l=3, sigma=+1))
-        roots = symmetric_eigenvalue_roots(seqs)
+        rec = block_recurrence(cfg, BlockSpec(n=4, l=3, sigma=+1))
+        seqs = sequences(rec)
+        roots = symmetric_eigenvalues(rec)
         assert_same_roots(roots, expanded_roots(seqs), 1e-9)
-        for s in roots:
-            p = null_vector(seqs, s).coeffs
+        coeffs, residuals = ragged_null_vectors([rec], roots)
+        assert np.all(residuals <= RESIDUAL_TARGET)
+        for s, p in zip(roots, coeffs.tolist()):
             a, b, c = seqs.at(s)
             scale = max(abs(x) for x in p) * max(
                 max(abs(x) for x in a), max(abs(x) for x in b), 1.0
@@ -292,8 +317,9 @@ class TestNullVector:
         block = make_block(config, n, l)
         roots = [r.value for r in solve_block(config, block).roots if r.physical]
         assert roots
-        seqs = block_sequences(config, block)
-        coeffs, residuals = null_vectors(seqs, np.array(roots))
+        rec = block_recurrence(config, block)
+        seqs = sequences(rec)
+        coeffs, residuals = ragged_null_vectors([rec], np.array(roots))
         assert coeffs.shape == (len(roots), n + 1)
         for s, got, residual in zip(roots, coeffs.tolist(), residuals.tolist()):
             want = polynomial_from_recurrence(seqs, s)
@@ -306,9 +332,10 @@ class TestNullVector:
         roots = [r.value for r in solve_block(config, block).roots if r.physical]
         assert len(roots) > 1
         with mpmath.workprec(128):
-            seqs = block_sequences(config, block, precision=128)
+            rec = block_recurrence(config, block, precision=128)
+            seqs = sequences(rec)
             s = np.array([mpmath.mpf(r) for r in roots], dtype=object)
-            coeffs, residuals = null_vectors(seqs, s)
+            coeffs, residuals = ragged_null_vectors([rec], s)
             wants = [polynomial_from_recurrence(seqs, x) for x in s]
         for got, residual, want in zip(coeffs, residuals, wants):
             assert all(isinstance(p, mpmath.mpf) for p in got)
@@ -317,9 +344,10 @@ class TestNullVector:
 
     def test_vectorized_recurrence_on_a_degree_zero_block(self):
         config = ModelConfig(Example(1), "a", 1, 2.0)
-        seqs = block_sequences(config, BlockSpec(n=0, l=0, sigma=+1))
+        rec = block_recurrence(config, BlockSpec(n=0, l=0, sigma=+1))
+        seqs = sequences(rec)
         s = np.array([2.0, -1.5, 0.0])
-        coeffs, residuals = null_vectors(seqs, s)
+        coeffs, residuals = ragged_null_vectors([rec], s)
         assert coeffs.shape == (3, 1)
         for x, got, residual in zip(s, coeffs.tolist(), residuals.tolist()):
             want = polynomial_from_recurrence(seqs, x)
@@ -328,9 +356,11 @@ class TestNullVector:
         assert residuals[0] == 0.0 and residuals[1] > 0.5
 
     def test_vanishing_super_diagonal_breaks_down(self):
-        seqs = const_seqs((1, 2, 3), (1, 0), (1, 1))
+        rec = Recurrence(*(np.array(v, dtype=float)[:, None]
+                           for v in ((1, 2, 3), (1, 0), (1, 1))))
+        seqs = sequences(rec)
         with pytest.raises(RecurrenceBreakdownError, match="b_1 = 0"):
-            null_vectors(seqs, np.array([0.0, 1.0]))
+            ragged_null_vectors([rec], np.array([0.0, 1.0]))
         with pytest.raises(RecurrenceBreakdownError, match="b_1 = 0"):
             polynomial_from_recurrence(seqs)
 
@@ -338,16 +368,16 @@ class TestNullVector:
 class TestSymmetricPath:
     def test_matches_polynomial_roots_case_a(self):
         cfg = ModelConfig(Example(1), "a", 2, 1.3)
-        seqs = block_sequences(cfg, BlockSpec(n=6, l=5, sigma=+1))
-        sym = symmetric_eigenvalue_roots(seqs)
-        poly_roots = sorted(r.real for r in expanded_roots(seqs))
+        rec = block_recurrence(cfg, BlockSpec(n=6, l=5, sigma=+1))
+        sym = symmetric_eigenvalues(rec)
+        poly_roots = sorted(r.real for r in expanded_roots(sequences(rec)))
         assert np.allclose(sym, poly_roots, rtol=1e-9, atol=1e-9)
 
     def test_matches_polynomial_roots_case_b(self):
         cfg = ModelConfig(Example(1), "b", 9, -0.8)
-        seqs = block_sequences(cfg, BlockSpec(n=4, l=2, sigma=-1))
-        sym = symmetric_eigenvalue_roots(seqs)
-        poly_roots = sorted(r.real for r in expanded_roots(seqs))
+        rec = block_recurrence(cfg, BlockSpec(n=4, l=2, sigma=-1))
+        sym = symmetric_eigenvalues(rec)
+        poly_roots = sorted(r.real for r in expanded_roots(sequences(rec)))
         assert np.allclose(sym, poly_roots, rtol=1e-9, atol=1e-9)
 
     def test_certifies_reality(self):
@@ -358,11 +388,59 @@ class TestSymmetricPath:
             eps = float(rng.uniform(-3, 3))
             cfg = ModelConfig(Example(1), "a", k, eps)
             n = int(rng.integers(max(0, k - 1), 9))
-            seqs = block_sequences(cfg, BlockSpec(n=n, l=n + 1 - k, sigma=+1))
-            roots = expanded_roots(seqs)
+            rec = block_recurrence(cfg, BlockSpec(n=n, l=n + 1 - k, sigma=+1))
+            roots = expanded_roots(sequences(rec))
             scale = max(1.0, max(abs(r) for r in roots))
             assert all(abs(r.imag) < 1e-9 * scale for r in roots)
-            assert_same_roots(symmetric_eigenvalue_roots(seqs), roots, 1e-9)
+            assert_same_roots(symmetric_eigenvalues(rec), roots, 1e-9)
+
+
+def with_row(rec, name, j, row):
+    """rec with row j of its array name replaced, the array widened to fit."""
+    m = getattr(rec, name)
+    m = np.pad(m, ((0, 0), (0, max(0, len(row) - m.shape[1]))))
+    m[j] = 0.0
+    m[j, : len(row)] = row
+    return rec._replace(**{name: m})
+
+
+class TestStructureChecks:
+    """Each eigensolver rejects a recurrence without the structure it needs."""
+
+    MODEL_1 = (ModelConfig(Example(1), "a", 2, 1.3), BlockSpec(n=3, l=2, sigma=+1))
+    MODEL_2 = (ModelConfig(Example(2), "second", 4, 7.0), BlockSpec(n=3, l=-4, sigma=-1))
+
+    @pytest.mark.parametrize(
+        "name, row, message",
+        [
+            ("a", [0.5, 2.0], "diagonal entries must be monic affine in s"),
+            ("a", [0.5, 1.0, 0.25], "diagonal entries must be monic affine in s"),
+            ("b", [-3.0], "b_j c_j must be positive for symmetrization"),
+            ("c", [0.0], "b_j c_j must be positive for symmetrization"),
+            ("c", [4.0, 0.0, 1.0], "off-diagonal entries must be constant in s"),
+            ("b", [1.0, 1.0], "off-diagonal entries must be constant in s"),
+        ],
+    )
+    def test_symmetric_eigenvalues(self, name, row, message):
+        rec = block_recurrence(*self.MODEL_1)
+        symmetric_eigenvalues(rec)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            symmetric_eigenvalues(with_row(rec, name, 1, row))
+
+    @pytest.mark.parametrize(
+        "name, row, message",
+        [
+            ("a", [1.0, 2.0, 3.0], "diagonal entries must be monic quadratic in s"),
+            ("a", [1.0, 2.0], "diagonal entries must be monic quadratic in s"),
+            ("c", [0.0, 4.0, 1.0], "b_j must be constant and c_j at most linear in s"),
+            ("b", [1.0, 1.0], "b_j must be constant and c_j at most linear in s"),
+        ],
+    )
+    def test_companion_eigenvalues(self, name, row, message):
+        rec = block_recurrence(*self.MODEL_2)
+        companion_eigenvalues(rec)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            companion_eigenvalues(with_row(rec, name, 1, row))
 
 
 def _batch(recs, points):
@@ -374,37 +452,35 @@ def _batch(recs, points):
 class TestRaggedKernel:
     """One pass over the roots of several blocks gives each root's own bits."""
 
-    def check_null_vectors(self, seqs_list, points):
-        recs = [recurrence(seqs) for seqs in seqs_list]
+    def check_null_vectors(self, recs, points):
         s, owner = _batch(recs, points)
         coeffs, residuals = ragged_null_vectors(recs, s, owner)
         assert coeffs.shape == (len(s), max(r.degree for r in recs) + 1)
         for x, i, got, residual in zip(s, owner, coeffs, residuals):
-            want = polynomial_from_recurrence(seqs_list[i], x)
-            assert tuple(got[: seqs_list[i].size]) == want.coeffs
+            want = polynomial_from_recurrence(sequences(recs[i]), x)
+            assert tuple(got[: recs[i].degree + 1]) == want.coeffs
             assert residual == want.terminal_residual
 
-    def check_polish(self, seqs_list, points):
-        recs = [recurrence(seqs) for seqs in seqs_list]
+    def check_polish(self, recs, points):
         s, owner = _batch(recs, points)
         roots, corrections = ragged_polish(recs, s, owner)
-        for i, (seqs, start) in enumerate(zip(seqs_list, points)):
-            alone, alone_corrections = polish_roots(seqs, start)
+        assert np.array_equal(corrections, newton_corrections(recs, roots, owner))
+        for i, (rec, start) in enumerate(zip(recs, points)):
+            alone, alone_corrections = ragged_polish([rec], start)
             assert np.array_equal(roots[owner == i], alone)
             assert np.array_equal(corrections[owner == i], alone_corrections)
             assert np.array_equal(
-                corrections[owner == i], newton_corrections(seqs, roots[owner == i])
+                corrections[owner == i], newton_corrections([rec], roots[owner == i])
             )
 
     def test_batch_with_a_degree_zero_block(self):
         config = ModelConfig(Example(1), "a", 1, 0.75)
-        blocks = [make_block(config, n) for n in (3, 0, 5)]
-        seqs_list = [block_sequences(config, b) for b in blocks]
-        points = [symmetric_eigenvalue_roots(seqs) for seqs in seqs_list]
-        self.check_null_vectors(seqs_list, points)
+        recs = [block_recurrence(config, make_block(config, n)) for n in (3, 0, 5)]
+        points = [symmetric_eigenvalues(rec) for rec in recs]
+        self.check_null_vectors(recs, points)
         # away from the roots the terminal residuals are large
-        self.check_null_vectors(seqs_list, [p * 1.1 + 0.3 for p in points])
-        self.check_polish(seqs_list, [p * (1 + 1e-6) + 0j for p in points])
+        self.check_null_vectors(recs, [p * 1.1 + 0.3 for p in points])
+        self.check_polish(recs, [p * (1 + 1e-6) + 0j for p in points])
 
     def test_blocks_straddling_the_rescaled_rows(self):
         # n = 7, 8, 16, 17 end just before and just at the rows where the
@@ -412,25 +488,25 @@ class TestRaggedKernel:
         assert RESCALE_ROWS == 8
         config = ModelConfig(Example(2), "second", 18, 400.0)
         blocks = [make_block(config, n) for n in (17, 7, 16, 8)]
-        seqs_list = [block_sequences(config, b) for b in blocks]
-        starts = [quadratic_pencil_roots(seqs)[0] * (1 + 1e-7) for seqs in seqs_list]
-        self.check_polish(seqs_list, starts)
+        recs = [block_recurrence(config, b) for b in blocks]
+        starts = [pencil_roots(rec)[0] * (1 + 1e-7) for rec in recs]
+        self.check_polish(recs, starts)
         physical = [
             np.array([r.value for r in solve_block(config, b).roots if r.physical])
             for b in blocks
         ]
-        self.check_null_vectors(seqs_list, physical)
+        self.check_null_vectors(recs, physical)
 
     def test_batch_of_one(self):
         config = ModelConfig(Example(2), "first", -9, 30.0)
         block = make_block(config, 8, 10)
-        seqs = block_sequences(config, block)
-        roots, _ = quadratic_pencil_roots(seqs)
-        self.check_polish([seqs], [roots * (1 - 1e-5)])
+        rec = block_recurrence(config, block)
+        roots, _ = pencil_roots(rec)
+        self.check_polish([rec], [roots * (1 - 1e-5)])
         # real points, as the solver passes them: numpy's complex array
         # arithmetic need not round like the per-point scalar reference
         physical = [r.value for r in solve_block(config, block).roots if r.physical]
-        self.check_null_vectors([seqs], [np.array(physical)])
+        self.check_null_vectors([rec], [np.array(physical)])
 
     def test_extended_precision_batch(self):
         config = ModelConfig(Example(2), "second", 12, 150.0)
@@ -439,15 +515,15 @@ class TestRaggedKernel:
             [r.value for r in solve_block(config, b).roots if r.physical] for b in blocks
         ]
         with mpmath.workprec(128):
-            seqs_list = [block_sequences(config, b, precision=128) for b in blocks]
+            recs = [block_recurrence(config, b, precision=128) for b in blocks]
             points = [np.array([mpmath.mpf(x) for x in p], dtype=object) for p in starts]
-            self.check_null_vectors(seqs_list, points)
-            self.check_polish(seqs_list, points)
+            self.check_null_vectors(recs, points)
+            self.check_polish(recs, points)
 
     def test_block_recurrence_matches_the_scalar_closed_forms(self):
         # the arrays carry the bits (signed zeros included) and, at 128
         # bits, the mpmath numbers of the closed forms evaluated one entry
-        # at a time, and e is the SPoly product of b and c
+        # at a time, and the continuant's e_j is the SPoly product b_j c_j
         cases = [
             (ModelConfig(Example(1), "a", 3, 0.0), [2, 5]),
             (ModelConfig(Example(1), "a", 1, -1.7), [0, 9]),
@@ -464,9 +540,12 @@ class TestRaggedKernel:
                         want = closed_form_entries(
                             config, block, float if precision is None else mpmath.mpf)
                         seqs = block_sequences(config, block, precision)
-                    for g, w in zip(got[:3], want):
+                        products = [list((b * c).coeffs) for b, c in zip(seqs.b, seqs.c)]
+                    assert len(got) == 3
+                    for g, w in zip(got, want):
                         assert repr(g.tolist()) == repr(w)
-                    assert repr(got.e.tolist()) == repr(recurrence(seqs).e.tolist())
+                    e_lanes = _continuant_lanes([got], np.zeros(1, dtype=np.intp))[1]
+                    assert repr(e_lanes[:, :, 0].T.tolist()) == repr(products)
 
 
 def closed_form_entries(config, block, conv):

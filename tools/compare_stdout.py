@@ -14,7 +14,9 @@ Each checkout runs all commands in one child interpreter through
 ``heun_spectra.cli.main``, with the warning filters reset per command so
 that each command prints the warnings a fresh process would print.  In
 stderr the checkout's own ``src`` path is replaced by ``<src>``, so warning
-locations compare by file and line.
+locations compare by file and line, and the per-check wall times that
+``verify`` prints (``name: 0.33 s``) read ``name: <t> s``, so that timing
+noise is not reported as a difference.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import traceback
@@ -34,6 +37,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 DEFAULT_COMMANDS = os.path.join(HERE, "stdout_commands.txt")
 
 Outcome = Tuple[str, str, int]  # stdout, stderr, exit code
+
+VERIFY_TIME = re.compile(r"^([\w-]+): \d+\.\d+ s$", re.MULTILINE)
 
 
 def read_commands(path: str) -> List[List[str]]:
@@ -68,7 +73,7 @@ def run_checkout(root: str, commands_path: str) -> List[Outcome]:
         [sys.executable, os.path.abspath(__file__), "--child", commands_path],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         check=True)
-    return [(out, err.replace(src, "<src>"), code)
+    return [(out, VERIFY_TIME.sub(r"\1: <t> s", err.replace(src, "<src>")), code)
             for out, err, code in json.loads(proc.stdout)]
 
 
