@@ -173,8 +173,10 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
         )
     if args.samples < 2:
         raise ParameterError("--samples must be at least 2")
-    if not args.rho_max > 0:
-        raise ParameterError("--rho-max must be positive")
+    if not (np.isfinite(args.rho_max) and args.rho_max > 0):
+        raise ParameterError("--rho-max must be positive and finite")
+    if not np.isfinite(args.phi):
+        raise ParameterError("--phi must be finite")
     grid = np.linspace(0.0, args.rho_max, args.samples)
     profile = models.radial_profile(
         config, block, root, grid, phi=args.phi, normalize=args.normalize

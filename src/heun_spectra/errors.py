@@ -12,8 +12,10 @@ class RecurrenceBreakdownError(ArithmeticError):
 class PrecisionError(RuntimeError):
     """A solve or a quadrature could not reach its tolerance.
 
-    Raised when an eigensolver fails, when extended precision does not bring
-    a residual under tolerance, or when a norm quadrature does not converge.
+    Raised when an eigensolver fails, when neither the forward nor the
+    twisted null vector of a physical root meets the residual tolerance,
+    when a state norm is not finite and positive, or when a norm quadrature
+    does not converge.
     """
 
 

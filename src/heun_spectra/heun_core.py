@@ -103,6 +103,10 @@ class PolynomialCoefficients:
     terminal_residual is |c_{n-1} p_{n-1} + a_n p_n| scaled by the largest
     coefficient magnitude and the terminal entry sizes; it vanishes exactly
     when the tridiagonal matrix is singular at the evaluated spectral value.
+    For a twisted vector, joined from a forward and a backward run at row t,
+    it is taken at row t instead: |c_{t-1} p_{t-1} + a_t p_t + b_t p_{t+1}|
+    scaled alike, the entries being those of row t.  A backward vector
+    (t = 0) has its residual at row 0.
     """
 
     degree: int

@@ -57,9 +57,6 @@ ArrayF = NDArray[np.floating]
 REALITY_TOL = 1e-9
 PHYSICAL_NEG_TOL = 1e-9
 RESIDUAL_TARGET = 1e-10
-# Bit width at which a physical root that misses RESIDUAL_TARGET in double
-# precision is Newton-polished once more.
-FALLBACK_BITS = 128
 # Degree past which the earlier expanded-determinant solver switched to
 # 128-bit root finding and slowed by three orders of magnitude.  Nothing
 # here branches on it; it marks the old cliff that the benchmark's
@@ -153,9 +150,10 @@ class SpectralRoot:
     value is the spectral parameter (lambda for model 1, chi for model 2);
     complex only for non-real unphysical roots.  energy is None when the
     root is not real.  For physical roots eigenvector holds the recurrence
-    null vector (p_0 = 1) and residual its terminal residual.  For the rest
-    residual is the relative Newton correction |D/D'| / max(1, |value|) of
-    the continuant D at the root: an estimate of the root's error, not a
+    null vector (p_0 = 1), run forward or, where that misses
+    RESIDUAL_TARGET, twisted, and residual its terminal residual.  For the
+    rest residual is the relative Newton correction |D/D'| / max(1, |value|)
+    of the continuant D at the root: an estimate of the root's error, not a
     bound.
     """
 
@@ -345,7 +343,9 @@ def block_recurrence(
         a = np.stack([beta, alpha * one, np.full(n + 1, one)], axis=1)
         c = np.stack([np.full(n, 0 * one), 4 * (n - i) * one], axis=1)
     if precision is None and not np.isfinite(a).all():
-        raise ValueError("sequence a has a non-finite entry")
+        raise ParameterError(
+            f"epsilon = {config.epsilon!r} overflows the recurrence of block {block}"
+        )
     b = (b * one)[:, None]
     return spectral.Recurrence(a, b, c)
 
@@ -361,50 +361,6 @@ def block_sequences(
     )
 
 
-def _physical_root(
-    config: ModelConfig, value: float, coeffs: Tuple[float, ...], residual: float
-) -> SpectralRoot:
-    """A physical root with its null vector p_0..p_n and terminal residual."""
-    is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
-    return SpectralRoot(
-        value=value,
-        energy=value if is_model_1 else -(value**2),
-        physical=True,
-        residual=residual,
-        eigenvector=PolynomialCoefficients(
-            degree=len(coeffs) - 1, coeffs=coeffs, terminal_residual=residual
-        ),
-    )
-
-
-def _polished(
-    config: ModelConfig, block: BlockSpec, value: float, double_residual: float
-) -> Tuple[float, Tuple[float, ...], float]:
-    """Newton-polish a real root at FALLBACK_BITS and take its null vector there.
-
-    The polish and the null vector are the ragged kernel's, run on the one
-    root with the block's recurrence built at FALLBACK_BITS.  Returns (root,
-    coefficients, terminal residual) rounded to double.  Raises
-    PrecisionError when the residual still misses RESIDUAL_TARGET.
-    """
-    import mpmath
-
-    with mpmath.workprec(FALLBACK_BITS):
-        recs = [block_recurrence(config, block, precision=FALLBACK_BITS)]
-        start = np.array([mpmath.mpf(value)], dtype=object)
-        root = spectral.ragged_polish(recs, start)[0]
-        coeffs, residuals = spectral.ragged_null_vectors(recs, root)
-    residual = float(residuals[0])
-    if residual > RESIDUAL_TARGET:
-        raise PrecisionError(
-            f"root {value!r} of block {block} misses the terminal-residual "
-            f"target {RESIDUAL_TARGET:.0e}: {double_residual:.3e} in double "
-            f"precision, {residual:.3e} after Newton polish at "
-            f"{FALLBACK_BITS} bits"
-        )
-    return float(root[0]), tuple(float(p) for p in coeffs[0]), residual
-
-
 def _sort_key(r: SpectralRoot):
     if r.energy is not None:
         return (0, r.energy, 0.0)
@@ -417,6 +373,8 @@ def solve_blocks(config: ModelConfig, blocks: Sequence[BlockSpec]) -> List[Block
     Each block has its own eigensolve; then all model 2 roots take one
     ragged Newton polish and all physical roots one ragged null-vector
     recurrence (``spectral.ragged_polish``, ``spectral.ragged_null_vectors``),
+    and those whose vector misses RESIDUAL_TARGET a second one backward,
+    joined to the first,
     which give each root the bits it gets alone.  Warnings and errors come
     block by block, in the order of that loop.
     """
@@ -433,12 +391,13 @@ def solve_block(
     eigenvalues of the companion linearization of its quadratic pencil,
     Newton-polished on the continuant.  Roots are then classified by
     REALITY_TOL and PHYSICAL_NEG_TOL.  Each physical root's null vector must
-    have a terminal residual of at most RESIDUAL_TARGET; a root that misses
-    it is Newton-polished once at FALLBACK_BITS, and one that still misses
-    it raises PrecisionError, as does a failing eigensolver.  precision_bits
-    is FALLBACK_BITS when some root needed that polish and 53 otherwise.
-    This is ``solve_blocks(config, [block])[0]``; precision is accepted and
-    ignored, for callers that still pass it.
+    have a terminal residual of at most RESIDUAL_TARGET: the recurrence run
+    forward from p_0 = 1 where it meets that target, and otherwise the join
+    of that run with one run backward from p_n = 1 (``_twisted``).  A root
+    whose joined vector misses too raises PrecisionError, as does a failing
+    eigensolver.  Everything runs in double precision, so precision_bits is
+    53.  This is ``solve_blocks(config, [block])[0]``; precision is accepted
+    and ignored, for callers that still pass it.
     """
     return _solve(config, [block])[0]
 
@@ -475,79 +434,123 @@ def _solve(config: ModelConfig, blocks: List[BlockSpec]) -> List[BlockResult]:
 def _classified(config, blocks, recs, owner, roots, steps) -> List[BlockResult]:
     """Classify, take the null vectors, and build the results in block order."""
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
-    # a physical root holds its place in its block's entries as None until
-    # its null vector is taken, all physical roots in one recurrence
-    entries: List[List[Optional[SpectralRoot]]] = [[] for _ in blocks]
-    borderline_notes: List[List[str]] = [[] for _ in blocks]
-    physical_at: List[Tuple[int, int, float]] = []
-    for b, rc, step in zip(owner.tolist(), roots.tolist(), steps.tolist()):
-        scale = max(1.0, abs(rc))
-        is_real = abs(rc.imag) <= REALITY_TOL * scale
-        borderline = False
-        if is_model_1:
-            physical = is_real
-        else:
-            physical = is_real and rc.real < -PHYSICAL_NEG_TOL
-            borderline = is_real and -PHYSICAL_NEG_TOL <= rc.real < 0.0
-            if borderline:
-                borderline_notes[b].append(
-                    f"root chi = {rc.real:.3e} sits within {PHYSICAL_NEG_TOL:.0e} "
-                    "of zero; treated as unphysical borderline"
-                )
-        if physical:
-            physical_at.append((b, len(entries[b]), rc.real))
-            entries[b].append(None)
-            continue
-        if is_real:
-            value: Union[float, complex] = rc.real
-            energy = rc.real if is_model_1 else -(rc.real**2)
-        else:
-            value = rc
-            energy = None
-        entries[b].append(
-            SpectralRoot(
-                value=value,
-                energy=energy,
-                physical=False,
-                residual=abs(step) / scale,
-                eigenvector=None,
-                borderline=borderline,
-            )
-        )
-    pending: List[list] = [[] for _ in blocks]  # (slot, root, p, residual)
-    if physical_at:
-        owners, slots, points = zip(*physical_at)
-        coeffs, residuals = spectral.ragged_null_vectors(
-            recs, np.array(points), np.array(owners)
-        )
-        for b, slot, value, vec, residual in zip(
-            owners, slots, points, coeffs.tolist(), residuals.tolist()
-        ):
-            pending[b].append((slot, value, vec[: blocks[b].n + 1], residual))
+    # Python's complex abs: numpy's differs from it in the last bit
+    scales = [max(1.0, abs(rc)) for rc in roots.tolist()]
+    real = np.abs(roots.imag) <= REALITY_TOL * np.array(scales)
+    physical = real if is_model_1 else real & (roots.real < -PHYSICAL_NEG_TOL)
+    borderline = real & ~physical & (roots.real < 0.0)
+    vectors = iter(_null_vectors(recs, roots.real[physical], owner[physical]))
+    rows = list(zip(roots.tolist(), steps.tolist(), scales, real.tolist(),
+                    physical.tolist(), borderline.tolist()))
+    bounds = np.searchsorted(owner, np.arange(len(blocks) + 1)).tolist()
     results = []
-    for block, block_entries, notes, physical in zip(
-        blocks, entries, borderline_notes, pending
-    ):
-        for note in notes:
-            # at the caller of solve_block / solve_blocks, which both call
-            # _solve directly
-            warnings.warn(note, RuntimeWarning, stacklevel=4)
-        precision_bits = 53
-        for slot, value, vec, residual in physical:
-            if residual > RESIDUAL_TARGET:
-                value, vec, residual = _polished(config, block, value, residual)
-                precision_bits = FALLBACK_BITS
-            block_entries[slot] = _physical_root(config, value, tuple(vec), residual)
-        block_entries.sort(key=_sort_key)
+    for block, lo, hi in zip(blocks, bounds, bounds[1:]):
+        entries, failure = [], None
+        for rc, step, scale, is_real, is_physical, is_borderline in rows[lo:hi]:
+            if is_borderline:
+                # at the caller of solve_block / solve_blocks, which both
+                # call _solve directly
+                warnings.warn(
+                    f"root chi = {rc.real:.3e} sits within {PHYSICAL_NEG_TOL:.0e} "
+                    "of zero; treated as unphysical borderline",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+            vector, residual = None, abs(step) / scale
+            if is_physical:
+                coeffs, forward, residual = next(vectors)
+                if coeffs is None:
+                    failure = failure or PrecisionError(
+                        f"root {rc.real!r} of block {block} misses the "
+                        f"terminal-residual target {RESIDUAL_TARGET:.0e}: "
+                        f"{forward:.3e} forward, {residual:.3e} twisted"
+                    )
+                    continue
+                vector = PolynomialCoefficients(len(coeffs) - 1, tuple(coeffs), residual)
+            entries.append(
+                SpectralRoot(
+                    value=rc.real if is_real else rc,
+                    energy=(rc.real if is_model_1 else -rc.real**2) if is_real else None,
+                    physical=is_physical,
+                    residual=residual,
+                    eigenvector=vector,
+                    borderline=is_borderline,
+                )
+            )
+        if failure is not None:
+            raise failure
+        entries.sort(key=_sort_key)
         results.append(
             BlockResult(
                 block=block,
-                roots=tuple(block_entries),
-                precision_bits=precision_bits,
-                filtered_count=sum(1 for r in block_entries if not r.physical),
+                roots=tuple(entries),
+                precision_bits=53,
+                filtered_count=sum(1 for r in entries if not r.physical),
             )
         )
     return results
+
+
+def _null_vectors(recs, points, owners) -> List[Tuple[Optional[list], float, float]]:
+    """(coefficients, forward residual, residual) of each physical root.
+
+    The forward run from p_0 = 1 is kept where its terminal residual meets
+    RESIDUAL_TARGET.  Where it misses, the lower rows of the wanted vector
+    follow the recurrence's minimal solution, which a forward run loses and
+    a backward run keeps (Gautschi, SIAM Rev. 9, 1967): the same kernel runs
+    on the reversed recurrence from p_n = 1, and the two runs are joined
+    (``_twisted``).  coefficients is None where the joined vector misses
+    RESIDUAL_TARGET too or is not finite.
+    """
+    if not len(points):
+        return []
+    coeffs, residuals = spectral.ragged_null_vectors(recs, points, owners)
+    degrees = [recs[b].degree for b in owners.tolist()]
+    out = [
+        (row[: n + 1], r, r)
+        for row, n, r in zip(coeffs.tolist(), degrees, residuals.tolist())
+    ]
+    # a nan residual (an overflowed run) misses too
+    missed = np.flatnonzero(~(residuals <= RESIDUAL_TARGET))
+    if not len(missed):
+        return out
+    backward = [spectral.Recurrence(r.a[::-1], r.c[::-1], r.b[::-1]) for r in recs]
+    rows, _ = spectral.ragged_null_vectors(backward, points[missed], owners[missed])
+    for i, row in zip(missed.tolist(), rows):
+        n = degrees[i]
+        vector, residual = _twisted(recs[owners[i]], points[i], coeffs[i, : n + 1], row[n::-1])
+        rescued = residual <= RESIDUAL_TARGET and np.isfinite(vector).all()
+        out[i] = (vector.tolist() if rescued else None, out[i][1], residual)
+    return out
+
+
+def _twisted(rec: spectral.Recurrence, x: float, f: ArrayF, g: ArrayF) -> Tuple[ArrayF, float]:
+    """Join a forward run f (f_0 = 1) and a backward run g (g_n = 1) at x.
+
+    The join at row t takes f_j for j <= t and g_j f_t / g_t below, so every
+    row but t holds by construction and the residual is all in row t
+    (Dhillon & Parlett, SIAM J. Matrix Anal. Appl. 25, 2004).  t is the row
+    where that residual, scaled like the terminal residual (by the largest
+    coefficient and the row's entries), is smallest; t = n is the forward
+    vector and t = 0 the backward one divided by its p_0.  Returns the
+    joined p_0..p_n and its residual (inf where no row gives a number).
+    """
+    # like the kernel, overflow to inf and inf - inf = nan pass silently
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, b, c = (np.polynomial.polynomial.polyval(x, m.T) for m in rec)
+        # row t applied to the join scaled to p_t = 1, and that row's entries
+        gamma = a + np.pad(c * f[:-1] / f[1:], (1, 0)) + np.pad(b * g[1:] / g[:-1], (0, 1))
+        entries = np.max([np.abs(a), np.pad(np.abs(c), (1, 0)), np.pad(np.abs(b), (0, 1)),
+                          np.ones_like(a)], axis=0)
+        f_size, g_size = np.abs(f), np.abs(g)
+        size = np.maximum(
+            np.maximum.accumulate(f_size) / f_size,
+            np.maximum.accumulate(g_size[::-1])[::-1] / g_size,
+        )
+        residuals = np.abs(gamma) / (size * entries)
+        residuals[np.isnan(residuals)] = np.inf
+        t = int(np.argmin(residuals))
+        return np.concatenate([f[: t + 1], g[t + 1:] / g[t] * f[t]]), float(residuals[t])
 
 
 def spectrum(config: ModelConfig, block: BlockSpec) -> List[SpectralRoot]:
@@ -764,7 +767,10 @@ def radial_norm(
     tail = _gauss_integral(integrand, split, 2.0 * split, scale=head)
     total = head + tail
     if not (math.isfinite(total) and total > 0):
-        raise ValueError("state norm is not finite and positive")
+        raise PrecisionError(
+            f"state norm {total!r} of root {root.value!r} in block {block} "
+            "is not finite and positive"
+        )
     return total, tail / total
 
 

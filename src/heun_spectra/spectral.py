@@ -317,6 +317,8 @@ def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
     )
 
 
+# as in ragged_null_vectors, overflow to inf and inf - inf = nan pass silently
+@np.errstate(over="ignore", invalid="ignore")
 def _corrections(lanes, s: np.ndarray) -> np.ndarray:
     """D(s) / D'(s) at every point (see ``newton_corrections``).
 

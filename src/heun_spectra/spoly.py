@@ -3,8 +3,8 @@
 The quantization machinery manipulates tridiagonal matrices whose entries are
 low-degree polynomials in the spectral parameter (the eigenvalue being solved
 for).  A small coefficient-list type keeps that arithmetic generic over the
-scalar type, so the same formulas run in fast double precision and, when a
-block needs it, in mpmath extended precision.
+scalar type, so the same formulas run in fast double precision and, for the
+verification routes, in mpmath extended precision.
 """
 
 from __future__ import annotations

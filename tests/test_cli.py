@@ -252,6 +252,20 @@ class TestWavefunction:
             capsys)
         assert code == 2
 
+    def test_infinite_rho_max_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["wavefunction", *SPEC_ARGS, "--n", "0", "--rho-max", "inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --rho-max must be positive and finite\n"
+
+    def test_nan_phi_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["wavefunction", *SPEC_ARGS, "--n", "0", "--phi", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --phi must be finite\n"
+
     def test_normalize_density_integrates_to_one(self, capsys):
         code, out, _ = run_cli(
             ["wavefunction", *SPEC_ARGS, "--n", "0", "--samples", "4001",
@@ -283,7 +297,7 @@ class TestVerify:
         code, _, err = run_cli(
             ["spectrum", *SPEC_ARGS, "--n-max", "0"], capsys)
         assert code == 3
-        assert "after Newton polish at 128 bits" in err
+        assert err.endswith(" twisted\n")
         assert "Traceback" not in err
 
     def test_duplicate_state_block_exits_3(self, capsys):
@@ -303,8 +317,8 @@ class TestVerify:
         assert out == ""
         assert err == (
             "error: root -89.60788950956042 of block BlockSpec(n=26, l=29, "
-            "sigma=1) misses the terminal-residual target 1e-10: 9.969e-01 in "
-            "double precision, 9.963e-01 after Newton polish at 128 bits\n"
+            "sigma=1) misses the terminal-residual target 1e-10: 9.969e-01 "
+            "forward, 9.700e-01 twisted\n"
         )
 
     def test_stdout_is_deterministic(self, capsys):
@@ -376,24 +390,57 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
-    @pytest.mark.parametrize("family", [
-        ["--example", "1", "--case", "a", "--k", "1"],
-        ["--example", "2", "--case", "second", "--k", "4", "--epsilon", "30"],
-    ])
-    def test_spectrum_loads_no_scipy_or_mpmath(self, family):
-        # the solve path uses numpy's eigensolvers only; scipy serves the
-        # oracle and mpmath the 128-bit polish and verification
+    @pytest.mark.parametrize("family, blocks", [
+        (["--example", "1", "--case", "a", "--k", "1", "--n-max", "3"], 4),
+        (["--example", "2", "--case", "second", "--k", "4", "--epsilon", "30",
+          "--n-max", "3"], 4),
+        # blocks n = 30-36 hold roots whose forward null vectors miss the
+        # residual target
+        (["--example", "1", "--case", "b", "--k", "37", "--epsilon", "30",
+          "--n-max", "40"], 19),
+    ], ids=["family0", "family1", "family2"])
+    def test_spectrum_loads_no_scipy_or_mpmath(self, family, blocks):
+        # the solve path uses numpy's eigensolvers only, in double precision;
+        # scipy serves the oracle and mpmath the verification
         script = (
             "import sys\n"
             "from heun_spectra import cli\n"
-            f"code = cli.main(['spectrum', *{family!r}, '--n-max', '3'])\n"
+            f"code = cli.main(['spectrum', *{family!r}])\n"
             "loaded = [m for m in ('scipy', 'mpmath') if m in sys.modules]\n"
             "print(code, loaded, file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=CHILD_ENV)
         assert proc.stderr == "0 []\n"
-        assert len(json.loads(proc.stdout)["blocks"]) == 4
+        report = json.loads(proc.stdout)
+        assert len(report["blocks"]) == blocks
+        assert report["precision_bits"] == 53
+
+    @pytest.mark.parametrize("argv, code", [
+        (["spectrum", "--example", "1", "--case", "b", "--k", "3",
+          "--epsilon", "1e308", "--n-max", "3"], 2),
+        (["wavefunction", "--example", "1", "--case", "a", "--k", "1",
+          "--epsilon", "1e300", "--n", "0"], 3),
+        (["spectrum", "--example", "2", "--case", "second", "--k", "3",
+          "--epsilon", "1e308", "--n-max", "3"], 3),
+        # the twisted null vector overflows
+        (["spectrum", "--example", "1", "--case", "a", "--k", "1",
+          "--epsilon", "1e300", "--n-max", "3"], 3),
+        # the forward run overflows to a nan residual, which used to pass
+        (["spectrum", "--example", "1", "--case", "b", "--k", "7",
+          "--epsilon", "1e300", "--n-max", "6"], 3),
+    ], ids=["spectrum-1b", "wavefunction-1a", "spectrum-2-second", "spectrum-1a",
+            "spectrum-1b-nan"])
+    def test_overflowing_epsilon_exits_with_one_error_line(self, argv, code):
+        # no traceback and no numpy warnings, in a fresh process
+        proc = subprocess.run([sys.executable, "-m", "heun_spectra", *argv],
+                              capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+        if code == 2:
+            assert "epsilon = 1e+308" in proc.stderr
 
     def test_missing_subcommand_is_usage_error(self):
         proc = subprocess.run(
