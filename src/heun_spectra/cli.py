@@ -191,9 +191,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = verification.run_checks(
-        level=args.level, seed=args.seed, corrupt_check=args.corrupt_check
-    )
+    results = verification.run_checks(level=args.level, seed=args.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -246,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the self-check suite")
     p_ver.add_argument("--level", choices=("quick", "full"), default="quick")
     p_ver.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
-    p_ver.add_argument("--corrupt-check", default=None, help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

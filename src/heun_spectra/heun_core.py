@@ -23,44 +23,43 @@ whose (n+1) x (n+1) tridiagonal matrix must be singular.  This module builds
 the sequences (a_j, b_j, c_j), runs the recurrence, and checks candidate
 polynomials against the differential equations directly.
 
-Entries of the sequences may be plain numbers or SPoly polynomials in the
-spectral parameter; the caller decides whether the spectral dependence is
-substituted before or after the sequences are formed.
+The sequences are ``Recurrence`` coefficient arrays, one row of
+coefficients in the spectral parameter per entry; the generic Heun
+sequences here have constant rows, the model blocks of
+``models.block_recurrence`` polynomial ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import RecurrenceBreakdownError
-from .spoly import Scalar, SPoly, as_spoly, horner, scalar_is_finite
-
-Entry = Union[Scalar, SPoly]
+from .spoly import Scalar, SPoly, horner, trim
 
 INTEGER_TOL = 1e-9
 
 
-def _require_finite(name: str, value: Entry) -> None:
-    if isinstance(value, SPoly):
-        if not value.is_finite():
-            raise ValueError(f"{name} has non-finite coefficients")
-    elif not scalar_is_finite(value):
+def _require_finite(name: str, value: Scalar) -> None:
+    try:
+        finite = math.isfinite(float(abs(value)))
+    except (TypeError, OverflowError, ValueError):
+        finite = False
+    if not finite:
         raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
 class HeunBParams:
-    """Parameters (alpha, beta, gamma, delta) of the biconfluent equation.
+    """Parameters (alpha, beta, gamma, delta) of the biconfluent equation."""
 
-    Any field may carry an SPoly in the spectral parameter.
-    """
-
-    alpha: Entry
-    beta: Entry
-    gamma: Entry
-    delta: Entry
+    alpha: Scalar
+    beta: Scalar
+    gamma: Scalar
+    delta: Scalar
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta"):
@@ -75,23 +74,23 @@ class HeunCParams:
     can not drift out of sync with the primaries.
     """
 
-    alpha: Entry
-    beta: Entry
-    gamma: Entry
-    delta: Entry
-    eta: Entry
+    alpha: Scalar
+    beta: Scalar
+    gamma: Scalar
+    delta: Scalar
+    eta: Scalar
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta", "eta"):
             _require_finite(name, getattr(self, name))
 
     @property
-    def mu(self) -> Entry:
+    def mu(self) -> Scalar:
         a, b, g = self.alpha, self.beta, self.gamma
         return 0.5 * (a - b - g + a * b - b * g) - self.eta
 
     @property
-    def nu(self) -> Entry:
+    def nu(self) -> Scalar:
         a, b, g = self.alpha, self.beta, self.gamma
         return 0.5 * (a + b + g + a * g + b * g) + self.delta + self.eta
 
@@ -120,57 +119,61 @@ class PolynomialCoefficients:
             raise ValueError("recurrence normalization requires p_0 = 1")
 
 
+class Recurrence(NamedTuple):
+    """One block's recurrence as coefficient arrays in the spectral parameter.
+
+    Each row holds one entry's coefficients, lowest degree first: a has
+    shape (n+1, da), b (n, db) and c (n, dc).  Entries are floats, or
+    mpmath numbers in object arrays.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    @property
+    def degree(self) -> int:
+        return len(self.a) - 1
+
+    @property
+    def size(self) -> int:
+        return len(self.a)
+
+    def at(self, s: Scalar) -> Tuple[list, list, list]:
+        """Substitute the spectral parameter, returning numeric entry lists.
+
+        Each row is trimmed of trailing zero coefficients; a constant entry
+        is returned as it is and any other is evaluated by ``horner``, so
+        the values carry the bits of ``TridiagonalSequences.at``.
+        """
+        return tuple([_entry(row, s) for row in m.tolist()] for m in self)
+
+
+def _entry(coeffs: list, s: Scalar) -> Scalar:
+    coeffs = trim(coeffs)
+    return coeffs[0] if len(coeffs) == 1 else horner(coeffs, s)
+
+
 @dataclass(frozen=True)
 class TridiagonalSequences:
-    """Sequences (a_j, b_j, c_j) defining the (n+1) x (n+1) quantization matrix.
+    """A recurrence's entries as SPoly polynomials, a read-only view.
 
     a holds the n+1 diagonal entries, b the n super-diagonal entries, c the n
-    sub-diagonal entries.  All entries are stored as SPoly (constants get
-    degree 0) so determinant assembly is uniform.
+    sub-diagonal entries.  ``models.block_sequences`` builds it from a
+    ``Recurrence`` for callers that read single entries' coefficients.
     """
 
     a: Tuple[SPoly, ...]
     b: Tuple[SPoly, ...]
     c: Tuple[SPoly, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(as_spoly(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(as_spoly(x) for x in self.b))
-        object.__setattr__(self, "c", tuple(as_spoly(x) for x in self.c))
-        if not self.a:
-            raise ValueError("diagonal must be non-empty")
-        n = len(self.a) - 1
-        if len(self.b) != n or len(self.c) != n:
-            raise ValueError("off-diagonals must each hold size-1 entries")
-        for name in ("a", "b", "c"):
-            for entry in getattr(self, name):
-                if not entry.is_finite():
-                    raise ValueError(f"sequence {name} has a non-finite entry")
-
     @property
     def size(self) -> int:
         return len(self.a)
 
-    @property
-    def is_constant(self) -> bool:
-        return all(
-            e.is_constant for seq in (self.a, self.b, self.c) for e in seq
-        )
-
     def at(self, s: Scalar) -> Tuple[list, list, list]:
         """Substitute the spectral parameter, returning numeric entry lists."""
-        return (
-            [e(s) for e in self.a],
-            [e(s) for e in self.b],
-            [e(s) for e in self.c],
-        )
-
-    def constant_entries(self) -> Tuple[list, list, list]:
-        return (
-            [e.constant_value() for e in self.a],
-            [e.constant_value() for e in self.b],
-            [e.constant_value() for e in self.c],
-        )
+        return tuple([e(s) for e in seq] for seq in (self.a, self.b, self.c))
 
 
 def _near_nonneg_int(value: float, tol: float = INTEGER_TOL) -> Optional[int]:
@@ -202,7 +205,7 @@ def heunc_degree(params: HeunCParams) -> Optional[int]:
     return _near_nonneg_int(value)
 
 
-def heunb_sequences(params: HeunBParams, n: int) -> TridiagonalSequences:
+def heunb_sequences(params: HeunBParams, n: int) -> Recurrence:
     """Recurrence sequences of the degree-n biconfluent polynomial candidate.
 
         a_j = -(delta + beta (2j + alpha + 1))
@@ -210,44 +213,47 @@ def heunb_sequences(params: HeunBParams, n: int) -> TridiagonalSequences:
         c_j = 2 (gamma - alpha - 2j - 2)
 
     Under the degree condition c_n = 0 exactly, which is why only c_0..c_{n-1}
-    enter the matrix.
+    enter the matrix.  Every entry is a constant, one coefficient a row.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     al, be, de, ga = params.alpha, params.beta, params.delta, params.gamma
-    a = tuple(-(de + be * (2 * j + al + 1)) for j in range(n + 1))
-    b = tuple(2 * (j * (j + al + 2) + al + 1) for j in range(n))
-    c = tuple(2 * (ga - al - 2 * j - 2) for j in range(n))
-    return TridiagonalSequences(a=a, b=b, c=c)
+    j = np.arange(n + 1)[:, None]
+    i = j[:-1]
+    a = -(de + be * (2 * j + al + 1))
+    b = 2 * (i * (i + al + 2) + al + 1)
+    c = 2 * (ga - al - 2 * i - 2)
+    return Recurrence(a, b, c)
 
 
-def heunc_sequences(params: HeunCParams, n: int) -> TridiagonalSequences:
+def heunc_sequences(params: HeunCParams, n: int) -> Recurrence:
     """Recurrence sequences of the degree-n confluent polynomial candidate.
 
         a_j = mu - j (j - alpha + beta + gamma + 1)
         b_j = (j + 1)(j + beta + 1)
         c_j = (n - j) alpha
 
-    c_n = 0 holds identically, matching the matrix truncation.
+    c_n = 0 holds identically, matching the matrix truncation.  Every entry
+    is a constant, one coefficient a row.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     al, be, ga = params.alpha, params.beta, params.gamma
-    mu = params.mu
-    a = tuple(mu - j * (j - al + be + ga + 1) for j in range(n + 1))
-    b = tuple((j + 1) * (j + be + 1) for j in range(n))
-    c = tuple((n - j) * al for j in range(n))
-    return TridiagonalSequences(a=a, b=b, c=c)
+    j = np.arange(n + 1)[:, None]
+    i = j[:-1]
+    a = params.mu - j * (j - al + be + ga + 1)
+    b = (i + 1) * (i + be + 1)
+    c = (n - i) * al
+    return Recurrence(a, b, c)
 
 
-def polynomial_from_recurrence(
-    seqs: TridiagonalSequences, s: Optional[Scalar] = None
-) -> PolynomialCoefficients:
-    """Run the three-term recurrence with p_{-1} = 0, p_0 = 1.
+def polynomial_from_recurrence(seqs: Recurrence, s: Scalar) -> PolynomialCoefficients:
+    """Run the three-term recurrence with p_{-1} = 0, p_0 = 1 at the point s.
 
-    seqs must be numeric after substituting s (pass s = None only when every
-    entry is already constant).  Raises RecurrenceBreakdownError when some
-    b_j with j < n vanishes, since p_{j+1} is then undetermined.
+    seqs needs only ``at`` and ``size``, so the ``TridiagonalSequences``
+    view of ``models.block_sequences`` gives the same bits.  Raises
+    RecurrenceBreakdownError when some b_j with j < n vanishes, since
+    p_{j+1} is then undetermined.
 
     The terminal relation c_{n-1} p_{n-1} + a_n p_n (just a_0 for n = 0) is
     returned as a scaled residual; it is the singularity test for the matrix.
@@ -255,12 +261,7 @@ def polynomial_from_recurrence(
     which runs the same operations over an array of points on the block's
     coefficient arrays.
     """
-    if s is None:
-        if not seqs.is_constant:
-            raise ValueError("sequences depend on the spectral parameter; pass s")
-        a, b, c = seqs.constant_entries()
-    else:
-        a, b, c = seqs.at(s)
+    a, b, c = seqs.at(s)
     n = seqs.size - 1
     for j, bj in enumerate(b):
         if bj == 0:
@@ -297,16 +298,20 @@ def _poly_derivatives(coeffs: Sequence[Scalar], z: Scalar) -> Tuple[Scalar, Scal
     return y, d1, d2
 
 
-def heunb_ode_residual(
-    params: HeunBParams,
-    poly: PolynomialCoefficients,
-    z: Scalar,
-    relative: bool = False,
-) -> float:
-    """Absolute residual of the biconfluent equation at z for the candidate poly.
+def _relative_residual(d2: Scalar, t1: Scalar, t0: Scalar) -> float:
+    """|d2 + t1 + t0| over the sum of the three term magnitudes."""
+    res = abs(d2 + t1 + t0)
+    scale = abs(d2) + abs(t1) + abs(t0)
+    return float(res / scale) if scale > 0 else float(res)
 
-    With relative=True the residual is divided by the sum of the three term
-    magnitudes, giving a scale-free figure.
+
+def heunb_ode_residual(
+    params: HeunBParams, poly: PolynomialCoefficients, z: Scalar
+) -> float:
+    """Relative residual of the biconfluent equation at z for the candidate poly.
+
+    The residual y'' + c1 y' + c0 y is divided by the sum of the three term
+    magnitudes, giving a scale-free figure (exactly 0 for an exact solution).
     """
     if z == 0:
         raise ValueError("z = 0 is the regular singular point")
@@ -314,28 +319,18 @@ def heunb_ode_residual(
     y, d1, d2 = _poly_derivatives(poly.coeffs, z)
     c1 = -2 * z - be + (1 + al) / z
     c0 = ga - al - 2 - ((1 + al) * be + de) / (2 * z)
-    res = d2 + c1 * d1 + c0 * y
-    if not relative:
-        return float(abs(res))
-    scale = abs(d2) + abs(c1 * d1) + abs(c0 * y)
-    return float(abs(res) / scale) if scale > 0 else float(abs(res))
+    return _relative_residual(d2, c1 * d1, c0 * y)
 
 
 def heunc_ode_residual(
-    params: HeunCParams,
-    poly: PolynomialCoefficients,
-    z: Scalar,
-    relative: bool = False,
+    params: HeunCParams, poly: PolynomialCoefficients, z: Scalar
 ) -> float:
-    """Absolute residual of the confluent equation at z (z outside {0, 1})."""
+    """Relative residual of the confluent equation at z (z outside {0, 1}),
+    scaled as in ``heunb_ode_residual``."""
     if z == 0 or z == 1:
         raise ValueError("z in {0, 1} are the regular singular points")
     al, be, ga = params.alpha, params.beta, params.gamma
     y, d1, d2 = _poly_derivatives(poly.coeffs, z)
     c1 = al + (be + 1) / z + (ga + 1) / (z - 1)
     c0 = params.mu / z + params.nu / (z - 1)
-    res = d2 + c1 * d1 + c0 * y
-    if not relative:
-        return float(abs(res))
-    scale = abs(d2) + abs(c1 * d1) + abs(c0 * y)
-    return float(abs(res) / scale) if scale > 0 else float(abs(res))
+    return _relative_residual(d2, c1 * d1, c0 * y)

@@ -353,8 +353,10 @@ def block_recurrence(
 def block_sequences(
     config: ModelConfig, block: BlockSpec, precision: Optional[int] = None
 ) -> TridiagonalSequences:
-    """The entries of ``block_recurrence`` as SPoly sequences, for the
-    verification routes (determinant expansion, identities)."""
+    """The entries of ``block_recurrence`` as SPoly sequences: a read-only
+    view for callers that read single entries' coefficients (the
+    benchmark's reference solver).  Every routine here computes with the
+    arrays."""
     rec = block_recurrence(config, block, precision)
     return TridiagonalSequences(
         *(tuple(SPoly(row) for row in m.tolist()) for m in (rec.a, rec.b, rec.c))

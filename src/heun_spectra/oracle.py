@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -148,21 +148,17 @@ def compare_spectra(
     analytic: Sequence[float],
     numeric: Sequence[float],
     tol: float = 1e-3,
-    energy_ceiling: Optional[float] = None,
 ) -> MatchReport:
     """Match each analytic level to its nearest unused numeric level.
 
     The error metric is |a - v| / max(1, |a|): relative for energies of
-    magnitude above one, absolute below.  Analytic levels at or above
-    energy_ceiling are ignored; a level with no numeric partner within tol
-    lands in unmatched.
+    magnitude above one, absolute below.  A level with no numeric partner
+    within tol lands in unmatched.
     """
     pool = [float(v) for v in numeric]
     pairs = []
     unmatched = []
     for a in sorted(float(x) for x in analytic):
-        if energy_ceiling is not None and a >= energy_ceiling:
-            continue
         if not pool:
             unmatched.append(a)
             continue

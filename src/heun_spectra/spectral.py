@@ -31,37 +31,61 @@ the only one when owner is None.  Rows are padded to the longest block, and
 a root whose block has ended keeps its values, so every root sees the
 floating-point operations it would see alone.
 
-``determinant_polynomial`` (the continuant carried out in polynomial
-arithmetic), ``determinant_numeric`` and ``dense_determinant`` evaluate the
-same determinant by independent routes on ``TridiagonalSequences`` and
-serve as verification.
+``determinant_polynomial`` (the continuant carried out on coefficient
+lists), ``determinant_numeric`` and ``dense_determinant`` evaluate the same
+determinant by independent routes and serve as verification.  The last two
+only call the sequences' ``at`` and ``size``, so they take a ``Recurrence``
+and the ``TridiagonalSequences`` view of ``models.block_sequences`` alike.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import RecurrenceBreakdownError
-from .heun_core import TridiagonalSequences
-from .spoly import Scalar, SPoly
+from .heun_core import Recurrence
+from .spoly import Scalar, SPoly, trim
 
 NEWTON_STEPS = 3
 RESCALE_ROWS = 8
 
 
-def determinant_polynomial(seqs: TridiagonalSequences) -> SPoly:
-    """Exact determinant of the quantization matrix as a polynomial in s."""
-    a, b, c = seqs.a, seqs.b, seqs.c
-    d_prev2 = SPoly((1.0,))
-    d_prev = a[0]
-    for j in range(1, seqs.size):
-        d_prev2, d_prev = d_prev, a[j] * d_prev - (b[j - 1] * c[j - 1]) * d_prev2
-    return d_prev
+def determinant_polynomial(rec: Recurrence) -> SPoly:
+    """Exact determinant of the quantization matrix as a polynomial in s.
+
+    The continuant runs on coefficient lists trimmed of trailing zeros.  A
+    product skips the zero coefficients of its left factor and adds each
+    term onto 0.0, left index outer and right index inner; a difference is
+    the sum with the negation.  numpy's convolution sums in another order,
+    and ``verify`` prints deviations computed from these bits.
+    """
+    a, b, c = ([trim(row) for row in m.tolist()] for m in rec)
+    d_prev2, d_prev = [1.0], a[0]
+    for j in range(1, rec.size):
+        d_prev2, d_prev = d_prev, _minus(
+            _times(a[j], d_prev), _times(_times(b[j - 1], c[j - 1]), d_prev2)
+        )
+    return SPoly(d_prev)
 
 
-def determinant_numeric(seqs: TridiagonalSequences, s: Scalar) -> Scalar:
+def _times(x: list, y: list) -> list:
+    out = [0.0] * (len(x) + len(y) - 1)
+    for i, cx in enumerate(x):
+        if cx == 0:
+            continue
+        for j, cy in enumerate(y):
+            out[i + j] = out[i + j] + cx * cy
+    return trim(out)
+
+
+def _minus(x: list, y: list) -> list:
+    neg = [-c for c in y]
+    return trim([p + q for p, q in zip(x, neg)] + x[len(neg):] + neg[len(x):])
+
+
+def determinant_numeric(seqs: Recurrence, s: Scalar) -> Scalar:
     """Continuant recurrence after substituting s; cheap single-point value."""
     a, b, c = seqs.at(s)
     d_prev2, d_prev = 1.0, a[0]
@@ -70,7 +94,7 @@ def determinant_numeric(seqs: TridiagonalSequences, s: Scalar) -> Scalar:
     return d_prev
 
 
-def dense_determinant(seqs: TridiagonalSequences, s: Scalar) -> Scalar:
+def dense_determinant(seqs: Recurrence, s: Scalar) -> Scalar:
     """LU determinant of the explicitly assembled matrix; dual-path check.
 
     Float entries go through numpy's LAPACK LU, mpmath entries through
@@ -93,23 +117,6 @@ def dense_determinant(seqs: TridiagonalSequences, s: Scalar) -> Scalar:
     if extended:
         return mpmath.det(mpmath.matrix(m.tolist()))
     return float(np.linalg.det(m))
-
-
-class Recurrence(NamedTuple):
-    """One block's recurrence as coefficient arrays in the spectral parameter.
-
-    Each row holds one entry's coefficients, lowest degree first: a has
-    shape (n+1, da), b (n, db) and c (n, dc).  Entries are floats, or
-    mpmath numbers in object arrays.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return len(self.a) - 1
 
 
 def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
@@ -311,7 +318,7 @@ def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
     return (
         _gather([r.a for r in recs], owner, rows, 0),
         # e_j = b_j c_j; the 0.0 + turns a -0.0 coefficient into 0.0, as
-        # SPoly multiplication does
+        # the products of determinant_polynomial do
         _gather([0.0 + r.b * r.c for r in recs], owner, rows - 1, 0),
         _degrees(recs, owner),
     )

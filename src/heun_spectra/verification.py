@@ -14,14 +14,14 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from . import heun_core, models, oracle, spectral
-from .heun_core import HeunBParams, HeunCParams
+from .errors import ParameterError
+from .heun_core import HeunBParams, HeunCParams, Recurrence
 from .models import BlockSpec, Example, ModelConfig
-from .spoly import horner
 
 QUICK = "quick"
 FULL = "full"
@@ -52,7 +52,7 @@ def _heunc_params_for(config: ModelConfig, block: BlockSpec, s: float) -> HeunCP
 
 
 def check_sequence_identities(
-    rng: np.random.Generator, full: bool, corrupt: bool = False
+    rng: np.random.Generator, full: bool
 ) -> Tuple[bool, str]:
     """Generic Heun sequences equal the model-substituted ones entrywise."""
     trials = 200 if full else 40
@@ -60,7 +60,7 @@ def check_sequence_identities(
     degree_ok = True
     count = 0
     for family in ("1a", "1b", "2first", "2second"):
-        for trial in range(trials):
+        for _ in range(trials):
             eps = float(rng.uniform(-5.0, 5.0))
             s = float(rng.uniform(-8.0, 8.0))
             if family == "1a":
@@ -102,9 +102,7 @@ def check_sequence_identities(
                 generic = heun_core.heunc_sequences(params, n)
                 degree_ok &= heun_core.heunc_degree(params) == n
             ga, gb, gc = generic.at(s)
-            ma, mb, mc = models.block_sequences(config, block).at(s)
-            if corrupt and family == "1a" and trial == 0:
-                ma[0] += 1e-3
+            ma, mb, mc = models.block_recurrence(config, block).at(s)
             for gx, mx in ((ga, ma), (gb, mb), (gc, mc)):
                 for gv, mv in zip(gx, mx):
                     worst = max(worst, _rel(float(gv), float(mv)))
@@ -221,25 +219,21 @@ def check_determinant_dual_path(
     # precision where roundoff cannot mask an algebra error
     with mpmath.workprec(240):
         for config, block in cases:
-            seqs = models.block_sequences(config, block, precision=240)
-            det = spectral.determinant_polynomial(seqs)
+            rec = models.block_recurrence(config, block, precision=240)
+            det = spectral.determinant_polynomial(rec)
             for _ in range(20):
                 s = mpmath.mpf(float(rng.uniform(-10.0, 10.0)))
-                lu = spectral.dense_determinant(seqs, s)
+                lu = spectral.dense_determinant(rec, s)
                 poly = det(s)
-                rec = spectral.determinant_numeric(seqs, s)
-                worst = max(worst, float(_rel(poly, lu)), float(_rel(rec, lu)))
+                cont = spectral.determinant_numeric(rec, s)
+                worst = max(worst, float(_rel(poly, lu)), float(_rel(cont, lu)))
     ok = worst <= 1e-8
 
     # ill-scaled probe: entries of magnitude ~ 1e6
-    base = models.block_sequences(
+    base = models.block_recurrence(
         ModelConfig(Example(1), "a", 1, 1.0), BlockSpec(n=10, l=10, sigma=+1)
     )
-    scaled = heun_core.TridiagonalSequences(
-        a=tuple(e * 1e6 for e in base.a),
-        b=tuple(e * 1e6 for e in base.b),
-        c=tuple(e * 1e6 for e in base.c),
-    )
+    scaled = Recurrence(*(m * 1e6 for m in base))
     det_s = spectral.determinant_polynomial(scaled)
     worst_scaled = 0.0
     for _ in range(10):
@@ -279,13 +273,13 @@ def check_ode_residuals(rng: np.random.Generator, full: bool) -> Tuple[bool, str
                 for _ in range(10):
                     z = float(rng.uniform(0.2, 5.0))
                     worst = max(worst, heun_core.heunb_ode_residual(
-                        params, root.eigenvector, z, relative=True))
+                        params, root.eigenvector, z))
             else:
                 params = _heunc_params_for(config, block, root.value)
                 for _ in range(10):
                     z = float(rng.uniform(1.1, 6.0))
                     worst = max(worst, heun_core.heunc_ode_residual(
-                        params, root.eigenvector, z, relative=True))
+                        params, root.eigenvector, z))
     ok = states > 0 and worst <= 1e-8
     return ok, f"{states} states, worst relative equation residual {worst:.2e}"
 
@@ -483,21 +477,16 @@ _REGISTRY: List[Tuple[str, Callable, bool]] = [
 ]
 
 
-def run_checks(
-    level: str = QUICK,
-    seed: int = DEFAULT_SEED,
-    corrupt_check: Optional[str] = None,
-) -> List[CheckResult]:
+def run_checks(level: str = QUICK, seed: int = DEFAULT_SEED) -> List[CheckResult]:
     """Run the named checks at the given level, returning per-check results.
 
-    corrupt_check deliberately perturbs one model-side sequence entry inside
-    the named check (only sequence-identities supports it); it exists so the
-    failure path can be exercised end to end.
+    Each check draws from its own generator seeded with seed, which must be
+    a non-negative integer (ParameterError otherwise).
     """
     if level not in (QUICK, FULL):
         raise ValueError(f"level must be {QUICK!r} or {FULL!r}")
-    if corrupt_check is not None and corrupt_check != "sequence-identities":
-        raise ValueError("only sequence-identities supports corruption")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, not {seed}")
     full = level == FULL
     results = []
     for name, func, in_quick in _REGISTRY:
@@ -505,10 +494,7 @@ def run_checks(
             continue
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
-        if name == "sequence-identities":
-            passed, detail = func(rng, full, corrupt=corrupt_check == name)
-        else:
-            passed, detail = func(rng, full)
+        passed, detail = func(rng, full)
         results.append(
             CheckResult(
                 name=name,

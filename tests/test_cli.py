@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from heun_spectra import cli, models
+from heun_spectra import cli, models, verification
 
 
 def run_cli(argv, capsys):
@@ -285,12 +285,24 @@ class TestVerify:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].startswith("verification passed:")
 
-    def test_corrupt_check_exits_5(self, capsys):
-        code, out, _ = run_cli(
-            ["verify", "--level", "quick", "--corrupt-check",
-             "sequence-identities"], capsys)
+    def test_corrupt_check_exits_5(self, capsys, monkeypatch):
+        # the first check reports a failure; the others still run
+        registry = list(verification._REGISTRY)
+        name, _, in_quick = registry[0]
+        registry[0] = (name, lambda rng, full: (False, "forced failure"), in_quick)
+        monkeypatch.setattr(verification, "_REGISTRY", registry)
+        code, out, _ = run_cli(["verify", "--level", "quick"], capsys)
         assert code == 5
-        assert "verification failed: sequence-identities" in out
+        lines = out.splitlines()
+        assert lines[0] == "FAIL sequence-identities: forced failure"
+        assert all(line.startswith("PASS") for line in lines[1:-1])
+        assert lines[-1] == "verification failed: sequence-identities"
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(["verify", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: seed must be non-negative, not -1"]
 
     def test_unreachable_tolerance_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(models, "RESIDUAL_TARGET", -1.0)
@@ -365,6 +377,13 @@ class TestCommandList:
         assert cli.build_parser() is parser
         for argv in commands:
             assert parser.parse_args(argv).command == argv[0]
+
+    def test_difference_report_counts_every_differing_line(self):
+        first_difference = load_compare_stdout().first_difference
+        assert (first_difference("a\nb\nc\nd\n", "a\nx\nc\ny\n")
+                == "line 2: 'b' -> 'x' (2 of 4 lines differ)")
+        assert (first_difference("a\nb\n", "a\nb\nc\nd\n")
+                == "2 lines -> 4 lines (2 of 4 lines differ)")
 
 
 class TestSubprocess:

@@ -17,14 +17,19 @@ from heun_spectra import (
     heunc_sequences,
     polynomial_from_recurrence,
 )
-from heun_spectra.spoly import SPoly
+from heun_spectra.heun_core import Recurrence
 
 
-def constant_entries(seqs):
-    a = tuple(e.constant_value() for e in seqs.a)
-    b = tuple(e.constant_value() for e in seqs.b)
-    c = tuple(e.constant_value() for e in seqs.c)
-    return a, b, c
+def constant_entries(rec):
+    """The entries of a recurrence whose rows are constants, as tuples."""
+    assert all(m.shape[1] == 1 for m in rec)
+    return tuple(tuple(m[:, 0].tolist()) for m in rec)
+
+
+def recurrence(a, b, c):
+    """A recurrence from its coefficient rows, lowest degree first."""
+    return Recurrence(*(np.array(rows, dtype=float).reshape(len(rows), -1)
+                        for rows in (a, b, c)))
 
 
 class TestDegreeConditions:
@@ -132,30 +137,25 @@ class TestSequences:
 
 class TestRecurrence:
     def test_first_step(self):
-        seqs = heunb_sequences(HeunBParams(0.0, 0.0, 2.0, 0.0), n=1)
-        # override with the contract's literal sequences
-        seqs = type(seqs)(
-            a=(SPoly((-2.0,)), SPoly((7.0,))),
-            b=(SPoly((4.0,)),),
-            c=(SPoly((3.0,)),),
-        )
-        poly = polynomial_from_recurrence(seqs)
+        # the contract's literal sequences, constant in s
+        seqs = recurrence([[-2.0], [7.0]], [[4.0]], [[3.0]])
+        poly = polynomial_from_recurrence(seqs, 0.0)
         assert poly.coeffs[0] == 1.0
         assert poly.coeffs[1] == 0.5
 
     def test_degree_zero(self):
         seqs = heunb_sequences(HeunBParams(0.0, 1.0, 2.0, 0.0), n=0)
-        poly = polynomial_from_recurrence(seqs)
+        poly = polynomial_from_recurrence(seqs, 0.0)
         assert poly.coeffs == (1.0,)
         # single relation RB(0): residual is |a_0| over its own scale
-        a0 = abs(seqs.a[0].constant_value())
+        a0 = abs(seqs.a[0, 0])
         assert math.isclose(poly.terminal_residual, a0 / max(a0, 1.0), rel_tol=1e-15)
 
     def test_zero_subdiagonal_breaks(self):
         seqs = heunb_sequences(HeunBParams(-1.0, 0.0, 3.0, 0.0), n=1)
-        assert seqs.b[0].constant_value() == 0.0
+        assert seqs.b[0, 0] == 0.0
         with pytest.raises(RecurrenceBreakdownError):
-            polynomial_from_recurrence(seqs)
+            polynomial_from_recurrence(seqs, 0.0)
 
     def test_residual_vanishes_at_a_true_root(self):
         # gamma - alpha = 4 admits n = 1; the quantization condition in delta
@@ -165,13 +165,12 @@ class TestRecurrence:
         c0 = 2 * (ga - al - 2)
         delta = math.sqrt(b0 * c0)
         seqs = heunb_sequences(HeunBParams(al, 0.0, ga, delta), n=1)
-        poly = polynomial_from_recurrence(seqs)
+        poly = polynomial_from_recurrence(seqs, 0.0)
         assert poly.terminal_residual < 1e-10
 
     def test_symbolic_entries_require_substitution(self):
-        var = SPoly.variable()
-        seqs_type = type(heunb_sequences(HeunBParams(0, 0, 2, 0), 0))
-        seqs = seqs_type(a=(var, var), b=(SPoly((4.0,)),), c=(SPoly((2.0,)),))
+        # both diagonal entries are s itself
+        seqs = recurrence([[0.0, 1.0], [0.0, 1.0]], [[4.0]], [[2.0]])
         poly = polynomial_from_recurrence(seqs, s=-2.0)
         assert poly.coeffs == (1.0, 0.5)
 
@@ -181,13 +180,13 @@ class TestOdeResiduals:
         # gamma - alpha - 2 = 0 and (1+alpha) beta + delta = 0 make y = 1 exact
         params = HeunBParams(1.0, 2.0, 3.0, -4.0)
         seqs = heunb_sequences(params, n=0)
-        poly = polynomial_from_recurrence(seqs)
+        poly = polynomial_from_recurrence(seqs, 0.0)
         for z in (0.5, 1.0, 2.0):
             assert heunb_ode_residual(params, poly, z) == 0.0
 
     def test_biconfluent_singular_point_rejected(self):
         params = HeunBParams(1.0, 2.0, 3.0, -4.0)
-        poly = polynomial_from_recurrence(heunb_sequences(params, 0))
+        poly = polynomial_from_recurrence(heunb_sequences(params, 0), 0.0)
         with pytest.raises(ValueError):
             heunb_ode_residual(params, poly, 0.0)
 
@@ -195,13 +194,13 @@ class TestOdeResiduals:
         params = HeunCParams(0.0, 0.0, 0.0, 0.0, 0.0)
         assert params.mu == 0.0 and params.nu == 0.0
         seqs = heunc_sequences(params, n=0)
-        poly = polynomial_from_recurrence(seqs)
+        poly = polynomial_from_recurrence(seqs, 0.0)
         for z in (1.5, 2.0, 5.0):
             assert heunc_ode_residual(params, poly, z) == 0.0
 
     def test_confluent_singular_points_rejected(self):
         params = HeunCParams(0.0, 0.0, 0.0, 0.0, 0.0)
-        poly = polynomial_from_recurrence(heunc_sequences(params, 0))
+        poly = polynomial_from_recurrence(heunc_sequences(params, 0), 0.0)
         for z in (0.0, 1.0):
             with pytest.raises(ValueError):
                 heunc_ode_residual(params, poly, z)
@@ -211,9 +210,9 @@ class TestOdeResiduals:
         al, ga = 1.0, 5.0
         delta = math.sqrt(2 * (al + 1) * 2 * (ga - al - 2))
         params = HeunBParams(al, 0.0, ga, delta)
-        poly = polynomial_from_recurrence(heunb_sequences(params, 1))
+        poly = polynomial_from_recurrence(heunb_sequences(params, 1), 0.0)
         for z in (0.5, 1.0, 2.0):
-            assert heunb_ode_residual(params, poly, z, relative=True) < 1e-12
+            assert heunb_ode_residual(params, poly, z) < 1e-12
         bad = type(poly)(
             degree=poly.degree,
             coeffs=poly.coeffs[:-1] + (poly.coeffs[-1] * 1.01,),
@@ -221,4 +220,4 @@ class TestOdeResiduals:
         )
         # z = 1 is degenerate for this family (the residual of 1 + c z
         # vanishes there for every c), so probe the detector off it
-        assert heunb_ode_residual(params, bad, 2.0, relative=True) > 1e-4
+        assert heunb_ode_residual(params, bad, 2.0) > 1e-4

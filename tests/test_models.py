@@ -31,7 +31,6 @@ from heun_spectra import (
     vector_potential,
     wavefunction,
 )
-from heun_spectra.heun_core import TridiagonalSequences
 from heun_spectra.models import Example
 from heun_spectra import models, spectral
 
@@ -43,8 +42,7 @@ def reference_coefficients(config, block, value, bits=400):
         x = np.array([mpmath.mpf(value)], dtype=object)
         for _ in range(8):
             x = x - spectral.newton_corrections([rec], x)
-        seqs = block_sequences(config, block, precision=bits)
-        return polynomial_from_recurrence(seqs, x[0]).coeffs
+        return polynomial_from_recurrence(rec, x[0]).coeffs
 
 
 class TestConfigValidation:
@@ -225,13 +223,13 @@ class TestSpectrum:
             physical = [r for r in res.roots if r.physical]
             assert physical
             with mpmath.workprec(256):
-                seqs = block_sequences(config, block, precision=256)
+                rec = models.block_recurrence(config, block, precision=256)
                 for root in physical:
                     x = mpmath.mpf(root.value)
                     h = mpmath.mpf(2) ** -100 * max(1, abs(x))
-                    slope = (spectral.determinant_numeric(seqs, x + h)
-                             - spectral.determinant_numeric(seqs, x - h)) / (2 * h)
-                    step = spectral.determinant_numeric(seqs, x) / slope
+                    slope = (spectral.determinant_numeric(rec, x + h)
+                             - spectral.determinant_numeric(rec, x - h)) / (2 * h)
+                    step = spectral.determinant_numeric(rec, x) / slope
                     assert abs(step) <= 1e-12 * max(1, abs(x)), (config, n, root.value)
 
     def test_unphysical_residual_is_the_relative_newton_correction(self):
@@ -266,10 +264,10 @@ class TestSpectrum:
         physical = [r for r in res.roots if r.physical]
         assert len(physical) == len(res.roots) == 14
         assert all(r.residual <= 1e-10 for r in physical)
-        seqs = block_sequences(config, block)
-        reversed_seqs = TridiagonalSequences(seqs.a[::-1], seqs.c[::-1], seqs.b[::-1])
+        rec = models.block_recurrence(config, block)
+        reversed_rec = spectral.Recurrence(rec.a[::-1], rec.c[::-1], rec.b[::-1])
         for r in physical:
-            forward = polynomial_from_recurrence(seqs, r.value)
+            forward = polynomial_from_recurrence(rec, r.value)
             if r.value != 28.222332638496038:
                 # the other 13 roots keep the per-root forward reference
                 assert r.eigenvector.coeffs == forward.coeffs
@@ -279,7 +277,7 @@ class TestSpectrum:
             # the forward run down to some row t, below it the backward run
             # scaled to agree with it at t
             f, p = forward.coeffs, r.eigenvector.coeffs
-            g = polynomial_from_recurrence(reversed_seqs, r.value).coeffs[::-1]
+            g = polynomial_from_recurrence(reversed_rec, r.value).coeffs[::-1]
             t = max(j for j in range(len(p)) if p[: j + 1] == f[: j + 1])
             assert t < len(p) - 1
             assert p[t + 1:] == tuple(q / g[t] * f[t] for q in g[t + 1:])

@@ -125,11 +125,6 @@ class TestCompareSpectra:
         assert not report.passed
         assert report.unmatched == (5.0,)
 
-    def test_energy_ceiling_skips_continuum(self):
-        report = compare_spectra([-1.0, 7.0], [-1.0], tol=1e-3,
-                                 energy_ceiling=0.0)
-        assert report.passed
-
     def test_each_numeric_level_used_once(self):
         report = compare_spectra([1.0, 1.0], [1.0, 9.0], tol=1e-3)
         assert len(report.pairs) == 1

@@ -1,8 +1,8 @@
 """Determinant assembly, root finding, and null vectors.
 
-The solve routines take ``Recurrence`` arrays from ``block_recurrence``;
-the determinant routes and ``polynomial_from_recurrence``, which check them,
-take the same entries as SPoly sequences."""
+The solve routines, the determinant routes that check them and
+``polynomial_from_recurrence`` all take ``Recurrence`` arrays from
+``block_recurrence``."""
 
 import math
 import re
@@ -10,13 +10,13 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heun_spectra import (
     BlockSpec,
     ModelConfig,
     RecurrenceBreakdownError,
-    TridiagonalSequences,
-    block_sequences,
     dense_determinant,
     determinant_numeric,
     determinant_polynomial,
@@ -24,23 +24,29 @@ from heun_spectra import (
     polynomial_from_recurrence,
     solve_block,
 )
-from heun_spectra.models import RESIDUAL_TARGET, Example, block_recurrence
+from heun_spectra.models import (
+    RESIDUAL_TARGET,
+    Example,
+    block_recurrence,
+    block_sequences,
+    permissible_blocks,
+)
 from heun_spectra.spectral import (
     RESCALE_ROWS,
     Recurrence,
     _continuant_lanes,
+    _times,
     companion_eigenvalues,
     newton_corrections,
     ragged_null_vectors,
     ragged_polish,
     symmetric_eigenvalues,
 )
-from heun_spectra.spoly import SPoly
 
 
-def expanded_roots(seqs):
+def expanded_roots(rec):
     """np.roots of the expanded determinant: the independent reference."""
-    det = determinant_polynomial(seqs)
+    det = determinant_polynomial(rec)
     return np.roots([float(c) for c in reversed(det.coeffs)])
 
 
@@ -52,19 +58,8 @@ def assert_same_roots(got, want, rtol):
         assert abs(g - w) <= rtol * max(1.0, abs(w))
 
 
-def const_seqs(a, b, c):
-    return TridiagonalSequences(
-        a=tuple(SPoly((float(x),)) for x in a),
-        b=tuple(SPoly((float(x),)) for x in b),
-        c=tuple(SPoly((float(x),)) for x in c),
-    )
-
-
-def sequences(rec):
-    """The entries of rec as SPoly sequences, as ``block_sequences`` forms them."""
-    return TridiagonalSequences(
-        *(tuple(SPoly(row) for row in m.tolist()) for m in (rec.a, rec.b, rec.c))
-    )
+def const_rec(a, b, c):
+    return Recurrence(*(np.array(v, dtype=float)[:, None] for v in (a, b, c)))
 
 
 def pencil_roots(rec):
@@ -80,62 +75,58 @@ def null_vector_at(rec, s):
 
 class TestDeterminantPolynomial:
     def test_two_by_two_constants(self):
-        det = determinant_polynomial(const_seqs((2, 3), (1,), (1,)))
+        det = determinant_polynomial(const_rec((2, 3), (1,), (1,)))
         assert det.degree == 0
         assert det.coeffs == (5.0,)
 
     def test_model1_smallest_block_is_s_minus_eps(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.75)
-        seqs = block_sequences(cfg, BlockSpec(n=0, l=0, sigma=+1))
-        det = determinant_polynomial(seqs)
+        rec = block_recurrence(cfg, BlockSpec(n=0, l=0, sigma=+1))
+        det = determinant_polynomial(rec)
         assert det.coeffs == (-0.75, 1.0)
 
     def test_model1_two_state_block_is_s_squared_minus_16(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.0)
-        seqs = block_sequences(cfg, BlockSpec(n=1, l=1, sigma=+1))
-        det = determinant_polynomial(seqs)
+        rec = block_recurrence(cfg, BlockSpec(n=1, l=1, sigma=+1))
+        det = determinant_polynomial(rec)
         assert det.coeffs == (-16.0, 0.0, 1.0)
 
     def test_degrees_by_model(self):
         cfg1 = ModelConfig(Example(1), "a", 2, 1.0)
-        det1 = determinant_polynomial(block_sequences(cfg1, BlockSpec(3, 2, +1)))
+        det1 = determinant_polynomial(block_recurrence(cfg1, BlockSpec(3, 2, +1)))
         assert det1.degree == 4
         cfg2 = ModelConfig(Example(2), "first", -4, 1.0)
-        det2 = determinant_polynomial(block_sequences(cfg2, BlockSpec(3, 4, +1)))
+        det2 = determinant_polynomial(block_recurrence(cfg2, BlockSpec(3, 4, +1)))
         assert det2.degree == 8
 
 
 class TestDeterminantNumeric:
     def test_value_at_zero_is_constant_term(self):
         cfg = ModelConfig(Example(2), "second", 3, 2.0)
-        seqs = block_sequences(cfg, BlockSpec(n=2, l=-3, sigma=-1))
-        det = determinant_polynomial(seqs)
+        rec = block_recurrence(cfg, BlockSpec(n=2, l=-3, sigma=-1))
+        det = determinant_polynomial(rec)
         assert math.isclose(
-            determinant_numeric(seqs, 0.0), det.coeffs[0], rel_tol=1e-12
+            determinant_numeric(rec, 0.0), det.coeffs[0], rel_tol=1e-12
         )
 
     def test_dual_path_small_degree(self):
         rng = np.random.default_rng(17)
         cfg = ModelConfig(Example(1), "a", 1, float(rng.uniform(-2, 2)))
-        seqs = block_sequences(cfg, BlockSpec(n=5, l=5, sigma=+1))
-        det = determinant_polynomial(seqs)
+        rec = block_recurrence(cfg, BlockSpec(n=5, l=5, sigma=+1))
+        det = determinant_polynomial(rec)
         for _ in range(20):
             s = float(rng.uniform(-8, 8))
-            lu = dense_determinant(seqs, s)
+            lu = dense_determinant(rec, s)
             scale = max(1.0, abs(lu))
             assert abs(det(s) - lu) / scale < 1e-10
-            assert abs(determinant_numeric(seqs, s) - lu) / scale < 1e-10
+            assert abs(determinant_numeric(rec, s) - lu) / scale < 1e-10
 
     def test_ill_scaled_entries(self):
         rng = np.random.default_rng(18)
-        base = block_sequences(
+        base = block_recurrence(
             ModelConfig(Example(1), "a", 1, 1.0), BlockSpec(n=10, l=10, sigma=+1)
         )
-        scaled = TridiagonalSequences(
-            a=tuple(e * 1e6 for e in base.a),
-            b=tuple(e * 1e6 for e in base.b),
-            c=tuple(e * 1e6 for e in base.c),
-        )
+        scaled = Recurrence(*(m * 1e6 for m in base))
         det = determinant_polynomial(scaled)
         for _ in range(10):
             s = float(rng.uniform(-5, 5))
@@ -146,11 +137,11 @@ class TestDeterminantNumeric:
         cfg = ModelConfig(Example(2), "first", -6, 4.0)
         block = BlockSpec(n=5, l=6, sigma=+1)
         with mpmath.workprec(200):
-            seqs = block_sequences(cfg, block, precision=200)
+            rec = block_recurrence(cfg, block, precision=200)
             s = mpmath.mpf("1.375")
-            rec = determinant_numeric(seqs, s)
-            lu = dense_determinant(seqs, s)
-            assert abs(rec - lu) / max(1, abs(lu)) < mpmath.mpf(10) ** -40
+            cont = determinant_numeric(rec, s)
+            lu = dense_determinant(rec, s)
+            assert abs(cont - lu) / max(1, abs(lu)) < mpmath.mpf(10) ** -40
 
 
 class TestFindRoots:
@@ -159,16 +150,14 @@ class TestFindRoots:
     def test_quadratic(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.0)
         rec = block_recurrence(cfg, BlockSpec(n=1, l=1, sigma=+1))
-        seqs = sequences(rec)
         roots = symmetric_eigenvalues(rec)
         assert list(roots) == pytest.approx([-4.0, 4.0], abs=1e-12)
-        assert_same_roots(roots, expanded_roots(seqs), 1e-12)
+        assert_same_roots(roots, expanded_roots(rec), 1e-12)
 
     def test_closed_form_quadratic_of_model2(self):
         cfg = ModelConfig(Example(2), "first", -1, 15.0)
         rec = block_recurrence(cfg, BlockSpec(n=0, l=1, sigma=+1))
-        seqs = sequences(rec)
-        det = determinant_polynomial(seqs)
+        det = determinant_polynomial(rec)
         # the 1x1 determinant is (chi - 1)^2 - 4
         assert det.coeffs == pytest.approx((-3.0, -2.0, 1.0), abs=1e-12)
         roots, corrections = pencil_roots(rec)
@@ -176,17 +165,16 @@ class TestFindRoots:
         assert values == pytest.approx([-1.0, 3.0], abs=1e-10)
         assert np.all(roots.imag == 0)
         assert np.all(np.abs(corrections) <= 1e-12)
-        assert_same_roots(roots, expanded_roots(seqs), 1e-12)
+        assert_same_roots(roots, expanded_roots(rec), 1e-12)
 
     def test_root_count_matches_degree(self):
         rng = np.random.default_rng(19)
         for n, k in ((2, 1), (4, 2), (7, 3)):
             cfg = ModelConfig(Example(1), "a", k, float(rng.uniform(-2, 2)))
             rec = block_recurrence(cfg, BlockSpec(n=n, l=n + 1 - k, sigma=+1))
-            seqs = sequences(rec)
             roots = symmetric_eigenvalues(rec)
-            assert len(roots) == determinant_polynomial(seqs).degree
-            assert_same_roots(roots, expanded_roots(seqs), 1e-8)
+            assert len(roots) == determinant_polynomial(rec).degree
+            assert_same_roots(roots, expanded_roots(rec), 1e-8)
         for n in (1, 3, 6):
             for cfg, block in (
                 (ModelConfig(Example(2), "first", -(n + 1), float(rng.uniform(2, 40))),
@@ -195,10 +183,9 @@ class TestFindRoots:
                  BlockSpec(n=n, l=-n - 1, sigma=-1)),
             ):
                 rec = block_recurrence(cfg, block)
-                seqs = sequences(rec)
                 roots, corrections = pencil_roots(rec)
-                assert len(roots) == determinant_polynomial(seqs).degree == 2 * (n + 1)
-                assert_same_roots(roots, expanded_roots(seqs), 1e-8)
+                assert len(roots) == determinant_polynomial(rec).degree == 2 * (n + 1)
+                assert_same_roots(roots, expanded_roots(rec), 1e-8)
                 assert np.all(np.abs(corrections) <= 1e-8 * np.maximum(1, np.abs(roots)))
 
 
@@ -210,17 +197,17 @@ class TestNewtonCorrections:
         points = rng.uniform(-6, 6, 4) + 1j * rng.uniform(-2, 2, 4)
         with mpmath.workprec(200):
             rec = block_recurrence(cfg, block, precision=200)
-            det = determinant_polynomial(sequences(rec))
-            slope = det.derivative()
+            det = determinant_polynomial(rec)
+            slope = np.polynomial.polynomial.polyder(det.coeffs)
             xs = np.array([mpmath.mpc(z.real, z.imag) for z in points], dtype=object)
             got = newton_corrections([rec], xs)
             for x, g in zip(xs, got):
-                want = det(x) / slope(x)
+                want = det(x) / np.polynomial.polynomial.polyval(x, slope)
                 assert abs(g - want) <= mpmath.mpf(10) ** -50 * max(1, abs(want))
         doubles = newton_corrections([block_recurrence(cfg, block)], points)
         for d, x in zip(doubles, xs):
             with mpmath.workprec(200):
-                want = complex(det(x) / slope(x))
+                want = complex(det(x) / np.polynomial.polynomial.polyval(x, slope))
             assert abs(d - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_rescaling_survives_overflowing_continuants(self):
@@ -232,7 +219,7 @@ class TestNewtonCorrections:
         # every entry scaled by 1e6 scales D and D' alike, so D/D' is unchanged
         with np.errstate(over="ignore", invalid="ignore"):
             assert not all(
-                math.isfinite(determinant_numeric(sequences(scaled), x)) for x in s
+                math.isfinite(determinant_numeric(scaled, x)) for x in s
             )
         got = newton_corrections([scaled], s)
         want = newton_corrections([base], s)
@@ -250,7 +237,7 @@ class TestNewtonCorrections:
         # some corrections grow
         cfg = ModelConfig(Example(2), "second", 31, 900.0)
         rec = block_recurrence(cfg, BlockSpec(n=30, l=-31, sigma=-1))
-        start = expanded_roots(sequences(rec))
+        start = expanded_roots(rec)
         before = np.abs(newton_corrections([rec], start))
         polished, corrections = ragged_polish([rec], start)
         assert np.all(np.abs(corrections) <= before)
@@ -281,17 +268,16 @@ class TestNullVector:
         rng = np.random.default_rng(23)
         cfg = ModelConfig(Example(1), "a", 2, float(rng.uniform(-2, 2)))
         rec = block_recurrence(cfg, BlockSpec(n=4, l=3, sigma=+1))
-        seqs = sequences(rec)
         roots = symmetric_eigenvalues(rec)
-        assert_same_roots(roots, expanded_roots(seqs), 1e-9)
+        assert_same_roots(roots, expanded_roots(rec), 1e-9)
         coeffs, residuals = ragged_null_vectors([rec], roots)
         assert np.all(residuals <= RESIDUAL_TARGET)
         for s, p in zip(roots, coeffs.tolist()):
-            a, b, c = seqs.at(s)
+            a, b, c = rec.at(s)
             scale = max(abs(x) for x in p) * max(
                 max(abs(x) for x in a), max(abs(x) for x in b), 1.0
             )
-            n1 = seqs.size
+            n1 = rec.size
             for j in range(n1):
                 row = a[j] * p[j]
                 if j > 0:
@@ -318,11 +304,10 @@ class TestNullVector:
         roots = [r.value for r in solve_block(config, block).roots if r.physical]
         assert roots
         rec = block_recurrence(config, block)
-        seqs = sequences(rec)
         coeffs, residuals = ragged_null_vectors([rec], np.array(roots))
         assert coeffs.shape == (len(roots), n + 1)
         for s, got, residual in zip(roots, coeffs.tolist(), residuals.tolist()):
-            want = polynomial_from_recurrence(seqs, s)
+            want = polynomial_from_recurrence(rec, s)
             assert tuple(got) == want.coeffs
             assert residual == want.terminal_residual
 
@@ -333,10 +318,9 @@ class TestNullVector:
         assert len(roots) > 1
         with mpmath.workprec(128):
             rec = block_recurrence(config, block, precision=128)
-            seqs = sequences(rec)
             s = np.array([mpmath.mpf(r) for r in roots], dtype=object)
             coeffs, residuals = ragged_null_vectors([rec], s)
-            wants = [polynomial_from_recurrence(seqs, x) for x in s]
+            wants = [polynomial_from_recurrence(rec, x) for x in s]
         for got, residual, want in zip(coeffs, residuals, wants):
             assert all(isinstance(p, mpmath.mpf) for p in got)
             assert tuple(got) == want.coeffs
@@ -345,12 +329,11 @@ class TestNullVector:
     def test_vectorized_recurrence_on_a_degree_zero_block(self):
         config = ModelConfig(Example(1), "a", 1, 2.0)
         rec = block_recurrence(config, BlockSpec(n=0, l=0, sigma=+1))
-        seqs = sequences(rec)
         s = np.array([2.0, -1.5, 0.0])
         coeffs, residuals = ragged_null_vectors([rec], s)
         assert coeffs.shape == (3, 1)
         for x, got, residual in zip(s, coeffs.tolist(), residuals.tolist()):
-            want = polynomial_from_recurrence(seqs, x)
+            want = polynomial_from_recurrence(rec, x)
             assert tuple(got) == want.coeffs == (1.0,)
             assert residual == want.terminal_residual
         assert residuals[0] == 0.0 and residuals[1] > 0.5
@@ -358,11 +341,10 @@ class TestNullVector:
     def test_vanishing_super_diagonal_breaks_down(self):
         rec = Recurrence(*(np.array(v, dtype=float)[:, None]
                            for v in ((1, 2, 3), (1, 0), (1, 1))))
-        seqs = sequences(rec)
         with pytest.raises(RecurrenceBreakdownError, match="b_1 = 0"):
             ragged_null_vectors([rec], np.array([0.0, 1.0]))
         with pytest.raises(RecurrenceBreakdownError, match="b_1 = 0"):
-            polynomial_from_recurrence(seqs)
+            polynomial_from_recurrence(rec, 0.0)
 
 
 class TestSymmetricPath:
@@ -370,14 +352,14 @@ class TestSymmetricPath:
         cfg = ModelConfig(Example(1), "a", 2, 1.3)
         rec = block_recurrence(cfg, BlockSpec(n=6, l=5, sigma=+1))
         sym = symmetric_eigenvalues(rec)
-        poly_roots = sorted(r.real for r in expanded_roots(sequences(rec)))
+        poly_roots = sorted(r.real for r in expanded_roots(rec))
         assert np.allclose(sym, poly_roots, rtol=1e-9, atol=1e-9)
 
     def test_matches_polynomial_roots_case_b(self):
         cfg = ModelConfig(Example(1), "b", 9, -0.8)
         rec = block_recurrence(cfg, BlockSpec(n=4, l=2, sigma=-1))
         sym = symmetric_eigenvalues(rec)
-        poly_roots = sorted(r.real for r in expanded_roots(sequences(rec)))
+        poly_roots = sorted(r.real for r in expanded_roots(rec))
         assert np.allclose(sym, poly_roots, rtol=1e-9, atol=1e-9)
 
     def test_certifies_reality(self):
@@ -389,7 +371,7 @@ class TestSymmetricPath:
             cfg = ModelConfig(Example(1), "a", k, eps)
             n = int(rng.integers(max(0, k - 1), 9))
             rec = block_recurrence(cfg, BlockSpec(n=n, l=n + 1 - k, sigma=+1))
-            roots = expanded_roots(sequences(rec))
+            roots = expanded_roots(rec)
             scale = max(1.0, max(abs(r) for r in roots))
             assert all(abs(r.imag) < 1e-9 * scale for r in roots)
             assert_same_roots(symmetric_eigenvalues(rec), roots, 1e-9)
@@ -457,7 +439,7 @@ class TestRaggedKernel:
         coeffs, residuals = ragged_null_vectors(recs, s, owner)
         assert coeffs.shape == (len(s), max(r.degree for r in recs) + 1)
         for x, i, got, residual in zip(s, owner, coeffs, residuals):
-            want = polynomial_from_recurrence(sequences(recs[i]), x)
+            want = polynomial_from_recurrence(recs[i], x)
             assert tuple(got[: recs[i].degree + 1]) == want.coeffs
             assert residual == want.terminal_residual
 
@@ -523,7 +505,8 @@ class TestRaggedKernel:
     def test_block_recurrence_matches_the_scalar_closed_forms(self):
         # the arrays carry the bits (signed zeros included) and, at 128
         # bits, the mpmath numbers of the closed forms evaluated one entry
-        # at a time, and the continuant's e_j is the SPoly product b_j c_j
+        # at a time, and the continuant's e_j is the product b_j c_j of
+        # determinant_polynomial
         cases = [
             (ModelConfig(Example(1), "a", 3, 0.0), [2, 5]),
             (ModelConfig(Example(1), "a", 1, -1.7), [0, 9]),
@@ -539,8 +522,7 @@ class TestRaggedKernel:
                         got = block_recurrence(config, block, precision)
                         want = closed_form_entries(
                             config, block, float if precision is None else mpmath.mpf)
-                        seqs = block_sequences(config, block, precision)
-                        products = [list((b * c).coeffs) for b, c in zip(seqs.b, seqs.c)]
+                        products = [_times(b, c) for b, c in zip(got.b.tolist(), got.c.tolist())]
                     assert len(got) == 3
                     for g, w in zip(got, want):
                         assert repr(g.tolist()) == repr(w)
@@ -569,3 +551,58 @@ def closed_form_entries(config, block, conv):
               conv(2 * (2 * j - k - n)), one] for j in range(n + 1)]
         b = [[conv((j + 1) * (j - n - k))] for j in range(n)]
     return a, b, [[conv(0.0), conv(4 * (n - j))] for j in range(n)]
+
+
+FAMILIES = {
+    "1a": (Example(1), "a", st.integers(1, 31)),
+    "1b": (Example(1), "b", st.integers(1, 61)),
+    "2first": (Example(2), "first", st.integers(-31, -1)),
+    "2second": (Example(2), "second", st.integers(1, 31)),
+}
+
+
+def outcome(func, *args):
+    """repr of func(*args), or of the error it raises: equal reprs are equal bits."""
+    try:
+        result = func(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return repr(exc)
+    if hasattr(result, "coeffs"):
+        return repr((result.coeffs, result.terminal_residual))
+    return repr(result)
+
+
+class TestSequencesView:
+    """``block_sequences`` (SPoly entries) and ``block_recurrence`` (arrays)
+    give the same bits through every route that reads them."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        data=st.data(),
+        family=st.sampled_from(sorted(FAMILIES)),
+        epsilon=st.floats(-100.0, 2000.0),
+        point=st.one_of(
+            st.floats(-60.0, 60.0),
+            st.complex_numbers(max_magnitude=60.0, allow_nan=False, allow_infinity=False),
+        ),
+        extended=st.booleans(),
+    )
+    def test_arrays_and_spoly_view_agree_bit_for_bit(
+        self, data, family, epsilon, point, extended
+    ):
+        example, case, ks = FAMILIES[family]
+        config = ModelConfig(example, case, data.draw(ks), epsilon)
+        blocks = permissible_blocks(config, n_max=30)
+        block = blocks[data.draw(st.integers(0, len(blocks) - 1))]
+        assert block.n <= 30
+        precision = 128 if extended else None
+        with mpmath.workprec(precision or 53):
+            rec = block_recurrence(config, block, precision)
+            view = block_sequences(config, block, precision)
+            s = mpmath.mpmathify(point) if extended else point
+            for func in (
+                lambda seqs: seqs.at(s),
+                lambda seqs: polynomial_from_recurrence(seqs, s),
+                lambda seqs: determinant_numeric(seqs, s),
+            ):
+                assert outcome(func, rec) == outcome(func, view)

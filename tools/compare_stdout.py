@@ -8,7 +8,9 @@ lines and ``#`` comments are skipped); the default file,
 ``stdout_commands.txt`` next to this script, holds the command set used to
 check that a change keeps stdout byte-identical.  For every command the
 script compares stdout, stderr and the exit code and reports each
-difference; it exits 1 when there is one.
+difference, a stream by its first differing line and the number of lines
+that differ (line i of one output against line i of the other); it exits 1
+when there is one.
 
 Each checkout runs all commands in one child interpreter through
 ``heun_spectra.cli.main``, with the warning filters reset per command so
@@ -31,6 +33,7 @@ import subprocess
 import sys
 import traceback
 import warnings
+from itertools import zip_longest
 from typing import List, Tuple
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -79,10 +82,12 @@ def run_checkout(root: str, commands_path: str) -> List[Outcome]:
 
 def first_difference(a: str, b: str) -> str:
     la, lb = a.splitlines(), b.splitlines()
-    for i, (x, y) in enumerate(zip(la, lb)):
-        if x != y:
-            return f"line {i + 1}: {x!r} -> {y!r}"
-    return f"{len(la)} lines -> {len(lb)} lines"
+    differing = [i for i, (x, y) in enumerate(zip_longest(la, lb)) if x != y]
+    count = f"{len(differing)} of {max(len(la), len(lb))} lines differ"
+    if differing and differing[0] < min(len(la), len(lb)):
+        i = differing[0]
+        return f"line {i + 1}: {la[i]!r} -> {lb[i]!r} ({count})"
+    return f"{len(la)} lines -> {len(lb)} lines ({count})"
 
 
 def main() -> int:
