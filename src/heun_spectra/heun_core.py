@@ -285,10 +285,7 @@ def polynomial_from_recurrence(seqs: Recurrence, s: Scalar) -> PolynomialCoeffic
 
 def _one_like(x: Scalar):
     """A unit of the same scalar family as x (keeps mpf chains in mpf)."""
-    try:
-        return x / x if x != 0 else x + 1
-    except ZeroDivisionError:  # pragma: no cover - defensive
-        return 1.0
+    return x / x if x != 0 else x + 1
 
 
 def _poly_derivatives(coeffs: Sequence[Scalar], z: Scalar) -> Tuple[Scalar, Scalar, Scalar]:

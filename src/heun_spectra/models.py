@@ -14,8 +14,9 @@ Model 1 ("repulsive polynomial"):
     u     = -(2 rho^6 + eps rho^4 + 2 k rho^2)
     B     = eps + 6 rho^2,  E = lambda
 
-with two solvable families: case (a) uses exp(+i l phi), l = n + 1 - k >= 0;
-case (b) uses exp(-i l phi), 2l = k - n - 1 a non-negative even integer.
+with two solvable families, whose rules ``_RULES`` holds: case (a) uses
+exp(+i l phi) with l = n + 1 - k >= 0 and sigma = +1; case (b) uses
+exp(-i l phi) with 2l = k - n - 1 a non-negative even integer and sigma = -1.
 The radial factor is exp(-rho^4/8 - eps rho^2/4) rho^l P_n(rho^2 / 2), with
 P_n a biconfluent Heun polynomial.
 
@@ -28,8 +29,9 @@ Model 2 ("non-rational field"):
 solvable in the variable t = (1 + sqrt(rho^2 + 1)) / 2 with radial factor
 sqrt(2t-1) t^(±(k-l)/2) (t-1)^((k+l)/2) exp(2 chi t) P_n(t), P_n a confluent
 Heun polynomial; bound states require chi < 0.  The first family has
-k <= -1, n = -k-1 fixed and l = -k, -k+1, ...; the second has k >= 1,
-n = k-1, ..., 0 with l = -n-1.
+k <= -1 and n = -k - 1, l >= -k and sigma = +1 (the ladder l = -k, -k+1,
+...); the second has k >= 1 and l = -n - 1 with 0 <= n <= k - 1 and
+sigma = -1.
 
 The eigenvalue enters the recurrence sequences polynomially, so each block's
 spectrum is the root set of a determinant polynomial of degree n+1 (model 1)
@@ -188,79 +190,56 @@ class RadialProfile:
 # block enumeration
 
 
+# Each family's quantization rule: the pattern of (n, l, sigma) for which a
+# degree-n Heun polynomial exists.  ``_family_block`` states it in code.
+_RULES = {
+    "a": "l = n + 1 - k >= 0 and sigma = +1",
+    "b": "2l = k - n - 1 a non-negative even integer and sigma = -1",
+    "first": "n = -k - 1, l >= -k and sigma = +1",
+    "second": "l = -n - 1 with 0 <= n <= k - 1 and sigma = -1",
+}
+
+
+def _family_block(
+    config: ModelConfig, n: int, l: Optional[int] = None
+) -> Optional[BlockSpec]:
+    """The family's block of degree n (of angular number l for ``first``),
+    or None when the rule in ``_RULES`` admits none."""
+    k = config.k
+    if config.variant == "a":
+        ok, l, sigma = n >= k - 1, n + 1 - k, +1
+    elif config.variant == "b":
+        ok, l, sigma = n <= k - 1 and (k - n - 1) % 2 == 0, (k - n - 1) // 2, -1
+    elif config.variant == "first":
+        ok, sigma = n == -k - 1 and l is not None and l >= -k, +1
+    else:
+        ok, l, sigma = n <= k - 1, -n - 1, -1
+    return BlockSpec(n, l, sigma) if ok and n >= 0 else None
+
+
 def permissible_blocks(config: ModelConfig, n_max: int = 10) -> List[BlockSpec]:
     """Every solvable block of the configuration with degree budget n_max.
 
     For model 2's first family n is fixed at -k-1 and n_max instead caps the
-    number of emitted l values (n_max + 1 blocks).
+    number of emitted l values (n_max + 1 blocks); the second family's
+    blocks come in descending n.
     """
     if n_max < 0:
         raise ParameterError("n_max must be non-negative")
     k = config.k
-    if config.example is Example.REPULSIVE_POLYNOMIAL:
-        if k == 0:
-            warnings.warn(
-                "k = 0 supports no bound multiplets here; returning no blocks",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return []
-        if config.variant == "a":
-            return [
-                BlockSpec(n=n, l=n + 1 - k, sigma=+1)
-                for n in range(max(0, k - 1), n_max + 1)
-            ]
-        # case b: n = k-1, k-3, ... down to parity floor
-        ns = [n for n in range(k - 1, -1, -2) if n <= n_max]
-        return [BlockSpec(n=n, l=(k - n - 1) // 2, sigma=-1) for n in sorted(ns)]
+    if config.variant == "a" and k == 0:
+        warnings.warn(
+            "k = 0 supports no bound multiplets here; returning no blocks",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return []
     if config.variant == "first":
-        n = -k - 1
-        return [BlockSpec(n=n, l=-k + i, sigma=+1) for i in range(n_max + 1)]
-    # second family: n runs k-1 down to 0, l = -n-1
-    return [
-        BlockSpec(n=n, l=-n - 1, sigma=-1)
-        for n in range(k - 1, -1, -1)
-        if n <= n_max
-    ]
-
-
-def _block_violation(config: ModelConfig, block: BlockSpec) -> Optional[str]:
-    k = config.k
-    if config.example is Example.REPULSIVE_POLYNOMIAL:
-        if block.l < 0:
-            return "model 1 blocks need l >= 0"
-        if config.variant == "a":
-            if block.sigma != +1:
-                return "case a uses the exp(+i l phi) branch (sigma = +1)"
-            if block.l != block.n + 1 - k:
-                return "case a requires l = n + 1 - k"
-        else:
-            if block.sigma != -1:
-                return "case b uses the exp(-i l phi) branch (sigma = -1)"
-            if 2 * block.l != k - block.n - 1:
-                return "case b requires 2l = k - n - 1"
-    else:
-        if block.l != block.sigma * abs(block.l) or block.l == 0:
-            return "model 2 stores the signed angular number l = sigma |l| != 0"
-        if config.variant == "first":
-            if block.n != -k - 1:
-                return "the first family fixes n = -k - 1"
-            if block.l < -k:
-                return "the first family requires l >= -k"
-        else:
-            if not (0 <= block.n <= k - 1):
-                return "the second family requires 0 <= n <= k - 1"
-            if block.l != -block.n - 1:
-                return "the second family requires l = -n - 1"
-        if k + block.l < 0:
-            return "model 2 requires k + l >= 0"
-    return None
-
-
-def validate_block(config: ModelConfig, block: BlockSpec) -> None:
-    reason = _block_violation(config, block)
-    if reason is not None:
-        raise ParameterError(f"block {block} is not permissible: {reason}")
+        return [_family_block(config, -k - 1, l) for l in range(-k, -k + n_max + 1)]
+    # no block of b or second passes degree k - 1, so the scan stops there
+    top = n_max if config.variant == "a" else min(n_max, k - 1)
+    ns = range(top, -1, -1) if config.variant == "second" else range(top + 1)
+    return [block for block in (_family_block(config, n) for n in ns) if block]
 
 
 def make_block(config: ModelConfig, n: int, l: Optional[int] = None) -> BlockSpec:
@@ -269,26 +248,15 @@ def make_block(config: ModelConfig, n: int, l: Optional[int] = None) -> BlockSpe
     Raises SelectionError when no permissible block matches, so callers can
     distinguish bad selections from bad configurations.
     """
-    k = config.k
-    try:
-        if config.example is Example.REPULSIVE_POLYNOMIAL:
-            if config.variant == "a":
-                block = BlockSpec(n=n, l=n + 1 - k, sigma=+1)
-            else:
-                if (k - n - 1) < 0 or (k - n - 1) % 2 != 0:
-                    raise ParameterError("case b requires k - n - 1 non-negative even")
-                block = BlockSpec(n=n, l=(k - n - 1) // 2, sigma=-1)
-        elif config.variant == "first":
-            if l is None:
-                raise ParameterError("the first family needs l (n is fixed at -k-1)")
-            block = BlockSpec(n=n, l=l, sigma=+1)
-        else:
-            block = BlockSpec(n=n, l=-n - 1, sigma=-1)
-        if l is not None and block.l != l:
-            raise ParameterError(f"block with n = {n} has l = {block.l}, not {l}")
-        validate_block(config, block)
-    except ParameterError as exc:
-        raise SelectionError(str(exc)) from None
+    if config.variant == "first" and l is None:
+        raise SelectionError("the first family needs l (n is fixed at -k-1)")
+    block = _family_block(config, n, l)
+    if block is None or (l is not None and block.l != l):
+        selected = f"n = {n}" if l is None else f"n = {n}, l = {l}"
+        raise SelectionError(
+            f"no block with {selected}: case {config.variant} "
+            f"requires {_RULES[config.variant]}"
+        )
     return block
 
 
@@ -309,7 +277,11 @@ def block_recurrence(
     entries (object arrays) at the current working precision (the caller
     holds a workprec context); otherwise they are floats.
     """
-    validate_block(config, block)
+    if _family_block(config, block.n, block.l) != block:
+        raise ParameterError(
+            f"block {block} is not permissible: case {config.variant} "
+            f"requires {_RULES[config.variant]}"
+        )
     if precision is None:
         one, j = 1.0, np.arange(block.n + 1)
     else:

@@ -97,26 +97,19 @@ def determinant_numeric(seqs: Recurrence, s: Scalar) -> Scalar:
 def dense_determinant(seqs: Recurrence, s: Scalar) -> Scalar:
     """LU determinant of the explicitly assembled matrix; dual-path check.
 
-    Float entries go through numpy's LAPACK LU, mpmath entries through
-    ``mpmath.det`` at the working precision, so the dual-path comparison can
-    be run above float64 where high-degree determinants lose digits to
-    cancellation.
+    The entries pick the matrix dtype.  Float and complex matrices go
+    through numpy's LAPACK LU; mpmath entries make an object matrix, which
+    goes through ``mpmath.det`` at the working precision, so the dual-path
+    comparison can be run above float64 where high-degree determinants lose
+    digits to cancellation.
     """
-    import mpmath
-
     a, b, c = seqs.at(s)
-    n1 = seqs.size
-    mp_types = (mpmath.mpf, mpmath.mpc)
-    extended = any(isinstance(v, mp_types) for v in (a[0], b[0] if b else 0.0, s))
-    m = np.zeros((n1, n1), dtype=object if extended else float)
-    for j in range(n1):
-        m[j, j] = a[j]
-        if j + 1 < n1:
-            m[j, j + 1] = b[j]
-            m[j + 1, j] = c[j]
-    if extended:
+    m = np.diag(a) + np.diag(b, 1) + np.diag(c, -1)
+    if m.dtype == object:
+        import mpmath
+
         return mpmath.det(mpmath.matrix(m.tolist()))
-    return float(np.linalg.det(m))
+    return np.linalg.det(m).item()
 
 
 def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:

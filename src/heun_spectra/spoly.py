@@ -52,15 +52,5 @@ class SPoly:
             return self.coeffs[0]
         return horner(self.coeffs, s)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, SPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, float, complex)):
-            return self.coeffs == (other,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         return f"SPoly({list(self.coeffs)!r})"

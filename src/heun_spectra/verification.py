@@ -63,41 +63,33 @@ def check_sequence_identities(
         for _ in range(trials):
             eps = float(rng.uniform(-5.0, 5.0))
             s = float(rng.uniform(-8.0, 8.0))
+            l = None
             if family == "1a":
                 k = int(rng.integers(1, 7))
                 n = int(rng.integers(max(0, k - 1), 13))
                 config = ModelConfig(Example(1), "a", k, eps)
-                block = BlockSpec(n=n, l=n + 1 - k, sigma=+1)
-                params = _heunb_params_for(config, block, s)
-                generic = heun_core.heunb_sequences(params, n)
-                degree_ok &= heun_core.heunb_degree(params) == n
             elif family == "1b":
                 l = int(rng.integers(0, 7))
                 n = int(rng.integers(0, 13))
-                k = n + 1 + 2 * l
-                config = ModelConfig(Example(1), "b", k, eps)
-                block = BlockSpec(n=n, l=l, sigma=-1)
-                params = _heunb_params_for(config, block, s)
-                generic = heun_core.heunb_sequences(params, n)
-                degree_ok &= heun_core.heunb_degree(params) == n
-            elif family == "2first":
-                if s == 0.0:
-                    s = 0.5
-                k = -int(rng.integers(1, 7))
-                n = -k - 1
-                l = int(rng.integers(-k, -k + 7))
-                config = ModelConfig(Example(2), "first", k, eps)
-                block = BlockSpec(n=n, l=l, sigma=+1)
-                params = _heunc_params_for(config, block, s)
-                generic = heun_core.heunc_sequences(params, n)
-                degree_ok &= heun_core.heunc_degree(params) == n
+                config = ModelConfig(Example(1), "b", n + 1 + 2 * l, eps)
             else:
                 if s == 0.0:
                     s = 0.5
-                k = int(rng.integers(1, 8))
-                n = int(rng.integers(0, k))
-                config = ModelConfig(Example(2), "second", k, eps)
-                block = BlockSpec(n=n, l=-n - 1, sigma=-1)
+                if family == "2first":
+                    k = -int(rng.integers(1, 7))
+                    n = -k - 1
+                    l = int(rng.integers(-k, -k + 7))
+                    config = ModelConfig(Example(2), "first", k, eps)
+                else:
+                    k = int(rng.integers(1, 8))
+                    n = int(rng.integers(0, k))
+                    config = ModelConfig(Example(2), "second", k, eps)
+            block = models.make_block(config, n, l)
+            if config.example is Example.REPULSIVE_POLYNOMIAL:
+                params = _heunb_params_for(config, block, s)
+                generic = heun_core.heunb_sequences(params, n)
+                degree_ok &= heun_core.heunb_degree(params) == n
+            else:
                 params = _heunc_params_for(config, block, s)
                 generic = heun_core.heunc_sequences(params, n)
                 degree_ok &= heun_core.heunc_degree(params) == n
@@ -204,15 +196,13 @@ def check_determinant_dual_path(
     worst = 0.0
     cases = []
     for n in sorted({1, 3, n_cap // 2, n_cap}):
-        cases.append((ModelConfig(Example(1), "a", 1, float(rng.uniform(-3, 3))),
-                      BlockSpec(n=n, l=n, sigma=+1)))
-        k2 = n + 1 + 2 * 2
-        cases.append((ModelConfig(Example(1), "b", k2, float(rng.uniform(-3, 3))),
-                      BlockSpec(n=n, l=2, sigma=-1)))
-        cases.append((ModelConfig(Example(2), "first", -(n + 1), float(rng.uniform(-3, 8))),
-                      BlockSpec(n=n, l=n + 1, sigma=+1)))
-        cases.append((ModelConfig(Example(2), "second", n + 1, float(rng.uniform(-3, 8))),
-                      BlockSpec(n=n, l=-n - 1, sigma=-1)))
+        for config, l in (
+            (ModelConfig(Example(1), "a", 1, float(rng.uniform(-3, 3))), None),
+            (ModelConfig(Example(1), "b", n + 1 + 2 * 2, float(rng.uniform(-3, 3))), None),
+            (ModelConfig(Example(2), "first", -(n + 1), float(rng.uniform(-3, 8))), n + 1),
+            (ModelConfig(Example(2), "second", n + 1, float(rng.uniform(-3, 8))), None),
+        ):
+            cases.append((config, models.make_block(config, n, l)))
     # the continuant identity is exact, but float64 values of high-degree
     # determinants (degree 42 here) lose up to ten digits to cancellation
     # on every evaluation path, so the identity is checked in extended
@@ -230,9 +220,8 @@ def check_determinant_dual_path(
     ok = worst <= 1e-8
 
     # ill-scaled probe: entries of magnitude ~ 1e6
-    base = models.block_recurrence(
-        ModelConfig(Example(1), "a", 1, 1.0), BlockSpec(n=10, l=10, sigma=+1)
-    )
+    probe = ModelConfig(Example(1), "a", 1, 1.0)
+    base = models.block_recurrence(probe, models.make_block(probe, 10))
     scaled = Recurrence(*(m * 1e6 for m in base))
     det_s = spectral.determinant_polynomial(scaled)
     worst_scaled = 0.0

@@ -118,6 +118,89 @@ class TestBlockEnumeration:
         assert BlockSpec(n=1, l=-2, sigma=-1).angular_momentum == -2
 
 
+def stated_blocks(config, n_max):
+    """(n, l, sigma) of every block the family's rule admits, written out
+    from the rules in README "The two systems" rather than from models.
+
+    Case a and the second family run over n; case b over l >= 0, whose
+    degree is n = k - 1 - 2l; the first family over its l ladder.
+    """
+    k = config.k
+    if config.variant == "a":
+        return [(n, n + 1 - k, 1) for n in range(n_max + 1) if n + 1 - k >= 0]
+    if config.variant == "b":
+        return sorted((k - 1 - 2 * l, l, -1) for l in range(k) if 0 <= k - 1 - 2 * l <= n_max)
+    if config.variant == "first":
+        return [(-k - 1, -k + i, 1) for i in range(n_max + 1)]
+    return [(n, -n - 1, -1) for n in range(k - 1, -1, -1) if n <= n_max]
+
+
+FAMILY_CONFIGS = [
+    ModelConfig(Example(example), variant, k, 1.0)
+    for example, variant, ks in (
+        (1, "a", range(-4, 6)), (1, "b", range(1, 8)),
+        (2, "first", range(-6, 0)), (2, "second", range(1, 7)),
+    )
+    for k in ks
+]
+
+
+class TestFamilyRules:
+    @pytest.mark.parametrize(
+        "config", FAMILY_CONFIGS, ids=lambda c: f"{c.variant}-k{c.k}")
+    def test_enumeration_selection_and_validation_follow_the_rule(self, config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for n_max in range(9):
+                expected = stated_blocks(config, n_max)
+                if config.variant == "a" and config.k == 0:
+                    expected = []  # documented: no bound multiplets
+                got = [(b.n, b.l, b.sigma) for b in permissible_blocks(config, n_max)]
+                assert got == expected
+        admitted = set(stated_blocks(config, 30))
+        for n in range(-1, 12):
+            for l in [None] + list(range(-12, 13)):
+                matches = [b for b in admitted
+                           if b[0] == n and (l is None or b[1] == l)]
+                if config.variant == "first" and l is None:
+                    matches = []  # n alone does not select a first-family block
+                if matches:
+                    block = make_block(config, n, l)
+                    assert [(block.n, block.l, block.sigma)] == matches
+                else:
+                    with pytest.raises(SelectionError, match="no block with|needs l"):
+                        make_block(config, n, l)
+                if n < 0 or l is None:
+                    continue
+                for sigma in (-1, 1):
+                    if (n, l, sigma) in admitted:
+                        models.block_recurrence(config, BlockSpec(n, l, sigma))
+                    else:
+                        with pytest.raises(ParameterError, match="not permissible"):
+                            models.block_recurrence(config, BlockSpec(n, l, sigma))
+
+    @pytest.mark.parametrize("example, variant, k, block, rule", [
+        (1, "a", 2, (3, 1, 1), "l = n + 1 - k >= 0"),  # wrong l
+        (1, "a", 2, (3, 2, -1), "sigma = +1"),  # wrong sigma
+        (1, "a", 3, (0, -2, 1), "l = n + 1 - k >= 0"),  # n below k - 1
+        (1, "b", 5, (2, 0, -1), "2l = k - n - 1"),  # wrong l
+        (1, "b", 5, (2, 1, 1), "sigma = -1"),  # wrong sigma
+        (1, "b", 5, (1, 1, -1), "non-negative even integer"),  # odd k - n - 1
+        (1, "b", 3, (4, -1, -1), "non-negative even integer"),  # n past k - 1
+        (2, "first", -2, (1, 2, -1), "sigma = +1"),  # wrong sigma
+        (2, "first", -2, (0, 2, 1), "n = -k - 1"),  # n != -k - 1
+        (2, "first", -2, (1, 1, 1), "l >= -k"),  # l < -k
+        (2, "second", 3, (1, -1, -1), "l = -n - 1"),  # wrong l
+        (2, "second", 3, (1, -2, 1), "sigma = -1"),  # wrong sigma
+        (2, "second", 2, (2, -3, -1), "0 <= n <= k - 1"),  # n past k - 1
+    ])
+    def test_off_rule_block_names_the_rule(self, example, variant, k, block, rule):
+        config = ModelConfig(Example(example), variant, k, 1.0)
+        with pytest.raises(ParameterError, match=re.escape(
+                f"case {variant} requires") + ".*" + re.escape(rule)):
+            models.block_recurrence(config, BlockSpec(*block))
+
+
 class TestBlockSequences:
     def test_case_a_diagonal_is_s_minus_eps_ladder(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.6)

@@ -133,6 +133,19 @@ class TestDeterminantNumeric:
             lu = dense_determinant(scaled, s)
             assert abs(det(s) - lu) / max(1.0, abs(lu)) < 1e-6
 
+    @pytest.mark.parametrize("variant, k, n, l", [
+        ("first", -3, 2, 4), ("second", 3, 2, None), ("second", 5, 0, None),
+    ])
+    def test_dense_route_at_complex_points_in_double(self, variant, k, n, l):
+        # model 2's unphysical roots are complex, so both routes must take
+        # complex points on the float recurrence
+        cfg = ModelConfig(Example(2), variant, k, 2.0)
+        rec = block_recurrence(cfg, make_block(cfg, n, l))
+        for s in (1 + 1j, -0.5 + 2j, 3j):
+            lu = dense_determinant(rec, s)
+            assert isinstance(lu, complex)
+            assert abs(determinant_numeric(rec, s) - lu) <= 1e-12 * max(1.0, abs(lu))
+
     def test_extended_precision_path(self):
         cfg = ModelConfig(Example(2), "first", -6, 4.0)
         block = BlockSpec(n=5, l=6, sigma=+1)
