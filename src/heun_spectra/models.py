@@ -227,13 +227,6 @@ def permissible_blocks(config: ModelConfig, n_max: int = 10) -> List[BlockSpec]:
     if n_max < 0:
         raise ParameterError("n_max must be non-negative")
     k = config.k
-    if config.variant == "a" and k == 0:
-        warnings.warn(
-            "k = 0 supports no bound multiplets here; returning no blocks",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return []
     if config.variant == "first":
         return [_family_block(config, -k - 1, l) for l in range(-k, -k + n_max + 1)]
     # no block of b or second passes degree k - 1, so the scan stops there

@@ -21,9 +21,10 @@ flux instead, which is the regularity condition R'(0) = 0; a hard wall at a
 tiny rho_min would shift s-wave-like levels by O(1/log rho_min) and never
 reproduce the analytic spectrum.
 
-The lowest eigenvalues are extracted with the LAPACK bisection/Sturm-count
-routine behind scipy's eigh_tridiagonal.  Nothing here touches the Heun
-machinery, so agreement with the determinant roots is a genuine cross-check.
+Sturm bisection (LAPACK dstebz) only isolates the lowest levels, to width
+ISOLATION_TOL; inverse iteration (dstein) and Rayleigh-Ritz on its vectors refine
+them to a few ulps of ||T||, which reaches 1e8 near the axis.  Nothing here
+touches the Heun machinery, so agreement with the roots is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ParameterError
+from .errors import ParameterError, PrecisionError
 from .models import ModelConfig, effective_potential
 
 BOX_AMPLITUDE_TOL = 1e-6
+ISOLATION_TOL = 1e-3  # bisection interval width; Rayleigh-Ritz refines past it
+RITZ_RESIDUAL_ULPS = 1e3  # gate on ||T x - theta x||, so theta is this near a level
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,34 @@ class GridSpec:
         return np.linspace(self.rho_min, self.rho_max, self.points)
 
 
+def lowest_eigenpairs(
+    diag: NDArray[np.floating], off: NDArray[np.floating], count: int
+) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
+    """Lowest `count` eigenpairs of the symmetric tridiagonal T = (diag, off)."""
+    # Imported here so that importing the package loads no scipy.
+    from scipy.linalg import eigh, lapack
+
+    # range 2 selects levels 1..count; dstein then treats T as one block
+    m, shifts, *_, info = lapack.dstebz(diag, off, 2, 0, 0, 1, count, ISOLATION_TOL, "E")
+    block, split = np.ones(diag.size, np.int32), np.full(diag.size, diag.size, np.int32)
+    norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
+    for _ in range(3):  # a round that misses the gate reshifts at its Ritz values
+        if info == 0:
+            basis, info = lapack.dstein(diag, off, shifts[:m], block, split)
+        if info != 0:
+            raise PrecisionError(f"LAPACK dstebz/dstein failed (info = {info})")
+        tv = diag[:, None] * basis
+        tv[1:] += off[:, None] * basis[:-1]
+        tv[:-1] += off[:, None] * basis[1:]
+        shifts, rotation = eigh(basis.T @ tv, basis.T @ basis)
+        vecs, tv = basis @ rotation, tv @ rotation
+        tv -= vecs * shifts  # now the Ritz residuals
+        residual = np.max(np.linalg.norm(tv, axis=0))
+        if residual <= RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm:
+            return shifts, vecs
+    raise PrecisionError(f"Ritz residual {residual:.2e} > {RITZ_RESIDUAL_ULPS:g} ulps of ||T||")
+
+
 def solve_effective_potential(
     v_eff: NDArray[np.floating], grid: GridSpec, count: int
 ) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
@@ -74,9 +105,6 @@ def solve_effective_potential(
     flux-form couplings (see the module docstring).  Returns (eigenvalues,
     eigenvectors) with eigenvectors in columns, in the scaled variable u.
     """
-    # Imported here so that importing the package loads no scipy.
-    from scipy.linalg import eigh_tridiagonal
-
     if count < 1:
         raise ParameterError("need at least one eigenvalue")
     if count > grid.points - 2:
@@ -84,8 +112,8 @@ def solve_effective_potential(
             f"count {count} exceeds the {grid.points - 2} resolvable states"
         )
     r = grid.rhos()
-    if v_eff.shape != r.shape:
-        raise ParameterError("v_eff must be sampled on the grid")
+    if v_eff.shape != r.shape or not np.all(np.isfinite(v_eff)):
+        raise ParameterError("v_eff must be finite and sampled on the grid")
     h = grid.h
     outer = r + 0.5 * h
     inner = np.maximum(r - 0.5 * h, 0.0)
@@ -93,10 +121,7 @@ def solve_effective_potential(
         inner[0] = 0.0
     diag = (inner + outer) / (r * h * h) + v_eff
     off = -outer[:-1] / (h * h * np.sqrt(r[:-1] * r[1:]))
-    vals, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, count - 1)
-    )
-    return vals, vecs
+    return lowest_eigenpairs(diag, off, count)
 
 
 def radial_eigensolve(

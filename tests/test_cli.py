@@ -133,10 +133,9 @@ def reference_json(value, indent=0):
 
 
 class TestJsonEmitter:
-    @pytest.mark.filterwarnings("ignore:k = 0 supports no bound multiplets")
     @pytest.mark.parametrize("example, case, k, epsilon, n_max", [
         (1, "a", 1, 1.0, 3),  # several coefficients per state
-        (1, "a", 0, 0.0, 3),  # no blocks at all
+        (1, "a", 6, 0.0, 3),  # no blocks at all: case a needs n >= k - 1
         (2, "second", 2, 3.0, 1),  # complex roots, null energies, -0
         (2, "first", -4, 150.0, 2),
     ])
@@ -341,6 +340,18 @@ class TestVerify:
         # the wall times go to stderr, one line per check
         assert len(first_err.splitlines()) == len(first.splitlines()) - 1
         assert all(line.endswith(" s") for line in first_err.splitlines())
+
+    def test_oracle_lapack_failure_exits_3(self, capsys, monkeypatch):
+        import scipy.linalg.lapack
+
+        def failing(d, e, w, block, split):
+            return np.zeros((d.size, w.size)), 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", failing)
+        code, out, err = run_cli(["verify", "--level", "full"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["error: LAPACK dstebz/dstein failed (info = 1)"]
 
     def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
         def fail(matrix):

@@ -97,12 +97,14 @@ class TestBlockEnumeration:
         blocks = permissible_blocks(cfg, n_max=10)
         assert [(b.n, b.l, b.sigma) for b in blocks] == [(1, -2, -1), (0, -1, -1)]
 
-    def test_model1_k_zero_is_empty_with_diagnostic(self):
+    def test_model1_k_zero_starts_at_l_one_without_diagnostic(self):
+        # the oracle confirms these blocks (test_oracle, k = 0 channels)
         cfg = ModelConfig(Example(1), "a", 0, 1.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert permissible_blocks(cfg, n_max=5) == []
-        assert len(caught) == 1
+            blocks = permissible_blocks(cfg, n_max=5)
+        assert [(b.n, b.l, b.sigma) for b in blocks] == [(n, n + 1, 1) for n in range(6)]
+        assert caught == []
 
     def test_make_block_checks_permissibility(self):
         cfg = ModelConfig(Example(1), "a", 2, 0.0)
@@ -149,14 +151,10 @@ class TestFamilyRules:
     @pytest.mark.parametrize(
         "config", FAMILY_CONFIGS, ids=lambda c: f"{c.variant}-k{c.k}")
     def test_enumeration_selection_and_validation_follow_the_rule(self, config):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for n_max in range(9):
-                expected = stated_blocks(config, n_max)
-                if config.variant == "a" and config.k == 0:
-                    expected = []  # documented: no bound multiplets
-                got = [(b.n, b.l, b.sigma) for b in permissible_blocks(config, n_max)]
-                assert got == expected
+        for n_max in range(9):
+            expected = stated_blocks(config, n_max)
+            got = [(b.n, b.l, b.sigma) for b in permissible_blocks(config, n_max)]
+            assert got == expected
         admitted = set(stated_blocks(config, 30))
         for n in range(-1, 12):
             for l in [None] + list(range(-12, 13)):

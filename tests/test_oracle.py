@@ -2,9 +2,13 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import jn_zeros
 
 from heun_spectra import (
@@ -12,12 +16,28 @@ from heun_spectra import (
     GridSpec,
     ModelConfig,
     ParameterError,
+    PrecisionError,
     compare_spectra,
+    permissible_blocks,
     radial_eigensolve,
     spectrum,
 )
+from heun_spectra import oracle
 from heun_spectra.models import Example
-from heun_spectra.oracle import solve_effective_potential
+from heun_spectra.oracle import lowest_eigenpairs, solve_effective_potential
+
+
+def dense(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def solve_with_matrix(v_eff, grid, count):
+    """solve_effective_potential's result and the tridiagonal it solved."""
+    with mock.patch.object(oracle, "lowest_eigenpairs",
+                           wraps=oracle.lowest_eigenpairs) as spy:
+        vals, vecs = solve_effective_potential(v_eff, grid, count)
+    diag, off, _ = spy.call_args.args
+    return vals, vecs, dense(diag, off)
 
 
 class TestGridSpec:
@@ -58,6 +78,97 @@ class TestSolver:
         expect = (jn_zeros(0, 3) / wall) ** 2
         assert np.allclose(vals, expect, rtol=2e-4)
 
+    def test_full_capacity(self):
+        g = GridSpec(1e-3, 8.0, 100)
+        v = 3.0 * np.cos(g.rhos())
+        vals, vecs, matrix = solve_with_matrix(v, g, g.points - 2)
+        exact = np.linalg.eigvalsh(matrix)
+        assert vecs.shape == (100, 98)
+        assert np.max(np.abs(vals - exact[:98])) <= 1e-12 * np.max(np.abs(exact))
+        assert np.allclose(vecs.T @ vecs, np.eye(98), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        rho_min=st.floats(1e-3, 0.5),
+        width=st.floats(2.0, 40.0),
+        points=st.integers(100, 600),
+        count=st.integers(1, 10),
+        l=st.integers(0, 10),
+        amplitudes=st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+    )
+    def test_levels_match_dense_eigvalsh(self, rho_min, width, points, count,
+                                         l, amplitudes):
+        # a smooth potential plus a centrifugal wall, which lifts ||T|| to
+        # l^2 / rho_min^2 as in the channels the oracle solves
+        g = GridSpec(rho_min, rho_min + width, points)
+        r = g.rhos()
+        phase = np.pi * (r - rho_min) / width
+        v = l * l / (r * r) + sum(a * np.cos(j * phase)
+                                  for j, a in enumerate(amplitudes))
+        vals, _, matrix = solve_with_matrix(v, g, count)
+        exact = np.linalg.eigvalsh(matrix)
+        assert np.max(np.abs(vals - exact[:count])) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_mirror_pairs_split_below_1e_10_are_both_resolved(self):
+        # two identical wells joined by a 1e-6 coupling: every level of one
+        # well becomes a pair split far below the bisection width
+        half = 300
+        x = np.linspace(-1.0, 1.0, half)
+        well = 2.0 + 0.5 * (x + 0.3) ** 2
+        diag = np.concatenate([well, well[::-1]])
+        off = np.full(2 * half - 1, -1.0)
+        off[half - 1] = -1e-6
+        exact = np.linalg.eigvalsh(dense(diag, off))
+        splits = exact[1:8:2] - exact[0:8:2]
+        assert np.all((splits > 0) & (splits < 1e-10))
+        vals, vecs = lowest_eigenpairs(diag, off, 8)
+        assert np.max(np.abs(vals - exact[:8])) <= 1e-14
+        assert np.allclose(vecs.T @ vecs, np.eye(8), atol=1e-12)
+        residual = dense(diag, off) @ vecs - vecs * vals
+        assert np.max(np.abs(residual)) <= 1e-13
+
+    def test_missed_gate_reshifts_at_the_ritz_values(self):
+        # a coarse grid with small level gaps: inverse iteration from the
+        # bisection midpoint leaves a residual above the gate
+        g = GridSpec(0.5, 7.5, 100)
+        v = 1.0 / g.rhos() ** 2
+        with mock.patch.object(scipy.linalg.lapack, "dstein",
+                               wraps=scipy.linalg.lapack.dstein) as stein:
+            vals, _, matrix = solve_with_matrix(v, g, 1)
+        assert stein.call_count == 2
+        assert vals[0] == pytest.approx(np.linalg.eigvalsh(matrix)[0], abs=1e-13)
+
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_lapack_failure_raises_precision_error(self, monkeypatch, routine):
+        real = getattr(scipy.linalg.lapack, routine)
+
+        def failing(*args):
+            *out, _ = real(*args)
+            return (*out, 1)
+
+        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        g = GridSpec(1e-3, 8.0, 200)
+        with pytest.raises(PrecisionError, match="info = 1"):
+            solve_effective_potential(np.zeros(g.points), g, 3)
+
+    def test_unconverged_vectors_fail_the_residual_gate(self, monkeypatch):
+        def rough(d, e, w, block, split):
+            # orthonormal but not invariant: Rayleigh-Ritz cannot rescue it
+            basis, _ = np.linalg.qr(np.cos(np.outer(np.arange(d.size), w + 1.0)))
+            return basis, 0
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", rough)
+        g = GridSpec(1e-3, 8.0, 200)
+        with pytest.raises(PrecisionError, match="Ritz residual"):
+            solve_effective_potential(np.zeros(g.points), g, 3)
+
+    def test_non_finite_potential_rejected(self):
+        g = GridSpec(1e-3, 8.0, 200)
+        v = np.zeros(g.points)
+        v[7] = np.inf
+        with pytest.raises(ParameterError, match="finite"):
+            solve_effective_potential(v, g, 1)
+
     def test_eigenvector_columns(self):
         g = GridSpec(1e-3, 8.0, 500)
         vals, vecs = solve_effective_potential(np.zeros(g.points), g, 4)
@@ -77,6 +188,17 @@ class TestRadialEigensolve:
             warnings.simplefilter("ignore", RuntimeWarning)
             vals = radial_eigensolve(cfg, 1, +1, GridSpec(1e-3, 40.0, 8000), 3)
         assert min(abs(v + 1.0) for v in vals) < 1e-3
+
+    def test_model1_k_zero_blocks(self):
+        cfg = ModelConfig(Example(1), "a", 0, 1.0)
+        for block in permissible_blocks(cfg, n_max=2):
+            analytic = [r.energy for r in spectrum(cfg, block) if r.physical]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                numeric = radial_eigensolve(cfg, block.l, block.sigma,
+                                            GridSpec(1e-3, 8.0, 4000), len(analytic) + 2)
+            report = compare_spectra(analytic, numeric, tol=1e-4)
+            assert report.passed and len(report.pairs) == block.n + 1
 
     def test_second_order_convergence(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.0)
