@@ -124,7 +124,7 @@ class Recurrence(NamedTuple):
 
     Each row holds one entry's coefficients, lowest degree first: a has
     shape (n+1, da), b (n, db) and c (n, dc).  Entries are floats, or
-    mpmath numbers in object arrays.
+    Fractions or mpmath numbers in object arrays.
     """
 
     a: np.ndarray

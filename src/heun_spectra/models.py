@@ -268,7 +268,8 @@ def block_recurrence(
     straight from the closed forms: a of shape (n+1, 2) or (n+1, 3), b
     (n, 1), and c (n, 1) or (n, 2).  precision, when given, builds mpmath
     entries (object arrays) at the current working precision (the caller
-    holds a workprec context); otherwise they are floats.
+    holds a workprec context); otherwise they are floats.  Only this branch
+    imports mpmath, which is installed with the ``test`` extra.
     """
     if _family_block(config, block.n, block.l) != block:
         raise ParameterError(
@@ -321,7 +322,7 @@ def block_sequences(
     """The entries of ``block_recurrence`` as SPoly sequences: a read-only
     view for callers that read single entries' coefficients (the
     benchmark's reference solver).  Every routine here computes with the
-    arrays."""
+    arrays.  precision is that of ``block_recurrence`` and needs mpmath."""
     rec = block_recurrence(config, block, precision)
     return TridiagonalSequences(
         *(tuple(SPoly(row) for row in m.tolist()) for m in (rec.a, rec.b, rec.c))
@@ -753,11 +754,20 @@ def radial_profile(
 
     normalize rescales the emitted values by 1/sqrt(norm) so they integrate
     to one; the norm field always reports the p_0 = 1 state's norm, so the
-    original amplitude stays recoverable.
+    original amplitude stays recoverable.  Raises PrecisionError when a
+    sampled value is not finite (far out, where the factors of R overflow).
     """
     g = np.asarray(grid, dtype=float)
     norm, _ = radial_norm(config, block, root)
-    values = wavefunction(config, block, root, g, phi)
+    # an overflow shows as a non-finite value, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = wavefunction(config, block, root, g, phi)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise PrecisionError(
+            f"the state of root {root.value!r} in block {block} is not finite "
+            f"at rho = {float(g[bad.argmax()])!r}"
+        )
     if normalize:
         values = values / math.sqrt(norm)
     return RadialProfile(grid=g, values=values, norm=norm)

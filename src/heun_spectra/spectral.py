@@ -32,10 +32,11 @@ a root whose block has ended keeps its values, so every root sees the
 floating-point operations it would see alone.
 
 ``determinant_polynomial`` (the continuant carried out on coefficient
-lists), ``determinant_numeric`` and ``dense_determinant`` evaluate the same
-determinant by independent routes and serve as verification.  The last two
-only call the sequences' ``at`` and ``size``, so they take a ``Recurrence``
-and the ``TridiagonalSequences`` view of ``models.block_sequences`` alike.
+arrays), ``determinant_numeric`` and ``dense_determinant`` evaluate the same
+determinant by independent routes and serve as verification, exactly on a
+recurrence of Fractions.  The last two only call the sequences' ``at`` and
+``size``, so they take a ``Recurrence`` and the ``TridiagonalSequences``
+view of ``models.block_sequences`` alike.
 """
 
 from __future__ import annotations
@@ -43,73 +44,66 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import RecurrenceBreakdownError
 from .heun_core import Recurrence
-from .spoly import Scalar, SPoly, trim
+from .spoly import Scalar, SPoly
 
 NEWTON_STEPS = 3
 RESCALE_ROWS = 8
 
 
 def determinant_polynomial(rec: Recurrence) -> SPoly:
-    """Exact determinant of the quantization matrix as a polynomial in s.
+    """Determinant of the quantization matrix as a polynomial in s.
 
-    The continuant runs on coefficient lists trimmed of trailing zeros.  A
-    product skips the zero coefficients of its left factor and adds each
-    term onto 0.0, left index outer and right index inner; a difference is
-    the sum with the negation.  numpy's convolution sums in another order,
-    and ``verify`` prints deviations computed from these bits.
+    The continuant runs on coefficient arrays with numpy's ``polymul`` and
+    ``polysub``; object arrays of Fractions stay exact.
     """
-    a, b, c = ([trim(row) for row in m.tolist()] for m in rec)
-    d_prev2, d_prev = [1.0], a[0]
+    a, b, c = rec
+    d_prev2, d_prev = [1], a[0]
     for j in range(1, rec.size):
-        d_prev2, d_prev = d_prev, _minus(
-            _times(a[j], d_prev), _times(_times(b[j - 1], c[j - 1]), d_prev2)
+        d_prev2, d_prev = d_prev, P.polysub(
+            P.polymul(a[j], d_prev), P.polymul(P.polymul(b[j - 1], c[j - 1]), d_prev2)
         )
-    return SPoly(d_prev)
-
-
-def _times(x: list, y: list) -> list:
-    out = [0.0] * (len(x) + len(y) - 1)
-    for i, cx in enumerate(x):
-        if cx == 0:
-            continue
-        for j, cy in enumerate(y):
-            out[i + j] = out[i + j] + cx * cy
-    return trim(out)
-
-
-def _minus(x: list, y: list) -> list:
-    neg = [-c for c in y]
-    return trim([p + q for p, q in zip(x, neg)] + x[len(neg):] + neg[len(x):])
+    return SPoly(d_prev.tolist())
 
 
 def determinant_numeric(seqs: Recurrence, s: Scalar) -> Scalar:
     """Continuant recurrence after substituting s; cheap single-point value."""
     a, b, c = seqs.at(s)
-    d_prev2, d_prev = 1.0, a[0]
+    d_prev2, d_prev = 1, a[0]
     for j in range(1, seqs.size):
         d_prev2, d_prev = d_prev, a[j] * d_prev - (b[j - 1] * c[j - 1]) * d_prev2
     return d_prev
 
 
 def dense_determinant(seqs: Recurrence, s: Scalar) -> Scalar:
-    """LU determinant of the explicitly assembled matrix; dual-path check.
+    """Determinant of the explicitly assembled matrix; dual-path check.
 
     The entries pick the matrix dtype.  Float and complex matrices go
-    through numpy's LAPACK LU; mpmath entries make an object matrix, which
-    goes through ``mpmath.det`` at the working precision, so the dual-path
-    comparison can be run above float64 where high-degree determinants lose
-    digits to cancellation.
+    through numpy's LAPACK LU.  Other entries (Fractions, mpmath numbers)
+    make an object matrix, whose determinant comes from Gaussian
+    elimination in their own arithmetic (exact for Fractions), pivoting on
+    the first non-zero entry of each column.
     """
     a, b, c = seqs.at(s)
     m = np.diag(a) + np.diag(b, 1) + np.diag(c, -1)
-    if m.dtype == object:
-        import mpmath
-
-        return mpmath.det(mpmath.matrix(m.tolist()))
-    return np.linalg.det(m).item()
+    if m.dtype != object:
+        return np.linalg.det(m).item()
+    rows, det = m.tolist(), 1
+    for j in range(len(rows)):
+        p = next((i for i in range(j, len(rows)) if rows[i][j] != 0), None)
+        if p is None:
+            return 0 * det
+        if p != j:
+            rows[j], rows[p], det = rows[p], rows[j], -det
+        det = det * rows[j][j]
+        for i in range(j + 1, len(rows)):
+            if rows[i][j] != 0:
+                f = rows[i][j] / rows[j][j]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
+    return det
 
 
 def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
@@ -310,8 +304,8 @@ def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
     rows = max(rec.degree for rec in recs) + 1
     return (
         _gather([r.a for r in recs], owner, rows, 0),
-        # e_j = b_j c_j; the 0.0 + turns a -0.0 coefficient into 0.0, as
-        # the products of determinant_polynomial do
+        # e_j = b_j c_j; the 0.0 + turns a -0.0 coefficient into 0.0, which
+        # the solve path's bits depend on
         _gather([0.0 + r.b * r.c for r in recs], owner, rows - 1, 0),
         _degrees(recs, owner),
     )

@@ -6,14 +6,14 @@ handed out where a caller wants one entry or one determinant as a value:
 the entries of ``models.block_sequences`` and the expanded determinant of
 ``spectral.determinant_polynomial``.  ``horner`` and ``trim`` are the
 evaluation and trimming rules all of them share, generic over the scalar
-type (float, complex or an mpmath number).
+type (float, complex, Fraction or an mpmath number).
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
 
-Scalar = Any  # float, complex, or an mpmath number
+Scalar = Any  # float, complex, Fraction, or an mpmath number
 
 
 def horner(coeffs: Iterable[Scalar], s: Scalar) -> Scalar:

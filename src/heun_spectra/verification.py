@@ -2,7 +2,7 @@
 
 Each check recomputes something the solver claims through a second path:
 generic recurrence sequences against the model-substituted ones, determinant
-polynomials against dense LU determinants, assembled wavefunctions against
+polynomials against exact dense determinants, assembled wavefunctions against
 the differential equations and the finite-difference eigensolver, field
 definitions against numerical derivatives.  The CLI `verify` subcommand and
 the test suite both run through this module.
@@ -14,6 +14,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -150,7 +151,7 @@ def check_closed_form_anchors(
 def check_root_reality_and_count(
     rng: np.random.Generator, full: bool
 ) -> Tuple[bool, str]:
-    """Model 1 blocks: n+1 real roots, terminal residuals under 1e-10; model 2 count."""
+    """Model 1 blocks: n+1 real roots, residuals under 1e-10; model 2 bound-state counts."""
     n_cap = 10 if full else 6
     ok = True
     solved = 0
@@ -173,11 +174,10 @@ def check_root_reality_and_count(
         eps = float(rng.uniform(-3.0, 8.0))
         config = ModelConfig(Example(2), variant, k, eps)
         for block in models.permissible_blocks(config, n_max=2):
-            roots = models.spectrum(config, block)
-            count_ok &= len(roots) == 2 * (block.n + 1)
-            for r in roots:
-                if r.physical:
-                    count_ok &= r.value < 0
+            # one bound state per negative constant diagonal term beta_j
+            physical = sum(r.physical for r in models.spectrum(config, block))
+            beta = models.block_recurrence(config, block).a[:, 0]
+            count_ok &= physical == int((beta < 0).sum())
             solved += 1
     ok &= count_ok
     return ok, (
@@ -189,9 +189,8 @@ def check_root_reality_and_count(
 def check_determinant_dual_path(
     rng: np.random.Generator, full: bool
 ) -> Tuple[bool, str]:
-    """Continuant polynomial vs dense LU determinant at random spectral values."""
-    import mpmath
-
+    """The three determinant routes agree exactly at random spectral values,
+    on each block's recurrence in Fractions (exact, floats being dyadic)."""
     n_cap = 20 if full else 8
     worst = 0.0
     cases = []
@@ -203,21 +202,17 @@ def check_determinant_dual_path(
             (ModelConfig(Example(2), "second", n + 1, float(rng.uniform(-3, 8))), None),
         ):
             cases.append((config, models.make_block(config, n, l)))
-    # the continuant identity is exact, but float64 values of high-degree
-    # determinants (degree 42 here) lose up to ten digits to cancellation
-    # on every evaluation path, so the identity is checked in extended
-    # precision where roundoff cannot mask an algebra error
-    with mpmath.workprec(240):
-        for config, block in cases:
-            rec = models.block_recurrence(config, block, precision=240)
-            det = spectral.determinant_polynomial(rec)
-            for _ in range(20):
-                s = mpmath.mpf(float(rng.uniform(-10.0, 10.0)))
-                lu = spectral.dense_determinant(rec, s)
-                poly = det(s)
-                cont = spectral.determinant_numeric(rec, s)
-                worst = max(worst, float(_rel(poly, lu)), float(_rel(cont, lu)))
-    ok = worst <= 1e-8
+    to_fraction = np.frompyfunc(Fraction, 1, 1)
+    for config, block in cases:
+        rec = Recurrence(*map(to_fraction, models.block_recurrence(config, block)))
+        det = spectral.determinant_polynomial(rec)
+        for _ in range(20):
+            s = Fraction(float(rng.uniform(-10.0, 10.0)))
+            lu = spectral.dense_determinant(rec, s)
+            poly = det(s)
+            cont = spectral.determinant_numeric(rec, s)
+            worst = max(worst, float(_rel(poly, lu)), float(_rel(cont, lu)))
+    ok = worst == 0
 
     # ill-scaled probe: entries of magnitude ~ 1e6
     probe = ModelConfig(Example(1), "a", 1, 1.0)

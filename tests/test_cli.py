@@ -265,6 +265,21 @@ class TestWavefunction:
         assert out == ""
         assert err == "error: --phi must be finite\n"
 
+    @pytest.mark.parametrize("argv, rho", [
+        (["--example", "1", "--case", "a", "--k", "1", "--n", "3",
+          "--rho-max", "1e100", "--samples", "3"], "5e+99"),
+        (["--example", "2", "--case", "second", "--k", "1", "--epsilon", "15",
+          "--n", "0", "--index", "1", "--rho-max", "1e300", "--samples", "3"],
+         "5e+299"),
+    ], ids=["model1-zero-times-inf", "model2-t-overflows"])
+    def test_non_finite_samples_exit_3(self, capsys, argv, rho):
+        # far out the factors of R overflow; the profile used to print nan
+        code, out, err = run_cli(["wavefunction", *argv], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert err.endswith(f"is not finite at rho = {rho}\n")
+
     def test_normalize_density_integrates_to_one(self, capsys):
         code, out, _ = run_cli(
             ["wavefunction", *SPEC_ARGS, "--n", "0", "--samples", "4001",
@@ -431,7 +446,8 @@ class TestSubprocess:
     ], ids=["family0", "family1", "family2"])
     def test_spectrum_loads_no_scipy_or_mpmath(self, family, blocks):
         # the solve path uses numpy's eigensolvers only, in double precision;
-        # scipy serves the oracle and mpmath the verification
+        # scipy serves the oracle, and mpmath only the extended-precision
+        # recurrences of the tests and the benchmark's reference
         script = (
             "import sys\n"
             "from heun_spectra import cli\n"
@@ -445,6 +461,19 @@ class TestSubprocess:
         report = json.loads(proc.stdout)
         assert len(report["blocks"]) == blocks
         assert report["precision_bits"] == 53
+
+    def test_full_verify_loads_no_mpmath(self):
+        # the dual-path determinant check computes in Fractions
+        script = (
+            "import sys\n"
+            "from heun_spectra import cli\n"
+            "code = cli.main(['verify', '--level', 'full'])\n"
+            "print(code, 'mpmath' in sys.modules, file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=CHILD_ENV)
+        assert proc.stderr.splitlines()[-1] == "0 False"
+        assert "PASS determinant-dual-path: worst deviation 0.00e+00" in proc.stdout
 
     @pytest.mark.parametrize("argv, code", [
         (["spectrum", "--example", "1", "--case", "b", "--k", "3",

@@ -35,13 +35,13 @@ from heun_spectra.spectral import (
     RESCALE_ROWS,
     Recurrence,
     _continuant_lanes,
-    _times,
     companion_eigenvalues,
     newton_corrections,
     ragged_null_vectors,
     ragged_polish,
     symmetric_eigenvalues,
 )
+from heun_spectra.spoly import trim
 
 
 def expanded_roots(rec):
@@ -518,8 +518,8 @@ class TestRaggedKernel:
     def test_block_recurrence_matches_the_scalar_closed_forms(self):
         # the arrays carry the bits (signed zeros included) and, at 128
         # bits, the mpmath numbers of the closed forms evaluated one entry
-        # at a time, and the continuant's e_j is the product b_j c_j of
-        # determinant_polynomial
+        # at a time, and the continuant's e_j is the product b_j c_j with
+        # -0.0 coefficients turned into 0.0
         cases = [
             (ModelConfig(Example(1), "a", 3, 0.0), [2, 5]),
             (ModelConfig(Example(1), "a", 1, -1.7), [0, 9]),
@@ -535,7 +535,8 @@ class TestRaggedKernel:
                         got = block_recurrence(config, block, precision)
                         want = closed_form_entries(
                             config, block, float if precision is None else mpmath.mpf)
-                        products = [_times(b, c) for b, c in zip(got.b.tolist(), got.c.tolist())]
+                        products = [trim([0.0 + b0 * x for x in c_row])
+                                    for (b0,), c_row in zip(got.b.tolist(), got.c.tolist())]
                     assert len(got) == 3
                     for g, w in zip(got, want):
                         assert repr(g.tolist()) == repr(w)
