@@ -159,6 +159,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    if args.samples < 2:
+        raise ParameterError("--samples must be at least 2")
+    if not (np.isfinite(args.rho_max) and args.rho_max > 0):
+        raise ParameterError("--rho-max must be positive and finite")
+    if not np.isfinite(args.phi):
+        raise ParameterError("--phi must be finite")
     block = models.make_block(config, args.n, args.l)
     roots = models.spectrum(config, block)
     if not (0 <= args.index < len(roots)):
@@ -171,12 +177,6 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
             f"root #{args.index} (value {root.value!r}) is not physical; "
             "wavefunctions exist only for physical roots"
         )
-    if args.samples < 2:
-        raise ParameterError("--samples must be at least 2")
-    if not (np.isfinite(args.rho_max) and args.rho_max > 0):
-        raise ParameterError("--rho-max must be positive and finite")
-    if not np.isfinite(args.phi):
-        raise ParameterError("--phi must be finite")
     grid = np.linspace(0.0, args.rho_max, args.samples)
     profile = models.radial_profile(
         config, block, root, grid, phi=args.phi, normalize=args.normalize

@@ -123,8 +123,8 @@ class Recurrence(NamedTuple):
     """One block's recurrence as coefficient arrays in the spectral parameter.
 
     Each row holds one entry's coefficients, lowest degree first: a has
-    shape (n+1, da), b (n, db) and c (n, dc).  Entries are floats, or
-    Fractions or mpmath numbers in object arrays.
+    shape (n+1, da), b (n, db) and c (n, dc).  Entries are floats, or their
+    exact conversions to Fractions or mpmath numbers in object arrays.
     """
 
     a: np.ndarray

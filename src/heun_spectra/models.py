@@ -31,7 +31,9 @@ sqrt(2t-1) t^(±(k-l)/2) (t-1)^((k+l)/2) exp(2 chi t) P_n(t), P_n a confluent
 Heun polynomial; bound states require chi < 0.  The first family has
 k <= -1 and n = -k - 1, l >= -k and sigma = +1 (the ladder l = -k, -k+1,
 ...); the second has k >= 1 and l = -n - 1 with 0 <= n <= k - 1 and
-sigma = -1.
+sigma = -1.  The first block (k = -(n+1), l, eps) is the second block
+(k = l, n, eps - 4(l^2 - (n+1)^2)): the eps shift cancels the difference
+(l^2 - (n+1)^2) / (rho^2 + 1) of their channel potentials.
 
 The eigenvalue enters the recurrence sequences polynomially, so each block's
 spectrum is the root set of a determinant polynomial of degree n+1 (model 1)
@@ -257,34 +259,23 @@ def make_block(config: ModelConfig, n: int, l: Optional[int] = None) -> BlockSpe
 # sequences and spectra
 
 
-def block_recurrence(
-    config: ModelConfig, block: BlockSpec, precision: Optional[int] = None
-) -> spectral.Recurrence:
-    """The block's quantization sequences as coefficient arrays.
+def block_recurrence(config: ModelConfig, block: BlockSpec) -> spectral.Recurrence:
+    """The block's quantization sequences as coefficient arrays of floats.
 
     Model 1 diagonals are affine in lambda with unit leading coefficient;
     model 2 diagonals are monic quadratic in chi and the sub-diagonal is
     linear, so the determinant degrees are n+1 and 2(n+1).  The arrays come
     straight from the closed forms: a of shape (n+1, 2) or (n+1, 3), b
-    (n, 1), and c (n, 1) or (n, 2).  precision, when given, builds mpmath
-    entries (object arrays) at the current working precision (the caller
-    holds a workprec context); otherwise they are floats.  Only this branch
-    imports mpmath, which is installed with the ``test`` extra.
+    (n, 1), and c (n, 1) or (n, 2).  Raises ParameterError when epsilon
+    overflows an entry.
     """
     if _family_block(config, block.n, block.l) != block:
         raise ParameterError(
             f"block {block} is not permissible: case {config.variant} "
             f"requires {_RULES[config.variant]}"
         )
-    if precision is None:
-        one, j = 1.0, np.arange(block.n + 1)
-    else:
-        import mpmath
-
-        # Python integers, exact until they meet an mpf
-        one, j = mpmath.mpf(1), np.arange(block.n + 1, dtype=object)
-    e = one * config.epsilon
-    k, n, l = config.k, block.n, block.l
+    e, k, n, l = config.epsilon, config.k, block.n, block.l
+    j = np.arange(n + 1)
     i = j[:-1]
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         # a huge epsilon overflows silently, as Python floats do, and is
@@ -295,25 +286,24 @@ def block_recurrence(
             b = 2 * (i * (i + n - k + 3) + n - k + 2)
         else:
             b = i * (2 * i - n + k + 3) - n + k + 1
-        a = np.stack([beta, np.full(n + 1, one)], axis=1)
-        c = (4 * (n - i) * one)[:, None]
+        a = np.stack([beta, np.ones(n + 1)], axis=1)
+        c = 4.0 * (n - i)[:, None]
     else:
         if config.variant == "first":
-            beta = (l * l - n * n - n - j * (j - 2 * n - 1)) - one / 4 * (1 + e)
+            beta = (l * l - n * n - n - j * (j - 2 * n - 1)) - 0.25 * (1 + e)
             alpha = 2 * (2 * j - n - l)
             b = (i + 1) * (i - n - l)
         else:
-            beta = (-j * (j - 2 * n - 1) + n) + one / 4 * (3 - e)
+            beta = (-j * (j - 2 * n - 1) + n) + 0.25 * (3 - e)
             alpha = 2 * (2 * j - k - n)
             b = (i + 1) * (i - n - k)
-        a = np.stack([beta, alpha * one, np.full(n + 1, one)], axis=1)
-        c = np.stack([np.full(n, 0 * one), 4 * (n - i) * one], axis=1)
-    if precision is None and not np.isfinite(a).all():
+        a = np.stack([beta, alpha, np.ones(n + 1)], axis=1)
+        c = np.stack([np.zeros(n), 4 * (n - i)], axis=1)
+    if not np.isfinite(a).all():
         raise ParameterError(
             f"epsilon = {config.epsilon!r} overflows the recurrence of block {block}"
         )
-    b = (b * one)[:, None]
-    return spectral.Recurrence(a, b, c)
+    return spectral.Recurrence(a, b[:, None].astype(float), c)
 
 
 def block_sequences(
@@ -322,10 +312,17 @@ def block_sequences(
     """The entries of ``block_recurrence`` as SPoly sequences: a read-only
     view for callers that read single entries' coefficients (the
     benchmark's reference solver).  Every routine here computes with the
-    arrays.  precision is that of ``block_recurrence`` and needs mpmath."""
-    rec = block_recurrence(config, block, precision)
+    arrays.  precision, when given, converts each float exactly to an
+    mpmath number, for arithmetic at the caller's working precision (53
+    bits or more); it needs mpmath, which is installed with the ``test``
+    extra."""
+    arrays = block_recurrence(config, block)
+    if precision is not None:
+        import mpmath
+
+        arrays = map(np.frompyfunc(mpmath.mpf, 1, 1), arrays)
     return TridiagonalSequences(
-        *(tuple(SPoly(row) for row in m.tolist()) for m in (rec.a, rec.b, rec.c))
+        *(tuple(SPoly(row) for row in m.tolist()) for m in arrays)
     )
 
 
@@ -570,23 +567,15 @@ def magnetic_field(config: ModelConfig, rho) -> ArrayF:
     return config.k * (r * r + 1.0) ** -1.5
 
 
-def total_flux(config: ModelConfig, numeric: bool = False) -> float:
-    """Total magnetic flux in units c hbar/e.
+def total_flux(config: ModelConfig) -> float:
+    """Total magnetic flux in units c hbar/e, in closed form.
 
-    Model 2 carries the finite flux 2 pi k (closed form); numeric=True
-    integrates 2 pi B rho d rho instead.  Model 1's field grows with rho, so
-    its flux is infinite.
+    Model 2 carries the finite flux 2 pi k.  Model 1's field grows with rho,
+    so its flux is infinite.
     """
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         return math.inf
-    if not numeric:
-        return 2.0 * math.pi * config.k
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda r: float(magnetic_field(config, r)) * r, 0.0, np.inf, limit=200
-    )
-    return 2.0 * math.pi * val
+    return 2.0 * math.pi * config.k
 
 
 def effective_potential(config: ModelConfig, l: int, sigma: int, rho) -> ArrayF:

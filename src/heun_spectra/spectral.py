@@ -196,7 +196,7 @@ def newton_corrections(
     e_j = b_{j-1} c_{j-1}, with the four running values rescaled every
     RESCALE_ROWS rows so that high degrees cannot overflow.  s may hold
     floats, complex numbers or mpmath numbers (an object array) together
-    with recurrences built at the matching precision.
+    with recurrences converted exactly to mpmath numbers.
     """
     s = np.asarray(s)
     return _corrections(_continuant_lanes(recs, _owners(s, owner)), s)
@@ -235,13 +235,13 @@ def ragged_null_vectors(
 
     Runs p_{-1} = 0, p_0 = 1, p_{j+1} = -(c_{j-1} p_{j-1} + a_j p_j) / b_j
     with the operations of ``polynomial_from_recurrence`` in the same order,
-    so for real or mpmath points (an object array, with recurrences built
-    at the matching precision) every coefficient and residual equals that
-    routine's at each point alone.  Returns (coeffs, residuals):
-    coeffs[i, :n+1] holds p_0..p_n at s[i], n its recurrence's degree (the
-    columns past it are padding), and residuals[i] the scaled terminal
-    residual (see PolynomialCoefficients).  Raises RecurrenceBreakdownError
-    when some b_j vanishes.
+    so for real or mpmath points (an object array, with recurrences
+    converted exactly to mpmath numbers) every coefficient and residual
+    equals that routine's at each point alone.  Returns (coeffs,
+    residuals): coeffs[i, :n+1] holds p_0..p_n at s[i], n its recurrence's
+    degree (the columns past it are padding), and residuals[i] the scaled
+    terminal residual (see PolynomialCoefficients).  Raises
+    RecurrenceBreakdownError when some b_j vanishes.
     """
     owner = _owners(s, owner)
     last = _degrees(recs, owner)

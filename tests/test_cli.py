@@ -251,6 +251,19 @@ class TestWavefunction:
             capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--example", "2", "--case", "first", "--k", "-27", "--epsilon", "-5",
+         "--n", "26", "--l", "29"],
+        ["--example", "1", "--case", "a", "--k", "1", "--n", "0", "--index", "5"],
+    ], ids=["solve-fails", "index-out-of-range"])
+    def test_bad_samples_exits_2_before_the_solve(self, capsys, argv):
+        # the flags are checked before the block is solved or a root picked,
+        # so the failure that solve or selection would raise never shows
+        code, out, err = run_cli(["wavefunction", *argv, "--samples", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --samples must be at least 2\n"
+
     def test_infinite_rho_max_exits_2(self, capsys):
         code, out, err = run_cli(
             ["wavefunction", *SPEC_ARGS, "--n", "0", "--rho-max", "inf"], capsys)
@@ -462,17 +475,20 @@ class TestSubprocess:
         assert len(report["blocks"]) == blocks
         assert report["precision_bits"] == 53
 
-    def test_full_verify_loads_no_mpmath(self):
-        # the dual-path determinant check computes in Fractions
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_verify_loads_no_mpmath_or_scipy_integrate(self, level):
+        # the dual-path determinant check computes in Fractions, and the
+        # flux check integrates with the norm quadrature
         script = (
             "import sys\n"
             "from heun_spectra import cli\n"
-            "code = cli.main(['verify', '--level', 'full'])\n"
-            "print(code, 'mpmath' in sys.modules, file=sys.stderr)\n"
+            f"code = cli.main(['verify', '--level', {level!r}])\n"
+            "loaded = [m for m in ('mpmath', 'scipy.integrate') if m in sys.modules]\n"
+            "print(code, loaded, file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=CHILD_ENV)
-        assert proc.stderr.splitlines()[-1] == "0 False"
+        assert proc.stderr.splitlines()[-1] == "0 []"
         assert "PASS determinant-dual-path: worst deviation 0.00e+00" in proc.stdout
 
     @pytest.mark.parametrize("argv, code", [

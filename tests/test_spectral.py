@@ -44,6 +44,13 @@ from heun_spectra.spectral import (
 from heun_spectra.spoly import trim
 
 
+def extended_recurrence(config, block):
+    """The block's recurrence with each float converted exactly to an mpmath
+    number, for arithmetic at the caller's working precision."""
+    to_mpf = np.frompyfunc(mpmath.mpf, 1, 1)
+    return Recurrence(*map(to_mpf, block_recurrence(config, block)))
+
+
 def expanded_roots(rec):
     """np.roots of the expanded determinant: the independent reference."""
     det = determinant_polynomial(rec)
@@ -150,7 +157,7 @@ class TestDeterminantNumeric:
         cfg = ModelConfig(Example(2), "first", -6, 4.0)
         block = BlockSpec(n=5, l=6, sigma=+1)
         with mpmath.workprec(200):
-            rec = block_recurrence(cfg, block, precision=200)
+            rec = extended_recurrence(cfg, block)
             s = mpmath.mpf("1.375")
             cont = determinant_numeric(rec, s)
             lu = dense_determinant(rec, s)
@@ -209,7 +216,7 @@ class TestNewtonCorrections:
         rng = np.random.default_rng(31)
         points = rng.uniform(-6, 6, 4) + 1j * rng.uniform(-2, 2, 4)
         with mpmath.workprec(200):
-            rec = block_recurrence(cfg, block, precision=200)
+            rec = extended_recurrence(cfg, block)
             det = determinant_polynomial(rec)
             slope = np.polynomial.polynomial.polyder(det.coeffs)
             xs = np.array([mpmath.mpc(z.real, z.imag) for z in points], dtype=object)
@@ -330,7 +337,7 @@ class TestNullVector:
         roots = [r.value for r in solve_block(config, block).roots if r.physical]
         assert len(roots) > 1
         with mpmath.workprec(128):
-            rec = block_recurrence(config, block, precision=128)
+            rec = extended_recurrence(config, block)
             s = np.array([mpmath.mpf(r) for r in roots], dtype=object)
             coeffs, residuals = ragged_null_vectors([rec], s)
             wants = [polynomial_from_recurrence(rec, x) for x in s]
@@ -510,16 +517,15 @@ class TestRaggedKernel:
             [r.value for r in solve_block(config, b).roots if r.physical] for b in blocks
         ]
         with mpmath.workprec(128):
-            recs = [block_recurrence(config, b, precision=128) for b in blocks]
+            recs = [extended_recurrence(config, b) for b in blocks]
             points = [np.array([mpmath.mpf(x) for x in p], dtype=object) for p in starts]
             self.check_null_vectors(recs, points)
             self.check_polish(recs, points)
 
     def test_block_recurrence_matches_the_scalar_closed_forms(self):
-        # the arrays carry the bits (signed zeros included) and, at 128
-        # bits, the mpmath numbers of the closed forms evaluated one entry
-        # at a time, and the continuant's e_j is the product b_j c_j with
-        # -0.0 coefficients turned into 0.0
+        # the arrays carry the bits (signed zeros included) of the closed
+        # forms evaluated one entry at a time, and the continuant's e_j is
+        # the product b_j c_j with -0.0 coefficients turned into 0.0
         cases = [
             (ModelConfig(Example(1), "a", 3, 0.0), [2, 5]),
             (ModelConfig(Example(1), "a", 1, -1.7), [0, 9]),
@@ -530,41 +536,38 @@ class TestRaggedKernel:
         for config, degrees in cases:
             for n in degrees:
                 block = make_block(config, n, -config.k if config.k < 0 else None)
-                for precision in (None, 128):
-                    with mpmath.workprec(precision or 53):
-                        got = block_recurrence(config, block, precision)
-                        want = closed_form_entries(
-                            config, block, float if precision is None else mpmath.mpf)
-                        products = [trim([0.0 + b0 * x for x in c_row])
-                                    for (b0,), c_row in zip(got.b.tolist(), got.c.tolist())]
-                    assert len(got) == 3
-                    for g, w in zip(got, want):
-                        assert repr(g.tolist()) == repr(w)
-                    e_lanes = _continuant_lanes([got], np.zeros(1, dtype=np.intp))[1]
-                    assert repr(e_lanes[:, :, 0].T.tolist()) == repr(products)
+                got = block_recurrence(config, block)
+                want = closed_form_entries(config, block)
+                products = [trim([0.0 + b0 * x for x in c_row])
+                            for (b0,), c_row in zip(got.b.tolist(), got.c.tolist())]
+                assert len(got) == 3
+                for g, w in zip(got, want):
+                    assert repr(g.tolist()) == repr(w)
+                e_lanes = _continuant_lanes([got], np.zeros(1, dtype=np.intp))[1]
+                assert repr(e_lanes[:, :, 0].T.tolist()) == repr(products)
 
 
-def closed_form_entries(config, block, conv):
-    """Coefficient rows of a, b and c, one entry at a time in type conv."""
-    e, k, n, l = conv(config.epsilon), config.k, block.n, block.l
-    one, quarter = conv(1.0), conv(1.0) / 4
+def closed_form_entries(config, block):
+    """Coefficient rows of a, b and c, one float entry at a time."""
+    e, k, n, l = config.epsilon, config.k, block.n, block.l
+    one, quarter = 1.0, 0.25
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         if config.variant == "a":
             a = [[-e * (2 * j + 1), one] for j in range(n + 1)]
-            b = [[conv(2 * (j * (j + n - k + 3) + n - k + 2))] for j in range(n)]
+            b = [[float(2 * (j * (j + n - k + 3) + n - k + 2))] for j in range(n)]
         else:
             a = [[-e * (k - n + 2 * j), one] for j in range(n + 1)]
-            b = [[conv(j * (2 * j - n + k + 3) - n + k + 1)] for j in range(n)]
-        return a, b, [[conv(4 * (n - j))] for j in range(n)]
+            b = [[float(j * (2 * j - n + k + 3) - n + k + 1)] for j in range(n)]
+        return a, b, [[float(4 * (n - j))] for j in range(n)]
     if config.variant == "first":
-        a = [[conv(l * l - n * n - n - j * (j - 2 * n - 1)) - quarter * (1 + e),
-              conv(2 * (2 * j - n - l)), one] for j in range(n + 1)]
-        b = [[conv((j + 1) * (j - n - l))] for j in range(n)]
+        a = [[float(l * l - n * n - n - j * (j - 2 * n - 1)) - quarter * (1 + e),
+              float(2 * (2 * j - n - l)), one] for j in range(n + 1)]
+        b = [[float((j + 1) * (j - n - l))] for j in range(n)]
     else:
-        a = [[conv(-j * (j - 2 * n - 1) + n) + quarter * (3 - e),
-              conv(2 * (2 * j - k - n)), one] for j in range(n + 1)]
-        b = [[conv((j + 1) * (j - n - k))] for j in range(n)]
-    return a, b, [[conv(0.0), conv(4 * (n - j))] for j in range(n)]
+        a = [[float(-j * (j - 2 * n - 1) + n) + quarter * (3 - e),
+              float(2 * (2 * j - k - n)), one] for j in range(n + 1)]
+        b = [[float((j + 1) * (j - n - k))] for j in range(n)]
+    return a, b, [[0.0, float(4 * (n - j))] for j in range(n)]
 
 
 FAMILIES = {
@@ -604,6 +607,7 @@ class TestSequencesView:
     def test_arrays_and_spoly_view_agree_bit_for_bit(
         self, data, family, epsilon, point, extended
     ):
+        # extended: the view at 128 bits against the exactly converted arrays
         example, case, ks = FAMILIES[family]
         config = ModelConfig(example, case, data.draw(ks), epsilon)
         blocks = permissible_blocks(config, n_max=30)
@@ -611,7 +615,10 @@ class TestSequencesView:
         assert block.n <= 30
         precision = 128 if extended else None
         with mpmath.workprec(precision or 53):
-            rec = block_recurrence(config, block, precision)
+            if extended:
+                rec = extended_recurrence(config, block)
+            else:
+                rec = block_recurrence(config, block)
             view = block_sequences(config, block, precision)
             s = mpmath.mpmathify(point) if extended else point
             for func in (
