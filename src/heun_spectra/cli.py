@@ -249,6 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error that ends a command with one "error:" line.
+_EXIT_CODES = {ParameterError: EXIT_PARAMETER, PrecisionError: EXIT_PRECISION,
+               SelectionError: EXIT_SELECTION}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -257,15 +262,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except PrecisionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except SelectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SELECTION
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 def console_main() -> None:

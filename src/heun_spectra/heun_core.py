@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import RecurrenceBreakdownError
-from .spoly import Scalar, SPoly, horner, trim
+from .spoly import Scalar, SPoly, horner
 
 INTEGER_TOL = 1e-9
 
@@ -142,16 +142,12 @@ class Recurrence(NamedTuple):
     def at(self, s: Scalar) -> Tuple[list, list, list]:
         """Substitute the spectral parameter, returning numeric entry lists.
 
-        Each row is trimmed of trailing zero coefficients; a constant entry
-        is returned as it is and any other is evaluated by ``horner``, so
-        the values carry the bits of ``TridiagonalSequences.at``.
+        Every row is evaluated by ``horner``, which returns a constant entry
+        as it is.  A row whose leading coefficient is not zero (every row of
+        ``models.block_recurrence``) then carries the bits of
+        ``TridiagonalSequences.at``.
         """
-        return tuple([_entry(row, s) for row in m.tolist()] for m in self)
-
-
-def _entry(coeffs: list, s: Scalar) -> Scalar:
-    coeffs = trim(coeffs)
-    return coeffs[0] if len(coeffs) == 1 else horner(coeffs, s)
+        return tuple([horner(row, s) for row in m.tolist()] for m in self)
 
 
 @dataclass(frozen=True)

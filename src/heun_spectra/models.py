@@ -18,7 +18,9 @@ with two solvable families, whose rules ``_RULES`` holds: case (a) uses
 exp(+i l phi) with l = n + 1 - k >= 0 and sigma = +1; case (b) uses
 exp(-i l phi) with 2l = k - n - 1 a non-negative even integer and sigma = -1.
 The radial factor is exp(-rho^4/8 - eps rho^2/4) rho^l P_n(rho^2 / 2), with
-P_n a biconfluent Heun polynomial.
+P_n a biconfluent Heun polynomial.  The case b block (k, n, eps) is the case a
+block (n + 1 - l, n, eps) of the same l with every lambda raised by 2 l eps:
+their channel potentials differ by the constant 2 l eps.
 
 Model 2 ("non-rational field"):
 
@@ -27,7 +29,7 @@ Model 2 ("non-rational field"):
     B     = k (rho^2 + 1)^(-3/2),  total flux 2 pi k,  E = -chi^2
 
 solvable in the variable t = (1 + sqrt(rho^2 + 1)) / 2 with radial factor
-sqrt(2t-1) t^(±(k-l)/2) (t-1)^((k+l)/2) exp(2 chi t) P_n(t), P_n a confluent
+sqrt(2t-1) t^(sigma (k-l)/2) (t-1)^((k+l)/2) exp(2 chi t) P_n(t), P_n a confluent
 Heun polynomial; bound states require chi < 0.  The first family has
 k <= -1 and n = -k - 1, l >= -k and sigma = +1 (the ladder l = -k, -k+1,
 ...); the second has k >= 1 and l = -n - 1 with 0 <= n <= k - 1 and
@@ -35,6 +37,7 @@ sigma = -1.  The first block (k = -(n+1), l, eps) is the second block
 (k = l, n, eps - 4(l^2 - (n+1)^2)): the eps shift cancels the difference
 (l^2 - (n+1)^2) / (rho^2 + 1) of their channel potentials.
 
+``block_recurrence`` states each model's recurrence once, with these shifts.
 The eigenvalue enters the recurrence sequences polynomially, so each block's
 spectrum is the root set of a determinant polynomial of degree n+1 (model 1)
 or 2(n+1) (model 2), found as the eigenvalues of a structured matrix.
@@ -104,6 +107,9 @@ class ModelConfig:
         if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
             raise ParameterError("k must be an integer")
         object.__setattr__(self, "k", int(self.k))
+        # keeps the closed forms' int64 products below 2**63
+        if abs(self.k) >= 2**31:
+            raise ParameterError("k must satisfy |k| < 2**31")
         if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon)):
             raise ParameterError("epsilon must be a finite real number")
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -262,41 +268,44 @@ def make_block(config: ModelConfig, n: int, l: Optional[int] = None) -> BlockSpe
 def block_recurrence(config: ModelConfig, block: BlockSpec) -> spectral.Recurrence:
     """The block's quantization sequences as coefficient arrays of floats.
 
-    Model 1 diagonals are affine in lambda with unit leading coefficient;
-    model 2 diagonals are monic quadratic in chi and the sub-diagonal is
-    linear, so the determinant degrees are n+1 and 2(n+1).  The arrays come
-    straight from the closed forms: a of shape (n+1, 2) or (n+1, 3), b
-    (n, 1), and c (n, 1) or (n, 2).  Raises ParameterError when epsilon
-    overflows an entry.
+    One closed form per model, in the block's (n, l, sigma).  Model 1:
+
+        a_j = lambda - eps (2j + 1 + (1 - sigma) l),
+        b_j = 2 (j (j + l + 2) + l + 1),  c_j = 4 (n - j),
+
+    so k drops out and a case b block is the case a block of the same
+    (n, l) with its diagonal lowered by 2 l eps.  Model 2, with (m, B, s) =
+    (l, l^2 - n^2 - n, -1) for the first family and (k, n, 3) for the second:
+
+        a_j = chi^2 + 2 (2j - n - m) chi + B - j (j - 2n - 1) + (s - eps) / 4,
+        b_j = (j + 1)(j - n - m),  c_j = 4 (n - j) chi.
+
+    The determinant degrees are n+1 and 2(n+1).  The arrays are a of shape
+    (n+1, 2) or (n+1, 3), b (n, 1), and c (n, 1) or (n, 2); each integer
+    part is one integer expression, so it is exact.  Raises ParameterError
+    when epsilon overflows an entry.
     """
     if _family_block(config, block.n, block.l) != block:
         raise ParameterError(
             f"block {block} is not permissible: case {config.variant} "
             f"requires {_RULES[config.variant]}"
         )
-    e, k, n, l = config.epsilon, config.k, block.n, block.l
+    e, n, l, sigma = config.epsilon, block.n, block.l, block.sigma
     j = np.arange(n + 1)
     i = j[:-1]
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         # a huge epsilon overflows silently, as Python floats do, and is
         # rejected below
         with np.errstate(over="ignore"):
-            beta = -e * (2 * j + 1 if config.variant == "a" else k - n + 2 * j)
-        if config.variant == "a":
-            b = 2 * (i * (i + n - k + 3) + n - k + 2)
-        else:
-            b = i * (2 * i - n + k + 3) - n + k + 1
+            beta = -e * (2 * j + 1 + (1 - sigma) * l)
+        b = 2 * (i * (i + l + 2) + l + 1)
         a = np.stack([beta, np.ones(n + 1)], axis=1)
         c = 4.0 * (n - i)[:, None]
     else:
-        if config.variant == "first":
-            beta = (l * l - n * n - n - j * (j - 2 * n - 1)) - 0.25 * (1 + e)
-            alpha = 2 * (2 * j - n - l)
-            b = (i + 1) * (i - n - l)
-        else:
-            beta = (-j * (j - 2 * n - 1) + n) + 0.25 * (3 - e)
-            alpha = 2 * (2 * j - k - n)
-            b = (i + 1) * (i - n - k)
+        m, base, s = (l, l * l - n * n - n, -1) if sigma > 0 else (config.k, n, 3)
+        beta = (base - j * (j - 2 * n - 1)) + 0.25 * (s - e)
+        alpha = 2 * (2 * j - n - m)
+        b = (i + 1) * (i - n - m)
         a = np.stack([beta, alpha, np.ones(n + 1)], axis=1)
         c = np.stack([np.zeros(n), 4 * (n - i)], axis=1)
     if not np.isfinite(a).all():
@@ -533,11 +542,16 @@ def spectrum(config: ModelConfig, block: BlockSpec) -> List[SpectralRoot]:
 # fields and potentials
 
 
-def vector_potential(config: ModelConfig, rho) -> ArrayF:
-    """Azimuthal A_phi in units c hbar/(e a); model 2 is singular at rho = 0."""
+def _radii(rho) -> ArrayF:
     r = np.asarray(rho, dtype=float)
     if np.any(r < 0):
         raise ValueError("rho must be non-negative")
+    return r
+
+
+def vector_potential(config: ModelConfig, rho) -> ArrayF:
+    """Azimuthal A_phi in units c hbar/(e a); model 2 is singular at rho = 0."""
+    r = _radii(rho)
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         return 0.5 * r * (config.epsilon + 3.0 * r * r)
     if np.any(r == 0):
@@ -547,9 +561,7 @@ def vector_potential(config: ModelConfig, rho) -> ArrayF:
 
 def scalar_potential(config: ModelConfig, rho) -> ArrayF:
     """Scalar potential u in units hbar^2/(2 m a^2)."""
-    r = np.asarray(rho, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("rho must be non-negative")
+    r = _radii(rho)
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         r2 = r * r
         return -(2.0 * r2**3 + config.epsilon * r2**2 + 2.0 * config.k * r2)
@@ -559,9 +571,7 @@ def scalar_potential(config: ModelConfig, rho) -> ArrayF:
 
 def magnetic_field(config: ModelConfig, rho) -> ArrayF:
     """B(rho) in units c hbar/(e a^2); equals (1/rho) d(rho A_phi)/d rho."""
-    r = np.asarray(rho, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("rho must be non-negative")
+    r = _radii(rho)
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         return config.epsilon + 6.0 * r * r
     return config.k * (r * r + 1.0) ** -1.5
@@ -589,9 +599,7 @@ def effective_potential(config: ModelConfig, l: int, sigma: int, rho) -> ArrayF:
 
 def t_of_rho(rho) -> ArrayF:
     """Change of variables t = (1 + sqrt(rho^2 + 1)) / 2, mapping [0, inf) to [1, inf)."""
-    r = np.asarray(rho, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("rho must be non-negative")
+    r = _radii(rho)
     return 0.5 * (1.0 + np.sqrt(r * r + 1.0))
 
 
@@ -624,9 +632,7 @@ def radial_values(
 ) -> ArrayF:
     """Radial factor R(rho) of the state (the phi = 0 section, which is real)."""
     _require_physical(root)
-    r = np.asarray(rho, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("rho must be non-negative")
+    r = _radii(rho)
     coeffs = root.eigenvector.coeffs
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         r2 = r * r
@@ -635,15 +641,10 @@ def radial_values(
     chi = float(root.value)
     k, l = config.k, block.l
     t = t_of_rho(r)
-    if config.variant == "first":
-        t_exp = 0.5 * (k - l)
-    else:
-        t_exp = 0.5 * (l - k)
-    tm1 = t - 1.0
     return (
         np.sqrt(2.0 * t - 1.0)
-        * t**t_exp
-        * np.power(tm1, 0.5 * (k + l))
+        * t ** (0.5 * block.sigma * (k - l))
+        * np.power(t - 1.0, 0.5 * (k + l))
         * np.exp(2.0 * chi * t)
         * horner(coeffs, t)
     )

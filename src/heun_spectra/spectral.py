@@ -124,8 +124,6 @@ def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
     if (rec.b[:, 0] * rec.c[:, 0] <= 0).any():
         raise ValueError("b_j c_j must be positive for symmetrization")
     diag = -rec.a[:, 0]
-    if not len(rec.b):
-        return diag
     off = np.sqrt(rec.b[:, 0] * rec.c[:, 0])
     i = np.arange(len(off))
     matrix = np.diag(diag)
@@ -248,7 +246,10 @@ def ragged_null_vectors(
     rows = max(rec.degree for rec in recs) + 1
     a = _horner(_gather([r.a for r in recs], owner, rows, 0), s, derivative=False)[0]
     b = _horner(_gather([r.b for r in recs], owner, rows - 1, 1), s, derivative=False)[0]
-    c = _horner(_gather([r.c for r in recs], owner, rows - 1, 0), s, derivative=False)[0]
+    # one padded row past the longest c: a point of a degree-0 block reads it
+    # as its row -1, c = 0 next to a finite p, which leaves |terminal| and the
+    # scale as they are without c
+    c = _horner(_gather([r.c for r in recs], owner, rows, 0), s, derivative=False)[0]
     stalled = (b == 0).any(axis=1)
     if stalled.any():
         j = int(np.argmax(stalled))
@@ -263,16 +264,9 @@ def ragged_null_vectors(
         coeffs = np.stack(p, axis=1)
         lane = np.arange(len(s))
         a_n, p_n = a[last, lane], coeffs[lane, last]
-        if n == 0:
-            terminal = a_n * p_n
-            entry_scale = np.maximum(np.abs(a_n), 1.0)
-        else:
-            # a point of a degree-0 block reads its padding in row -1, c = 0
-            # next to a finite p, which leaves |terminal| and the scale as
-            # they are without c
-            c_n, p_m = c[last - 1, lane], coeffs[lane, last - 1]
-            terminal = c_n * p_m + a_n * p_n
-            entry_scale = np.maximum(np.maximum(np.abs(a_n), np.abs(c_n)), 1.0)
+        c_n, p_m = c[last - 1, lane], coeffs[lane, last - 1]
+        terminal = c_n * p_m + a_n * p_n
+        entry_scale = np.maximum(np.maximum(np.abs(a_n), np.abs(c_n)), 1.0)
         inside = np.arange(n + 1) <= last[:, None]
         coeff_scale = np.where(inside, np.abs(coeffs), 0).max(axis=1)
         residuals = (np.abs(terminal) / (coeff_scale * entry_scale)).astype(float)

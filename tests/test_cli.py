@@ -58,6 +58,23 @@ class TestBlocks:
         assert code == 2
         assert "k" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--example", "1", "--case", "b",
+         "--k", "100000000000000000001", "--n-max", "2"],
+        ["spectrum", "--example", "2", "--case", "second",
+         "--k", "100000000000000000001", "--n-max", "1"],
+        ["spectrum", "--example", "2", "--case", "first",
+         "--k", "-100000000000000000001", "--n-max", "0"],
+        ["blocks", "--example", "1", "--case", "a",
+         "--k", "-2147483648", "--n-max", "0"],
+    ], ids=["spectrum-1b", "spectrum-2-second", "spectrum-2-first", "blocks-1a"])
+    def test_out_of_range_k_exits_2(self, capsys, argv):
+        # these used to end in an OverflowError or a ValueError traceback
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: k must satisfy |k| < 2**31\n"
+
 
 class TestSpectrumJson:
     def test_schema_and_anchor(self, capsys):

@@ -206,13 +206,48 @@ class TestFamilyRules:
             models.block_recurrence(config, BlockSpec(*block))
 
 
+class TestModel1CaseIdentity:
+    def test_case_b_block_is_a_shifted_case_a_block(self):
+        # a case b block (k = n + 1 + 2l, n, eps) is the case a block
+        # (k = n + 1 - l, n, eps) of the same l with every lambda raised by
+        # 2 l eps: the channel potentials differ by the constant 2 l eps.
+        # The potentials come from the fields, not from block_recurrence.
+        rng = np.random.default_rng(3)
+        rho = np.linspace(0.05, 10.0, 200)
+        for _ in range(300):
+            l = int(rng.integers(0, 9))
+            n = int(rng.integers(0, 9))
+            eps = float(rng.uniform(-20.0, 40.0))
+            config_b = ModelConfig(Example(1), "b", n + 1 + 2 * l, eps)
+            config_a = ModelConfig(Example(1), "a", n + 1 - l, eps)
+            block_b, block_a = make_block(config_b, n), make_block(config_a, n)
+            assert (block_b.l, block_a.l) == (l, l)
+            rec_b = models.block_recurrence(config_b, block_b)
+            rec_a = models.block_recurrence(config_a, block_a)
+            assert np.array_equal(rec_b.b, rec_a.b)
+            assert np.array_equal(rec_b.c, rec_a.c)
+            shift = 2 * l * eps
+            v_b = models.effective_potential(config_b, l, -1, rho)
+            v_a = models.effective_potential(config_a, l, +1, rho)
+            assert np.all(np.abs(v_b - v_a - shift) <= 1e-10 * np.maximum(1.0, np.abs(v_a)))
+            roots_b = solve_block(config_b, block_b).roots
+            roots_a = solve_block(config_a, block_a).roots
+            assert len(roots_b) == len(roots_a) == n + 1
+            for r_b, r_a in zip(roots_b, roots_a):
+                assert r_b.energy == pytest.approx(r_a.energy + shift, rel=1e-12, abs=1e-12)
+                p_b = np.array(r_b.eigenvector.coeffs)
+                p_a = np.array(r_a.eigenvector.coeffs)
+                assert np.linalg.norm(p_b - p_a) <= 1e-9 * np.linalg.norm(p_a)
+
+
 class TestModel2FamilyIdentity:
     def test_first_block_is_a_shifted_second_block(self):
         # a first block (k = -(n+1), l, eps) is the second block
         # (k = l, n, eps - 4(l^2 - (n+1)^2)): the channel potentials differ
         # by (l^2 - (n+1)^2) / (rho^2 + 1), which the epsilon shift cancels.
-        # The two families' closed forms are written separately, so each
-        # checks the other.
+        # block_recurrence writes both families with one formula, but with
+        # each family's own constant term, so the entries check the epsilon
+        # shift; the potentials come from the fields, not from that formula.
         rng = np.random.default_rng(2)
         rho = np.linspace(0.05, 10.0, 200)
         for _ in range(300):

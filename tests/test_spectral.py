@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from heun_spectra import (
     BlockSpec,
     ModelConfig,
+    ParameterError,
     RecurrenceBreakdownError,
     dense_determinant,
     determinant_numeric,
@@ -526,16 +527,27 @@ class TestRaggedKernel:
         # the arrays carry the bits (signed zeros included) of the closed
         # forms evaluated one entry at a time, and the continuant's e_j is
         # the product b_j c_j with -0.0 coefficients turned into 0.0
+        # an entry is (n, l) for the first family
         cases = [
             (ModelConfig(Example(1), "a", 3, 0.0), [2, 5]),
             (ModelConfig(Example(1), "a", 1, -1.7), [0, 9]),
+            (ModelConfig(Example(1), "a", -2, -0.0), [0, 4]),
+            (ModelConfig(Example(1), "a", 2, 5e-324), [1, 3]),
+            (ModelConfig(Example(1), "a", 1, 1e300), [0, 6]),
             (ModelConfig(Example(1), "b", 14, 2.3), [1, 13]),
-            (ModelConfig(Example(2), "first", -6, 0.0), [5]),
+            (ModelConfig(Example(1), "b", 5, -0.0), [0, 4]),  # l = 2 and l = 0
+            (ModelConfig(Example(1), "b", 1, 5e-324), [0]),  # l = 0
+            (ModelConfig(Example(2), "first", -6, 0.0), [(5, 6)]),
+            (ModelConfig(Example(2), "first", -2, -0.0), [(1, 2), (1, 40)]),
+            (ModelConfig(Example(2), "first", -1, 5e-324), [(0, 1), (0, 300)]),
             (ModelConfig(Example(2), "second", 9, -3.1), [0, 8]),
+            (ModelConfig(Example(2), "second", 4, -0.0), [0, 3]),
+            (ModelConfig(Example(2), "second", 3, 5e-324), [2]),
         ]
-        for config, degrees in cases:
-            for n in degrees:
-                block = make_block(config, n, -config.k if config.k < 0 else None)
+        for config, selections in cases:
+            for selection in selections:
+                n, l = selection if isinstance(selection, tuple) else (selection, None)
+                block = make_block(config, n, l)
                 got = block_recurrence(config, block)
                 want = closed_form_entries(config, block)
                 products = [trim([0.0 + b0 * x for x in c_row])
@@ -545,6 +557,15 @@ class TestRaggedKernel:
                     assert repr(g.tolist()) == repr(w)
                 e_lanes = _continuant_lanes([got], np.zeros(1, dtype=np.intp))[1]
                 assert repr(e_lanes[:, :, 0].T.tolist()) == repr(products)
+        # where a closed form overflows, the arrays are refused; eps = 1e300
+        # overflows model 1's diagonal only where the multiplier 2j + 1 + 2l
+        # passes 1.8e8, here at l = 2**30 - 1
+        config = ModelConfig(Example(1), "b", 2**31 - 1, 1e300)
+        block = make_block(config, 0)
+        assert not all(math.isfinite(x) for row in closed_form_entries(config, block)[0]
+                       for x in row)
+        with pytest.raises(ParameterError, match="overflows the recurrence"):
+            block_recurrence(config, block)
 
 
 def closed_form_entries(config, block):

@@ -1,6 +1,8 @@
 """Mutant checks: a verification check must fail on a deliberately broken
 program, or its pass shows nothing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,18 @@ class TestRootRealityAndCount:
             ok, detail = run(verification.check_root_reality_and_count)
         assert not ok
         assert detail.endswith("model 2 counts WRONG")
+
+
+class TestOdeResiduals:
+    def test_a_shifted_confluent_eta_fails(self, monkeypatch):
+        # the check must solve model 2 states and test them against the
+        # confluent equation, whose accessory parameter eta this shifts
+        params_for = verification._heunc_params_for
+
+        def shifted(config, block, s):
+            params = params_for(config, block, s)
+            return dataclasses.replace(params, eta=params.eta + 0.5)
+
+        monkeypatch.setattr(verification, "_heunc_params_for", shifted)
+        ok, _ = run(verification.check_ode_residuals)
+        assert not ok
