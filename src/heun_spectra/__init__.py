@@ -32,6 +32,7 @@ from .models import (
     ModelConfig,
     RadialProfile,
     SpectralRoot,
+    SpectrumRecord,
     block_sequences,
     magnetic_field,
     make_block,
@@ -42,6 +43,7 @@ from .models import (
     schrodinger_residual,
     solve_block,
     solve_blocks,
+    solve_record,
     spectrum,
     t_of_rho,
     total_flux,
@@ -73,6 +75,7 @@ __all__ = [
     "RecurrenceBreakdownError",
     "SelectionError",
     "SpectralRoot",
+    "SpectrumRecord",
     "TridiagonalSequences",
     "block_sequences",
     "compare_spectra",
@@ -96,6 +99,7 @@ __all__ = [
     "schrodinger_residual",
     "solve_block",
     "solve_blocks",
+    "solve_record",
     "spectrum",
     "t_of_rho",
     "total_flux",

@@ -72,34 +72,50 @@ _JSON_ROOT = """        {{
           "value": {},
           "energy": {},
           "physical": {},
-          "residual": {},
+          "residual": %.17g,
           "coefficients": {}
         }}"""
 
 
-def _json_root(root: models.SpectralRoot) -> str:
-    value = root.value
-    if isinstance(value, complex) and value.imag != 0:
-        value_text = f"[{_fmt(value.real)}, {_fmt(value.imag)}]"
-    else:
-        value_text = _fmt(value.real)
-    if root.eigenvector is None:
-        coeffs = "null"
-    else:
-        values = root.eigenvector.coeffs
-        # one %-format call for all coefficients; "%.17g" % x == _fmt(x)
-        coeffs = (
-            "[\n            "
-            + ",\n            ".join(["%.17g"] * len(values)) % tuple(values)
-            + "\n          ]"
-        )
-    return _JSON_ROOT.format(
-        value_text,
-        "null" if root.energy is None else _fmt(root.energy),
-        "true" if root.physical else "false",
-        _fmt(root.residual),
-        coeffs,
+@functools.cache
+def _json_root_template(real: bool, physical: bool, degree: int) -> str:
+    """The %-template of one root of the JSON report; it takes the root's
+    numbers in the order of ``_numbers``."""
+    coefficients = (
+        "[\n            " + ",\n            ".join(["%.17g"] * (degree + 1))
+        + "\n          ]"
     )
+    return _JSON_ROOT.format(
+        "%.17g" if real else "[%.17g, %.17g]",
+        "%.17g" if real else "null",
+        "true" if physical else "false",
+        coefficients if physical else "null",
+    )
+
+
+# A root's CSV row after "n,l,sigma,", by whether it is real and physical.
+_CSV_ROOT = {
+    (True, True): "%.17g,%.17g,true,%.17g",
+    (True, False): "%.17g,%.17g,false,%.17g",
+    (False, False): "%.17g%+.17gj,,false,%.17g",
+}
+
+
+def _numbers(record: models.SpectrumRecord, vectors: bool) -> tuple:
+    """The numbers of the report in printed order: for each root its value
+    (the real part, then the energy of a real root or the imaginary part of
+    another), its residual and, with vectors, a physical root's null vector."""
+    head = np.stack([
+        record.value.real,
+        np.where(record.real, record.energy, record.value.imag),
+        record.residual,
+    ], axis=1)
+    if not vectors:
+        return tuple(head.ravel().tolist())
+    degree = np.repeat([b.n for b in record.blocks], np.diff(record.bounds))
+    width = np.where(record.physical, degree + 4, 3)
+    table = np.concatenate([head, record.coeffs], axis=1)
+    return tuple(table[np.arange(table.shape[1]) < width[:, None]].tolist())
 
 
 def _json_list(items: Sequence[str], pad: str) -> str:
@@ -108,52 +124,51 @@ def _json_list(items: Sequence[str], pad: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
-def _json_report(config: ModelConfig, results: Sequence[models.BlockResult]) -> str:
+def _json_report(config: ModelConfig, record: models.SpectrumRecord) -> str:
     """The spectrum report as JSON, two-space indented, floats as %.17g."""
+    real, physical = record.real.tolist(), record.physical.tolist()
     blocks = [
         "    {\n"
-        f'      "n": {res.block.n},\n'
-        f'      "l": {res.block.l},\n'
-        f'      "sigma": {res.block.sigma},\n'
-        f'      "roots": {_json_list([_json_root(r) for r in res.roots], "      ")}\n'
+        f'      "n": {b.n},\n'
+        f'      "l": {b.l},\n'
+        f'      "sigma": {b.sigma},\n'
+        '      "roots": ' + _json_list(
+            [_json_root_template(real[i], physical[i], b.n) for i in range(lo, hi)], "      "
+        ) + "\n"
         "    }"
-        for res in results
+        for b, lo, hi in zip(record.blocks, record.bounds, record.bounds[1:])
     ]
-    precision_bits = max((res.precision_bits for res in results), default=53)
-    return (
+    template = (
         "{\n"
         f'  "example": {int(config.example)},\n'
         f'  "case": {json.dumps(config.variant)},\n'
         f'  "k": {config.k},\n'
         f'  "epsilon": {_fmt(config.epsilon)},\n'
         f'  "blocks": {_json_list(blocks, "  ")},\n'
-        f'  "filtered_root_count": {sum(res.filtered_count for res in results)},\n'
-        f'  "precision_bits": {precision_bits}\n'
+        f'  "filtered_root_count": {len(physical) - sum(physical)},\n'
+        '  "precision_bits": 53\n'
         "}"
     )
+    # one %-format call for every number; "%.17g" % x == _fmt(x)
+    return template % _numbers(record, vectors=True)
 
 
-def _csv_row(block: models.BlockSpec, r: models.SpectralRoot) -> str:
-    if isinstance(r.value, complex) and r.value.imag != 0:
-        root_cell = f"{_fmt(r.value.real)}{r.value.imag:+.17g}j"
-    else:
-        root_cell = _fmt(r.value.real)
-    energy_cell = "" if r.energy is None else _fmt(r.energy)
-    return (
-        f"{block.n},{block.l},{block.sigma},{root_cell},{energy_cell},"
-        f"{'true' if r.physical else 'false'},{_fmt(r.residual)}"
-    )
+def _csv_report(record: models.SpectrumRecord) -> str:
+    real, physical = record.real.tolist(), record.physical.tolist()
+    rows = [
+        f"{b.n},{b.l},{b.sigma}," + _CSV_ROOT[real[i], physical[i]]
+        for b, lo, hi in zip(record.blocks, record.bounds, record.bounds[1:])
+        for i in range(lo, hi)
+    ]
+    template = "\n".join(["n,l,sigma,root,energy,physical,residual", *rows])
+    return template % _numbers(record, vectors=False)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     config = _config_from(args)
     blocks = models.permissible_blocks(config, n_max=args.n_max)
-    results = models.solve_blocks(config, blocks)
-    if args.format == "json":
-        print(_json_report(config, results))
-        return EXIT_OK
-    rows = [_csv_row(res.block, r) for res in results for r in res.roots]
-    print("\n".join(["n,l,sigma,root,energy,physical,residual", *rows]))
+    record = models.solve_record(config, blocks)
+    print(_json_report(config, record) if args.format == "json" else _csv_report(record))
     return EXIT_OK
 
 

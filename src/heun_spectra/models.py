@@ -45,6 +45,7 @@ or 2(n+1) (model 2), found as the eigenvalues of a structured matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -186,6 +187,31 @@ class BlockResult:
 
 
 @dataclass(frozen=True)
+class SpectrumRecord:
+    """The solved blocks of one query as arrays, roots in printed order.
+
+    The roots of blocks[t] are rows bounds[t]:bounds[t+1] of each array, in
+    the order of that block's ``BlockResult.roots``: the real roots by
+    ascending energy, then the others by real and imaginary part.  The
+    columns hold what each ``SpectralRoot`` holds: value (complex), real
+    (whether the root counts as real, so that value.real is its value),
+    energy (NaN where not real), the physical and borderline flags, and
+    residual; coeffs[i, :n+1] is the null vector p_0..p_n of a physical
+    root of a degree-n block (the rest of the row is padding).
+    """
+
+    blocks: Tuple[BlockSpec, ...]
+    bounds: Tuple[int, ...]
+    value: NDArray[np.complexfloating]
+    real: NDArray[np.bool_]
+    energy: ArrayF
+    physical: NDArray[np.bool_]
+    borderline: NDArray[np.bool_]
+    residual: ArrayF
+    coeffs: ArrayF
+
+
+@dataclass(frozen=True)
 class RadialProfile:
     """Wavefunction samples along a radial ray with the state's radial norm."""
 
@@ -283,36 +309,89 @@ def block_recurrence(config: ModelConfig, block: BlockSpec) -> spectral.Recurren
     The determinant degrees are n+1 and 2(n+1).  The arrays are a of shape
     (n+1, 2) or (n+1, 3), b (n, 1), and c (n, 1) or (n, 2); each integer
     part is one integer expression, so it is exact.  Raises ParameterError
-    when epsilon overflows an entry.
+    when epsilon overflows an entry.  This is
+    ``block_recurrences(config, [block])[0]``.
     """
-    if _family_block(config, block.n, block.l) != block:
+    return block_recurrences(config, [block])[0]
+
+
+def block_recurrences(
+    config: ModelConfig, blocks: Sequence[BlockSpec]
+) -> List[spectral.Recurrence]:
+    """``[block_recurrence(config, b) for b in blocks]``, built in one pass.
+
+    The closed forms run once over the rows (j, n, l, sigma) of all blocks
+    stacked, with the integer and float operations of each block alone, and
+    each block's arrays are a view of the stacked ones.  Errors come as in
+    that loop: the first block that breaks the family's rule or whose
+    entries epsilon overflows raises ParameterError.
+    """
+    blocks = list(blocks)
+    permitted = next(
+        (i for i, b in enumerate(blocks) if _family_block(config, b.n, b.l) != b),
+        len(blocks),
+    )
+    recs = _stacked_recurrences(config, blocks[:permitted]) if permitted else []
+    if permitted < len(blocks):
         raise ParameterError(
-            f"block {block} is not permissible: case {config.variant} "
+            f"block {blocks[permitted]} is not permissible: case {config.variant} "
             f"requires {_RULES[config.variant]}"
         )
-    e, n, l, sigma = config.epsilon, block.n, block.l, block.sigma
-    j = np.arange(n + 1)
-    i = j[:-1]
+    return recs
+
+
+def _stacked_recurrences(
+    config: ModelConfig, blocks: List[BlockSpec]
+) -> List[spectral.Recurrence]:
+    """The closed forms of ``block_recurrence`` over the stacked rows of
+    permissible blocks (at least one)."""
+    sizes = np.array([block.n + 1 for block in blocks], dtype=np.intp)
+    owner = np.repeat(np.arange(len(blocks)), sizes)
+    ends = np.cumsum(sizes)
+
+    def per_row(values, dtype=np.int64):
+        # each block's exact Python integer, one int64 per row, as numpy
+        # converts it when it meets the row indices
+        return np.array(values, dtype=dtype)[owner]
+
+    e, n = config.epsilon, per_row([block.n for block in blocks])
+    j = np.arange(len(owner)) - np.repeat(ends - sizes, sizes)
+    inner = j < n  # the rows of b_j and c_j
+    i, n_i = j[inner], n[inner]
     if config.example is Example.REPULSIVE_POLYNOMIAL:
+        shift = per_row([(1 - block.sigma) * block.l for block in blocks])
+        l_i = per_row([block.l for block in blocks])[inner]
         # a huge epsilon overflows silently, as Python floats do, and is
         # rejected below
         with np.errstate(over="ignore"):
-            beta = -e * (2 * j + 1 + (1 - sigma) * l)
-        b = 2 * (i * (i + l + 2) + l + 1)
-        a = np.stack([beta, np.ones(n + 1)], axis=1)
-        c = 4.0 * (n - i)[:, None]
+            beta = -e * (2 * j + 1 + shift)
+        b = 2 * (i * (i + l_i + 2) + l_i + 1)
+        a = np.stack([beta, np.ones(len(j))], axis=1)
+        c = 4.0 * (n_i - i)[:, None]
     else:
-        m, base, s = (l, l * l - n * n - n, -1) if sigma > 0 else (config.k, n, 3)
-        beta = (base - j * (j - 2 * n - 1)) + 0.25 * (s - e)
+        m, base, s = zip(*[
+            (block.l, block.l * block.l - block.n * block.n - block.n, -1)
+            if block.sigma > 0 else (config.k, block.n, 3)
+            for block in blocks
+        ])
+        m, base = per_row(m), per_row(base)
+        beta = (base - j * (j - 2 * n - 1)) + per_row([0.25 * (x - e) for x in s], float)
         alpha = 2 * (2 * j - n - m)
-        b = (i + 1) * (i - n - m)
-        a = np.stack([beta, alpha, np.ones(n + 1)], axis=1)
-        c = np.stack([np.zeros(n), 4 * (n - i)], axis=1)
-    if not np.isfinite(a).all():
+        b = (i + 1) * (i - n_i - m[inner])
+        a = np.stack([beta, alpha, np.ones(len(j))], axis=1)
+        c = np.stack([np.zeros(len(i)), 4 * (n_i - i)], axis=1)
+    overflowed = ~np.isfinite(a).all(axis=1)
+    if overflowed.any():
+        block = blocks[owner[np.argmax(overflowed)]]
         raise ParameterError(
             f"epsilon = {config.epsilon!r} overflows the recurrence of block {block}"
         )
-    return spectral.Recurrence(a, b[:, None].astype(float), c)
+    b = b[:, None].astype(float)
+    # block t's rows of b and c start t rows before its rows of a
+    return [
+        spectral.Recurrence(a[lo:hi], b[lo - t:hi - t - 1], c[lo - t:hi - t - 1])
+        for t, (lo, hi) in enumerate(zip((ends - sizes).tolist(), ends.tolist()))
+    ]
 
 
 def block_sequences(
@@ -335,24 +414,14 @@ def block_sequences(
     )
 
 
-def _sort_key(r: SpectralRoot):
-    if r.energy is not None:
-        return (0, r.energy, 0.0)
-    return (1, complex(r.value).real, complex(r.value).imag)
-
-
 def solve_blocks(config: ModelConfig, blocks: Sequence[BlockSpec]) -> List[BlockResult]:
     """Solve blocks of one configuration: ``[solve_block(config, b) for b in blocks]``.
 
-    Each block has its own eigensolve; then all model 2 roots take one
-    ragged Newton polish and all physical roots one ragged null-vector
-    recurrence (``spectral.ragged_polish``, ``spectral.ragged_null_vectors``),
-    and those whose vector misses RESIDUAL_TARGET a second one backward,
-    joined to the first,
-    which give each root the bits it gets alone.  Warnings and errors come
-    block by block, in the order of that loop.
+    The objects of ``solve_record``'s record, which solves all blocks in one
+    pass and gives each root the bits it gets alone.  Warnings and errors
+    come block by block, in the order of that loop.
     """
-    return _solve(config, list(blocks))
+    return _results(_solve(config, list(blocks)))
 
 
 def solve_block(
@@ -373,11 +442,27 @@ def solve_block(
     53.  This is ``solve_blocks(config, [block])[0]``; precision is accepted
     and ignored, for callers that still pass it.
     """
-    return _solve(config, [block])[0]
+    return _results(_solve(config, [block]))[0]
 
 
-def _solve(config: ModelConfig, blocks: List[BlockSpec]) -> List[BlockResult]:
-    recs = [block_recurrence(config, block) for block in blocks]
+def solve_record(config: ModelConfig, blocks: Sequence[BlockSpec]) -> SpectrumRecord:
+    """Solve blocks of one configuration into one ``SpectrumRecord``.
+
+    The block recurrences come from one ``block_recurrences`` pass.  Each
+    block has its own eigensolve; then all model 2 roots take one ragged
+    Newton polish, all physical roots one ragged null-vector recurrence
+    (``spectral.ragged_polish``, ``spectral.ragged_null_vectors``), and
+    those whose vector misses RESIDUAL_TARGET a second one backward, joined
+    to the first.  Roots are classified and ordered as arrays.  Warnings and
+    errors are those of ``solve_blocks``, in the same order.
+    """
+    return _solve(config, list(blocks))
+
+
+def _solve(config: ModelConfig, blocks: List[BlockSpec]) -> SpectrumRecord:
+    """The record of ``solve_record``, for it, ``solve_blocks`` and
+    ``solve_block``."""
+    recs = block_recurrences(config, blocks)
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
     eigensolve = (
         spectral.symmetric_eigenvalues if is_model_1 else spectral.companion_eigenvalues
@@ -391,111 +476,134 @@ def _solve(config: ModelConfig, blocks: List[BlockSpec]) -> List[BlockResult]:
             failure = PrecisionError(f"eigensolver failed on block {block}: {exc}")
             blocks, recs = blocks[: len(values)], recs[: len(values)]
             break
-    results = []
-    if blocks:
-        owner = np.repeat(np.arange(len(values)), [len(v) for v in values])
-        roots = np.concatenate(values).astype(complex)
-        if is_model_1:
-            steps = np.zeros_like(roots)
-        else:
-            roots, steps = spectral.ragged_polish(recs, roots, owner)
-        results = _classified(config, blocks, recs, owner, roots, steps)
+    owner = np.repeat(np.arange(len(values)), [len(v) for v in values])
+    roots = np.concatenate(values).astype(complex) if values else np.zeros(0, complex)
+    if is_model_1 or not values:
+        steps = np.zeros_like(roots)
+    else:
+        roots, steps = spectral.ragged_polish(recs, roots, owner)
+    record = _classified(config, blocks, recs, owner, roots, steps)
     if failure is not None:
         raise failure
-    return results
+    return record
 
 
-def _classified(config, blocks, recs, owner, roots, steps) -> List[BlockResult]:
-    """Classify, take the null vectors, and build the results in block order."""
+def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
+    """Classify the roots, take the null vectors, and order each block's roots.
+
+    Warnings and errors come as from a loop over the blocks: the borderline
+    warnings of each block up to the first block with a root whose null
+    vector misses RESIDUAL_TARGET, then the error for its first such root.
+    """
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
-    # Python's complex abs: numpy's differs from it in the last bit
-    scales = [max(1.0, abs(rc)) for rc in roots.tolist()]
-    real = np.abs(roots.imag) <= REALITY_TOL * np.array(scales)
+    # Python's complex abs, which np.hypot gives and np.abs misses in the last bit
+    scales = np.fmax(1.0, np.hypot(roots.real, roots.imag))
+    real = np.abs(roots.imag) <= REALITY_TOL * scales
     physical = real if is_model_1 else real & (roots.real < -PHYSICAL_NEG_TOL)
     borderline = real & ~physical & (roots.real < 0.0)
-    vectors = iter(_null_vectors(recs, roots.real[physical], owner[physical]))
-    rows = list(zip(roots.tolist(), steps.tolist(), scales, real.tolist(),
-                    physical.tolist(), borderline.tolist()))
-    bounds = np.searchsorted(owner, np.arange(len(blocks) + 1)).tolist()
-    results = []
-    for block, lo, hi in zip(blocks, bounds, bounds[1:]):
-        entries, failure = [], None
-        for rc, step, scale, is_real, is_physical, is_borderline in rows[lo:hi]:
-            if is_borderline:
-                # at the caller of solve_block / solve_blocks, which both
-                # call _solve directly
-                warnings.warn(
-                    f"root chi = {rc.real:.3e} sits within {PHYSICAL_NEG_TOL:.0e} "
-                    "of zero; treated as unphysical borderline",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-            vector, residual = None, abs(step) / scale
-            if is_physical:
-                coeffs, forward, residual = next(vectors)
-                if coeffs is None:
-                    failure = failure or PrecisionError(
-                        f"root {rc.real!r} of block {block} misses the "
-                        f"terminal-residual target {RESIDUAL_TARGET:.0e}: "
-                        f"{forward:.3e} forward, {residual:.3e} twisted"
-                    )
-                    continue
-                vector = PolynomialCoefficients(len(coeffs) - 1, tuple(coeffs), residual)
-            entries.append(
-                SpectralRoot(
-                    value=rc.real if is_real else rc,
-                    energy=(rc.real if is_model_1 else -rc.real**2) if is_real else None,
-                    physical=is_physical,
-                    residual=residual,
-                    eigenvector=vector,
-                    borderline=is_borderline,
-                )
+    residual = np.hypot(steps.real, steps.imag) / scales
+    coeffs = np.zeros((len(roots), max((rec.size for rec in recs), default=1)))
+    at = np.flatnonzero(physical)
+    failure, stop = None, len(blocks)
+    if len(at):
+        coeffs[at], forward, residual[at], rescued = _null_vectors(
+            recs, roots.real[at], owner[at])
+        if not rescued.all():
+            first = int(np.argmin(rescued))
+            i = at[first]
+            stop = owner[i] + 1
+            failure = PrecisionError(
+                f"root {roots.real[i].item()!r} of block {blocks[owner[i]]} misses the "
+                f"terminal-residual target {RESIDUAL_TARGET:.0e}: "
+                f"{forward[first]:.3e} forward, {residual[i]:.3e} twisted"
             )
-        if failure is not None:
-            raise failure
-        entries.sort(key=_sort_key)
-        results.append(
-            BlockResult(
-                block=block,
-                roots=tuple(entries),
-                precision_bits=53,
-                filtered_count=sum(1 for r in entries if not r.physical),
-            )
+    for x in roots.real[borderline & (owner < stop)].tolist():
+        # at the caller of solve_block, solve_blocks or solve_record
+        warnings.warn(
+            f"root chi = {x:.3e} sits within {PHYSICAL_NEG_TOL:.0e} "
+            "of zero; treated as unphysical borderline",
+            RuntimeWarning,
+            stacklevel=4,
         )
+    if failure is not None:
+        raise failure
+    energy = np.full(len(roots), np.nan)
+    # E = -chi^2 by Python's float power, whose last bit numpy's square can miss
+    energy[real] = (roots.real[real] if is_model_1
+                    else [-(x**2) for x in roots.real[real].tolist()])
+    order = np.lexsort((np.where(real, 0.0, roots.imag),
+                        np.where(real, energy, roots.real), ~real, owner))
+    return SpectrumRecord(
+        blocks=tuple(blocks),
+        bounds=tuple(np.searchsorted(owner, np.arange(len(blocks) + 1)).tolist()),
+        value=roots[order],
+        real=real[order],
+        energy=energy[order],
+        physical=physical[order],
+        borderline=borderline[order],
+        residual=residual[order],
+        coeffs=coeffs[order],
+    )
+
+
+def _results(record: SpectrumRecord) -> List[BlockResult]:
+    """The record's blocks as ``BlockResult`` objects."""
+    columns = zip(record.value.tolist(), record.real.tolist(), record.energy.tolist(),
+                  record.physical.tolist(), record.borderline.tolist(),
+                  record.residual.tolist(), record.coeffs.tolist())
+    results = []
+    for block, lo, hi in zip(record.blocks, record.bounds, record.bounds[1:]):
+        roots = tuple(
+            SpectralRoot(
+                value=value.real if real else value,
+                energy=energy if real else None,
+                physical=physical,
+                residual=residual,
+                eigenvector=PolynomialCoefficients(
+                    block.n, tuple(coeffs[: block.n + 1]), residual
+                ) if physical else None,
+                borderline=borderline,
+            )
+            for value, real, energy, physical, borderline, residual, coeffs
+            in itertools.islice(columns, hi - lo)
+        )
+        results.append(BlockResult(
+            block=block,
+            roots=roots,
+            precision_bits=53,
+            filtered_count=sum(1 for r in roots if not r.physical),
+        ))
     return results
 
 
-def _null_vectors(recs, points, owners) -> List[Tuple[Optional[list], float, float]]:
-    """(coefficients, forward residual, residual) of each physical root.
+def _null_vectors(recs, points, owners) -> Tuple[ArrayF, ArrayF, ArrayF, NDArray[np.bool_]]:
+    """(coefficients, forward residuals, residuals, rescued) of the physical
+    roots: row i of coefficients holds p_0..p_n at points[i].
 
     The forward run from p_0 = 1 is kept where its terminal residual meets
     RESIDUAL_TARGET.  Where it misses, the lower rows of the wanted vector
     follow the recurrence's minimal solution, which a forward run loses and
     a backward run keeps (Gautschi, SIAM Rev. 9, 1967): the same kernel runs
     on the reversed recurrence from p_n = 1, and the two runs are joined
-    (``_twisted``).  coefficients is None where the joined vector misses
+    (``_twisted``).  rescued is False where the joined vector misses
     RESIDUAL_TARGET too or is not finite.
     """
-    if not len(points):
-        return []
-    coeffs, residuals = spectral.ragged_null_vectors(recs, points, owners)
-    degrees = [recs[b].degree for b in owners.tolist()]
-    out = [
-        (row[: n + 1], r, r)
-        for row, n, r in zip(coeffs.tolist(), degrees, residuals.tolist())
-    ]
+    coeffs, forward = spectral.ragged_null_vectors(recs, points, owners)
+    residuals = forward.copy()
     # a nan residual (an overflowed run) misses too
-    missed = np.flatnonzero(~(residuals <= RESIDUAL_TARGET))
+    rescued = residuals <= RESIDUAL_TARGET
+    missed = np.flatnonzero(~rescued)
     if not len(missed):
-        return out
+        return coeffs, forward, residuals, rescued
     backward = [spectral.Recurrence(r.a[::-1], r.c[::-1], r.b[::-1]) for r in recs]
     rows, _ = spectral.ragged_null_vectors(backward, points[missed], owners[missed])
     for i, row in zip(missed.tolist(), rows):
-        n = degrees[i]
-        vector, residual = _twisted(recs[owners[i]], points[i], coeffs[i, : n + 1], row[n::-1])
-        rescued = residual <= RESIDUAL_TARGET and np.isfinite(vector).all()
-        out[i] = (vector.tolist() if rescued else None, out[i][1], residual)
-    return out
+        rec = recs[owners[i]]
+        n = rec.degree
+        vector, residuals[i] = _twisted(rec, points[i], coeffs[i, : n + 1], row[n::-1])
+        rescued[i] = residuals[i] <= RESIDUAL_TARGET and np.isfinite(vector).all()
+        coeffs[i, : n + 1] = vector
+    return coeffs, forward, residuals, rescued
 
 
 def _twisted(rec: spectral.Recurrence, x: float, f: ArrayF, g: ArrayF) -> Tuple[ArrayF, float]:

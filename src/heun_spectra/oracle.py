@@ -140,8 +140,9 @@ def radial_eigensolve(
     r = grid.rhos()
     v = effective_potential(config, l, sigma, r)
     vals, vecs = solve_effective_potential(v, grid, count)
-    edge = np.max(np.abs(vecs[-1, :]))
-    peak = np.max(np.abs(vecs))
+    # the columns above it may be box levels, which touch the wall
+    edge = abs(vecs[-1, 0])
+    peak = np.max(np.abs(vecs[:, 0]))
     if peak > 0 and edge / peak > BOX_AMPLITUDE_TOL:
         warnings.warn(
             f"eigenfunction amplitude {edge / peak:.2e} at rho_max = "

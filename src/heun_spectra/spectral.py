@@ -294,14 +294,21 @@ def _gather(mats: List[np.ndarray], owner: np.ndarray, rows: int, pad) -> np.nda
 
 
 def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
-    """(a, e, degrees) of the continuant laid out by point, for ``_corrections``."""
+    """The continuant laid out by point, for ``_corrections``: the points in
+    order of descending degree (a stable sort), their a and e coefficients,
+    live[j] = the number of points whose recurrence reaches row j, and the
+    order itself."""
+    last = _degrees(recs, owner)
+    order = np.argsort(-last, kind="stable")
     rows = max(rec.degree for rec in recs) + 1
+    live = np.searchsorted(-last[order], -np.arange(rows), side="right")
     return (
-        _gather([r.a for r in recs], owner, rows, 0),
+        _gather([r.a for r in recs], owner[order], rows, 0),
         # e_j = b_j c_j; the 0.0 + turns a -0.0 coefficient into 0.0, which
         # the solve path's bits depend on
-        _gather([0.0 + r.b * r.c for r in recs], owner, rows - 1, 0),
-        _degrees(recs, owner),
+        _gather([0.0 + r.b * r.c for r in recs], owner[order], rows - 1, 0),
+        live.tolist(),
+        order,
     )
 
 
@@ -310,36 +317,47 @@ def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
 def _corrections(lanes, s: np.ndarray) -> np.ndarray:
     """D(s) / D'(s) at every point (see ``newton_corrections``).
 
-    Up to the shortest recurrence every point takes every row; past it a
-    point whose recurrence has ended keeps its running values, including
-    through the rescaling, which happens at each row index j that is a
-    multiple of RESCALE_ROWS, as for a single block.
+    The points run in order of descending degree, so the ones whose
+    recurrence reaches row j are the first live[j]: the rows, and the
+    rescaling at each row index j that is a multiple of RESCALE_ROWS, act
+    on that prefix only, and a point whose recurrence has ended keeps its
+    values, as for a single block.
     """
-    a_coeffs, e_coeffs, last = lanes
-    a, da = _horner(a_coeffs, s)
-    e, de = _horner(e_coeffs, s)
-    shortest = last.min(initial=len(a))
-    d_prev, d = np.ones_like(s), a[0]
-    dd_prev, dd = np.zeros_like(s), da[0]
+    a_coeffs, e_coeffs, live, order = lanes
+    a, da = _horner(a_coeffs, s[order])
+    e, de = _horner(e_coeffs, s[order])
+    d, dd = a[0].copy(), da[0].copy()
+    d_prev, dd_prev = np.ones_like(d), np.zeros_like(d)
+    t, u, d_end, dd_end = (np.empty_like(d) for _ in range(4))
+    k = len(d)
     for j in range(1, len(a)):
-        held = d, d_prev, dd, dd_prev
-        ej, dej = e[j - 1], de[j - 1]
-        d, d_prev, dd, dd_prev = (
-            a[j] * d - ej * d_prev,
-            d,
-            da[j] * d + a[j] * dd - dej * d_prev - ej * dd_prev,
-            dd,
-        )
+        if live[j] < k:  # the points live[j]..k-1 ended at row j - 1
+            d_end[live[j]:k], dd_end[live[j]:k] = d[live[j]:k], dd[live[j]:k]
+            k = live[j]
+            d, d_prev, dd, dd_prev, t, u = (x[:k] for x in (d, d_prev, dd, dd_prev, t, u))
+            a, da, e, de = a[:, :k], da[:, :k], e[:, :k], de[:, :k]
+        aj, ej = a[j], e[j - 1]
+        # D'_j, left to right as written in newton_corrections.  No product
+        # is written over one of its factors: numpy then rounds a complex
+        # product of one element differently on some CPUs.
+        np.multiply(da[j], d, out=t)
+        t += np.multiply(aj, dd, out=u)
+        t -= np.multiply(de[j - 1], d_prev, out=u)
+        t -= np.multiply(ej, dd_prev, out=u)
+        # D_j = a_j D_{j-1} - e_j D_{j-2}, into the free buffer of D'_{j-2}
+        np.subtract(np.multiply(aj, d, out=u), np.multiply(ej, d_prev, out=dd_prev),
+                    out=dd_prev)
+        d, d_prev, dd, dd_prev, t = dd_prev, d, t, dd, d_prev
         if j % RESCALE_ROWS == 0:
             scale = np.abs(d) + np.abs(dd)
-            scale = np.where(scale == 0, 1, scale)
-            d, d_prev, dd, dd_prev = d / scale, d_prev / scale, dd / scale, dd_prev / scale
-        if j > shortest:
-            d, d_prev, dd, dd_prev = (
-                np.where(last >= j, x, y) for x, y in zip((d, d_prev, dd, dd_prev), held)
-            )
-    nonzero = dd != 0
-    return np.where(nonzero, d / np.where(nonzero, dd, 1), 0 * d)
+            scale[scale == 0] = 1
+            for x in (d, d_prev, dd, dd_prev):
+                x /= scale
+    d_end[:k], dd_end[:k] = d, dd
+    nonzero = dd_end != 0
+    out = np.empty_like(d_end)
+    out[order] = np.where(nonzero, d_end / np.where(nonzero, dd_end, 1), 0 * d_end)
+    return out
 
 
 def _horner(coeffs: np.ndarray, s: np.ndarray, derivative: bool = True):

@@ -1,13 +1,18 @@
 """End-to-end checks of the command line interface."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heun_spectra import cli, models, verification
 
@@ -181,6 +186,156 @@ class TestJsonEmitter:
             "precision_bits": max((res.precision_bits for res in results), default=53),
         }
         assert out == reference_json(report) + "\n"
+
+
+def reference_report(config, results, fmt):
+    """The spectrum report built root by root from ``solve_blocks`` objects:
+    the reference for the array emitters in ``cli``."""
+    fmt17 = "{:.17g}".format
+
+    def json_root(root):
+        value = root.value
+        if isinstance(value, complex) and value.imag != 0:
+            value_text = f"[{fmt17(value.real)}, {fmt17(value.imag)}]"
+        else:
+            value_text = fmt17(value.real)
+        coeffs = "null" if root.eigenvector is None else (
+            "[\n            "
+            + ",\n            ".join(fmt17(c) for c in root.eigenvector.coeffs)
+            + "\n          ]")
+        return (
+            "        {\n"
+            f'          "value": {value_text},\n'
+            f'          "energy": {"null" if root.energy is None else fmt17(root.energy)},\n'
+            f'          "physical": {"true" if root.physical else "false"},\n'
+            f'          "residual": {fmt17(root.residual)},\n'
+            f'          "coefficients": {coeffs}\n'
+            "        }")
+
+    def json_list(items, pad):
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]" if items else "[]"
+
+    def csv_row(block, root):
+        if isinstance(root.value, complex) and root.value.imag != 0:
+            root_cell = f"{fmt17(root.value.real)}{root.value.imag:+.17g}j"
+        else:
+            root_cell = fmt17(root.value.real)
+        energy_cell = "" if root.energy is None else fmt17(root.energy)
+        return (f"{block.n},{block.l},{block.sigma},{root_cell},{energy_cell},"
+                f"{'true' if root.physical else 'false'},{fmt17(root.residual)}")
+
+    if fmt == "csv":
+        rows = [csv_row(res.block, r) for res in results for r in res.roots]
+        return "\n".join(["n,l,sigma,root,energy,physical,residual", *rows])
+    blocks = [
+        "    {\n"
+        f'      "n": {res.block.n},\n'
+        f'      "l": {res.block.l},\n'
+        f'      "sigma": {res.block.sigma},\n'
+        f'      "roots": {json_list([json_root(r) for r in res.roots], "      ")}\n'
+        "    }"
+        for res in results
+    ]
+    precision_bits = max((res.precision_bits for res in results), default=53)
+    return (
+        "{\n"
+        f'  "example": {int(config.example)},\n'
+        f'  "case": {json.dumps(config.variant)},\n'
+        f'  "k": {config.k},\n'
+        f'  "epsilon": {fmt17(config.epsilon)},\n'
+        f'  "blocks": {json_list(blocks, "  ")},\n'
+        f'  "filtered_root_count": {sum(res.filtered_count for res in results)},\n'
+        f'  "precision_bits": {precision_bits}\n'
+        "}")
+
+
+# (example, case, k) of the four families, each keeping every block at n <= 20
+REPORT_FAMILIES = st.one_of(
+    st.tuples(st.just(1), st.just("a"), st.integers(-3, 22)),
+    st.tuples(st.just(1), st.just("b"), st.integers(1, 41)),
+    st.tuples(st.just(2), st.just("first"), st.integers(-21, -1)),
+    st.tuples(st.just(2), st.just("second"), st.integers(1, 21)),
+)
+
+
+class TestReportsFromArrays:
+    """``spectrum`` prints from the solve record the bytes that the
+    per-root reference prints from ``solve_blocks`` objects."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        family=REPORT_FAMILIES,
+        epsilon=st.one_of(
+            st.floats(-50.0, 2000.0),
+            st.sampled_from([0.0, -0.0, 15.0, 27.0, 400.0, 1200.0]),
+        ),
+        n_max=st.integers(0, 20),
+        fmt=st.sampled_from(["json", "csv"]),
+    )
+    # complex roots (null energies) and chi = -0
+    @example(family=(2, "second", 2), epsilon=3.0, n_max=1, fmt="json")
+    @example(family=(2, "second", 2), epsilon=3.0, n_max=1, fmt="csv")
+    # a borderline root near chi = 0
+    @example(family=(2, "second", 5), epsilon=15.0, n_max=20, fmt="json")
+    @example(family=(2, "second", 5), epsilon=15.0, n_max=20, fmt="csv")
+    # no blocks: case a needs n >= k - 1
+    @example(family=(1, "a", 22), epsilon=1.0, n_max=3, fmt="json")
+    @example(family=(1, "a", 22), epsilon=1.0, n_max=3, fmt="csv")
+    def test_stdout_equals_the_per_root_reference(self, family, epsilon, n_max, fmt):
+        example_, case, k = family
+        if case == "first":
+            n_max = min(n_max, 3)  # here n_max counts the blocks of the l ladder
+        # "--epsilon=": argparse takes a separate "-1e-05" for an option
+        argv = ["spectrum", "--example", str(example_), "--case", case, "--k", str(k),
+                f"--epsilon={epsilon!r}", "--n-max", str(n_max), "--format", fmt]
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = cli.main(argv)
+            config = models.ModelConfig(models.Example(example_), case, k, epsilon)
+            blocks = models.permissible_blocks(config, n_max=n_max)
+            try:
+                results = models.solve_blocks(config, blocks)
+            except models.PrecisionError:
+                assert code == cli.EXIT_PRECISION and out.getvalue() == ""
+                return
+        assert code == 0
+        assert out.getvalue() == reference_report(config, results, fmt) + "\n"
+        # each explicit example shows what it is there for
+        roots = [r for res in results for r in res.roots]
+        if (family, epsilon) == ((2, "second", 2), 3.0):
+            assert any(r.energy is None for r in roots)
+        if (family, epsilon, n_max) == ((2, "second", 5), 15.0, 20):
+            assert any(r.borderline for r in roots)
+        if family == (1, "a", 22) and n_max == 3:
+            assert not blocks
+
+    def test_listed_commands_print_the_reference(self):
+        # every eighth spectrum command of tools/stdout_commands.txt
+        tool = load_compare_stdout()
+        commands = [argv for argv in tool.read_commands(tool.DEFAULT_COMMANDS)
+                    if argv[0] == "spectrum"]
+        checked = 0
+        for argv in commands[::8]:
+            args = cli.build_parser().parse_args(argv)
+            out = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = cli.main(argv)
+                try:
+                    config = models.ModelConfig(
+                        models.Example(args.example), args.case, args.k, args.epsilon)
+                    blocks = models.permissible_blocks(config, n_max=args.n_max)
+                    results = models.solve_blocks(config, blocks)
+                except (models.ParameterError, models.PrecisionError):
+                    assert code != 0 and out.getvalue() == ""
+                    continue
+            assert code == 0
+            assert out.getvalue() == reference_report(config, results, args.format) + "\n"
+            checked += 1
+        assert checked > 40
 
 
 class TestSpectrumCsv:

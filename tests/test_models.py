@@ -1,6 +1,8 @@
 """Block rules, sequences, spectra, fields, wavefunctions, and residuals."""
 
+import itertools
 import math
+import os
 import re
 import warnings
 
@@ -293,6 +295,60 @@ class TestBlockSequences:
             block_sequences(cfg, BlockSpec(n=1, l=3, sigma=+1))
 
 
+def recurrences_one_at_a_time(config, blocks):
+    """``block_recurrence`` per block, or the repr of the error that stops it."""
+    try:
+        return [models.block_recurrence(config, b) for b in blocks]
+    except ParameterError as exc:
+        return repr(exc)
+
+
+class TestBlockRecurrences:
+    EPSILONS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, -1.7e308,
+                -1.0, 3.0, 27.25]
+    FAMILIES = (
+        [(Example(1), "a", k) for k in (-3, 0, 1, 2, 6)]
+        + [(Example(1), "b", k) for k in (1, 2, 9, 30)]
+        + [(Example(2), "first", k) for k in (-1, -2, -9)]
+        + [(Example(2), "second", k) for k in (1, 4, 21)]
+    )
+
+    def test_one_pass_equals_a_call_per_block(self):
+        # bytes, dtypes and shapes, so signed zeros too; where epsilon
+        # overflows a diagonal, the same error on the same first block
+        failures = 0
+        for (example, case, k), eps in itertools.product(self.FAMILIES, self.EPSILONS):
+            config = ModelConfig(example, case, k, eps)
+            blocks = permissible_blocks(config, n_max=20)
+            want = recurrences_one_at_a_time(config, blocks)
+            if isinstance(want, str):
+                failures += 1
+                with pytest.raises(ParameterError) as got:
+                    models.block_recurrences(config, blocks)
+                assert repr(got.value) == want
+                continue
+            got = models.block_recurrences(config, blocks)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert [(m.dtype, m.shape, m.tobytes()) for m in g] == [
+                    (m.dtype, m.shape, m.tobytes()) for m in w]
+        # -1.7e308 overflows model 1 past its first diagonal entry, so every
+        # model 1 family here but case b k = 1, whose one block has one entry
+        assert failures == 8
+        assert models.block_recurrences(ModelConfig(Example(1), "a", 1, 1.0), []) == []
+
+    def test_first_broken_rule_or_overflow_raises(self):
+        config = ModelConfig(Example(1), "a", 1, -1.7e308)
+        ok, overflowing, off_rule = (BlockSpec(0, 0, 1), BlockSpec(1, 1, 1),
+                                     BlockSpec(1, 3, 1))
+        for blocks in ([ok, off_rule, overflowing], [ok, overflowing, off_rule]):
+            want = recurrences_one_at_a_time(config, blocks)
+            with pytest.raises(ParameterError) as got:
+                models.block_recurrences(config, blocks)
+            assert repr(got.value) == want
+            assert ("not permissible" in want) == (blocks[1] == off_rule)
+
+
 class TestSpectrum:
     def test_anchor_single_root_lambda_equals_eps(self):
         rng = np.random.default_rng(101)
@@ -484,6 +540,28 @@ class TestSpectrum:
                 solve_block(config, make_block(config, n))
 
 
+def listed_spectrum_queries():
+    """(config, blocks) of each valid spectrum command in the command list
+    of tools/compare_stdout.py."""
+    from heun_spectra import cli
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "stdout_commands.txt")
+    with open(path) as fh:
+        commands = [line.split("#", 1)[0].split() for line in fh]
+    queries = []
+    for argv in commands:
+        if argv[:1] != ["spectrum"]:
+            continue
+        args = cli.build_parser().parse_args(argv)
+        try:
+            config = ModelConfig(Example(args.example), args.case, args.k, args.epsilon)
+            queries.append((config, permissible_blocks(config, n_max=args.n_max)))
+        except ParameterError:
+            continue
+    return queries
+
+
 class TestSolveBlocks:
     def test_batch_equals_blocks_solved_one_at_a_time(self):
         # model 1b k = 37, epsilon = 30 has blocks whose roots take the
@@ -519,6 +597,29 @@ class TestSolveBlocks:
             rescued += [r for r, f in zip(physical, forward)
                         if f > models.RESIDUAL_TARGET >= r.residual]
         assert len(rescued) == 5
+
+    def test_listed_spectrum_queries_batch_equals_blocks_one_at_a_time(self):
+        # every twelfth spectrum command of tools/stdout_commands.txt, and the
+        # one whose query warns
+        queries = listed_spectrum_queries()
+        warning = [q for q in queries if q[0] == ModelConfig(Example(2), "second", 31, 15.0)]
+        assert len(queries) > 300 and len(warning) == 1
+        for config, blocks in queries[::12] + warning:
+            outcomes = []
+            for solve in (lambda: models.solve_blocks(config, blocks),
+                          lambda: [solve_block(config, b) for b in blocks]):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        result = repr(solve())
+                    except PrecisionError as exc:
+                        result = repr(exc)
+                outcomes.append((result, [(str(w.message), w.filename, w.lineno)
+                                          for w in caught]))
+            assert outcomes[0][0] == outcomes[1][0]
+            # the same warnings in the same order, each at its caller's line
+            assert [w[:2] for w in outcomes[0][1]] == [w[:2] for w in outcomes[1][1]]
+            assert all(w[1] == __file__ for w in outcomes[0][1])
 
     def test_first_failing_block_raises_after_earlier_warnings(self):
         # of the blocks l = 27, 28, 29 (n = 26), the last holds a root whose

@@ -214,6 +214,21 @@ class TestRadialEigensolve:
         with pytest.warns(RuntimeWarning, match="enlarge the box"):
             radial_eigensolve(cfg, 1, +1, GridSpec(1e-3, 2.5, 800), 2)
 
+    def test_box_levels_above_a_confined_ground_state_do_not_warn(self):
+        # model 2 binds one state here (E = -1); the three columns above it
+        # are continuum levels of the box, whose edge ratios reach 3e-5 to
+        # 4e-3, while the ground state's is 2e-16
+        cfg = ModelConfig(Example(2), "first", -1, 15.0)
+        grid = GridSpec(1e-3, 40.0, 2000)
+        _, vecs = solve_effective_potential(
+            oracle.effective_potential(cfg, 1, +1, grid.rhos()), grid, 4)
+        edge = np.abs(vecs[-1]) / np.abs(vecs).max(axis=0)
+        assert edge[0] < 1e-12 and (edge[1:] > oracle.BOX_AMPLITUDE_TOL).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals = radial_eigensolve(cfg, 1, +1, grid, 4)
+        assert vals[0] == pytest.approx(-1.0, abs=1e-3)
+
     def test_box_size_invariance(self):
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         a = radial_eigensolve(cfg, 0, +1, GridSpec(1e-3, 8.0, 4000), 1)[0]

@@ -452,6 +452,38 @@ def _batch(recs, points):
     return np.concatenate(points), owner
 
 
+def corrections_at_one_point(rec, x):
+    """D(x) / D'(x) at one point of one recurrence, row by row as
+    ``newton_corrections`` states it, with the rescaling every RESCALE_ROWS
+    rows.  The arithmetic is numpy's on one-element arrays, which rounds as
+    the kernel's arrays do: where numpy fuses the multiply-adds of a complex
+    product (as with AVX-512), a Python complex product can differ from it
+    in the last bit."""
+    s = np.array([x])
+
+    def entry(row):  # value and derivative by Horner's rule, top down
+        value = row[-1] + 0 * s
+        deriv = 0 * value
+        for coeff in row[-2::-1]:
+            deriv = deriv * s + value
+            value = value * s + coeff
+        return value, deriv
+
+    a = [entry(row) for row in rec.a]
+    e = [entry(row) for row in 0.0 + rec.b * rec.c]
+    (d, dd), d_prev, dd_prev = a[0], np.ones_like(s), np.zeros_like(s)
+    for j in range(1, len(a)):
+        (aj, daj), (ej, dej) = a[j], e[j - 1]
+        d, d_prev, dd, dd_prev = (
+            aj * d - ej * d_prev, d, daj * d + aj * dd - dej * d_prev - ej * dd_prev, dd
+        )
+        if j % RESCALE_ROWS == 0:
+            scale = np.abs(d) + np.abs(dd)
+            scale = np.where(scale == 0, 1, scale)
+            d, d_prev, dd, dd_prev = d / scale, d_prev / scale, dd / scale, dd_prev / scale
+    return np.where(dd != 0, d / np.where(dd != 0, dd, 1), 0 * d)[0]
+
+
 class TestRaggedKernel:
     """One pass over the roots of several blocks gives each root's own bits."""
 
@@ -499,6 +531,31 @@ class TestRaggedKernel:
             for b in blocks
         ]
         self.check_null_vectors(recs, physical)
+
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_corrections_equal_a_loop_over_single_points(self, model):
+        # ragged batches: degree-0 blocks, blocks ending just before, at and
+        # after the rescaled rows, owners shuffled, complex and real points
+        assert RESCALE_ROWS == 8
+        if model == 1:
+            pairs = [(ModelConfig(Example(1), "a", 1, 0.75), n) for n in (0, 3, 7, 8, 9, 17)]
+            pairs += [(ModelConfig(Example(1), "b", 40, -2.5), n) for n in (1, 7, 9, 15, 25)]
+        else:
+            pairs = [(ModelConfig(Example(2), "second", 26, 400.0), n)
+                     for n in (0, 7, 8, 16, 17, 25)]
+            pairs += [(ModelConfig(Example(2), "first", -(n + 1), 30.0), n) for n in (0, 8, 16)]
+        recs = [block_recurrence(config, make_block(config, n, n + 1 if config.k < 0 else None))
+                for config, n in pairs]
+        rng = np.random.default_rng(model)
+        points = [(symmetric_eigenvalues(rec) if model == 1 else pencil_roots(rec)[0])
+                  * (1 + 1e-3 * rng.standard_normal()) for rec in recs]
+        s, owner = _batch(recs, points)
+        shuffle = rng.permutation(len(s))
+        s, owner = s[shuffle] + 0.5j * rng.standard_normal(len(s)), owner[shuffle]
+        for x in (s, s.real.copy()):
+            want = np.array([corrections_at_one_point(recs[i], p) for p, i in zip(x, owner)])
+            got = newton_corrections(recs, x, owner)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_batch_of_one(self):
         config = ModelConfig(Example(2), "first", -9, 30.0)
