@@ -42,9 +42,7 @@ from .models import (
     scalar_potential,
     schrodinger_residual,
     solve_block,
-    solve_blocks,
     solve_record,
-    spectrum,
     t_of_rho,
     total_flux,
     vector_potential,
@@ -98,9 +96,7 @@ __all__ = [
     "scalar_potential",
     "schrodinger_residual",
     "solve_block",
-    "solve_blocks",
     "solve_record",
-    "spectrum",
     "t_of_rho",
     "total_flux",
     "vector_potential",

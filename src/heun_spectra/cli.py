@@ -49,8 +49,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="solvable family within the example")
     parser.add_argument("--k", type=int, required=True,
                         help="integer field-strength parameter")
-    parser.add_argument("--epsilon", type=float, default=0.0,
-                        help="dimensionless field parameter (default 0)")
+    parser.add_argument("--epsilon", type=float, default=0.0, help="dimensionless field "
+                        "parameter (default 0); write a negative value as --epsilon=-1e-05")
 
 
 def cmd_blocks(args: argparse.Namespace) -> int:
@@ -181,7 +181,7 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     if not np.isfinite(args.phi):
         raise ParameterError("--phi must be finite")
     block = models.make_block(config, args.n, args.l)
-    roots = models.spectrum(config, block)
+    roots = models.solve_block(config, block).roots
     if not (0 <= args.index < len(roots)):
         raise SelectionError(
             f"--index {args.index} out of range; block has {len(roots)} roots"
@@ -249,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="angular number (needed when n does not fix the block)")
     p_wf.add_argument("--index", type=int, default=0,
                       help="root index within the block, ascending energy")
-    p_wf.add_argument("--phi", type=float, default=0.0)
+    p_wf.add_argument("--phi", type=float, default=0.0,
+                      help="azimuthal angle of the ray (default 0); write a negative "
+                      "value as --phi=-1e-05")
     p_wf.add_argument("--samples", type=int, default=500)
     p_wf.add_argument("--rho-max", type=float, default=8.0)
     p_wf.add_argument("--normalize", action="store_true",

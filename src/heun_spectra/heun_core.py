@@ -253,6 +253,8 @@ def polynomial_from_recurrence(seqs: Recurrence, s: Scalar) -> PolynomialCoeffic
 
     The terminal relation c_{n-1} p_{n-1} + a_n p_n (just a_0 for n = 0) is
     returned as a scaled residual; it is the singularity test for the matrix.
+    The coefficients are of the entries' scalar type, so Fraction entries
+    give exact coefficients.
     This is the per-point reference for ``spectral.ragged_null_vectors``,
     which runs the same operations over an array of points on the block's
     coefficient arrays.
@@ -263,15 +265,13 @@ def polynomial_from_recurrence(seqs: Recurrence, s: Scalar) -> PolynomialCoeffic
         if bj == 0:
             raise RecurrenceBreakdownError(f"b_{j} = 0 stalls the recurrence")
     p = [_one_like(a[0])]
+    # c_{-1} = 0 in the entries' own type, read as c[-1] next to p_0: by row
+    # 0, and as the terminal row's c by a degree-0 block
+    c = [*c, 0 * p[0]]
     for j in range(n):
-        prev = c[j - 1] * p[j - 1] if j >= 1 else 0.0
-        p.append(-(prev + a[j] * p[j]) / b[j])
-    if n == 0:
-        terminal = a[0] * p[0]
-        entry_scale = max(abs(a[0]), 1.0)
-    else:
-        terminal = c[n - 1] * p[n - 1] + a[n] * p[n]
-        entry_scale = max(abs(a[n]), abs(c[n - 1]), 1.0)
+        p.append(-(c[j - 1] * p[j - 1] + a[j] * p[j]) / b[j])
+    terminal = c[n - 1] * p[n - 1] + a[n] * p[n]
+    entry_scale = max(abs(a[n]), abs(c[n - 1]), 1.0)
     coeff_scale = max(abs(pj) for pj in p)
     residual = float(abs(terminal) / (coeff_scale * entry_scale))
     return PolynomialCoefficients(

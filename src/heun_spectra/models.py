@@ -41,11 +41,13 @@ sigma = -1.  The first block (k = -(n+1), l, eps) is the second block
 The eigenvalue enters the recurrence sequences polynomially, so each block's
 spectrum is the root set of a determinant polynomial of degree n+1 (model 1)
 or 2(n+1) (model 2), found as the eigenvalues of a structured matrix.
+There are two ways to solve: ``solve_record`` solves the blocks of a query
+into one ``SpectrumRecord`` of arrays, and ``solve_block`` returns one
+block's roots as ``SpectralRoot`` objects built from that record.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -148,6 +150,9 @@ class BlockSpec:
             raise ParameterError("block degree n must be non-negative")
         if self.sigma not in (-1, +1):
             raise ParameterError("sigma must be +1 or -1")
+        # keeps the closed forms' int64 products below 2**63, as for k
+        if abs(self.l) >= 2**31:
+            raise ParameterError("l must satisfy |l| < 2**31")
 
     @property
     def angular_momentum(self) -> int:
@@ -190,10 +195,10 @@ class BlockResult:
 class SpectrumRecord:
     """The solved blocks of one query as arrays, roots in printed order.
 
-    The roots of blocks[t] are rows bounds[t]:bounds[t+1] of each array, in
-    the order of that block's ``BlockResult.roots``: the real roots by
-    ascending energy, then the others by real and imaginary part.  The
-    columns hold what each ``SpectralRoot`` holds: value (complex), real
+    The roots of blocks[t] are rows bounds[t]:bounds[t+1] of each array:
+    the real roots by ascending energy, then the others by real and
+    imaginary part.  The columns hold what each ``SpectralRoot`` of
+    ``solve_block`` holds, in that order: value (complex), real
     (whether the root counts as real, so that value.real is its value),
     energy (NaN where not real), the physical and borderline flags, and
     residual; coeffs[i, :n+1] is the null vector p_0..p_n of a physical
@@ -414,16 +419,6 @@ def block_sequences(
     )
 
 
-def solve_blocks(config: ModelConfig, blocks: Sequence[BlockSpec]) -> List[BlockResult]:
-    """Solve blocks of one configuration: ``[solve_block(config, b) for b in blocks]``.
-
-    The objects of ``solve_record``'s record, which solves all blocks in one
-    pass and gives each root the bits it gets alone.  Warnings and errors
-    come block by block, in the order of that loop.
-    """
-    return _results(_solve(config, list(blocks)))
-
-
 def solve_block(
     config: ModelConfig, block: BlockSpec, precision: Optional[int] = None
 ) -> BlockResult:
@@ -439,10 +434,31 @@ def solve_block(
     of that run with one run backward from p_n = 1 (``_twisted``).  A root
     whose joined vector misses too raises PrecisionError, as does a failing
     eigensolver.  Everything runs in double precision, so precision_bits is
-    53.  This is ``solve_blocks(config, [block])[0]``; precision is accepted
-    and ignored, for callers that still pass it.
+    53.  The roots are the objects of ``solve_record(config, [block])``;
+    precision is accepted and ignored, for callers that still pass it.
     """
-    return _results(_solve(config, [block]))[0]
+    record = _solve(config, [block])
+    roots = tuple(
+        SpectralRoot(
+            value=value.real if real else value,
+            energy=energy if real else None,
+            physical=physical,
+            residual=residual,
+            eigenvector=(PolynomialCoefficients(block.n, tuple(coeffs), residual)
+                         if physical else None),
+            borderline=borderline,
+        )
+        for value, real, energy, physical, borderline, residual, coeffs in zip(
+            record.value.tolist(), record.real.tolist(), record.energy.tolist(),
+            record.physical.tolist(), record.borderline.tolist(),
+            record.residual.tolist(), record.coeffs.tolist())
+    )
+    return BlockResult(
+        block=block,
+        roots=roots,
+        precision_bits=53,
+        filtered_count=sum(1 for r in roots if not r.physical),
+    )
 
 
 def solve_record(config: ModelConfig, blocks: Sequence[BlockSpec]) -> SpectrumRecord:
@@ -453,15 +469,17 @@ def solve_record(config: ModelConfig, blocks: Sequence[BlockSpec]) -> SpectrumRe
     Newton polish, all physical roots one ragged null-vector recurrence
     (``spectral.ragged_polish``, ``spectral.ragged_null_vectors``), and
     those whose vector misses RESIDUAL_TARGET a second one backward, joined
-    to the first.  Roots are classified and ordered as arrays.  Warnings and
-    errors are those of ``solve_blocks``, in the same order.
+    to the first.  Roots are classified and ordered as arrays, and each gets
+    the bits it gets in a block of its own.  Warnings and errors are those
+    of a loop of ``solve_block`` over the blocks, in the same order, each
+    warning at the caller's line.
     """
     return _solve(config, list(blocks))
 
 
 def _solve(config: ModelConfig, blocks: List[BlockSpec]) -> SpectrumRecord:
-    """The record of ``solve_record``, for it, ``solve_blocks`` and
-    ``solve_block``."""
+    """The record of ``solve_record``, for it and ``solve_block``: both call
+    it directly, so a warning's stacklevel reaches their caller."""
     recs = block_recurrences(config, blocks)
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
     eigensolve = (
@@ -518,7 +536,7 @@ def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
                 f"{forward[first]:.3e} forward, {residual[i]:.3e} twisted"
             )
     for x in roots.real[borderline & (owner < stop)].tolist():
-        # at the caller of solve_block, solve_blocks or solve_record
+        # at the caller of solve_block or solve_record
         warnings.warn(
             f"root chi = {x:.3e} sits within {PHYSICAL_NEG_TOL:.0e} "
             "of zero; treated as unphysical borderline",
@@ -544,36 +562,6 @@ def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
         residual=residual[order],
         coeffs=coeffs[order],
     )
-
-
-def _results(record: SpectrumRecord) -> List[BlockResult]:
-    """The record's blocks as ``BlockResult`` objects."""
-    columns = zip(record.value.tolist(), record.real.tolist(), record.energy.tolist(),
-                  record.physical.tolist(), record.borderline.tolist(),
-                  record.residual.tolist(), record.coeffs.tolist())
-    results = []
-    for block, lo, hi in zip(record.blocks, record.bounds, record.bounds[1:]):
-        roots = tuple(
-            SpectralRoot(
-                value=value.real if real else value,
-                energy=energy if real else None,
-                physical=physical,
-                residual=residual,
-                eigenvector=PolynomialCoefficients(
-                    block.n, tuple(coeffs[: block.n + 1]), residual
-                ) if physical else None,
-                borderline=borderline,
-            )
-            for value, real, energy, physical, borderline, residual, coeffs
-            in itertools.islice(columns, hi - lo)
-        )
-        results.append(BlockResult(
-            block=block,
-            roots=roots,
-            precision_bits=53,
-            filtered_count=sum(1 for r in roots if not r.physical),
-        ))
-    return results
 
 
 def _null_vectors(recs, points, owners) -> Tuple[ArrayF, ArrayF, ArrayF, NDArray[np.bool_]]:
@@ -633,17 +621,6 @@ def _twisted(rec: spectral.Recurrence, x: float, f: ArrayF, g: ArrayF) -> Tuple[
         residuals[np.isnan(residuals)] = np.inf
         t = int(np.argmin(residuals))
         return np.concatenate([f[: t + 1], g[t + 1:] / g[t] * f[t]]), float(residuals[t])
-
-
-def spectrum(config: ModelConfig, block: BlockSpec) -> List[SpectralRoot]:
-    """All determinant roots of a block, physical ones carrying null vectors.
-
-    Model 1 yields n+1 roots (all real for permissible blocks), model 2
-    yields 2(n+1) roots of which the physical ones are the real negative chi.
-    Roots are sorted by ascending energy; non-real roots, which can only be
-    unphysical, come last.
-    """
-    return list(solve_block(config, block).roots)
 
 
 # ---------------------------------------------------------------------------

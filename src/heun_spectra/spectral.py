@@ -246,9 +246,10 @@ def ragged_null_vectors(
     rows = max(rec.degree for rec in recs) + 1
     a = _horner(_gather([r.a for r in recs], owner, rows, 0), s, derivative=False)[0]
     b = _horner(_gather([r.b for r in recs], owner, rows - 1, 1), s, derivative=False)[0]
-    # one padded row past the longest c: a point of a degree-0 block reads it
-    # as its row -1, c = 0 next to a finite p, which leaves |terminal| and the
-    # scale as they are without c
+    # one padded row past the longest c, c_{-1} = 0 in the scalar type of s:
+    # row 0 reads it next to p_0, and a point of a degree-0 block as its
+    # terminal row's c, which leaves |terminal| and the scale as they are
+    # without c
     c = _horner(_gather([r.c for r in recs], owner, rows, 0), s, derivative=False)[0]
     stalled = (b == 0).any(axis=1)
     if stalled.any():
@@ -259,8 +260,7 @@ def ragged_null_vectors(
     with np.errstate(over="ignore", invalid="ignore"):
         p = [0 * s + 1]  # p_0 = 1 in the scalar type of s
         for j in range(n):
-            prev = c[j - 1] * p[j - 1] if j >= 1 else 0.0
-            p.append(-(prev + a[j] * p[j]) / b[j])
+            p.append(-(c[j - 1] * p[j - 1] + a[j] * p[j]) / b[j])
         coeffs = np.stack(p, axis=1)
         lane = np.arange(len(s))
         a_n, p_n = a[last, lane], coeffs[lane, last]
@@ -326,33 +326,24 @@ def _corrections(lanes, s: np.ndarray) -> np.ndarray:
     a_coeffs, e_coeffs, live, order = lanes
     a, da = _horner(a_coeffs, s[order])
     e, de = _horner(e_coeffs, s[order])
-    d, dd = a[0].copy(), da[0].copy()
+    d, dd = a[0], da[0]
     d_prev, dd_prev = np.ones_like(d), np.zeros_like(d)
-    t, u, d_end, dd_end = (np.empty_like(d) for _ in range(4))
+    d_end, dd_end = np.empty_like(d), np.empty_like(d)
     k = len(d)
     for j in range(1, len(a)):
         if live[j] < k:  # the points live[j]..k-1 ended at row j - 1
             d_end[live[j]:k], dd_end[live[j]:k] = d[live[j]:k], dd[live[j]:k]
             k = live[j]
-            d, d_prev, dd, dd_prev, t, u = (x[:k] for x in (d, d_prev, dd, dd_prev, t, u))
+            d, d_prev, dd, dd_prev = d[:k], d_prev[:k], dd[:k], dd_prev[:k]
             a, da, e, de = a[:, :k], da[:, :k], e[:, :k], de[:, :k]
         aj, ej = a[j], e[j - 1]
-        # D'_j, left to right as written in newton_corrections.  No product
-        # is written over one of its factors: numpy then rounds a complex
-        # product of one element differently on some CPUs.
-        np.multiply(da[j], d, out=t)
-        t += np.multiply(aj, dd, out=u)
-        t -= np.multiply(de[j - 1], d_prev, out=u)
-        t -= np.multiply(ej, dd_prev, out=u)
-        # D_j = a_j D_{j-1} - e_j D_{j-2}, into the free buffer of D'_{j-2}
-        np.subtract(np.multiply(aj, d, out=u), np.multiply(ej, d_prev, out=dd_prev),
-                    out=dd_prev)
-        d, d_prev, dd, dd_prev, t = dd_prev, d, t, dd, d_prev
+        # D'_j and D_j, left to right as written in newton_corrections
+        dd, dd_prev = da[j] * d + aj * dd - de[j - 1] * d_prev - ej * dd_prev, dd
+        d, d_prev = aj * d - ej * d_prev, d
         if j % RESCALE_ROWS == 0:
             scale = np.abs(d) + np.abs(dd)
             scale[scale == 0] = 1
-            for x in (d, d_prev, dd, dd_prev):
-                x /= scale
+            d, d_prev, dd, dd_prev = (x / scale for x in (d, d_prev, dd, dd_prev))
     d_end[:k], dd_end[:k] = d, dd
     nonzero = dd_end != 0
     out = np.empty_like(d_end)

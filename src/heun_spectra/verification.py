@@ -113,19 +113,19 @@ def check_closed_form_anchors(
     for _ in range(20):
         eps = float(rng.uniform(-5.0, 5.0))
         config = ModelConfig(Example(1), "a", 1, eps)
-        roots = models.spectrum(config, BlockSpec(n=0, l=0, sigma=+1))
+        roots = models.solve_block(config, BlockSpec(n=0, l=0, sigma=+1)).roots
         ok &= len(roots) == 1 and roots[0].physical
         worst = max(worst, abs(roots[0].value - eps) / max(1.0, abs(eps)))
     ok &= worst <= 1e-12
 
     config_b = ModelConfig(Example(1), "a", 1, 0.0)
-    roots_b = models.spectrum(config_b, BlockSpec(n=1, l=1, sigma=+1))
+    roots_b = models.solve_block(config_b, BlockSpec(n=1, l=1, sigma=+1)).roots
     vals_b = sorted(r.value for r in roots_b)
     dev_b = max(abs(vals_b[0] + 4.0), abs(vals_b[1] - 4.0)) if len(vals_b) == 2 else math.inf
     ok &= dev_b <= 1e-10
 
     config_c1 = ModelConfig(Example(2), "first", -1, 15.0)
-    roots_c1 = models.spectrum(config_c1, BlockSpec(n=0, l=1, sigma=+1))
+    roots_c1 = models.solve_block(config_c1, BlockSpec(n=0, l=1, sigma=+1)).roots
     vals_c1 = sorted(complex(r.value).real for r in roots_c1)
     phys_c1 = [r for r in roots_c1 if r.physical]
     dev_c1 = max(abs(vals_c1[0] + 1.0), abs(vals_c1[1] - 3.0)) if len(vals_c1) == 2 else math.inf
@@ -134,7 +134,7 @@ def check_closed_form_anchors(
     ok &= phys_c1 and abs(phys_c1[0].energy + 1.0) <= 1e-10
 
     config_c2 = ModelConfig(Example(2), "second", 1, 15.0)
-    roots_c2 = models.spectrum(config_c2, BlockSpec(n=0, l=-1, sigma=-1))
+    roots_c2 = models.solve_block(config_c2, BlockSpec(n=0, l=-1, sigma=-1)).roots
     phys_c2 = [r for r in roots_c2 if r.physical]
     dev_c2 = abs(phys_c2[0].value + 1.0) if len(phys_c2) == 1 else math.inf
     ok &= dev_c2 <= 1e-10
@@ -172,7 +172,7 @@ def check_root_reality_and_count(
         config = ModelConfig(Example(2), variant, k, eps)
         for block in models.permissible_blocks(config, n_max=2):
             # one bound state per negative constant diagonal term beta_j
-            physical = sum(r.physical for r in models.spectrum(config, block))
+            physical = sum(r.physical for r in models.solve_block(config, block).roots)
             beta = models.block_recurrence(config, block).a[:, 0]
             count_ok &= physical == int((beta < 0).sum())
             solved += 1
@@ -248,7 +248,7 @@ def check_ode_residuals(rng: np.random.Generator, full: bool) -> Tuple[bool, str
     states = 0
     every_family = True
     for config, block in specs:
-        physical = [r for r in models.spectrum(config, block) if r.physical]
+        physical = [r for r in models.solve_block(config, block).roots if r.physical]
         every_family &= len(physical) > 0
         for root in physical:
             states += 1
@@ -332,7 +332,7 @@ def check_schrodinger_residuals(
     worst = 0.0
     states = 0
     for config, block in _anchor_states():
-        for root in models.spectrum(config, block):
+        for root in models.solve_block(config, block).roots:
             if not root.physical:
                 continue
             states += 1
@@ -353,7 +353,7 @@ def check_orthogonality(rng: np.random.Generator, full: bool) -> Tuple[bool, str
     worst = 0.0
     pairs = 0
     for config, block in configs:
-        roots = [r for r in models.spectrum(config, block) if r.physical]
+        roots = [r for r in models.solve_block(config, block).roots if r.physical]
         norms = {}
         for r in roots:
             norms[r.value], _ = models.radial_norm(config, block, r)
@@ -382,7 +382,7 @@ def check_normalizability(rng: np.random.Generator, full: bool) -> Tuple[bool, s
     worst_tail = 0.0
     states = 0
     for config, block in _anchor_states():
-        for root in models.spectrum(config, block):
+        for root in models.solve_block(config, block).roots:
             if not root.physical:
                 continue
             norm, tail = models.radial_norm(config, block, root)
@@ -411,7 +411,7 @@ def check_oracle_agreement(rng: np.random.Generator, full: bool) -> Tuple[bool, 
     worst = 0.0
     for config, block, grid in channels:
         analytic = [
-            r.energy for r in models.spectrum(config, block) if r.physical
+            r.energy for r in models.solve_block(config, block).roots if r.physical
         ]
         # the extra pool states above the bound spectrum are continuum box
         # levels: they touch the outer wall, which warns only for the lowest

@@ -16,7 +16,7 @@ from heun_spectra import (
     make_block,
     permissible_blocks,
     schrodinger_residual,
-    spectrum,
+    solve_block,
 )
 from heun_spectra import verification
 from heun_spectra.models import Example
@@ -51,7 +51,7 @@ def test_criterion_01_single_root_anchor(capsys):
         eps = rng.uniform(-5.0, 5.0)
         config = ModelConfig(Example(1), "a", 1, eps)
         block = BlockSpec(n=0, l=0, sigma=+1)
-        roots = spectrum(config, block)
+        roots = solve_block(config, block).roots
         assert len(roots) == 1
         gap = abs(roots[0].value - eps) / max(1.0, abs(eps))
         res = schrodinger_residual(config, block, roots[0], grid)
@@ -66,7 +66,7 @@ def test_criterion_01_single_root_anchor(capsys):
 def test_criterion_02_pair_anchor(capsys):
     start = time.perf_counter()
     config = ModelConfig(Example(1), "a", 1, 0.0)
-    roots = sorted(r.value for r in spectrum(config, BlockSpec(1, 1, +1)))
+    roots = sorted(r.value for r in solve_block(config, BlockSpec(1, 1, +1)).roots)
     gap = max(abs(roots[0] + 4.0), abs(roots[1] - 4.0))
     ok = len(roots) == 2 and gap < 1e-10
     _emit(capsys, 2, ok, f"degree-1 roots {{-4, +4}}: worst gap {gap:.2e}",
@@ -76,7 +76,7 @@ def test_criterion_02_pair_anchor(capsys):
 def test_criterion_03_nonrational_anchors(capsys):
     start = time.perf_counter()
     first = ModelConfig(Example(2), "first", -1, 15.0)
-    roots = spectrum(first, make_block(first, 0, 1))
+    roots = solve_block(first, make_block(first, 0, 1)).roots
     values = sorted(float(np.real(r.value)) for r in roots)
     physical = [r for r in roots if r.physical]
     gap = max(abs(values[0] + 1.0), abs(values[1] - 3.0))
@@ -86,7 +86,7 @@ def test_criterion_03_nonrational_anchors(capsys):
 
     second = ModelConfig(Example(2), "second", 1, 15.0)
     block = permissible_blocks(second, n_max=0)[0]
-    phys2 = [r for r in spectrum(second, block) if r.physical]
+    phys2 = [r for r in solve_block(second, block).roots if r.physical]
     gap2 = abs(phys2[0].value + 1.0)
     ok = ok and len(phys2) == 1 and gap2 < 1e-10
 

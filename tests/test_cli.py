@@ -111,6 +111,25 @@ class TestSpectrumJson:
         assert len(physical) == 1
         assert physical[0]["energy"] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_negative_exponent_epsilon_is_written_with_equals(self, capsys):
+        code, out, _ = run_cli(
+            ["spectrum", "--example", "1", "--case", "a", "--k", "1",
+             "--epsilon=-1e-05", "--n-max", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["epsilon"] == -1e-05
+        # argparse reads a separate "-1e-05" as an option name; the help text
+        # of both float flags says to write a negative value with "="
+        code, out, err = run_cli(
+            ["spectrum", "--example", "1", "--case", "a", "--k", "1",
+             "--epsilon", "-1e-05", "--n-max", "2"], capsys)
+        assert code == 2 and out == ""
+        assert "expected one argument" in err
+        for command, flag in (("spectrum", "--epsilon"), ("wavefunction", "--epsilon"),
+                              ("wavefunction", "--phi")):
+            code, out, _ = run_cli([command, "--help"], capsys)
+            assert code == 0
+            assert f"writeanegativevalueas{flag}=-1e-05" in "".join(out.split())
+
     def test_floats_round_trip_exactly(self, capsys):
         # %.17g must reproduce the binary64 values bit for bit
         _, out, _ = run_cli(
@@ -170,7 +189,7 @@ class TestJsonEmitter:
         assert code == 0
         config = models.ModelConfig(models.Example(example), case, k, epsilon)
         blocks = models.permissible_blocks(config, n_max=n_max)
-        results = models.solve_blocks(config, blocks)
+        results = [models.solve_block(config, b) for b in blocks]
         report = {
             "example": example, "case": case, "k": k, "epsilon": epsilon,
             "blocks": [
@@ -189,8 +208,9 @@ class TestJsonEmitter:
 
 
 def reference_report(config, results, fmt):
-    """The spectrum report built root by root from ``solve_blocks`` objects:
-    the reference for the array emitters in ``cli``."""
+    """The spectrum report built root by root from the objects of
+    ``solve_block`` on each block alone: the reference for the array
+    emitters in ``cli``, which print ``solve_record`` on the whole query."""
     fmt17 = "{:.17g}".format
 
     def json_root(root):
@@ -259,8 +279,9 @@ REPORT_FAMILIES = st.one_of(
 
 
 class TestReportsFromArrays:
-    """``spectrum`` prints from the solve record the bytes that the
-    per-root reference prints from ``solve_blocks`` objects."""
+    """``spectrum`` prints from the solve record of the whole query the
+    bytes that the per-root reference prints from the ``solve_block``
+    objects of each block alone."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -296,7 +317,7 @@ class TestReportsFromArrays:
             config = models.ModelConfig(models.Example(example_), case, k, epsilon)
             blocks = models.permissible_blocks(config, n_max=n_max)
             try:
-                results = models.solve_blocks(config, blocks)
+                results = [models.solve_block(config, b) for b in blocks]
             except models.PrecisionError:
                 assert code == cli.EXIT_PRECISION and out.getvalue() == ""
                 return
@@ -328,7 +349,7 @@ class TestReportsFromArrays:
                     config = models.ModelConfig(
                         models.Example(args.example), args.case, args.k, args.epsilon)
                     blocks = models.permissible_blocks(config, n_max=args.n_max)
-                    results = models.solve_blocks(config, blocks)
+                    results = [models.solve_block(config, b) for b in blocks]
                 except (models.ParameterError, models.PrecisionError):
                     assert code != 0 and out.getvalue() == ""
                     continue
@@ -435,6 +456,29 @@ class TestWavefunction:
         assert code == 2
         assert out == ""
         assert err == "error: --samples must be at least 2\n"
+
+    def test_out_of_range_l_exits_2(self, capsys):
+        # this used to end in an OverflowError traceback
+        code, out, err = run_cli(
+            ["wavefunction", "--example", "2", "--case", "first", "--k", "-1",
+             "--n", "0", "--l", "4000000000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: l must satisfy |l| < 2**31\n"
+
+    def test_borderline_warning_names_the_solving_line_of_cli(self, capsys):
+        # the block has a borderline root; its warning used to name the line
+        # of a wrapper in models.py
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(
+                ["wavefunction", "--example", "2", "--case", "second", "--k", "5",
+                 "--epsilon", "51", "--n", "4", "--index", "5", "--samples", "3"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        # chi ~ -1e-15 is a double root: the same warning twice
+        assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, cli.__file__)] * 2
+        assert "treated as unphysical borderline" in str(caught[0].message)
 
     def test_infinite_rho_max_exits_2(self, capsys):
         code, out, err = run_cli(

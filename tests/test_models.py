@@ -27,7 +27,6 @@ from heun_spectra import (
     scalar_potential,
     schrodinger_residual,
     solve_block,
-    spectrum,
     t_of_rho,
     total_flux,
     vector_potential,
@@ -123,6 +122,16 @@ class TestBlockEnumeration:
             make_block(cfg, 0)  # n < k-1 not permissible
         with pytest.raises(SelectionError):
             make_block(cfg, 3, l=5)
+
+    def test_l_past_2_to_31_is_a_parameter_error(self):
+        # keeps the closed forms' int64 products below 2**63; the first
+        # family's l = 4000000000 used to end in an OverflowError
+        cfg = ModelConfig(Example(2), "first", -1, 0.0)
+        with pytest.raises(ParameterError, match=re.escape("l must satisfy |l| < 2**31")):
+            make_block(cfg, 0, 4000000000)
+        with pytest.raises(ParameterError, match=re.escape("|l| < 2**31")):
+            BlockSpec(n=0, l=-2**31, sigma=-1)
+        assert make_block(cfg, 0, 2**31 - 1) == BlockSpec(0, 2**31 - 1, +1)
 
     def test_angular_momentum_sign(self):
         assert BlockSpec(n=1, l=1, sigma=-1).angular_momentum == -1
@@ -356,7 +365,7 @@ class TestSpectrum:
         block = BlockSpec(n=0, l=0, sigma=+1)
         for _ in range(5):
             eps = float(rng.uniform(-5, 5))
-            roots = spectrum(ModelConfig(Example(1), "a", 1, eps), block)
+            roots = solve_block(ModelConfig(Example(1), "a", 1, eps), block).roots
             assert len(roots) == 1
             assert roots[0].physical
             assert math.isclose(roots[0].value, eps, rel_tol=1e-12, abs_tol=1e-12)
@@ -364,13 +373,13 @@ class TestSpectrum:
 
     def test_anchor_pair(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.0)
-        roots = spectrum(cfg, BlockSpec(n=1, l=1, sigma=+1))
+        roots = solve_block(cfg, BlockSpec(n=1, l=1, sigma=+1)).roots
         assert [r.value for r in roots] == pytest.approx([-4.0, 4.0], abs=1e-10)
         assert all(r.physical for r in roots)
 
     def test_model2_first_anchor(self):
         cfg = ModelConfig(Example(2), "first", -1, 15.0)
-        roots = spectrum(cfg, BlockSpec(n=0, l=1, sigma=+1))
+        roots = solve_block(cfg, BlockSpec(n=0, l=1, sigma=+1)).roots
         assert len(roots) == 2
         physical = [r for r in roots if r.physical]
         assert len(physical) == 1
@@ -384,7 +393,7 @@ class TestSpectrum:
 
     def test_model2_second_anchor(self):
         cfg = ModelConfig(Example(2), "second", 1, 15.0)
-        roots = spectrum(cfg, BlockSpec(n=0, l=-1, sigma=-1))
+        roots = solve_block(cfg, BlockSpec(n=0, l=-1, sigma=-1)).roots
         physical = [r for r in roots if r.physical]
         assert len(physical) == 1
         assert math.isclose(physical[0].value, -1.0, abs_tol=1e-10)
@@ -562,8 +571,42 @@ def listed_spectrum_queries():
     return queries
 
 
-class TestSolveBlocks:
-    def test_batch_equals_blocks_solved_one_at_a_time(self):
+RECORD_COLUMNS = ("value", "real", "energy", "physical", "borderline", "residual")
+
+
+def record_rows(record):
+    """Each block of a SpectrumRecord with the dtype and bytes of its rows of
+    every column, its null vectors cut to the block's n + 1 coefficients."""
+    rows = []
+    for block, lo, hi in zip(record.blocks, record.bounds, record.bounds[1:]):
+        columns = [getattr(record, name)[lo:hi] for name in RECORD_COLUMNS]
+        columns.append(record.coeffs[lo:hi, : block.n + 1])
+        rows.append((block, [(c.dtype.str, c.tobytes()) for c in columns]))
+    return rows
+
+
+def solved_together_and_alone(config, blocks):
+    """[together, alone]: ``solve_record`` on the whole block list, and on
+    each block alone in a loop that stops at the first error.  Each outcome
+    is (the record rows of every block or the error's repr, the warnings as
+    (message, file))."""
+    outcomes = []
+    for solve in (
+        lambda: record_rows(models.solve_record(config, blocks)),
+        lambda: [row for b in blocks for row in record_rows(models.solve_record(config, [b]))],
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = solve()
+            except PrecisionError as exc:
+                result = repr(exc)
+        outcomes.append((result, [(str(w.message), w.filename) for w in caught]))
+    return outcomes
+
+
+class TestSolveRecord:
+    def test_blocks_together_equal_blocks_solved_alone(self):
         # model 1b k = 37, epsilon = 30 has blocks whose roots take the
         # twisted null vector; model 2 adds the ragged Newton polish and a
         # borderline root at chi ~ 0
@@ -573,24 +616,17 @@ class TestSolveBlocks:
             (ModelConfig(Example(2), "second", 31, 15.0), 30),
         ):
             blocks = permissible_blocks(config, n_max=n_max)
-            with warnings.catch_warnings(record=True) as batch_warnings:
-                warnings.simplefilter("always")
-                batch = models.solve_blocks(config, blocks)
-            with warnings.catch_warnings(record=True) as alone_warnings:
-                warnings.simplefilter("always")
-                alone = [solve_block(config, b) for b in blocks]
-            assert [repr(r) for r in batch] == [repr(r) for r in alone]
-            # the same warnings, in the same order, at the caller's line
-            assert [str(w.message) for w in batch_warnings] == [
-                str(w.message) for w in alone_warnings
-            ]
-            assert all(w.filename == __file__ for w in batch_warnings + alone_warnings)
-        assert batch_warnings  # the borderline root of the last configuration
+            together, alone = solved_together_and_alone(config, blocks)
+            # every array bit-equal, the same warnings in the same order, at
+            # this file's line
+            assert together == alone
+            assert [b for b, _ in together[0]] == blocks
+            assert all(w[1] == __file__ for w in together[1])
+        assert together[1]  # the borderline root of the last configuration
         config = ModelConfig(Example(1), "b", 37, 30.0)
-        blocks = permissible_blocks(config, n_max=40)
         rescued = []
-        for block, res in zip(blocks, models.solve_blocks(config, blocks)):
-            physical = [r for r in res.roots if r.physical]
+        for block in permissible_blocks(config, n_max=40):
+            physical = [r for r in solve_block(config, block).roots if r.physical]
             _, forward = spectral.ragged_null_vectors(
                 [models.block_recurrence(config, block)],
                 np.array([r.value for r in physical]))
@@ -598,41 +634,27 @@ class TestSolveBlocks:
                         if f > models.RESIDUAL_TARGET >= r.residual]
         assert len(rescued) == 5
 
-    def test_listed_spectrum_queries_batch_equals_blocks_one_at_a_time(self):
+    def test_listed_spectrum_queries_together_equal_blocks_solved_alone(self):
         # every twelfth spectrum command of tools/stdout_commands.txt, and the
         # one whose query warns
         queries = listed_spectrum_queries()
         warning = [q for q in queries if q[0] == ModelConfig(Example(2), "second", 31, 15.0)]
         assert len(queries) > 300 and len(warning) == 1
         for config, blocks in queries[::12] + warning:
-            outcomes = []
-            for solve in (lambda: models.solve_blocks(config, blocks),
-                          lambda: [solve_block(config, b) for b in blocks]):
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        result = repr(solve())
-                    except PrecisionError as exc:
-                        result = repr(exc)
-                outcomes.append((result, [(str(w.message), w.filename, w.lineno)
-                                          for w in caught]))
-            assert outcomes[0][0] == outcomes[1][0]
-            # the same warnings in the same order, each at its caller's line
-            assert [w[:2] for w in outcomes[0][1]] == [w[:2] for w in outcomes[1][1]]
-            assert all(w[1] == __file__ for w in outcomes[0][1])
+            together, alone = solved_together_and_alone(config, blocks)
+            assert together == alone
+            assert all(w[1] == __file__ for w in together[1])
+        assert together[1]
 
     def test_first_failing_block_raises_after_earlier_warnings(self):
         # of the blocks l = 27, 28, 29 (n = 26), the last holds a root whose
-        # forward and twisted null vectors both miss the target; the batch
+        # forward and twisted null vectors both miss the target; the query
         # raises the same error as the loop
         config = ModelConfig(Example(2), "first", -27, -5.0)
         blocks = permissible_blocks(config, n_max=2)
-        with pytest.raises(PrecisionError) as batch:
-            models.solve_blocks(config, blocks)
-        with pytest.raises(PrecisionError) as alone:
-            for block in blocks:
-                solve_block(config, block)
-        assert str(batch.value) == str(alone.value)
+        together, alone = solved_together_and_alone(config, blocks)
+        assert together == alone
+        assert together[0].startswith("PrecisionError(") and "l=29" in together[0]
 
     def test_eigensolver_failure_lets_earlier_blocks_report_first(self, monkeypatch):
         real_eigvals, calls = np.linalg.eigvals, []
@@ -647,16 +669,18 @@ class TestSolveBlocks:
         config = ModelConfig(Example(2), "second", 3, 30.0)
         blocks = permissible_blocks(config, n_max=2)
         with pytest.raises(PrecisionError, match=r"eigensolver failed on block BlockSpec\(n=1"):
-            models.solve_blocks(config, blocks)
+            models.solve_record(config, blocks)
         # a loop over solve_block would stop at the first block's failing
         # null vectors
         calls.clear()
         monkeypatch.setattr(models, "RESIDUAL_TARGET", -1.0)
         with pytest.raises(PrecisionError, match=r"BlockSpec\(n=2.* twisted$"):
-            models.solve_blocks(config, blocks)
+            models.solve_record(config, blocks)
 
     def test_empty_block_list(self):
-        assert models.solve_blocks(ModelConfig(Example(1), "a", 2, 0.5), []) == []
+        record = models.solve_record(ModelConfig(Example(1), "a", 2, 0.5), [])
+        assert record.blocks == () and record.bounds == (0,)
+        assert all(len(getattr(record, name)) == 0 for name in RECORD_COLUMNS)
 
 
 class TestFieldsAndPotentials:
@@ -717,14 +741,14 @@ class TestWavefunctions:
     def test_positive_l_vanishes_at_origin(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.3)
         block = make_block(cfg, 1)
-        root = spectrum(cfg, block)[0]
+        root = solve_block(cfg, block).roots[0]
         assert wavefunction(cfg, block, root, 0.0) == 0.0
 
     def test_ground_profile_is_pure_envelope(self):
         eps = 1.2
         cfg = ModelConfig(Example(1), "a", 1, eps)
         block = make_block(cfg, 0)
-        root = spectrum(cfg, block)[0]
+        root = solve_block(cfg, block).roots[0]
         rho = np.linspace(0.0, 3.0, 40)
         vals = wavefunction(cfg, block, root, rho)
         expect = np.exp(-rho ** 4 / 8 - eps * rho ** 2 / 4)
@@ -733,14 +757,14 @@ class TestWavefunctions:
     def test_model2_boundary_value(self):
         cfg = ModelConfig(Example(2), "first", -1, 15.0)
         block = BlockSpec(n=0, l=1, sigma=+1)
-        root = [r for r in spectrum(cfg, block) if r.physical][0]
+        root = [r for r in solve_block(cfg, block).roots if r.physical][0]
         val = wavefunction(cfg, block, root, 0.0)
         assert val == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_angular_phase(self):
         cfg = ModelConfig(Example(1), "b", 4, 0.5)
         block = make_block(cfg, 1)
-        root = spectrum(cfg, block)[0]
+        root = solve_block(cfg, block).roots[0]
         v0 = wavefunction(cfg, block, root, 1.5, phi=0.0)
         v1 = wavefunction(cfg, block, root, 1.5, phi=0.25)
         # sigma = -1, |l| = 1: phase e^{-i phi}
@@ -749,14 +773,14 @@ class TestWavefunctions:
     def test_unphysical_root_rejected(self):
         cfg = ModelConfig(Example(2), "first", -1, 15.0)
         block = BlockSpec(n=0, l=1, sigma=+1)
-        bad = [r for r in spectrum(cfg, block) if not r.physical][0]
+        bad = [r for r in solve_block(cfg, block).roots if not r.physical][0]
         with pytest.raises(SelectionError):
             wavefunction(cfg, block, bad, 1.0)
 
     def test_norm_and_tail(self):
         cfg = ModelConfig(Example(1), "a", 2, 0.9)
         block = make_block(cfg, 2)
-        root = spectrum(cfg, block)[0]
+        root = solve_block(cfg, block).roots[0]
         total, tail = radial_norm(cfg, block, root)
         assert math.isfinite(total) and total > 0
         assert tail < 1e-12
@@ -776,7 +800,7 @@ class TestWavefunctions:
         # Norms from 6.6e-27 down to 2.3e-34, far below any absolute floor.
         cfg = ModelConfig(Example(2), "second", 5, 1600.0)
         block = make_block(cfg, 4)
-        bound = [r for r in spectrum(cfg, block) if r.physical]
+        bound = [r for r in solve_block(cfg, block).roots if r.physical]
         assert len(bound) == 5
         for root in bound:
             total, _ = radial_norm(cfg, block, root)
@@ -787,7 +811,7 @@ class TestWavefunctions:
     def test_small_chi_state_keeps_a_negligible_tail(self):
         cfg = ModelConfig(Example(2), "second", 2, 4.0)
         block = make_block(cfg, 0)
-        root = [r for r in spectrum(cfg, block) if r.physical][0]
+        root = [r for r in solve_block(cfg, block).roots if r.physical][0]
         assert models.decay_split(cfg, root) > 100
         total, tail = radial_norm(cfg, block, root)
         assert tail < 1e-12
@@ -797,7 +821,7 @@ class TestWavefunctions:
     def test_unconverged_norm_raises_precision_error(self, monkeypatch):
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         block = make_block(cfg, 0)
-        root = spectrum(cfg, block)[0]
+        root = solve_block(cfg, block).roots[0]
         rng = np.random.default_rng(0)
 
         def noisy(config, block, root, rho):
@@ -811,7 +835,7 @@ class TestWavefunctions:
     def test_normalized_profile_integrates_to_one(self):
         cfg = ModelConfig(Example(2), "second", 2, 30.0)
         block = make_block(cfg, 1)
-        root = [r for r in spectrum(cfg, block) if r.physical][0]
+        root = [r for r in solve_block(cfg, block).roots if r.physical][0]
         grid = np.linspace(0.0, 30.0, 50)
         prof = radial_profile(cfg, block, root, grid, normalize=True)
         scale = 1.0 / math.sqrt(prof.norm)
@@ -827,7 +851,7 @@ class TestSchrodingerResidual:
     def test_anchor_state_residual(self):
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         block = make_block(cfg, 0)
-        root = spectrum(cfg, block)[0]
+        root = solve_block(cfg, block).roots[0]
         grid = np.arange(0.1, 3.0 + 1e-12, 1e-3)
         assert schrodinger_residual(cfg, block, root, grid) < 1e-6
 
@@ -835,7 +859,7 @@ class TestSchrodingerResidual:
         # h large enough that truncation dominates the 1/h^2 roundoff noise
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         block = make_block(cfg, 0)
-        root = spectrum(cfg, block)[0]
+        root = solve_block(cfg, block).roots[0]
         r_coarse = schrodinger_residual(
             cfg, block, root, np.arange(0.2, 3.0, 2e-2))
         r_fine = schrodinger_residual(
@@ -845,7 +869,7 @@ class TestSchrodingerResidual:
     def test_detector_sees_wrong_energy(self):
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         block = make_block(cfg, 0)
-        root = spectrum(cfg, block)[0]
+        root = solve_block(cfg, block).roots[0]
         shifted = type(root)(
             value=root.value + 0.1,
             energy=root.energy + 0.1,
@@ -860,7 +884,7 @@ class TestSchrodingerResidual:
     def test_grid_too_close_to_the_axis(self):
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         block = make_block(cfg, 0)
-        root = spectrum(cfg, block)[0]
+        root = solve_block(cfg, block).roots[0]
         with pytest.raises(ValueError):
             schrodinger_residual(cfg, block, root, np.arange(0.001, 1.0, 1e-3))
 
@@ -875,7 +899,7 @@ class TestResidualsAcrossFamilies:
         ]
         for cfg, _ in cases:
             block = permissible_blocks(cfg, n_max=1)[0]
-            phys = [r for r in spectrum(cfg, block) if r.physical]
+            phys = [r for r in solve_block(cfg, block).roots if r.physical]
             assert phys, f"no physical state in {cfg}"
             grid = np.arange(0.1, 4.0, 1e-3)
             res = schrodinger_residual(cfg, block, phys[0], grid)

@@ -20,7 +20,7 @@ from heun_spectra import (
     compare_spectra,
     permissible_blocks,
     radial_eigensolve,
-    spectrum,
+    solve_block,
 )
 from heun_spectra import oracle
 from heun_spectra.models import Example
@@ -192,7 +192,7 @@ class TestRadialEigensolve:
     def test_model1_k_zero_blocks(self):
         cfg = ModelConfig(Example(1), "a", 0, 1.0)
         for block in permissible_blocks(cfg, n_max=2):
-            analytic = [r.energy for r in spectrum(cfg, block) if r.physical]
+            analytic = [r.energy for r in solve_block(cfg, block).roots if r.physical]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 numeric = radial_eigensolve(cfg, block.l, block.sigma,
@@ -240,7 +240,7 @@ class TestRadialEigensolve:
         # than the discretization error
         cfg = ModelConfig(Example(1), "a", 2, 0.7)
         block = BlockSpec(n=2, l=1, sigma=+1)
-        analytic = min(r.energy for r in spectrum(cfg, block) if r.physical)
+        analytic = min(r.energy for r in solve_block(cfg, block).roots if r.physical)
         vals = radial_eigensolve(
             cfg, block.l, block.sigma, GridSpec(1e-3, 8.0, 4000), 1)
         assert vals[0] > analytic - 1e-3

@@ -6,6 +6,7 @@ The solve routines, the determinant routes that check them and
 
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -358,6 +359,20 @@ class TestNullVector:
             assert tuple(got) == want.coeffs == (1.0,)
             assert residual == want.terminal_residual
         assert residuals[0] == 0.0 and residuals[1] > 0.5
+
+    def test_exact_entries_give_exact_coefficients(self):
+        # model 1a, k = 1, eps = 0, n = 1 has the root lambda = 4 with the
+        # null vector (1, -1); a float zero for c_{-1} p_{-1} used to turn
+        # p_1 into a float
+        to_fraction = np.frompyfunc(Fraction, 1, 1)
+        config = ModelConfig(Example(1), "a", 1, 0.0)
+        rec = Recurrence(*map(to_fraction, block_recurrence(config, BlockSpec(1, 1, +1))))
+        want = polynomial_from_recurrence(rec, Fraction(4))
+        coeffs, residuals = ragged_null_vectors([rec], np.array([Fraction(4)], dtype=object))
+        for got in (want.coeffs, tuple(coeffs[0])):
+            assert got == (1, -1)
+            assert all(type(p) is Fraction for p in got)
+        assert want.terminal_residual == residuals[0] == 0.0
 
     def test_vanishing_super_diagonal_breaks_down(self):
         rec = Recurrence(*(np.array(v, dtype=float)[:, None]
