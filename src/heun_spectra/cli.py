@@ -174,8 +174,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_wavefunction(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    if args.samples < 2:
-        raise ParameterError("--samples must be at least 2")
+    if not 2 <= args.samples <= 10**6:
+        raise ParameterError(f"--samples must be at {'least 2' if args.samples < 2 else 'most 10**6'}")
     if not (np.isfinite(args.rho_max) and args.rho_max > 0):
         raise ParameterError("--rho-max must be positive and finite")
     if not np.isfinite(args.phi):
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wf.add_argument("--phi", type=float, default=0.0,
                       help="azimuthal angle of the ray (default 0); write a negative "
                       "value as --phi=-1e-05")
-    p_wf.add_argument("--samples", type=int, default=500)
+    p_wf.add_argument("--samples", type=int, default=500,
+                      help="grid points, from 2 to 10**6 (default 500)")
     p_wf.add_argument("--rho-max", type=float, default=8.0)
     p_wf.add_argument("--normalize", action="store_true",
                       help="scale so the radial density integrates to 1")

@@ -264,7 +264,7 @@ def polynomial_from_recurrence(seqs: Recurrence, s: Scalar) -> PolynomialCoeffic
     for j, bj in enumerate(b):
         if bj == 0:
             raise RecurrenceBreakdownError(f"b_{j} = 0 stalls the recurrence")
-    p = [_one_like(a[0])]
+    p = [0 * a[0] + 1]  # p_0 = 1, exact in the entries' own type
     # c_{-1} = 0 in the entries' own type, read as c[-1] next to p_0: by row
     # 0, and as the terminal row's c by a degree-0 block
     c = [*c, 0 * p[0]]
@@ -277,11 +277,6 @@ def polynomial_from_recurrence(seqs: Recurrence, s: Scalar) -> PolynomialCoeffic
     return PolynomialCoefficients(
         degree=n, coeffs=tuple(p), terminal_residual=residual
     )
-
-
-def _one_like(x: Scalar):
-    """A unit of the same scalar family as x (keeps mpf chains in mpf)."""
-    return x / x if x != 0 else x + 1
 
 
 def _poly_derivatives(coeffs: Sequence[Scalar], z: Scalar) -> Tuple[Scalar, Scalar, Scalar]:

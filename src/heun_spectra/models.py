@@ -327,22 +327,19 @@ def block_recurrences(
 
     The closed forms run once over the rows (j, n, l, sigma) of all blocks
     stacked, with the integer and float operations of each block alone, and
-    each block's arrays are a view of the stacked ones.  Errors come as in
-    that loop: the first block that breaks the family's rule or whose
-    entries epsilon overflows raises ParameterError.
+    each block's arrays are a view of the stacked ones.  Every block is
+    checked against the family's rule before any is built: the first that
+    breaks it raises ParameterError, and otherwise the first whose entries
+    epsilon overflows.
     """
     blocks = list(blocks)
-    permitted = next(
-        (i for i, b in enumerate(blocks) if _family_block(config, b.n, b.l) != b),
-        len(blocks),
-    )
-    recs = _stacked_recurrences(config, blocks[:permitted]) if permitted else []
-    if permitted < len(blocks):
-        raise ParameterError(
-            f"block {blocks[permitted]} is not permissible: case {config.variant} "
-            f"requires {_RULES[config.variant]}"
-        )
-    return recs
+    for block in blocks:
+        if _family_block(config, block.n, block.l) != block:
+            raise ParameterError(
+                f"block {block} is not permissible: case {config.variant} "
+                f"requires {_RULES[config.variant]}"
+            )
+    return _stacked_recurrences(config, blocks) if blocks else []
 
 
 def _stacked_recurrences(
@@ -470,9 +467,9 @@ def solve_record(config: ModelConfig, blocks: Sequence[BlockSpec]) -> SpectrumRe
     (``spectral.ragged_polish``, ``spectral.ragged_null_vectors``), and
     those whose vector misses RESIDUAL_TARGET a second one backward, joined
     to the first.  Roots are classified and ordered as arrays, and each gets
-    the bits it gets in a block of its own.  Warnings and errors are those
-    of a loop of ``solve_block`` over the blocks, in the same order, each
-    warning at the caller's line.
+    the bits it gets in a block of its own.  A query fails as a whole: each
+    stage checks every block and raises its first error, in block order.
+    Warnings come at the caller's line.
     """
     return _solve(config, list(blocks))
 
@@ -485,33 +482,26 @@ def _solve(config: ModelConfig, blocks: List[BlockSpec]) -> SpectrumRecord:
     eigensolve = (
         spectral.symmetric_eigenvalues if is_model_1 else spectral.companion_eigenvalues
     )
-    values, failure = [], None
+    values = []
     for block, rec in zip(blocks, recs):
         try:
             values.append(eigensolve(rec))
         except np.linalg.LinAlgError as exc:
-            # the blocks before this one still report first
-            failure = PrecisionError(f"eigensolver failed on block {block}: {exc}")
-            blocks, recs = blocks[: len(values)], recs[: len(values)]
-            break
+            raise PrecisionError(f"eigensolver failed on block {block}: {exc}") from exc
     owner = np.repeat(np.arange(len(values)), [len(v) for v in values])
     roots = np.concatenate(values).astype(complex) if values else np.zeros(0, complex)
     if is_model_1 or not values:
         steps = np.zeros_like(roots)
     else:
         roots, steps = spectral.ragged_polish(recs, roots, owner)
-    record = _classified(config, blocks, recs, owner, roots, steps)
-    if failure is not None:
-        raise failure
-    return record
+    return _classified(config, blocks, recs, owner, roots, steps)
 
 
 def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
     """Classify the roots, take the null vectors, and order each block's roots.
 
-    Warnings and errors come as from a loop over the blocks: the borderline
-    warnings of each block up to the first block with a root whose null
-    vector misses RESIDUAL_TARGET, then the error for its first such root.
+    Every borderline root warns; then the first root, in block order, whose
+    null vector misses RESIDUAL_TARGET raises PrecisionError.
     """
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
     # Python's complex abs, which np.hypot gives and np.abs misses in the last bit
@@ -521,21 +511,11 @@ def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
     borderline = real & ~physical & (roots.real < 0.0)
     residual = np.hypot(steps.real, steps.imag) / scales
     coeffs = np.zeros((len(roots), max((rec.size for rec in recs), default=1)))
-    at = np.flatnonzero(physical)
-    failure, stop = None, len(blocks)
+    at, rescued = np.flatnonzero(physical), np.ones(0, dtype=bool)
     if len(at):
         coeffs[at], forward, residual[at], rescued = _null_vectors(
             recs, roots.real[at], owner[at])
-        if not rescued.all():
-            first = int(np.argmin(rescued))
-            i = at[first]
-            stop = owner[i] + 1
-            failure = PrecisionError(
-                f"root {roots.real[i].item()!r} of block {blocks[owner[i]]} misses the "
-                f"terminal-residual target {RESIDUAL_TARGET:.0e}: "
-                f"{forward[first]:.3e} forward, {residual[i]:.3e} twisted"
-            )
-    for x in roots.real[borderline & (owner < stop)].tolist():
+    for x in roots.real[borderline].tolist():
         # at the caller of solve_block or solve_record
         warnings.warn(
             f"root chi = {x:.3e} sits within {PHYSICAL_NEG_TOL:.0e} "
@@ -543,8 +523,14 @@ def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
             RuntimeWarning,
             stacklevel=4,
         )
-    if failure is not None:
-        raise failure
+    if not rescued.all():
+        first = int(np.argmin(rescued))
+        i = at[first]
+        raise PrecisionError(
+            f"root {roots.real[i].item()!r} of block {blocks[owner[i]]} misses the "
+            f"terminal-residual target {RESIDUAL_TARGET:.0e}: "
+            f"{forward[first]:.3e} forward, {residual[i]:.3e} twisted"
+        )
     energy = np.full(len(roots), np.nan)
     # E = -chi^2 by Python's float power, whose last bit numpy's square can miss
     energy[real] = (roots.real[real] if is_model_1

@@ -444,18 +444,23 @@ class TestWavefunction:
             capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["--example", "2", "--case", "first", "--k", "-27", "--epsilon", "-5",
-         "--n", "26", "--l", "29"],
-        ["--example", "1", "--case", "a", "--k", "1", "--n", "0", "--index", "5"],
-    ], ids=["solve-fails", "index-out-of-range"])
-    def test_bad_samples_exits_2_before_the_solve(self, capsys, argv):
+    @pytest.mark.parametrize("argv, samples, message", [
+        (["--example", "2", "--case", "first", "--k", "-27", "--epsilon", "-5",
+          "--n", "26", "--l", "29"], "1", "at least 2"),
+        (["--example", "1", "--case", "a", "--k", "1", "--n", "0", "--index", "5"],
+         "1", "at least 2"),
+        # this used to end in a numpy MemoryError traceback ("Unable to
+        # allocate 72.8 TiB")
+        (["--example", "1", "--case", "a", "--k", "1", "--n", "0"],
+         "10000000000000", "at most 10**6"),
+    ], ids=["solve-fails", "index-out-of-range", "huge-grid"])
+    def test_bad_samples_exits_2_before_the_solve(self, capsys, argv, samples, message):
         # the flags are checked before the block is solved or a root picked,
         # so the failure that solve or selection would raise never shows
-        code, out, err = run_cli(["wavefunction", *argv, "--samples", "1"], capsys)
+        code, out, err = run_cli(["wavefunction", *argv, "--samples", samples], capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: --samples must be at least 2\n"
+        assert err == f"error: --samples must be {message}\n"
 
     def test_out_of_range_l_exits_2(self, capsys):
         # this used to end in an OverflowError traceback

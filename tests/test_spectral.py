@@ -374,6 +374,19 @@ class TestNullVector:
             assert all(type(p) is Fraction for p in got)
         assert want.terminal_residual == residuals[0] == 0.0
 
+    def test_p0_is_exactly_one_at_complex_points(self):
+        # p_0 used to be a_0 / a_0, which for a complex a_0 can miss 1 in the
+        # last bit (16 of these points raised "requires p_0 = 1"); the kernel
+        # may fuse complex products, so the two agree to rounding, not bits
+        config = ModelConfig(Example(2), "second", 3, 10.0)
+        rec = block_recurrence(config, make_block(config, 1))
+        s = np.random.default_rng(0).uniform(-5, 5, 200) + 0.5j
+        coeffs, _ = ragged_null_vectors([rec], s)
+        for x, row in zip(s.tolist(), coeffs):
+            got = np.array(polynomial_from_recurrence(rec, x).coeffs)
+            assert got[0] == 1
+            np.testing.assert_allclose(got, row, rtol=1e-12, atol=0)
+
     def test_vanishing_super_diagonal_breaks_down(self):
         rec = Recurrence(*(np.array(v, dtype=float)[:, None]
                            for v in ((1, 2, 3), (1, 0), (1, 1))))
