@@ -230,21 +230,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    n_max_help = (f"degree budget, at most {models.MAX_DEGREE} "
+                  "(block-count budget for example 2 first)")
     p_blocks = sub.add_parser("blocks", help="list permissible angular blocks")
     _add_config_flags(p_blocks)
-    p_blocks.add_argument("--n-max", type=int, default=10,
-                          help="degree budget (block-count budget for example 2 first)")
+    p_blocks.add_argument("--n-max", type=int, default=10, help=n_max_help)
     p_blocks.set_defaults(func=cmd_blocks)
 
     p_spec = sub.add_parser("spectrum", help="solve every block and print the roots")
     _add_config_flags(p_spec)
-    p_spec.add_argument("--n-max", type=int, default=10)
+    p_spec.add_argument("--n-max", type=int, default=10, help=n_max_help)
     p_spec.add_argument("--format", choices=("json", "csv"), default="json")
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_wf = sub.add_parser("wavefunction", help="sample one bound state on a radial grid")
     _add_config_flags(p_wf)
-    p_wf.add_argument("--n", type=int, required=True, help="block degree")
+    p_wf.add_argument("--n", type=int, required=True,
+                      help=f"block degree, at most {models.MAX_DEGREE}")
     p_wf.add_argument("--l", type=int, default=None,
                       help="angular number (needed when n does not fix the block)")
     p_wf.add_argument("--index", type=int, default=0,

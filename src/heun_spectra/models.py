@@ -72,6 +72,10 @@ RESIDUAL_TARGET = 1e-10
 # here branches on it; it marks the old cliff that the benchmark's
 # high-degree workload is defined against.
 HIGH_DEGREE_THRESHOLD = 20
+# Largest block degree and n_max.  A query's ragged arrays hold rows x roots
+# entries, so its memory grows as n_max^3: at this bound the worst query
+# (201 model 2 blocks of degree 200) peaks near 2 GB.
+MAX_DEGREE = 200
 
 
 class Example(IntEnum):
@@ -134,7 +138,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One solvable angular block: polynomial degree n, angular number l.
+    """One solvable angular block: polynomial degree n (0 to MAX_DEGREE),
+    angular number l.
 
     sigma is the sign carried by the angular factor exp(i sigma |l| phi); the
     radial equation sees sigma |l|.  For model 2 the stored l is signed and
@@ -148,6 +153,8 @@ class BlockSpec:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ParameterError("block degree n must be non-negative")
+        if self.n > MAX_DEGREE:
+            raise ParameterError(f"block degree n must be at most {MAX_DEGREE}")
         if self.sigma not in (-1, +1):
             raise ParameterError("sigma must be +1 or -1")
         # keeps the closed forms' int64 products below 2**63, as for k
@@ -257,7 +264,8 @@ def _family_block(
 
 
 def permissible_blocks(config: ModelConfig, n_max: int = 10) -> List[BlockSpec]:
-    """Every solvable block of the configuration with degree budget n_max.
+    """Every solvable block of the configuration with degree budget n_max
+    (0 to MAX_DEGREE).
 
     For model 2's first family n is fixed at -k-1 and n_max instead caps the
     number of emitted l values (n_max + 1 blocks); the second family's
@@ -265,6 +273,8 @@ def permissible_blocks(config: ModelConfig, n_max: int = 10) -> List[BlockSpec]:
     """
     if n_max < 0:
         raise ParameterError("n_max must be non-negative")
+    if n_max > MAX_DEGREE:
+        raise ParameterError(f"n_max must be at most {MAX_DEGREE}")
     k = config.k
     if config.variant == "first":
         return [_family_block(config, -k - 1, l) for l in range(-k, -k + n_max + 1)]

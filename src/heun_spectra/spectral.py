@@ -19,8 +19,6 @@ independent of any expanded polynomial:
   (``companion_eigenvalues``), polished by a few Newton steps on the
   continuant and its derivative (``ragged_polish``, ``newton_corrections``).
 
-Both eigensolvers check that structure and raise ValueError without it.
-
 A root's bound state is the null vector of its matrix, the coefficients of
 the three-term recurrence run at the root, and its terminal residual
 certifies the root (``ragged_null_vectors``).
@@ -109,25 +107,17 @@ def dense_determinant(seqs: Recurrence, s: Scalar) -> Scalar:
 def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
     """Roots of a block with monic affine diagonal, as symmetric eigenvalues.
 
-    Applies when every a_j = s + v_j (unit spectral coefficient), b_j and c_j
-    are constants, and b_j c_j > 0.  Then det A(s) = 0 exactly when s is an
-    eigenvalue of the negated constant tridiagonal part, which is similar to
-    a symmetric matrix with off-diagonal sqrt(b_j c_j); its eigenvalues are
-    provably real.  Returns them in ascending order, from
-    ``numpy.linalg.eigvalsh`` on the dense matrix.  Raises ValueError when
-    rec lacks that structure.
+    Assumes the structure that ``models.block_recurrence`` builds for model
+    1: every a_j = s + v_j (a of width 2, last column 1), b_j and c_j
+    constants (width 1) and b_j c_j > 0.  Then det A(s) = 0 exactly when s
+    is an eigenvalue of the negated constant tridiagonal part, which is
+    similar to a symmetric matrix with off-diagonal sqrt(b_j c_j); its
+    eigenvalues are provably real.  Returns them in ascending order, from
+    ``numpy.linalg.eigvalsh`` on the lower triangle of the dense matrix.
     """
-    if not _monic(rec.a, 1):
-        raise ValueError("diagonal entries must be monic affine in s")
-    if not (_degree_at_most(rec.b, 0) and _degree_at_most(rec.c, 0)):
-        raise ValueError("off-diagonal entries must be constant in s")
-    if (rec.b[:, 0] * rec.c[:, 0] <= 0).any():
-        raise ValueError("b_j c_j must be positive for symmetrization")
-    diag = -rec.a[:, 0]
     off = np.sqrt(rec.b[:, 0] * rec.c[:, 0])
     i = np.arange(len(off))
-    matrix = np.diag(diag)
-    matrix[i, i + 1] = off
+    matrix = np.diag(-rec.a[:, 0])
     matrix[i + 1, i] = off
     return np.linalg.eigvalsh(matrix)
 
@@ -135,21 +125,19 @@ def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
 def companion_eigenvalues(rec: Recurrence) -> np.ndarray:
     """Roots of a monic quadratic pencil, as eigenvalues of its linearization.
 
-    Applies when every a_j = s^2 + alpha_j s + beta_j, b_j is constant and
-    c_j is at most linear in s.  Then A(s) = s^2 I + s A1 + A0 and the
-    2(n+1) roots of det A(s) are the (complex) eigenvalues of
+    Assumes the structure that ``models.block_recurrence`` builds for model
+    2: every a_j = s^2 + alpha_j s + beta_j (a of width 3, last column 1),
+    b_j constant (width 1) and c_j = gamma_j s (width 2, first column 0).
+    Then A(s) = s^2 I + s A1 + A0 and the 2(n+1) roots of det A(s) are the
+    (complex) eigenvalues of
 
         [[  0,   I ],
          [ -A0, -A1 ]] ,
 
     for ``ragged_polish`` to refine.  The matrix is filled by index arrays;
-    its lower half starts as -0.0, the negated zeros of A0 and A1.  Raises
-    ValueError when rec lacks that structure.
+    its lower half starts as -0.0, the negated zeros of A0 and A1, the
+    subdiagonal of A0 among them.
     """
-    if not _monic(rec.a, 2):
-        raise ValueError("diagonal entries must be monic quadratic in s")
-    if not (_degree_at_most(rec.b, 0) and _degree_at_most(rec.c, 1)):
-        raise ValueError("b_j must be constant and c_j at most linear in s")
     size = len(rec.a)
     companion = np.zeros((2 * size, 2 * size))
     companion[size:] = -0.0
@@ -159,22 +147,8 @@ def companion_eigenvalues(rec: Recurrence) -> np.ndarray:
     companion[size + i, size + i] = -rec.a[:, 1]
     j = i[:-1]
     companion[size + j, j + 1] = -rec.b[:, 0]
-    companion[size + j + 1, j] = -rec.c[:, 0]
-    if rec.c.shape[1] > 1:
-        companion[size + j + 1, size + j] = -rec.c[:, 1]
+    companion[size + j + 1, size + j] = -rec.c[:, 1]
     return np.linalg.eigvals(companion).astype(complex)
-
-
-def _monic(m: np.ndarray, degree: int) -> bool:
-    """Whether every row of m is of that degree with leading coefficient 1."""
-    return (
-        m.shape[1] > degree and bool((m[:, degree] == 1.0).all())
-        and _degree_at_most(m, degree)
-    )
-
-
-def _degree_at_most(m: np.ndarray, degree: int) -> bool:
-    return not m[:, degree + 1:].any()
 
 
 # ---------------------------------------------------------------------------

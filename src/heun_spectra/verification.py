@@ -378,17 +378,15 @@ def check_orthogonality(rng: np.random.Generator, full: bool) -> Tuple[bool, str
 
 
 def check_normalizability(rng: np.random.Generator, full: bool) -> Tuple[bool, str]:
-    """Physical-state norms are finite with negligible far tails."""
+    """Physical-state norms have negligible far tails (``radial_norm``
+    raises PrecisionError on a norm that is not finite and positive)."""
     worst_tail = 0.0
     states = 0
     for config, block in _anchor_states():
         for root in models.solve_block(config, block).roots:
             if not root.physical:
                 continue
-            norm, tail = models.radial_norm(config, block, root)
-            ok_state = math.isfinite(norm) and norm > 0
-            if not ok_state:
-                return False, f"non-finite norm in block {block}"
+            _, tail = models.radial_norm(config, block, root)
             worst_tail = max(worst_tail, tail)
             states += 1
     ok = states >= 5 and worst_tail < 1e-12

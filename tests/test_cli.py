@@ -63,22 +63,31 @@ class TestBlocks:
         assert code == 2
         assert "k" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["spectrum", "--example", "1", "--case", "b",
-         "--k", "100000000000000000001", "--n-max", "2"],
-        ["spectrum", "--example", "2", "--case", "second",
-         "--k", "100000000000000000001", "--n-max", "1"],
-        ["spectrum", "--example", "2", "--case", "first",
-         "--k", "-100000000000000000001", "--n-max", "0"],
-        ["blocks", "--example", "1", "--case", "a",
-         "--k", "-2147483648", "--n-max", "0"],
-    ], ids=["spectrum-1b", "spectrum-2-second", "spectrum-2-first", "blocks-1a"])
-    def test_out_of_range_k_exits_2(self, capsys, argv):
-        # these used to end in an OverflowError or a ValueError traceback
+    K_RANGE = "k must satisfy |k| < 2**31"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["spectrum", "--example", "1", "--case", "b",
+          "--k", "100000000000000000001", "--n-max", "2"], K_RANGE),
+        (["spectrum", "--example", "2", "--case", "second",
+          "--k", "100000000000000000001", "--n-max", "1"], K_RANGE),
+        (["spectrum", "--example", "2", "--case", "first",
+          "--k", "-100000000000000000001", "--n-max", "0"], K_RANGE),
+        (["blocks", "--example", "1", "--case", "a",
+          "--k", "-2147483648", "--n-max", "0"], K_RANGE),
+        # these used to exit 3 (a nan norm) and 0 (202 blocks); a huge --n
+        # or --n-max ended in a MemoryError traceback or a hang
+        (["wavefunction", "--example", "1", "--case", "a", "--k", "1", "--n", "201"],
+         "block degree n must be at most 200"),
+        (["blocks", "--example", "1", "--case", "a", "--k", "1", "--n-max", "201"],
+         "n_max must be at most 200"),
+    ], ids=["spectrum-1b", "spectrum-2-second", "spectrum-2-first", "blocks-1a",
+            "wavefunction-n", "blocks-n-max"])
+    def test_out_of_range_input_exits_2(self, capsys, argv, message):
+        # the k cases used to end in an OverflowError or a ValueError traceback
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""
-        assert err == "error: k must satisfy |k| < 2**31\n"
+        assert err == f"error: {message}\n"
 
 
 class TestSpectrumJson:

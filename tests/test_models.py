@@ -1,5 +1,6 @@
 """Block rules, sequences, spectra, fields, wavefunctions, and residuals."""
 
+import functools
 import itertools
 import math
 import os
@@ -132,6 +133,20 @@ class TestBlockEnumeration:
         with pytest.raises(ParameterError, match=re.escape("|l| < 2**31")):
             BlockSpec(n=0, l=-2**31, sigma=-1)
         assert make_block(cfg, 0, 2**31 - 1) == BlockSpec(0, 2**31 - 1, +1)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda n: BlockSpec(n=n, l=0, sigma=+1), "block degree n"),
+        *[(functools.partial(permissible_blocks, ModelConfig(Example(example), variant, k, 1.0)),
+           "n_max")
+          for example, variant, k in ((1, "a", 1), (1, "b", 401), (2, "first", -1),
+                                      (2, "second", 401))],
+    ], ids=["BlockSpec", "a", "b", "first", "second"])
+    def test_degree_past_max_degree_is_a_parameter_error(self, build, message):
+        # the ragged arrays of a query grow as n_max^3; n = 10**5 used to
+        # end in a numpy MemoryError traceback, n_max = 5000 in a hang
+        build(models.MAX_DEGREE)
+        with pytest.raises(ParameterError, match=f"^{message} must be at most 200$"):
+            build(models.MAX_DEGREE + 1)
 
     def test_angular_momentum_sign(self):
         assert BlockSpec(n=1, l=1, sigma=-1).angular_momentum == -1
@@ -341,6 +356,13 @@ class TestBlockRecurrences:
             for g, w in zip(got, want):
                 assert [(m.dtype, m.shape, m.tobytes()) for m in g] == [
                     (m.dtype, m.shape, m.tobytes()) for m in w]
+                # the structure the eigensolvers assume: monic diagonals,
+                # constant b, and b_j c_j > 0 (model 1) or c_j = gamma_j s
+                # (model 2)
+                model_1 = example is Example.REPULSIVE_POLYNOMIAL
+                assert [m.shape[1] for m in g] == ([2, 1, 1] if model_1 else [3, 1, 2])
+                assert (g.a[:, -1] == 1.0).all()
+                assert ((g.b[:, 0] * g.c[:, 0] > 0) if model_1 else (g.c[:, 0] == 0)).all()
         # -1.7e308 overflows model 1 past its first diagonal entry, so every
         # model 1 family here but case b k = 1, whose one block has one entry
         assert failures == 8

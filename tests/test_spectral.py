@@ -5,7 +5,6 @@ The solve routines, the determinant routes that check them and
 ``block_recurrence``."""
 
 import math
-import re
 from fractions import Fraction
 
 import mpmath
@@ -424,54 +423,6 @@ class TestSymmetricPath:
             scale = max(1.0, max(abs(r) for r in roots))
             assert all(abs(r.imag) < 1e-9 * scale for r in roots)
             assert_same_roots(symmetric_eigenvalues(rec), roots, 1e-9)
-
-
-def with_row(rec, name, j, row):
-    """rec with row j of its array name replaced, the array widened to fit."""
-    m = getattr(rec, name)
-    m = np.pad(m, ((0, 0), (0, max(0, len(row) - m.shape[1]))))
-    m[j] = 0.0
-    m[j, : len(row)] = row
-    return rec._replace(**{name: m})
-
-
-class TestStructureChecks:
-    """Each eigensolver rejects a recurrence without the structure it needs."""
-
-    MODEL_1 = (ModelConfig(Example(1), "a", 2, 1.3), BlockSpec(n=3, l=2, sigma=+1))
-    MODEL_2 = (ModelConfig(Example(2), "second", 4, 7.0), BlockSpec(n=3, l=-4, sigma=-1))
-
-    @pytest.mark.parametrize(
-        "name, row, message",
-        [
-            ("a", [0.5, 2.0], "diagonal entries must be monic affine in s"),
-            ("a", [0.5, 1.0, 0.25], "diagonal entries must be monic affine in s"),
-            ("b", [-3.0], "b_j c_j must be positive for symmetrization"),
-            ("c", [0.0], "b_j c_j must be positive for symmetrization"),
-            ("c", [4.0, 0.0, 1.0], "off-diagonal entries must be constant in s"),
-            ("b", [1.0, 1.0], "off-diagonal entries must be constant in s"),
-        ],
-    )
-    def test_symmetric_eigenvalues(self, name, row, message):
-        rec = block_recurrence(*self.MODEL_1)
-        symmetric_eigenvalues(rec)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            symmetric_eigenvalues(with_row(rec, name, 1, row))
-
-    @pytest.mark.parametrize(
-        "name, row, message",
-        [
-            ("a", [1.0, 2.0, 3.0], "diagonal entries must be monic quadratic in s"),
-            ("a", [1.0, 2.0], "diagonal entries must be monic quadratic in s"),
-            ("c", [0.0, 4.0, 1.0], "b_j must be constant and c_j at most linear in s"),
-            ("b", [1.0, 1.0], "b_j must be constant and c_j at most linear in s"),
-        ],
-    )
-    def test_companion_eigenvalues(self, name, row, message):
-        rec = block_recurrence(*self.MODEL_2)
-        companion_eigenvalues(rec)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            companion_eigenvalues(with_row(rec, name, 1, row))
 
 
 def _batch(recs, points):
