@@ -1,6 +1,7 @@
 """Degree conditions, sequences, recurrence, and equation residuals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from heun_spectra import (
     HeunBParams,
     HeunCParams,
+    PolynomialCoefficients,
     RecurrenceBreakdownError,
     heunb_degree,
     heunb_ode_residual,
@@ -167,6 +169,16 @@ class TestRecurrence:
         seqs = heunb_sequences(HeunBParams(al, 0.0, ga, delta), n=1)
         poly = polynomial_from_recurrence(seqs, 0.0)
         assert poly.terminal_residual < 1e-10
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ((1.0,), "coefficient count must equal degree + 1"),
+        ((1.0 + 2**-52, 0.5), "recurrence normalization requires p_0 = 1"),
+    ], ids=["count", "p0"])
+    def test_coefficients_are_checked(self, coeffs, message):
+        # the p_0 check caught complex points whose a_0 / a_0 missed 1
+        PolynomialCoefficients(1, (1.0, 0.5), 0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PolynomialCoefficients(1, coeffs, 0.0)
 
     def test_symbolic_entries_require_substitution(self):
         # both diagonal entries are s itself

@@ -148,6 +148,19 @@ class TestBlockEnumeration:
         with pytest.raises(ParameterError, match=f"^{message} must be at most 200$"):
             build(models.MAX_DEGREE + 1)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda n: BlockSpec(n=n, l=0, sigma=+1), "block degree n"),
+        *[(functools.partial(permissible_blocks, ModelConfig(Example(example), variant, k, 1.0)),
+           "n_max")
+          for example, variant, k in ((1, "a", 1), (1, "b", 401), (2, "first", -1),
+                                      (2, "second", 401))],
+    ], ids=["BlockSpec", "a", "b", "first", "second"])
+    def test_negative_degree_is_a_parameter_error(self, build, message):
+        # the other end of the range; `spectrum ... --n-max -1` prints this
+        build(0)
+        with pytest.raises(ParameterError, match=f"^{message} must be non-negative$"):
+            build(-1)
+
     def test_angular_momentum_sign(self):
         assert BlockSpec(n=1, l=1, sigma=-1).angular_momentum == -1
         assert BlockSpec(n=1, l=-2, sigma=-1).angular_momentum == -2
