@@ -260,7 +260,7 @@ def _family_block(
         ok, sigma = n == -k - 1 and l is not None and l >= -k, +1
     else:
         ok, l, sigma = n <= k - 1, -n - 1, -1
-    return BlockSpec(n, l, sigma) if ok and n >= 0 else None
+    return BlockSpec(n, l, sigma) if ok else None
 
 
 def permissible_blocks(config: ModelConfig, n_max: int = 10) -> List[BlockSpec]:
@@ -288,8 +288,11 @@ def make_block(config: ModelConfig, n: int, l: Optional[int] = None) -> BlockSpe
     """Construct the block selected by degree n (and l where n is degenerate).
 
     Raises SelectionError when no permissible block matches, so callers can
-    distinguish bad selections from bad configurations.
+    distinguish bad selections from bad configurations; a negative n is a
+    bad input (ParameterError), as for ``BlockSpec``.
     """
+    if n < 0:
+        raise ParameterError("block degree n must be non-negative")
     if config.variant == "first" and l is None:
         raise SelectionError("the first family needs l (n is fixed at -k-1)")
     block = _family_block(config, n, l)
@@ -802,8 +805,10 @@ def radial_norm(
         return radial_values(config, block, root, r) ** 2 * r
 
     split = decay_split(config, root)
-    head = _gauss_integral(integrand, 0.0, split)
-    tail = _gauss_integral(integrand, split, 2.0 * split, scale=head)
+    # a state whose factors overflow gives a non-finite norm, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = _gauss_integral(integrand, 0.0, split)
+        tail = _gauss_integral(integrand, split, 2.0 * split, scale=head)
     total = head + tail
     if not (math.isfinite(total) and total > 0):
         raise PrecisionError(

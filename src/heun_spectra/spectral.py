@@ -25,9 +25,10 @@ certifies the root (``ragged_null_vectors``).
 
 The Newton polish, the corrections and the null vectors run over the roots
 of several blocks at once: point i belongs to recurrence owner[i], and to
-the only one when owner is None.  Rows are padded to the longest block, and
-a root whose block has ended keeps its values, so every root sees the
-floating-point operations it would see alone.
+the only one when owner is None.  The points stay in that order and every
+point runs every row, padded past its own recurrence's last row; a point's
+result is read at that row, so every root sees the floating-point
+operations it would see alone.
 
 ``determinant_polynomial`` (the continuant carried out on coefficient
 arrays), ``determinant_numeric`` and ``dense_determinant`` evaluate the same
@@ -218,13 +219,13 @@ def ragged_null_vectors(
     owner = _owners(s, owner)
     last = _degrees(recs, owner)
     rows = max(rec.degree for rec in recs) + 1
-    a = _horner(_gather([r.a for r in recs], owner, rows, 0), s, derivative=False)[0]
-    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 1), s, derivative=False)[0]
+    a = _horner(_gather([r.a for r in recs], owner, rows, 0), s)[0]
+    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 1), s)[0]
     # one padded row past the longest c, c_{-1} = 0 in the scalar type of s:
     # row 0 reads it next to p_0, and a point of a degree-0 block as its
     # terminal row's c, which leaves |terminal| and the scale as they are
     # without c
-    c = _horner(_gather([r.c for r in recs], owner, rows, 0), s, derivative=False)[0]
+    c = _horner(_gather([r.c for r in recs], owner, rows, 0), s)[0]
     stalled = (b == 0).any(axis=1)
     if stalled.any():
         j = int(np.argmax(stalled))
@@ -268,21 +269,17 @@ def _gather(mats: List[np.ndarray], owner: np.ndarray, rows: int, pad) -> np.nda
 
 
 def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
-    """The continuant laid out by point, for ``_corrections``: the points in
-    order of descending degree (a stable sort), their a and e coefficients,
-    live[j] = the number of points whose recurrence reaches row j, and the
-    order itself."""
+    """The continuant laid out by point, for ``_corrections``: the a and e
+    coefficients of each point's recurrence, and ends[j] = the points whose
+    recurrence ends at row j, for the rows where some point's does."""
     last = _degrees(recs, owner)
-    order = np.argsort(-last, kind="stable")
     rows = max(rec.degree for rec in recs) + 1
-    live = np.searchsorted(-last[order], -np.arange(rows), side="right")
     return (
-        _gather([r.a for r in recs], owner[order], rows, 0),
+        _gather([r.a for r in recs], owner, rows, 0),
         # e_j = b_j c_j; the 0.0 + turns a -0.0 coefficient into 0.0, which
         # the solve path's bits depend on
-        _gather([0.0 + r.b * r.c for r in recs], owner[order], rows - 1, 0),
-        live.tolist(),
-        order,
+        _gather([0.0 + r.b * r.c for r in recs], owner, rows - 1, 0),
+        {j: np.flatnonzero(last == j) for j in set(last.tolist())},
     )
 
 
@@ -291,25 +288,23 @@ def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
 def _corrections(lanes, s: np.ndarray) -> np.ndarray:
     """D(s) / D'(s) at every point (see ``newton_corrections``).
 
-    The points run in order of descending degree, so the ones whose
-    recurrence reaches row j are the first live[j]: the rows, and the
-    rescaling at each row index j that is a multiple of RESCALE_ROWS, act
-    on that prefix only, and a point whose recurrence has ended keeps its
-    values, as for a single block.
+    Every point runs every row, and the rescaling at each row index j that
+    is a multiple of RESCALE_ROWS acts on each point alone.  A point whose
+    recurrence ends before the last row keeps the (D, D') of its own last
+    row: they are copied out on the rows where some point ends and written
+    back after the loop, so a lone block copies nothing.  Neutral pad rows
+    (a = 1, e = 0) would not keep them: 0 * inf is nan.
     """
-    a_coeffs, e_coeffs, live, order = lanes
-    a, da = _horner(a_coeffs, s[order])
-    e, de = _horner(e_coeffs, s[order])
+    a_coeffs, e_coeffs, ends = lanes
+    a, da = _horner(a_coeffs, s)
+    e, de = _horner(e_coeffs, s)
     d, dd = a[0], da[0]
     d_prev, dd_prev = np.ones_like(d), np.zeros_like(d)
-    d_end, dd_end = np.empty_like(d), np.empty_like(d)
-    k = len(d)
+    kept = []
     for j in range(1, len(a)):
-        if live[j] < k:  # the points live[j]..k-1 ended at row j - 1
-            d_end[live[j]:k], dd_end[live[j]:k] = d[live[j]:k], dd[live[j]:k]
-            k = live[j]
-            d, d_prev, dd, dd_prev = d[:k], d_prev[:k], dd[:k], dd_prev[:k]
-            a, da, e, de = a[:, :k], da[:, :k], e[:, :k], de[:, :k]
+        ended = ends.get(j - 1)
+        if ended is not None:
+            kept.append((ended, d[ended], dd[ended]))
         aj, ej = a[j], e[j - 1]
         # D'_j and D_j, left to right as written in newton_corrections
         dd, dd_prev = da[j] * d + aj * dd - de[j - 1] * d_prev - ej * dd_prev, dd
@@ -318,22 +313,20 @@ def _corrections(lanes, s: np.ndarray) -> np.ndarray:
             scale = np.abs(d) + np.abs(dd)
             scale[scale == 0] = 1
             d, d_prev, dd, dd_prev = (x / scale for x in (d, d_prev, dd, dd_prev))
-    d_end[:k], dd_end[:k] = d, dd
-    nonzero = dd_end != 0
-    out = np.empty_like(d_end)
-    out[order] = np.where(nonzero, d_end / np.where(nonzero, dd_end, 1), 0 * d_end)
-    return out
+    for ended, d_end, dd_end in kept:
+        d[ended], dd[ended] = d_end, dd_end
+    nonzero = dd != 0
+    return np.where(nonzero, d / np.where(nonzero, dd, 1), 0 * d)
 
 
-def _horner(coeffs: np.ndarray, s: np.ndarray, derivative: bool = True):
-    """Values (and derivatives) at every point of the polynomials whose
+def _horner(coeffs: np.ndarray, s: np.ndarray):
+    """Values and derivatives at every point of the polynomials whose
     coefficients are coeffs[:, j, i]: Horner's rule, one array operation per
     degree."""
     top = len(coeffs) - 1
     value = coeffs[top] + 0 * s
     deriv = 0 * value
     for k in range(top - 1, -1, -1):
-        if derivative:
-            deriv = deriv * s + value
+        deriv = deriv * s + value
         value = value * s + coeffs[k]
     return value, deriv

@@ -80,8 +80,11 @@ class TestBlocks:
          "block degree n must be at most 200"),
         (["blocks", "--example", "1", "--case", "a", "--k", "1", "--n-max", "201"],
          "n_max must be at most 200"),
+        # this used to exit 4, as a block off the family rule
+        (["wavefunction", "--example", "1", "--case", "a", "--k", "1", "--n", "-1"],
+         "block degree n must be non-negative"),
     ], ids=["spectrum-1b", "spectrum-2-second", "spectrum-2-first", "blocks-1a",
-            "wavefunction-n", "blocks-n-max"])
+            "wavefunction-n", "blocks-n-max", "wavefunction-negative-n"])
     def test_out_of_range_input_exits_2(self, capsys, argv, message):
         # the k cases used to end in an OverflowError or a ValueError traceback
         code, out, err = run_cli(argv, capsys)
@@ -734,8 +737,11 @@ class TestSubprocess:
         # the forward run overflows to a nan residual, which used to pass
         (["spectrum", "--example", "1", "--case", "b", "--k", "7",
           "--epsilon", "1e300", "--n-max", "6"], 3),
+        # an in-range degree whose state norm overflows at epsilon = 0
+        (["wavefunction", "--example", "1", "--case", "a", "--k", "1",
+          "--n", "150", "--samples", "3"], 3),
     ], ids=["spectrum-1b", "wavefunction-1a", "spectrum-2-second", "spectrum-1a",
-            "spectrum-1b-nan"])
+            "spectrum-1b-nan", "wavefunction-1a-n150"])
     def test_overflowing_epsilon_exits_with_one_error_line(self, argv, code):
         # no traceback and no numpy warnings, in a fresh process
         proc = subprocess.run([sys.executable, "-m", "heun_spectra", *argv],

@@ -154,9 +154,15 @@ class TestBlockEnumeration:
            "n_max")
           for example, variant, k in ((1, "a", 1), (1, "b", 401), (2, "first", -1),
                                       (2, "second", 401))],
-    ], ids=["BlockSpec", "a", "b", "first", "second"])
+        *[(functools.partial(make_block, ModelConfig(Example(example), variant, k, 1.0), l=l),
+           "block degree n")
+          for example, variant, k, l in ((1, "a", 1, None), (1, "b", 1, None),
+                                         (2, "first", -1, 1), (2, "second", 1, None))],
+    ], ids=["BlockSpec", "a", "b", "first", "second",
+            "make_block-a", "make_block-b", "make_block-first", "make_block-second"])
     def test_negative_degree_is_a_parameter_error(self, build, message):
-        # the other end of the range; `spectrum ... --n-max -1` prints this
+        # the other end of the range; `spectrum ... --n-max -1` and
+        # `wavefunction ... --n -1` print this
         build(0)
         with pytest.raises(ParameterError, match=f"^{message} must be non-negative$"):
             build(-1)
@@ -208,7 +214,10 @@ class TestFamilyRules:
                            if b[0] == n and (l is None or b[1] == l)]
                 if config.variant == "first" and l is None:
                     matches = []  # n alone does not select a first-family block
-                if matches:
+                if n < 0:
+                    with pytest.raises(ParameterError, match="must be non-negative"):
+                        make_block(config, n, l)
+                elif matches:
                     block = make_block(config, n, l)
                     assert [(block.n, block.l, block.sigma)] == matches
                 else:
@@ -652,6 +661,9 @@ class TestSolveRecord:
         for config, n_max in (
             (ModelConfig(Example(1), "b", 37, 30.0), 40),
             (ModelConfig(Example(2), "second", 21, 1200.0), 20),
+            # residuals overflow to inf, which the polish must not turn
+            # into nan by running a block on past its last row
+            (ModelConfig(Example(2), "second", 12, -1e100), 44),
             (ModelConfig(Example(2), "second", 31, 15.0), 30),
         ):
             blocks = permissible_blocks(config, n_max=n_max)
