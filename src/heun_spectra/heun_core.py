@@ -26,21 +26,39 @@ polynomials against the differential equations directly.
 The sequences are ``Recurrence`` coefficient arrays, one row of
 coefficients in the spectral parameter per entry; the generic Heun
 sequences here have constant rows, the model blocks of
-``models.block_recurrence`` polynomial ones.
+``models.block_recurrence`` polynomial ones.  A polynomial outside the
+ragged kernel of ``spectral`` is a coefficient sequence, lowest degree
+first, evaluated by ``horner``, which is generic over the scalar type
+(float, complex, Fraction or an mpmath number) and takes arrays of
+coefficients too.  ``SPoly`` only wraps one entry's coefficients in the
+read-only ``TridiagonalSequences`` view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import RecurrenceBreakdownError
-from .spoly import Scalar, SPoly, horner
+
+Scalar = Any  # float, complex, Fraction, or an mpmath number
 
 INTEGER_TOL = 1e-9
+
+
+def horner(coeffs: Iterable[Scalar], s: Scalar) -> Scalar:
+    """Evaluate a polynomial given lowest-degree-first coefficients.
+
+    A lone coefficient is returned as it is.  The coefficients may be
+    arrays, giving one value per array element.
+    """
+    acc = None
+    for c in reversed(list(coeffs)):
+        acc = c if acc is None else acc * s + c
+    return 0.0 if acc is None else acc
 
 
 def _require_finite(name: str, value: Scalar) -> None:
@@ -143,16 +161,21 @@ class Recurrence(NamedTuple):
         """Substitute the spectral parameter, returning numeric entry lists.
 
         Every row is evaluated by ``horner``, which returns a constant entry
-        as it is.  A row whose leading coefficient is not zero (every row of
-        ``models.block_recurrence``) then carries the bits of
-        ``TridiagonalSequences.at``.
+        as it is; ``TridiagonalSequences.at`` evaluates the same rows alike.
         """
         return tuple([horner(row, s) for row in m.tolist()] for m in self)
 
 
+class SPoly(NamedTuple):
+    """One entry of ``TridiagonalSequences``: its coefficients in the
+    spectral parameter, lowest degree first."""
+
+    coeffs: Tuple[Scalar, ...]
+
+
 @dataclass(frozen=True)
 class TridiagonalSequences:
-    """A recurrence's entries as SPoly polynomials, a read-only view.
+    """A recurrence's entries as SPoly coefficient tuples, a read-only view.
 
     a holds the n+1 diagonal entries, b the n super-diagonal entries, c the n
     sub-diagonal entries.  ``models.block_sequences`` builds it from a
@@ -169,7 +192,9 @@ class TridiagonalSequences:
 
     def at(self, s: Scalar) -> Tuple[list, list, list]:
         """Substitute the spectral parameter, returning numeric entry lists."""
-        return tuple([e(s) for e in seq] for seq in (self.a, self.b, self.c))
+        return tuple(
+            [horner(e.coeffs, s) for e in seq] for seq in (self.a, self.b, self.c)
+        )
 
 
 def _near_nonneg_int(value: float, tol: float = INTEGER_TOL) -> Optional[int]:

@@ -59,8 +59,7 @@ from numpy.typing import NDArray
 
 from . import spectral
 from .errors import ParameterError, PrecisionError, SelectionError
-from .heun_core import PolynomialCoefficients, TridiagonalSequences
-from .spoly import SPoly, horner
+from .heun_core import PolynomialCoefficients, SPoly, TridiagonalSequences, horner
 
 ArrayF = NDArray[np.floating]
 
@@ -412,7 +411,7 @@ def _stacked_recurrences(
 def block_sequences(
     config: ModelConfig, block: BlockSpec, precision: Optional[int] = None
 ) -> TridiagonalSequences:
-    """The entries of ``block_recurrence`` as SPoly sequences: a read-only
+    """The entries of ``block_recurrence`` as SPoly tuples: a read-only
     view for callers that read single entries' coefficients (the
     benchmark's reference solver).  Every routine here computes with the
     arrays.  precision, when given, converts each float exactly to an
@@ -425,7 +424,7 @@ def block_sequences(
 
         arrays = map(np.frompyfunc(mpmath.mpf, 1, 1), arrays)
     return TridiagonalSequences(
-        *(tuple(SPoly(row) for row in m.tolist()) for m in arrays)
+        *(tuple(SPoly(tuple(row)) for row in m.tolist()) for m in arrays)
     )
 
 
@@ -606,7 +605,7 @@ def _twisted(rec: spectral.Recurrence, x: float, f: ArrayF, g: ArrayF) -> Tuple[
     """
     # like the kernel, overflow to inf and inf - inf = nan pass silently
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a, b, c = (np.polynomial.polynomial.polyval(x, m.T) for m in rec)
+        a, b, c = (horner(m.T, x) for m in rec)
         # row t applied to the join scaled to p_t = 1, and that row's entries
         gamma = a + np.pad(c * f[:-1] / f[1:], (1, 0)) + np.pad(b * g[1:] / g[:-1], (0, 1))
         entries = np.max([np.abs(a), np.pad(np.abs(c), (1, 0)), np.pad(np.abs(b), (0, 1)),

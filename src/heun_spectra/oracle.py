@@ -29,7 +29,6 @@ touches the Heun machinery, so agreement with the roots is a genuine cross-check
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple

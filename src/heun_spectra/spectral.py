@@ -31,7 +31,8 @@ result is read at that row, so every root sees the floating-point
 operations it would see alone.
 
 ``determinant_polynomial`` (the continuant carried out on coefficient
-arrays), ``determinant_numeric`` and ``dense_determinant`` evaluate the same
+arrays, returning the determinant's coefficients for ``heun_core.horner``),
+``determinant_numeric`` and ``dense_determinant`` evaluate the same
 determinant by independent routes and serve as verification, exactly on a
 recurrence of Fractions.  The last two only call the sequences' ``at`` and
 ``size``, so they take a ``Recurrence`` and the ``TridiagonalSequences``
@@ -46,26 +47,27 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import RecurrenceBreakdownError
-from .heun_core import Recurrence
-from .spoly import Scalar, SPoly
+from .heun_core import Recurrence, Scalar
 
 NEWTON_STEPS = 3
 RESCALE_ROWS = 8
 
 
-def determinant_polynomial(rec: Recurrence) -> SPoly:
-    """Determinant of the quantization matrix as a polynomial in s.
+def determinant_polynomial(rec: Recurrence) -> np.ndarray:
+    """Determinant of the quantization matrix as a polynomial in s: its
+    coefficient array, lowest degree first, for ``heun_core.horner``.
 
     The continuant runs on coefficient arrays with numpy's ``polymul`` and
-    ``polysub``; object arrays of Fractions stay exact.
+    ``polysub``, which trim trailing zeros; object arrays of Fractions stay
+    exact.  The array is new, never a view of the recurrence.
     """
     a, b, c = rec
-    d_prev2, d_prev = [1], a[0]
+    d_prev2, d_prev = [1], a[0].copy()
     for j in range(1, rec.size):
         d_prev2, d_prev = d_prev, P.polysub(
             P.polymul(a[j], d_prev), P.polymul(P.polymul(b[j - 1], c[j - 1]), d_prev2)
         )
-    return SPoly(d_prev.tolist())
+    return d_prev
 
 
 def determinant_numeric(seqs: Recurrence, s: Scalar) -> Scalar:

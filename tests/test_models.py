@@ -647,7 +647,7 @@ def solved_together_and_alone(config, blocks):
             warnings.simplefilter("always")
             try:
                 result = solve()
-            except PrecisionError as exc:
+            except (ParameterError, PrecisionError) as exc:
                 result = repr(exc)
         outcomes.append((result, [(str(w.message), w.filename) for w in caught]))
     return outcomes
@@ -751,20 +751,25 @@ class TestSolveRecord:
 
 
 class TestModel2PhysicalCount:
-    """Model 2's physical roots at high degree, where a real negative
-    companion eigenvalue is printed as a bound state with nothing to check
-    it.  Each physical root is one step of the inertia count of the
-    symmetrized pencil, which runs from 0 to #{j : beta_j < 0}, so a block
-    has that many physical roots.  These fail until the roots come from
-    inertia brackets, and must then be turned into plain tests."""
+    """Model 2's physical roots, where a real negative companion eigenvalue
+    is printed as a bound state with nothing to check it.  Each physical
+    root is one step of the inertia count of the symmetrized pencil, which
+    runs from 0 to #{j : beta_j < 0}, so a block has that many physical
+    roots.  The defect shows from n = 13 on.  These fail until the roots
+    come from inertia brackets, and must then be turned into plain tests."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="spurious or missing physical roots at high degree")
-    def test_physical_count_is_the_number_of_negative_beta(self):
+                       reason="spurious or missing physical roots")
+    @pytest.mark.parametrize("k, epsilon, n_max", [
         # 11 blocks are wrong: n = 34 has 23 physical roots for 35, and
         # n = 44 has 18 for 17
-        config = ModelConfig(Example(2), "second", 45, 5000.0)
-        record = models.solve_record(config, permissible_blocks(config, n_max=44))
+        (45, 5000.0, 44),
+        # n = 14 has 11 physical roots for 10: chi = -8.69e-4 is no root
+        (49, 800.0, 14),
+    ])
+    def test_physical_count_is_the_number_of_negative_beta(self, k, epsilon, n_max):
+        config = ModelConfig(Example(2), "second", k, epsilon)
+        record = models.solve_record(config, permissible_blocks(config, n_max=n_max))
         got, want = [], []
         for block, lo, hi in zip(record.blocks, record.bounds, record.bounds[1:]):
             got.append((block.n, int(record.physical[lo:hi].sum())))
@@ -772,11 +777,16 @@ class TestModel2PhysicalCount:
         assert got == want
 
     @pytest.mark.xfail(strict=True, raises=PrecisionError,
-                       reason="a spurious companion root at n = 26, l = 29")
-    def test_spurious_root_is_not_a_bound_state(self):
-        config = ModelConfig(Example(2), "first", -27, -5.0)
-        record = models.solve_record(config, permissible_blocks(config, n_max=2))
-        t = record.blocks.index(BlockSpec(26, 29, +1))
+                       reason="a spurious companion root in a block with no bound state")
+    @pytest.mark.parametrize("k, epsilon, n_max, n, l", [
+        (-27, -5.0, 2, 26, 29),
+        # every beta_j of block (19, 43) is positive
+        (-20, 40.0, 40, 19, 43),
+    ])
+    def test_spurious_root_is_not_a_bound_state(self, k, epsilon, n_max, n, l):
+        config = ModelConfig(Example(2), "first", k, epsilon)
+        record = models.solve_record(config, permissible_blocks(config, n_max=n_max))
+        t = record.blocks.index(BlockSpec(n, l, +1))
         assert not record.physical[record.bounds[t]:record.bounds[t + 1]].any()
 
 
@@ -928,6 +938,26 @@ class TestWavefunctions:
         monkeypatch.setattr(models, "radial_values", noisy)
         with pytest.raises(PrecisionError, match="did not converge"):
             radial_norm(cfg, block, root)
+
+    def test_noise_floor_norm_is_accepted_at_the_panel_cap(self, monkeypatch):
+        # noise of 1e-7 keeps successive estimates from agreeing to
+        # NORM_RTOL, but not to NORM_FLOOR_RTOL: the head reaches
+        # NORM_MAX_PANELS and is accepted there, near the exact 1/4
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        block = make_block(cfg, 0)
+        root = solve_block(cfg, block).roots[0]
+        rng = np.random.default_rng(0)
+        sizes = []
+
+        def noisy(config, block, root, rho):
+            r = np.asarray(rho, dtype=float)
+            sizes.append(r.size)
+            return np.exp(-r * r) * (1.0 + 1e-7 * rng.standard_normal(r.shape))
+
+        monkeypatch.setattr(models, "radial_values", noisy)
+        total, _ = radial_norm(cfg, block, root)
+        assert max(sizes) == models.NORM_MAX_PANELS * models.GAUSS_ORDER
+        assert abs(total - 0.25) <= 1e-8
 
     def test_normalized_profile_integrates_to_one(self):
         cfg = ModelConfig(Example(2), "second", 2, 30.0)
