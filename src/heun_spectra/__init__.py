@@ -16,7 +16,6 @@ from .heun_core import (
     HeunBParams,
     HeunCParams,
     PolynomialCoefficients,
-    TridiagonalSequences,
     heunb_degree,
     heunb_ode_residual,
     heunb_sequences,
@@ -74,7 +73,6 @@ __all__ = [
     "SelectionError",
     "SpectralRoot",
     "SpectrumRecord",
-    "TridiagonalSequences",
     "block_sequences",
     "compare_spectra",
     "dense_determinant",

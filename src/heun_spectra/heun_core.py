@@ -30,8 +30,8 @@ sequences here have constant rows, the model blocks of
 ragged kernel of ``spectral`` is a coefficient sequence, lowest degree
 first, evaluated by ``horner``, which is generic over the scalar type
 (float, complex, Fraction or an mpmath number) and takes arrays of
-coefficients too.  ``SPoly`` only wraps one entry's coefficients in the
-read-only ``TridiagonalSequences`` view.
+coefficients too.  ``SPoly`` is only a view of such arrays whose rows read
+as ``coeffs`` tuples, for ``models.block_sequences``.
 """
 
 from __future__ import annotations
@@ -161,40 +161,19 @@ class Recurrence(NamedTuple):
         """Substitute the spectral parameter, returning numeric entry lists.
 
         Every row is evaluated by ``horner``, which returns a constant entry
-        as it is; ``TridiagonalSequences.at`` evaluates the same rows alike.
+        as it is.
         """
         return tuple([horner(row, s) for row in m.tolist()] for m in self)
 
 
-class SPoly(NamedTuple):
-    """One entry of ``TridiagonalSequences``: its coefficients in the
-    spectral parameter, lowest degree first."""
-
-    coeffs: Tuple[Scalar, ...]
-
-
-@dataclass(frozen=True)
-class TridiagonalSequences:
-    """A recurrence's entries as SPoly coefficient tuples, a read-only view.
-
-    a holds the n+1 diagonal entries, b the n super-diagonal entries, c the n
-    sub-diagonal entries.  ``models.block_sequences`` builds it from a
-    ``Recurrence`` for callers that read single entries' coefficients.
-    """
-
-    a: Tuple[SPoly, ...]
-    b: Tuple[SPoly, ...]
-    c: Tuple[SPoly, ...]
+class SPoly(np.ndarray):
+    """A view of ``Recurrence`` arrays whose rows read as ``coeffs``: one
+    entry's coefficients in the spectral parameter, lowest degree first, as
+    a tuple of the array's Python scalars."""
 
     @property
-    def size(self) -> int:
-        return len(self.a)
-
-    def at(self, s: Scalar) -> Tuple[list, list, list]:
-        """Substitute the spectral parameter, returning numeric entry lists."""
-        return tuple(
-            [horner(e.coeffs, s) for e in seq] for seq in (self.a, self.b, self.c)
-        )
+    def coeffs(self) -> Tuple[Scalar, ...]:
+        return tuple(self.tolist())
 
 
 def _near_nonneg_int(value: float, tol: float = INTEGER_TOL) -> Optional[int]:
@@ -271,8 +250,8 @@ def heunc_sequences(params: HeunCParams, n: int) -> Recurrence:
 def polynomial_from_recurrence(seqs: Recurrence, s: Scalar) -> PolynomialCoefficients:
     """Run the three-term recurrence with p_{-1} = 0, p_0 = 1 at the point s.
 
-    seqs needs only ``at`` and ``size``, so the ``TridiagonalSequences``
-    view of ``models.block_sequences`` gives the same bits.  Raises
+    seqs needs only ``at`` and ``size``, which every ``Recurrence`` has,
+    the ``SPoly`` view of ``models.block_sequences`` included.  Raises
     RecurrenceBreakdownError when some b_j with j < n vanishes, since
     p_{j+1} is then undetermined.
 

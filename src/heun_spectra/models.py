@@ -59,7 +59,7 @@ from numpy.typing import NDArray
 
 from . import spectral
 from .errors import ParameterError, PrecisionError, SelectionError
-from .heun_core import PolynomialCoefficients, SPoly, TridiagonalSequences, horner
+from .heun_core import PolynomialCoefficients, SPoly, horner
 
 ArrayF = NDArray[np.floating]
 
@@ -338,11 +338,12 @@ def block_recurrences(
     """``[block_recurrence(config, b) for b in blocks]``, built in one pass.
 
     The closed forms run once over the rows (j, n, l, sigma) of all blocks
-    stacked, with the integer and float operations of each block alone, and
-    each block's arrays are a view of the stacked ones.  Every block is
-    checked against the family's rule before any is built: the first that
-    breaks it raises ParameterError, and otherwise the first whose entries
-    epsilon overflows.
+    stacked, with the integer and float operations of each block alone.
+    a, b and c are computed on every row; a block of rows lo..hi-1 takes
+    a[lo:hi] and the views b[lo:hi-1] and c[lo:hi-1], dropping the b and c
+    of its last row.  Every block is checked against the family's rule
+    before any is built: the first that breaks it raises ParameterError,
+    and otherwise the first whose entries epsilon overflows.
     """
     blocks = list(blocks)
     for block in blocks:
@@ -351,14 +352,8 @@ def block_recurrences(
                 f"block {block} is not permissible: case {config.variant} "
                 f"requires {_RULES[config.variant]}"
             )
-    return _stacked_recurrences(config, blocks) if blocks else []
-
-
-def _stacked_recurrences(
-    config: ModelConfig, blocks: List[BlockSpec]
-) -> List[spectral.Recurrence]:
-    """The closed forms of ``block_recurrence`` over the stacked rows of
-    permissible blocks (at least one)."""
+    if not blocks:
+        return []
     sizes = np.array([block.n + 1 for block in blocks], dtype=np.intp)
     owner = np.repeat(np.arange(len(blocks)), sizes)
     ends = np.cumsum(sizes)
@@ -370,18 +365,16 @@ def _stacked_recurrences(
 
     e, n = config.epsilon, per_row([block.n for block in blocks])
     j = np.arange(len(owner)) - np.repeat(ends - sizes, sizes)
-    inner = j < n  # the rows of b_j and c_j
-    i, n_i = j[inner], n[inner]
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         shift = per_row([(1 - block.sigma) * block.l for block in blocks])
-        l_i = per_row([block.l for block in blocks])[inner]
+        l = per_row([block.l for block in blocks])
         # a huge epsilon overflows silently, as Python floats do, and is
         # rejected below
         with np.errstate(over="ignore"):
             beta = -e * (2 * j + 1 + shift)
-        b = 2 * (i * (i + l_i + 2) + l_i + 1)
+        b = 2 * (j * (j + l + 2) + l + 1)
         a = np.stack([beta, np.ones(len(j))], axis=1)
-        c = 4.0 * (n_i - i)[:, None]
+        c = 4.0 * (n - j)[:, None]
     else:
         m, base, s = zip(*[
             (block.l, block.l * block.l - block.n * block.n - block.n, -1)
@@ -391,9 +384,9 @@ def _stacked_recurrences(
         m, base = per_row(m), per_row(base)
         beta = (base - j * (j - 2 * n - 1)) + per_row([0.25 * (x - e) for x in s], float)
         alpha = 2 * (2 * j - n - m)
-        b = (i + 1) * (i - n_i - m[inner])
+        b = (j + 1) * (j - n - m)
         a = np.stack([beta, alpha, np.ones(len(j))], axis=1)
-        c = np.stack([np.zeros(len(i)), 4 * (n_i - i)], axis=1)
+        c = np.stack([np.zeros(len(j)), 4 * (n - j)], axis=1)
     overflowed = ~np.isfinite(a).all(axis=1)
     if overflowed.any():
         block = blocks[owner[np.argmax(overflowed)]]
@@ -401,31 +394,27 @@ def _stacked_recurrences(
             f"epsilon = {config.epsilon!r} overflows the recurrence of block {block}"
         )
     b = b[:, None].astype(float)
-    # block t's rows of b and c start t rows before its rows of a
     return [
-        spectral.Recurrence(a[lo:hi], b[lo - t:hi - t - 1], c[lo - t:hi - t - 1])
-        for t, (lo, hi) in enumerate(zip((ends - sizes).tolist(), ends.tolist()))
+        spectral.Recurrence(a[lo:hi], b[lo:hi - 1], c[lo:hi - 1])
+        for lo, hi in zip((ends - sizes).tolist(), ends.tolist())
     ]
 
 
 def block_sequences(
     config: ModelConfig, block: BlockSpec, precision: Optional[int] = None
-) -> TridiagonalSequences:
-    """The entries of ``block_recurrence`` as SPoly tuples: a read-only
-    view for callers that read single entries' coefficients (the
-    benchmark's reference solver).  Every routine here computes with the
-    arrays.  precision, when given, converts each float exactly to an
-    mpmath number, for arithmetic at the caller's working precision (53
-    bits or more); it needs mpmath, which is installed with the ``test``
-    extra."""
+) -> spectral.Recurrence:
+    """``block_recurrence``'s arrays viewed as ``SPoly``, so that each row
+    also reads as a ``coeffs`` tuple, for callers that read single entries'
+    coefficients (the benchmark's reference solver).  precision, when
+    given, converts each float exactly to an mpmath number, for arithmetic
+    at the caller's working precision (53 bits or more); it needs mpmath,
+    which is installed with the ``test`` extra."""
     arrays = block_recurrence(config, block)
     if precision is not None:
         import mpmath
 
         arrays = map(np.frompyfunc(mpmath.mpf, 1, 1), arrays)
-    return TridiagonalSequences(
-        *(tuple(SPoly(tuple(row)) for row in m.tolist()) for m in arrays)
-    )
+    return spectral.Recurrence(*(m.view(SPoly) for m in arrays))
 
 
 def solve_block(

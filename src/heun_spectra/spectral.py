@@ -34,9 +34,9 @@ operations it would see alone.
 arrays, returning the determinant's coefficients for ``heun_core.horner``),
 ``determinant_numeric`` and ``dense_determinant`` evaluate the same
 determinant by independent routes and serve as verification, exactly on a
-recurrence of Fractions.  The last two only call the sequences' ``at`` and
-``size``, so they take a ``Recurrence`` and the ``TridiagonalSequences``
-view of ``models.block_sequences`` alike.
+recurrence of Fractions.  The last two only call the recurrence's ``at``
+and ``size``, so its arrays may be of any scalar type, the ``SPoly`` view
+of ``models.block_sequences`` included.
 """
 
 from __future__ import annotations

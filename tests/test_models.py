@@ -6,6 +6,7 @@ import math
 import os
 import re
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -340,6 +341,20 @@ class TestBlockSequences:
         with pytest.raises(ParameterError, match="not permissible"):
             block_sequences(cfg, BlockSpec(n=1, l=3, sigma=+1))
 
+    @pytest.mark.parametrize("precision", [None, 128])
+    def test_is_the_block_recurrence_with_tuple_rows(self, precision):
+        cfg = ModelConfig(Example(2), "second", 5, 30.0)
+        block = make_block(cfg, 3)
+        seqs = block_sequences(cfg, block, precision)
+        assert isinstance(seqs, spectral.Recurrence)
+        scalar = float if precision is None else mpmath.mpf
+        for got, want in zip(seqs, models.block_recurrence(cfg, block)):
+            assert got.shape == want.shape
+            assert got.tolist() == want.tolist()
+            for row in got:
+                assert isinstance(row.coeffs, tuple)
+                assert all(type(x) is scalar for x in row.coeffs)
+
 
 def recurrences_one_at_a_time(config, blocks):
     """``block_recurrence`` per block, or the repr of the error that stops it."""
@@ -515,7 +530,11 @@ class TestSpectrum:
             assert not r.physical
             assert r.residual == abs(step) / max(1.0, abs(r.value))
 
-    def test_exhausted_rungs_raise_precision_error(self, monkeypatch):
+    def test_root_missing_the_target_forward_and_twisted_raises_precision_error(
+        self, monkeypatch
+    ):
+        """A root whose forward and twisted null vectors both miss
+        RESIDUAL_TARGET fails the block with PrecisionError."""
         monkeypatch.setattr(models, "RESIDUAL_TARGET", -1.0)
         with pytest.raises(PrecisionError, match=r"forward, .* twisted$"):
             solve_block(ModelConfig(Example(1), "a", 1, 0.5), BlockSpec(1, 1, +1))
@@ -776,6 +795,37 @@ class TestModel2PhysicalCount:
             want.append((block.n, int((models.block_recurrence(config, block).a[:, 0] < 0).sum())))
         assert got == want
 
+    @pytest.mark.parametrize("n", [
+        20,
+        # the count is right (21 and 19 physical roots), the set is not:
+        # two roots of each block are no step of the count
+        *(pytest.param(n, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="physical roots that are no step of the inertia count"))
+          for n in (39, 41)),
+    ])
+    def test_each_physical_root_is_a_step_of_the_inertia_count(self, n):
+        config = ModelConfig(Example(2), "second", 45, 5000.0)
+        block = make_block(config, n)
+        to_fraction = np.frompyfunc(Fraction, 1, 1)
+        rec = spectral.Recurrence(*map(to_fraction, models.block_recurrence(config, block)))
+
+        def negative_pivots(chi):
+            # N(chi): the negative pivots d_j of the symmetrized matrix,
+            # exact in Fractions, d_0 = a_0 and d_j = a_j - e_{j-1} / d_{j-1}
+            # with e_j = b_j c_j
+            a, b, c = rec.at(Fraction(chi))
+            pivots = [a[0]]
+            for j in range(1, len(a)):
+                pivots.append(a[j] - b[j - 1] * c[j - 1] / pivots[-1])
+            return sum(d < 0 for d in pivots)
+
+        roots = [r.value for r in solve_block(config, block).roots if r.physical]
+        assert roots
+        steps = [negative_pivots(x * (1 - 1e-8)) - negative_pivots(x * (1 + 1e-8))
+                 for x in roots]
+        assert steps == [1] * len(roots)
+
     @pytest.mark.xfail(strict=True, raises=PrecisionError,
                        reason="a spurious companion root in a block with no bound state")
     @pytest.mark.parametrize("k, epsilon, n_max, n, l", [
@@ -891,6 +941,18 @@ class TestWavefunctions:
         total, tail = radial_norm(cfg, block, root)
         assert math.isfinite(total) and total > 0
         assert tail < 1e-12
+
+    @pytest.mark.xfail(strict=True, raises=PrecisionError,
+                       reason="model 1 norm quadrature does not converge past n = 17")
+    @pytest.mark.parametrize("n, index", [(18, 18), (30, 30)])
+    def test_high_model1_state_has_a_norm(self, n, index):
+        # every norm of this family converges at n = 17; at n = 18 only
+        # index 18 fails, at n = 30 indices 20-30 do
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        block = make_block(cfg, n)
+        root = solve_block(cfg, block).roots[index]
+        total, _ = radial_norm(cfg, block, root)
+        assert math.isfinite(total) and total > 0
 
     @staticmethod
     def scalar_quad_norm(cfg, block, root):

@@ -165,8 +165,9 @@ class TestDeterminantNumeric:
             assert abs(cont - lu) / max(1, abs(lu)) < mpmath.mpf(10) ** -40
 
 
-class TestFindRoots:
-    """Block roots by the structured routes, against np.roots of the expansion."""
+class TestStructuredRoots:
+    """Block roots by the structured routes (the symmetric eigensolve and the
+    companion pencil), against np.roots of the expansion."""
 
     def test_quadratic(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.0)
@@ -647,8 +648,9 @@ def outcome(func, *args):
 
 
 class TestSequencesView:
-    """``block_sequences`` (SPoly entries) and ``block_recurrence`` (arrays)
-    give the same bits through every route that reads them."""
+    """``block_sequences`` (the arrays viewed as SPoly rows) and
+    ``block_recurrence`` give the same bits through every route that reads
+    them."""
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
