@@ -23,12 +23,19 @@ reproduce the analytic spectrum.
 
 Sturm bisection (LAPACK dstebz) only isolates the lowest levels, to width
 ISOLATION_TOL; inverse iteration (dstein) and Rayleigh-Ritz on its vectors refine
-them to a few ulps of ||T||, which reaches 1e8 near the axis.  Nothing here
-touches the Heun machinery, so agreement with the roots is a genuine cross-check.
+them to a few ulps of ||T||, which reaches 1e8 near the axis.  Bisection costs
+some 30 Sturm passes per level, so a grid of at least 2 COARSE_POINTS points
+is bisected only on every m-th node, m = points // COARSE_POINTS.  The coarse
+vectors, interpolated onto the full grid, are refined there by shifted
+tridiagonal solves (dgtsv) and Rayleigh-Ritz, and kept only when one Sturm
+count of the full matrix proves that they are its lowest levels; otherwise
+the full matrix is bisected after all.  Nothing here touches the Heun
+machinery, so agreement with the roots is a genuine cross-check.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -42,6 +49,7 @@ from .models import ModelConfig, effective_potential
 BOX_AMPLITUDE_TOL = 1e-6
 ISOLATION_TOL = 1e-3  # bisection interval width; Rayleigh-Ritz refines past it
 RITZ_RESIDUAL_ULPS = 1e3  # gate on ||T x - theta x||, so theta is this near a level
+COARSE_POINTS = 500  # a grid of at least twice this many points starts on every m-th point
 
 
 @dataclass(frozen=True)
@@ -53,8 +61,12 @@ class GridSpec:
     points: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.rho_min) and math.isfinite(self.rho_max)):
+            raise ParameterError("grid needs a finite rho_min and rho_max")
         if not (0 < self.rho_min < self.rho_max):
             raise ParameterError("grid needs 0 < rho_min < rho_max")
+        if not isinstance(self.points, (int, np.integer)):
+            raise ParameterError("grid needs an integer number of points")
         if self.points < 100:
             raise ParameterError("grid needs at least 100 points")
 
@@ -66,32 +78,133 @@ class GridSpec:
         return np.linspace(self.rho_min, self.rho_max, self.points)
 
 
-def lowest_eigenpairs(
-    diag: NDArray[np.floating], off: NDArray[np.floating], count: int
+def channel_matrix(
+    v_eff: NDArray[np.floating], grid: GridSpec, stride: int = 1
 ) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
-    """Lowest `count` eigenpairs of the symmetric tridiagonal T = (diag, off)."""
-    # Imported here so that importing the package loads no scipy.
-    from scipy.linalg import eigh, lapack
+    """Flux-form tridiagonal (diag, off) of the channel on every stride-th node.
 
-    # range 2 selects levels 1..count; dstein then treats T as one block
-    m, shifts, *_, info = lapack.dstebz(diag, off, 2, 0, 0, 1, count, ISOLATION_TOL, "E")
-    block, split = np.ones(diag.size, np.int32), np.full(diag.size, diag.size, np.int32)
-    norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
-    for _ in range(3):  # a round that misses the gate reshifts at its Ritz values
-        if info == 0:
-            basis, info = lapack.dstein(diag, off, shifts[:m], block, split)
+    The axis condition is the full grid's, so a coarse subgrid models the same
+    boundary as the grid it is taken from.
+    """
+    r = grid.rhos()[::stride]
+    h = stride * grid.h
+    outer = r + 0.5 * h
+    inner = np.maximum(r - 0.5 * h, 0.0)
+    if grid.rho_min <= grid.h * (1.0 + 1e-9):
+        inner[0] = 0.0
+    diag = (inner + outer) / (r * h * h) + v_eff[::stride]
+    off = -outer[:-1] / (h * h * np.sqrt(r[:-1] * r[1:]))
+    return diag, off
+
+
+def _ritz_gate(diag: NDArray[np.floating], off: NDArray[np.floating]) -> float:
+    """The largest Ritz residual accepted: RITZ_RESIDUAL_ULPS ulps of ||T||."""
+    norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off), initial=0.0)
+    return RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm
+
+
+def _shifted_solves(
+    diag: NDArray[np.floating],
+    off: NDArray[np.floating],
+    vecs: NDArray[np.floating],
+    shifts: NDArray[np.floating],
+) -> NDArray[np.floating]:
+    """One inverse-iteration step per column: (T - shifts[i]) y_i = vecs[:, i]."""
+    from scipy.linalg import lapack
+
+    out = np.empty_like(vecs)
+    for i, shift in enumerate(shifts):
+        *_, y, info = lapack.dgtsv(off, diag - shift, off, vecs[:, i:i + 1])
         if info != 0:
-            raise PrecisionError(f"LAPACK dstebz/dstein failed (info = {info})")
+            raise PrecisionError(f"LAPACK dgtsv failed (info = {info})")
+        out[:, i] = y[:, 0]
+    return out
+
+
+def _rayleigh_ritz(
+    diag: NDArray[np.floating],
+    off: NDArray[np.floating],
+    basis: NDArray[np.floating],
+    gate: float,
+) -> Tuple[NDArray[np.floating], NDArray[np.floating], float]:
+    """Ritz pairs of T on span(basis) and their largest residual norm.
+
+    A round whose residual misses the gate reshifts: one shifted solve per
+    column at its Ritz value, then Rayleigh-Ritz again, for at most three
+    rounds.  The caller decides what a final miss means.
+    """
+    from scipy.linalg import qr
+
+    for _ in range(3):
+        basis = qr(basis, mode="economic", check_finite=False)[0]
         tv = diag[:, None] * basis
         tv[1:] += off[:, None] * basis[:-1]
         tv[:-1] += off[:, None] * basis[1:]
-        shifts, rotation = eigh(basis.T @ tv, basis.T @ basis)
+        vals, rotation = np.linalg.eigh(basis.T @ tv)
         vecs, tv = basis @ rotation, tv @ rotation
-        tv -= vecs * shifts  # now the Ritz residuals
-        residual = np.max(np.linalg.norm(tv, axis=0))
-        if residual <= RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm:
-            return shifts, vecs
-    raise PrecisionError(f"Ritz residual {residual:.2e} > {RITZ_RESIDUAL_ULPS:g} ulps of ||T||")
+        tv -= vecs * vals  # now the Ritz residuals
+        residual = float(np.sqrt(np.max(np.einsum("ij,ij->j", tv, tv))))
+        if residual <= gate:
+            break
+        basis = _shifted_solves(diag, off, vecs, vals)
+    return vals, vecs, residual
+
+
+def _count_at_most(
+    diag: NDArray[np.floating], off: NDArray[np.floating], value: float
+) -> int:
+    """Number of eigenvalues of T at or below value, by Sturm count.
+
+    dstebz range V on (Gershgorin floor, value] with an abstol wider than the
+    interval counts the levels in it without bisecting any of them.
+    """
+    from scipy.linalg import lapack
+
+    lower = np.min(diag) - 2 * np.max(np.abs(off), initial=0.0)  # Gershgorin
+    floor = lower - abs(lower) - 1.0  # strictly below it at any scale
+    m, *_, info = lapack.dstebz(diag, off, 1, floor, value, 0, 0, 2 * (value - floor), "E")
+    if info != 0:
+        raise PrecisionError(f"LAPACK dstebz failed (info = {info})")
+    return m
+
+
+def lowest_eigenpairs(
+    diag: NDArray[np.floating], off: NDArray[np.floating], count: int
+) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
+    """Lowest `count` eigenpairs of the symmetric tridiagonal T = (diag, off).
+
+    dstebz isolates the levels to ISOLATION_TOL, dstein gives their vectors
+    and Rayleigh-Ritz refines them; a LAPACK failure or a Ritz residual still
+    above the gate after three rounds raises PrecisionError.
+    """
+    # Imported here so that importing the package loads no scipy.
+    from scipy.linalg import lapack
+
+    # range 2 selects levels 1..count; dstein then treats T as one block
+    m, shifts, *_, info = lapack.dstebz(diag, off, 2, 0, 0, 1, count, ISOLATION_TOL, "E")
+    if info == 0:
+        block, split = np.ones(diag.size, np.int32), np.full(diag.size, diag.size, np.int32)
+        basis, info = lapack.dstein(diag, off, shifts[:m], block, split)
+    if info != 0:
+        raise PrecisionError(f"LAPACK dstebz/dstein failed (info = {info})")
+    gate = _ritz_gate(diag, off)
+    vals, vecs, residual = _rayleigh_ritz(diag, off, basis, gate)
+    if residual > gate:
+        raise PrecisionError(
+            f"Ritz residual {residual:.2e} > {RITZ_RESIDUAL_ULPS:g} ulps of ||T||")
+    return vals, vecs
+
+
+def _prolong(coarse: NDArray[np.floating], stride: int, points: int) -> NDArray[np.floating]:
+    """Linear interpolation of coarse-node columns onto every grid point.
+
+    Past the last coarse node the columns fall linearly to the coarse
+    Dirichlet ghost, one coarse spacing further out.
+    """
+    t = (np.arange(stride) / stride)[None, :, None]
+    padded = np.vstack([coarse, np.zeros((1, coarse.shape[1]))])
+    fine = (1.0 - t) * padded[:-1, None] + t * padded[1:, None]
+    return fine.reshape(-1, coarse.shape[1])[:points]
 
 
 def solve_effective_potential(
@@ -110,16 +223,22 @@ def solve_effective_potential(
         raise ParameterError(
             f"count {count} exceeds the {grid.points - 2} resolvable states"
         )
-    r = grid.rhos()
-    if v_eff.shape != r.shape or not np.all(np.isfinite(v_eff)):
+    if v_eff.shape != (grid.points,) or not np.all(np.isfinite(v_eff)):
         raise ParameterError("v_eff must be finite and sampled on the grid")
-    h = grid.h
-    outer = r + 0.5 * h
-    inner = np.maximum(r - 0.5 * h, 0.0)
-    if grid.rho_min <= h * (1.0 + 1e-9):
-        inner[0] = 0.0
-    diag = (inner + outer) / (r * h * h) + v_eff
-    off = -outer[:-1] / (h * h * np.sqrt(r[:-1] * r[1:]))
+    diag, off = channel_matrix(v_eff, grid)
+    stride = grid.points // COARSE_POINTS
+    if stride > 1 and count <= COARSE_POINTS - 2:  # the subgrid has >= COARSE_POINTS nodes
+        coarse_vals, coarse_vecs = lowest_eigenpairs(
+            *channel_matrix(v_eff, grid, stride), count)
+        start = _shifted_solves(
+            diag, off, _prolong(coarse_vecs, stride, grid.points), coarse_vals)
+        gate = _ritz_gate(diag, off)
+        vals, vecs, residual = _rayleigh_ritz(diag, off, start, gate)
+        # Kahan: each Ritz value lies within its residual of a distinct level,
+        # so exactly `count` levels up to vals[-1] + delta makes them the lowest
+        delta = 2 * residual + gate
+        if residual <= gate and _count_at_most(diag, off, vals[-1] + delta) == count:
+            return vals, vecs
     return lowest_eigenpairs(diag, off, count)
 
 

@@ -1,6 +1,7 @@
 """Finite-difference eigensolver checks against known spectra."""
 
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -9,6 +10,7 @@ import pytest
 import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import jn_zeros
 
 from heun_spectra import (
@@ -33,11 +35,16 @@ def dense(diag, off):
 
 def solve_with_matrix(v_eff, grid, count):
     """solve_effective_potential's result and the tridiagonal it solved."""
-    with mock.patch.object(oracle, "lowest_eigenpairs",
-                           wraps=oracle.lowest_eigenpairs) as spy:
-        vals, vecs = solve_effective_potential(v_eff, grid, count)
-    diag, off, _ = spy.call_args.args
-    return vals, vecs, dense(diag, off)
+    vals, vecs = solve_effective_potential(v_eff, grid, count)
+    return vals, vecs, dense(*oracle.channel_matrix(v_eff, grid))
+
+
+def wall_potential(grid, l, amplitudes):
+    """A smooth potential plus a centrifugal wall, which lifts ||T|| to
+    l^2 / rho_min^2 as in the channels the oracle solves."""
+    r = grid.rhos()
+    phase = np.pi * (r - grid.rho_min) / (grid.rho_max - grid.rho_min)
+    return l * l / (r * r) + sum(a * np.cos(j * phase) for j, a in enumerate(amplitudes))
 
 
 class TestGridSpec:
@@ -48,6 +55,16 @@ class TestGridSpec:
             GridSpec(2.0, 1.0, 400)
         with pytest.raises(ParameterError):
             GridSpec(1e-3, 8.0, 50)
+        for rho_min, rho_max in ((1e-3, math.inf), (-math.inf, 8.0), (math.nan, 8.0),
+                                 (1e-3, math.nan)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ParameterError, match="finite"):
+                    GridSpec(rho_min, rho_max, 200)
+        for points in (200.5, 200.0, "200"):
+            with pytest.raises(ParameterError, match="integer"):
+                GridSpec(1e-3, 8.0, points)
+        assert GridSpec(1e-3, 8.0, np.int64(200)).rhos().size == 200
 
     def test_spacing(self):
         g = GridSpec(1.0, 2.0, 101)
@@ -98,16 +115,34 @@ class TestSolver:
     )
     def test_levels_match_dense_eigvalsh(self, rho_min, width, points, count,
                                          l, amplitudes):
-        # a smooth potential plus a centrifugal wall, which lifts ||T|| to
-        # l^2 / rho_min^2 as in the channels the oracle solves
         g = GridSpec(rho_min, rho_min + width, points)
-        r = g.rhos()
-        phase = np.pi * (r - rho_min) / width
-        v = l * l / (r * r) + sum(a * np.cos(j * phase)
-                                  for j, a in enumerate(amplitudes))
+        v = wall_potential(g, l, amplitudes)
         vals, _, matrix = solve_with_matrix(v, g, count)
         exact = np.linalg.eigvalsh(matrix)
         assert np.max(np.abs(vals - exact[:count])) <= 1e-12 * np.max(np.abs(exact))
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        rho_min=st.floats(1e-3, 0.5),
+        width=st.floats(2.0, 40.0),
+        points=st.integers(2000, 8000),
+        count=st.integers(1, 14),
+        l=st.integers(0, 10),
+        amplitudes=st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+    )
+    def test_two_grid_levels_match_bisection(self, rho_min, width, points, count,
+                                             l, amplitudes):
+        # the grids the coarse start serves, against full-accuracy bisection
+        # of the same fine matrix
+        g = GridSpec(rho_min, rho_min + width, points)
+        v = wall_potential(g, l, amplitudes)
+        vals, _ = solve_effective_potential(v, g, count)
+        diag, off = oracle.channel_matrix(v, g)
+        exact = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
+                                     lapack_driver="stebz")
+        norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
+        assert np.max(np.abs(vals - exact)) <= (
+            oracle.RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm)
 
     def test_mirror_pairs_split_below_1e_10_are_both_resolved(self):
         # two identical wells joined by a 1e-6 coupling: every level of one
@@ -129,17 +164,23 @@ class TestSolver:
 
     def test_missed_gate_reshifts_at_the_ritz_values(self):
         # a coarse grid with small level gaps: inverse iteration from the
-        # bisection midpoint leaves a residual above the gate
+        # bisection midpoint leaves a residual above the gate; the second
+        # round is one shifted solve at the Ritz value, not a second dstein
         g = GridSpec(0.5, 7.5, 100)
         v = 1.0 / g.rhos() ** 2
-        with mock.patch.object(scipy.linalg.lapack, "dstein",
-                               wraps=scipy.linalg.lapack.dstein) as stein:
+        lapack = scipy.linalg.lapack
+        with mock.patch.object(lapack, "dstein", wraps=lapack.dstein) as stein, \
+                mock.patch.object(lapack, "dgtsv", wraps=lapack.dgtsv) as gtsv:
             vals, _, matrix = solve_with_matrix(v, g, 1)
-        assert stein.call_count == 2
+        assert stein.call_count == 1
+        assert gtsv.call_count == 1
         assert vals[0] == pytest.approx(np.linalg.eigvalsh(matrix)[0], abs=1e-13)
 
-    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
-    def test_lapack_failure_raises_precision_error(self, monkeypatch, routine):
+    @pytest.mark.parametrize("points", [200, 2 * oracle.COARSE_POINTS])
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein", "dgtsv"])
+    def test_lapack_failure_raises_precision_error(self, monkeypatch, routine, points):
+        # a wide box whose first round misses the gate, so that the direct
+        # solve reshifts (dgtsv) as the two-grid solve always does
         real = getattr(scipy.linalg.lapack, routine)
 
         def failing(*args):
@@ -147,7 +188,19 @@ class TestSolver:
             return (*out, 1)
 
         monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
-        g = GridSpec(1e-3, 8.0, 200)
+        g = GridSpec(0.5, 30.0, points)
+        with pytest.raises(PrecisionError, match="info = 1"):
+            solve_effective_potential(1.0 / g.rhos() ** 2, g, 3)
+
+    def test_sturm_count_failure_raises_precision_error(self, monkeypatch):
+        real = scipy.linalg.lapack.dstebz
+
+        def failing_count(d, e, rng, *args):
+            *out, info = real(d, e, rng, *args)
+            return (*out, 1 if rng == 1 else info)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing_count)
+        g = GridSpec(1e-3, 8.0, 2 * oracle.COARSE_POINTS)
         with pytest.raises(PrecisionError, match="info = 1"):
             solve_effective_potential(np.zeros(g.points), g, 3)
 
@@ -157,7 +210,12 @@ class TestSolver:
             basis, _ = np.linalg.qr(np.cos(np.outer(np.arange(d.size), w + 1.0)))
             return basis, 0
 
+        def idle(dl, d, du, b):
+            # a shifted solve that returns its right-hand side unchanged
+            return dl, d, du, b.copy(), 0
+
         monkeypatch.setattr(scipy.linalg.lapack, "dstein", rough)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", idle)
         g = GridSpec(1e-3, 8.0, 200)
         with pytest.raises(PrecisionError, match="Ritz residual"):
             solve_effective_potential(np.zeros(g.points), g, 3)
@@ -174,6 +232,56 @@ class TestSolver:
         vals, vecs = solve_effective_potential(np.zeros(g.points), g, 4)
         assert vecs.shape == (500, 4)
         assert list(vals) == sorted(vals)
+
+class TestTwoGridStart:
+    def test_fine_grid_starts_on_the_coarse_subgrid(self):
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        with mock.patch.object(oracle, "lowest_eigenpairs",
+                               wraps=oracle.lowest_eigenpairs) as spy:
+            vals = radial_eigensolve(cfg, 0, +1, GridSpec(1e-3, 8.0, 4000), 1)
+        assert spy.call_count == 1
+        assert spy.call_args.args[0].size == oracle.COARSE_POINTS
+        assert vals[0] == pytest.approx(1.0, abs=1e-3)
+
+    def test_memory_stays_linear_in_the_grid(self):
+        # an n x n work array at 8,000 points would be 488 MB
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        grid = GridSpec(1e-3, 8.0, 8000)
+        radial_eigensolve(cfg, 0, +1, grid, 1)  # loads scipy outside the trace
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                radial_eigensolve(cfg, 0, +1, grid, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    def test_more_levels_than_the_subgrid_holds_are_solved_directly(self):
+        g = GridSpec(1e-3, 8.0, 2 * oracle.COARSE_POINTS)
+        count = oracle.COARSE_POINTS + 1
+        vals, _, matrix = solve_with_matrix(3.0 * np.cos(g.rhos()), g, count)
+        exact = np.linalg.eigvalsh(matrix)
+        assert np.max(np.abs(vals - exact[:count])) <= 1e-12 * np.max(np.abs(exact))
+
+    def test_level_hidden_from_the_coarse_subgrid_falls_back(self):
+        # a one-point well between coarse nodes binds a level that the
+        # coarse start cannot see: the Sturm count rejects the refined
+        # levels and the fine matrix is solved directly
+        g = GridSpec(1e-3, 8.0, 4 * oracle.COARSE_POINTS)
+        stride = g.points // oracle.COARSE_POINTS
+        v = np.zeros(g.points)
+        v[10 * stride + 1] = -1e4
+        with mock.patch.object(oracle, "lowest_eigenpairs",
+                               wraps=oracle.lowest_eigenpairs) as spy:
+            vals, vecs = solve_effective_potential(v, g, 3)
+        assert [call.args[0].size for call in spy.call_args_list] == [
+            oracle.COARSE_POINTS, g.points]
+        direct_vals, direct_vecs = lowest_eigenpairs(*oracle.channel_matrix(v, g), 3)
+        assert vals[0] < -100.0
+        assert np.array_equal(vals, direct_vals)
+        assert np.array_equal(vecs, direct_vecs)
 
 
 class TestRadialEigensolve:
