@@ -21,16 +21,17 @@ flux instead, which is the regularity condition R'(0) = 0; a hard wall at a
 tiny rho_min would shift s-wave-like levels by O(1/log rho_min) and never
 reproduce the analytic spectrum.
 
-Sturm bisection (LAPACK dstebz) only isolates the lowest levels, to width
-ISOLATION_TOL; inverse iteration (dstein) and Rayleigh-Ritz on its vectors refine
-them to a few ulps of ||T||, which reaches 1e8 near the axis.  Bisection costs
-some 30 Sturm passes per level, so a grid of at least 2 COARSE_POINTS points
-is bisected only on every m-th node, m = points // COARSE_POINTS.  The coarse
-vectors, interpolated onto the full grid, are refined there by shifted
-tridiagonal solves (dgtsv) and Rayleigh-Ritz, and kept only when one Sturm
-count of the full matrix proves that they are its lowest levels; otherwise
-the full matrix is bisected after all.  Nothing here touches the Heun
-machinery, so agreement with the roots is a genuine cross-check.
+Sturm bisection and inverse iteration (LAPACK dstebz and dstein, through
+scipy's eigh_tridiagonal) give the lowest levels and their vectors.  Even to
+width ISOLATION_TOL bisection costs some 30 Sturm passes per level, because
+||T|| reaches 1e8 near the axis, so a grid of at least 2 COARSE_POINTS points
+is bisected only on every m-th node, m = points // COARSE_POINTS, and only to
+that width.  The coarse vectors, interpolated onto the full grid, are
+refined there by shifted tridiagonal solves (dgtsv) and Rayleigh-Ritz to a
+few ulps of ||T||, and kept only when one Sturm count of the full matrix
+proves that they are its lowest levels; otherwise the full matrix is
+bisected after all.  Nothing here touches the Heun machinery, so agreement
+with the roots is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import ParameterError, PrecisionError
 from .models import ModelConfig, effective_potential
 
 BOX_AMPLITUDE_TOL = 1e-6
-ISOLATION_TOL = 1e-3  # bisection interval width; Rayleigh-Ritz refines past it
+ISOLATION_TOL = 1e-3  # coarse bisection width; the fine Rayleigh-Ritz refines past it
 RITZ_RESIDUAL_ULPS = 1e3  # gate on ||T x - theta x||, so theta is this near a level
 COARSE_POINTS = 500  # a grid of at least twice this many points starts on every m-th point
 
@@ -95,12 +96,6 @@ def channel_matrix(
     diag = (inner + outer) / (r * h * h) + v_eff[::stride]
     off = -outer[:-1] / (h * h * np.sqrt(r[:-1] * r[1:]))
     return diag, off
-
-
-def _ritz_gate(diag: NDArray[np.floating], off: NDArray[np.floating]) -> float:
-    """The largest Ritz residual accepted: RITZ_RESIDUAL_ULPS ulps of ||T||."""
-    norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off), initial=0.0)
-    return RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm
 
 
 def _shifted_solves(
@@ -168,31 +163,31 @@ def _count_at_most(
     return m
 
 
+def _bisect(
+    diag: NDArray[np.floating], off: NDArray[np.floating], count: int, tol: float = 0.0
+) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
+    """Lowest `count` eigenpairs of T by bisection to width tol (0: full
+    accuracy) and inverse iteration; a LAPACK failure raises PrecisionError."""
+    # Imported here so that importing the package loads no scipy.
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
+    try:
+        # stebz, not stemr, whose n x n work array is 488 MB at 8,000 points
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
+                                check_finite=False, tol=tol, lapack_driver="stebz")
+    except LinAlgError as exc:
+        raise PrecisionError(f"LAPACK bisection failed: {exc}") from exc
+
+
 def lowest_eigenpairs(
     diag: NDArray[np.floating], off: NDArray[np.floating], count: int
 ) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
     """Lowest `count` eigenpairs of the symmetric tridiagonal T = (diag, off).
 
-    dstebz isolates the levels to ISOLATION_TOL, dstein gives their vectors
-    and Rayleigh-Ritz refines them; a LAPACK failure or a Ritz residual still
-    above the gate after three rounds raises PrecisionError.
+    Full-accuracy bisection (dstebz) and inverse iteration (dstein), in
+    memory linear in the size of T; a LAPACK failure raises PrecisionError.
     """
-    # Imported here so that importing the package loads no scipy.
-    from scipy.linalg import lapack
-
-    # range 2 selects levels 1..count; dstein then treats T as one block
-    m, shifts, *_, info = lapack.dstebz(diag, off, 2, 0, 0, 1, count, ISOLATION_TOL, "E")
-    if info == 0:
-        block, split = np.ones(diag.size, np.int32), np.full(diag.size, diag.size, np.int32)
-        basis, info = lapack.dstein(diag, off, shifts[:m], block, split)
-    if info != 0:
-        raise PrecisionError(f"LAPACK dstebz/dstein failed (info = {info})")
-    gate = _ritz_gate(diag, off)
-    vals, vecs, residual = _rayleigh_ritz(diag, off, basis, gate)
-    if residual > gate:
-        raise PrecisionError(
-            f"Ritz residual {residual:.2e} > {RITZ_RESIDUAL_ULPS:g} ulps of ||T||")
-    return vals, vecs
+    return _bisect(diag, off, count)
 
 
 def _prolong(coarse: NDArray[np.floating], stride: int, points: int) -> NDArray[np.floating]:
@@ -217,6 +212,8 @@ def solve_effective_potential(
     flux-form couplings (see the module docstring).  Returns (eigenvalues,
     eigenvectors) with eigenvectors in columns, in the scaled variable u.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ParameterError("count must be an integer")
     if count < 1:
         raise ParameterError("need at least one eigenvalue")
     if count > grid.points - 2:
@@ -228,11 +225,12 @@ def solve_effective_potential(
     diag, off = channel_matrix(v_eff, grid)
     stride = grid.points // COARSE_POINTS
     if stride > 1 and count <= COARSE_POINTS - 2:  # the subgrid has >= COARSE_POINTS nodes
-        coarse_vals, coarse_vecs = lowest_eigenpairs(
-            *channel_matrix(v_eff, grid, stride), count)
+        coarse_vals, coarse_vecs = _bisect(
+            *channel_matrix(v_eff, grid, stride), count, ISOLATION_TOL)
         start = _shifted_solves(
             diag, off, _prolong(coarse_vecs, stride, grid.points), coarse_vals)
-        gate = _ritz_gate(diag, off)
+        norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
+        gate = RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm
         vals, vecs, residual = _rayleigh_ritz(diag, off, start, gate)
         # Kahan: each Ritz value lies within its residual of a distinct level,
         # so exactly `count` levels up to vals[-1] + delta makes them the lowest

@@ -603,16 +603,20 @@ class TestVerify:
         assert all(line.endswith(" s") for line in first_err.splitlines())
 
     def test_oracle_lapack_failure_exits_3(self, capsys, monkeypatch):
-        import scipy.linalg.lapack
+        import scipy.linalg
 
-        def failing(d, e, w, block, split):
-            return np.zeros((d.size, w.size)), 1
+        def failing(*args, **kwargs):
+            # what eigh_tridiagonal raises when dstein returns info = 1
+            raise scipy.linalg.LinAlgError(
+                "stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstein", failing)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
         code, out, err = run_cli(["verify", "--level", "full"], capsys)
         assert code == 3
         assert out == ""
-        assert err.splitlines() == ["error: LAPACK dstebz/dstein failed (info = 1)"]
+        assert err.splitlines() == [
+            "error: LAPACK bisection failed: "
+            "stein (eigh_tridiagonal) 1 eigenvectors failed to converge"]
 
     def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
         def fail(matrix):

@@ -29,6 +29,12 @@ from heun_spectra.models import Example
 from heun_spectra.oracle import lowest_eigenpairs, solve_effective_potential
 
 
+SCIPY_FAILURES = {  # the LinAlgError of eigh_tridiagonal when LAPACK returns info = 1
+    "dstebz": "stebz (eigh_tridiagonal) did not converge (LAPACK info=1)",
+    "dstein": "stein (eigh_tridiagonal) 1 eigenvectors failed to converge",
+}
+
+
 def dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -80,6 +86,16 @@ class TestSolver:
             solve_effective_potential(v, g, 99)
         with pytest.raises(ParameterError):
             solve_effective_potential(v, g, 0)
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        for points in (200, 2000):
+            g = GridSpec(1e-3, 8.0, points)
+            v = np.zeros(points)
+            for count in (2.5, np.float64(2.0), True, "3", None):
+                with pytest.raises(ParameterError, match="integer"):
+                    solve_effective_potential(v, g, count)
+                with pytest.raises(ParameterError, match="integer"):
+                    radial_eigensolve(cfg, 0, +1, g, count)
+            assert solve_effective_potential(v, g, np.int64(2))[0].size == 2
 
     def test_potential_must_match_grid(self):
         g = GridSpec(1e-3, 8.0, 200)
@@ -163,33 +179,56 @@ class TestSolver:
         assert np.max(np.abs(residual)) <= 1e-13
 
     def test_missed_gate_reshifts_at_the_ritz_values(self):
-        # a coarse grid with small level gaps: inverse iteration from the
-        # bisection midpoint leaves a residual above the gate; the second
-        # round is one shifted solve at the Ritz value, not a second dstein
-        g = GridSpec(0.5, 7.5, 100)
+        # the first fine round, shifted at the coarse levels, misses the gate;
+        # the second is one shifted solve per level at the first round's Ritz
+        # values, with no second bisection
+        g = GridSpec(0.5, 30.0, 2 * oracle.COARSE_POINTS)
         v = 1.0 / g.rhos() ** 2
+        rounds = []
+        real = oracle._shifted_solves
+
+        def recording(diag, off, vecs, shifts):
+            out = real(diag, off, vecs, shifts)
+            rounds.append((np.array(shifts), out))
+            return out
+
         lapack = scipy.linalg.lapack
-        with mock.patch.object(lapack, "dstein", wraps=lapack.dstein) as stein, \
+        with mock.patch.object(oracle, "_bisect", wraps=oracle._bisect) as bisect, \
+                mock.patch.object(oracle, "_shifted_solves", recording), \
                 mock.patch.object(lapack, "dgtsv", wraps=lapack.dgtsv) as gtsv:
-            vals, _, matrix = solve_with_matrix(v, g, 1)
-        assert stein.call_count == 1
-        assert gtsv.call_count == 1
-        assert vals[0] == pytest.approx(np.linalg.eigvalsh(matrix)[0], abs=1e-13)
+            vals, _, matrix = solve_with_matrix(v, g, 3)
+        assert bisect.call_count == 1
+        assert len(rounds) == 2 and gtsv.call_count == 2 * 3
+        basis = np.linalg.qr(rounds[0][1])[0]
+        ritz = np.linalg.eigvalsh(basis.T @ matrix @ basis)
+        assert np.allclose(rounds[1][0], ritz, rtol=1e-12, atol=0.0)
+        assert not np.allclose(rounds[1][0], rounds[0][0], rtol=1e-12, atol=0.0)
+        exact, _ = lowest_eigenpairs(*oracle.channel_matrix(v, g), 3)
+        norm = np.linalg.norm(matrix, np.inf)
+        assert np.max(np.abs(vals - exact)) <= 0.5 * np.finfo(float).eps * norm
 
-    @pytest.mark.parametrize("points", [200, 2 * oracle.COARSE_POINTS])
-    @pytest.mark.parametrize("routine", ["dstebz", "dstein", "dgtsv"])
+    @pytest.mark.parametrize("routine, points", [
+        ("dstebz", 200), ("dstebz", 2 * oracle.COARSE_POINTS),
+        ("dstein", 200), ("dstein", 2 * oracle.COARSE_POINTS),
+        ("dgtsv", 2 * oracle.COARSE_POINTS)])
     def test_lapack_failure_raises_precision_error(self, monkeypatch, routine, points):
-        # a wide box whose first round misses the gate, so that the direct
-        # solve reshifts (dgtsv) as the two-grid solve always does
-        real = getattr(scipy.linalg.lapack, routine)
+        # bisection fails in the direct solve (200 points) and in the coarse
+        # start (1,000 points), a shifted solve in the fine refinement
+        if routine == "dgtsv":
+            real = scipy.linalg.lapack.dgtsv
 
-        def failing(*args):
-            *out, _ = real(*args)
-            return (*out, 1)
+            def failing(*args):
+                *out, _ = real(*args)
+                return (*out, 1)
 
-        monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+            monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
+        else:
+            def failing(*args, **kwargs):
+                raise scipy.linalg.LinAlgError(SCIPY_FAILURES[routine])
+
+            monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
         g = GridSpec(0.5, 30.0, points)
-        with pytest.raises(PrecisionError, match="info = 1"):
+        with pytest.raises(PrecisionError, match=r"LAPACK (dgtsv|bisection) failed"):
             solve_effective_potential(1.0 / g.rhos() ** 2, g, 3)
 
     def test_sturm_count_failure_raises_precision_error(self, monkeypatch):
@@ -204,21 +243,37 @@ class TestSolver:
         with pytest.raises(PrecisionError, match="info = 1"):
             solve_effective_potential(np.zeros(g.points), g, 3)
 
-    def test_unconverged_vectors_fail_the_residual_gate(self, monkeypatch):
-        def rough(d, e, w, block, split):
-            # orthonormal but not invariant: Rayleigh-Ritz cannot rescue it
-            basis, _ = np.linalg.qr(np.cos(np.outer(np.arange(d.size), w + 1.0)))
-            return basis, 0
+    @pytest.mark.parametrize("start", ["rough", "perturbed"])
+    def test_fine_refinement_missing_the_gate_falls_back(self, monkeypatch, start):
+        # rough coarse vectors miss the gate and the Sturm count; the fine
+        # eigenvectors perturbed by 1e-6 pass the count and miss only the gate
+        g = GridSpec(1e-3, 8.0, 2 * oracle.COARSE_POINTS)
+        v = np.zeros(g.points)
+        direct_vals, direct_vecs = lowest_eigenpairs(*oracle.channel_matrix(v, g), 3)
+        real = oracle._bisect
+
+        def rough(diag, off, count, tol=0.0):
+            vals, vecs = real(diag, off, count, tol)
+            if diag.size == oracle.COARSE_POINTS:
+                # orthonormal but not invariant: Rayleigh-Ritz cannot rescue it
+                vecs, _ = np.linalg.qr(np.cos(np.outer(np.arange(diag.size), vals + 1.0)))
+            return vals, vecs
 
         def idle(dl, d, du, b):
             # a shifted solve that returns its right-hand side unchanged
             return dl, d, du, b.copy(), 0
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstein", rough)
         monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", idle)
-        g = GridSpec(1e-3, 8.0, 200)
-        with pytest.raises(PrecisionError, match="Ritz residual"):
-            solve_effective_potential(np.zeros(g.points), g, 3)
+        if start == "perturbed":
+            noise = 1e-6 * np.cos(np.arange(g.points))[:, None]
+            monkeypatch.setattr(oracle, "_prolong", lambda *args: direct_vecs + noise)
+        with mock.patch.object(oracle, "_bisect",
+                               wraps=rough if start == "rough" else real) as spy:
+            vals, vecs = solve_effective_potential(v, g, 3)
+        assert [call.args[0].size for call in spy.call_args_list] == [
+            oracle.COARSE_POINTS, g.points]
+        assert np.array_equal(vals, direct_vals)
+        assert np.array_equal(vecs, direct_vecs)
 
     def test_non_finite_potential_rejected(self):
         g = GridSpec(1e-3, 8.0, 200)
@@ -236,8 +291,7 @@ class TestSolver:
 class TestTwoGridStart:
     def test_fine_grid_starts_on_the_coarse_subgrid(self):
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
-        with mock.patch.object(oracle, "lowest_eigenpairs",
-                               wraps=oracle.lowest_eigenpairs) as spy:
+        with mock.patch.object(oracle, "_bisect", wraps=oracle._bisect) as spy:
             vals = radial_eigensolve(cfg, 0, +1, GridSpec(1e-3, 8.0, 4000), 1)
         assert spy.call_count == 1
         assert spy.call_args.args[0].size == oracle.COARSE_POINTS
@@ -258,6 +312,23 @@ class TestTwoGridStart:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_direct_solve_memory_stays_linear_in_the_grid(self):
+        # the fallback's bisection on the 8,000-point channel above: stemr
+        # would allocate an n x n array there
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        grid = GridSpec(1e-3, 8.0, 8000)
+        diag, off = oracle.channel_matrix(
+            oracle.effective_potential(cfg, 0, +1, grid.rhos()), grid)
+        lowest_eigenpairs(diag, off, 1)  # loads scipy outside the trace
+        tracemalloc.start()
+        try:
+            vals, _ = lowest_eigenpairs(diag, off, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.size == 14
+        assert peak < 32 * 2**20
+
     def test_more_levels_than_the_subgrid_holds_are_solved_directly(self):
         g = GridSpec(1e-3, 8.0, 2 * oracle.COARSE_POINTS)
         count = oracle.COARSE_POINTS + 1
@@ -273,8 +344,7 @@ class TestTwoGridStart:
         stride = g.points // oracle.COARSE_POINTS
         v = np.zeros(g.points)
         v[10 * stride + 1] = -1e4
-        with mock.patch.object(oracle, "lowest_eigenpairs",
-                               wraps=oracle.lowest_eigenpairs) as spy:
+        with mock.patch.object(oracle, "_bisect", wraps=oracle._bisect) as spy:
             vals, vecs = solve_effective_potential(v, g, 3)
         assert [call.args[0].size for call in spy.call_args_list] == [
             oracle.COARSE_POINTS, g.points]
