@@ -1,4 +1,6 @@
-"""Exception types shared across the solver stack."""
+"""Exception types shared across the solver stack, and the integer-input rule."""
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -21,3 +23,11 @@ class PrecisionError(RuntimeError):
 
 class SelectionError(LookupError):
     """A requested block or root selection does not exist or is not usable."""
+
+
+def require_integer(value, message: str) -> int:
+    """value as a Python int, when it is an int or a numpy integer and not a
+    bool; anything else raises ParameterError(message)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(message)
+    return int(value)

@@ -43,12 +43,14 @@ spectrum is the root set of a determinant polynomial of degree n+1 (model 1)
 or 2(n+1) (model 2), found as the eigenvalues of a structured matrix.
 There are two ways to solve: ``solve_record`` solves the blocks of a query
 into one ``SpectrumRecord`` of arrays, and ``solve_block`` returns one
-block's roots as ``SpectralRoot`` objects built from that record.
+block's roots as ``SpectralRoot`` objects built from that record.  Roots
+are classified and ordered here, and certified by ``spectral.null_vectors``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
@@ -58,14 +60,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import spectral
-from .errors import ParameterError, PrecisionError, SelectionError
+from .errors import ParameterError, PrecisionError, SelectionError, require_integer
 from .heun_core import PolynomialCoefficients, SPoly, horner
 
 ArrayF = NDArray[np.floating]
 
 REALITY_TOL = 1e-9
 PHYSICAL_NEG_TOL = 1e-9
-RESIDUAL_TARGET = 1e-10
 # Degree past which the earlier expanded-determinant solver switched to
 # 128-bit root finding and slowed by three orders of magnitude.  Nothing
 # here branches on it; it marks the old cliff that the benchmark's
@@ -110,15 +111,18 @@ class ModelConfig:
             raise ParameterError(
                 f"example {int(example)} admits cases {allowed}, not {self.variant!r}"
             )
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ParameterError("k must be an integer")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", require_integer(self.k, "k must be an integer"))
         # keeps the closed forms' int64 products below 2**63
         if abs(self.k) >= 2**31:
             raise ParameterError("k must satisfy |k| < 2**31")
-        if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon)):
+        real = isinstance(self.epsilon, numbers.Real) and not isinstance(self.epsilon, bool)
+        try:
+            epsilon = float(self.epsilon) if real else math.nan
+        except OverflowError:  # an int or a Fraction past the float range
+            epsilon = math.inf
+        if not math.isfinite(epsilon):
             raise ParameterError("epsilon must be a finite real number")
-        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "epsilon", epsilon)
         if example is Example.REPULSIVE_POLYNOMIAL:
             if self.variant == "b" and self.k < 1:
                 raise ParameterError(
@@ -138,7 +142,8 @@ class ModelConfig:
 @dataclass(frozen=True)
 class BlockSpec:
     """One solvable angular block: polynomial degree n (0 to MAX_DEGREE),
-    angular number l.
+    angular number l.  n, l and sigma are ints or numpy integers (not
+    bools), stored as ints.
 
     sigma is the sign carried by the angular factor exp(i sigma |l| phi); the
     radial equation sees sigma |l|.  For model 2 the stored l is signed and
@@ -150,6 +155,10 @@ class BlockSpec:
     sigma: int
 
     def __post_init__(self) -> None:
+        for name, message in (("n", "block degree n must be an integer"),
+                              ("l", "l must be an integer"),
+                              ("sigma", "sigma must be +1 or -1")):
+            object.__setattr__(self, name, require_integer(getattr(self, name), message))
         if self.n < 0:
             raise ParameterError("block degree n must be non-negative")
         if self.n > MAX_DEGREE:
@@ -172,11 +181,10 @@ class SpectralRoot:
     value is the spectral parameter (lambda for model 1, chi for model 2);
     complex only for non-real unphysical roots.  energy is None when the
     root is not real.  For physical roots eigenvector holds the recurrence
-    null vector (p_0 = 1), run forward or, where that misses
-    RESIDUAL_TARGET, twisted, and residual its terminal residual.  For the
-    rest residual is the relative Newton correction |D/D'| / max(1, |value|)
-    of the continuant D at the root: an estimate of the root's error, not a
-    bound.
+    null vector (p_0 = 1) of ``spectral.null_vectors``, forward or twisted,
+    and residual its terminal residual.  For the rest residual is the
+    relative Newton correction |D/D'| / max(1, |value|) of the continuant D
+    at the root: an estimate of the root's error, not a bound.
     """
 
     value: Union[float, complex]
@@ -270,6 +278,7 @@ def permissible_blocks(config: ModelConfig, n_max: int = 10) -> List[BlockSpec]:
     number of emitted l values (n_max + 1 blocks); the second family's
     blocks come in descending n.
     """
+    n_max = require_integer(n_max, "n_max must be an integer")
     if n_max < 0:
         raise ParameterError("n_max must be non-negative")
     if n_max > MAX_DEGREE:
@@ -288,8 +297,11 @@ def make_block(config: ModelConfig, n: int, l: Optional[int] = None) -> BlockSpe
 
     Raises SelectionError when no permissible block matches, so callers can
     distinguish bad selections from bad configurations; a negative n is a
-    bad input (ParameterError), as for ``BlockSpec``.
+    bad input (ParameterError), as is an n or l that is not an integer.
     """
+    n = require_integer(n, "block degree n must be an integer")
+    if l is not None:
+        l = require_integer(l, "l must be an integer")
     if n < 0:
         raise ParameterError("block degree n must be non-negative")
     if config.variant == "first" and l is None:
@@ -426,13 +438,10 @@ def solve_block(
     (``numpy.linalg.eigvalsh`` on the dense matrix); model 2 roots are the
     eigenvalues of the companion linearization of its quadratic pencil,
     Newton-polished on the continuant.  Roots are then classified by
-    REALITY_TOL and PHYSICAL_NEG_TOL.  Each physical root's null vector must
-    have a terminal residual of at most RESIDUAL_TARGET: the recurrence run
-    forward from p_0 = 1 where it meets that target, and otherwise the join
-    of that run with one run backward from p_n = 1 (``_twisted``).  A root
-    whose joined vector misses too raises PrecisionError, as does a failing
-    eigensolver.  Everything runs in double precision, so precision_bits is
-    53.  The roots are the objects of ``solve_record(config, [block])``;
+    REALITY_TOL and PHYSICAL_NEG_TOL.  A physical root without a certified
+    null vector (``spectral.null_vectors``) raises PrecisionError, as does a
+    failing eigensolver.  All runs in double precision (precision_bits 53);
+    the roots are the objects of ``solve_record(config, [block])``, and
     precision is accepted and ignored, for callers that still pass it.
     """
     record = _solve(config, [block])
@@ -464,11 +473,10 @@ def solve_record(config: ModelConfig, blocks: Sequence[BlockSpec]) -> SpectrumRe
 
     The block recurrences come from one ``block_recurrences`` pass.  Each
     block has its own eigensolve; then all model 2 roots take one ragged
-    Newton polish, all physical roots one ragged null-vector recurrence
-    (``spectral.ragged_polish``, ``spectral.ragged_null_vectors``), and
-    those whose vector misses RESIDUAL_TARGET a second one backward, joined
-    to the first.  Roots are classified and ordered as arrays, and each gets
-    the bits it gets in a block of its own.  A query fails as a whole: each
+    Newton polish and all physical roots one null-vector stage
+    (``spectral.ragged_polish``, ``spectral.null_vectors``).  Roots are
+    classified and ordered as arrays, and each gets the bits it gets in a
+    block of its own.  A query fails as a whole: each
     stage checks every block and raises its first error, in block order.
     Warnings come at the caller's line.
     """
@@ -501,8 +509,8 @@ def _solve(config: ModelConfig, blocks: List[BlockSpec]) -> SpectrumRecord:
 def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
     """Classify the roots, take the null vectors, and order each block's roots.
 
-    Every borderline root warns; then the first root, in block order, whose
-    null vector misses RESIDUAL_TARGET raises PrecisionError.
+    Every borderline root warns; then the first physical root, in block
+    order, without a certified null vector raises PrecisionError.
     """
     is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
     # Python's complex abs, which np.hypot gives and np.abs misses in the last bit
@@ -512,9 +520,9 @@ def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
     borderline = real & ~physical & (roots.real < 0.0)
     residual = np.hypot(steps.real, steps.imag) / scales
     coeffs = np.zeros((len(roots), max((rec.size for rec in recs), default=1)))
-    at, rescued = np.flatnonzero(physical), np.ones(0, dtype=bool)
+    at, certified = np.flatnonzero(physical), np.ones(0, dtype=bool)
     if len(at):
-        coeffs[at], forward, residual[at], rescued = _null_vectors(
+        coeffs[at], forward, residual[at], certified = spectral.null_vectors(
             recs, roots.real[at], owner[at])
     for x in roots.real[borderline].tolist():
         # at the caller of solve_block or solve_record
@@ -524,12 +532,12 @@ def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
             RuntimeWarning,
             stacklevel=4,
         )
-    if not rescued.all():
-        first = int(np.argmin(rescued))
+    if not certified.all():
+        first = int(np.argmin(certified))
         i = at[first]
         raise PrecisionError(
             f"root {roots.real[i].item()!r} of block {blocks[owner[i]]} misses the "
-            f"terminal-residual target {RESIDUAL_TARGET:.0e}: "
+            f"terminal-residual target {spectral.RESIDUAL_TARGET:.0e}: "
             f"{forward[first]:.3e} forward, {residual[i]:.3e} twisted"
         )
     energy = np.full(len(roots), np.nan)
@@ -549,65 +557,6 @@ def _classified(config, blocks, recs, owner, roots, steps) -> SpectrumRecord:
         residual=residual[order],
         coeffs=coeffs[order],
     )
-
-
-def _null_vectors(recs, points, owners) -> Tuple[ArrayF, ArrayF, ArrayF, NDArray[np.bool_]]:
-    """(coefficients, forward residuals, residuals, rescued) of the physical
-    roots: row i of coefficients holds p_0..p_n at points[i].
-
-    The forward run from p_0 = 1 is kept where its terminal residual meets
-    RESIDUAL_TARGET.  Where it misses, the lower rows of the wanted vector
-    follow the recurrence's minimal solution, which a forward run loses and
-    a backward run keeps (Gautschi, SIAM Rev. 9, 1967): the same kernel runs
-    on the reversed recurrence from p_n = 1, and the two runs are joined
-    (``_twisted``).  rescued is False where the joined vector misses
-    RESIDUAL_TARGET too or is not finite.
-    """
-    coeffs, forward = spectral.ragged_null_vectors(recs, points, owners)
-    residuals = forward.copy()
-    # a nan residual (an overflowed run) misses too
-    rescued = residuals <= RESIDUAL_TARGET
-    missed = np.flatnonzero(~rescued)
-    if not len(missed):
-        return coeffs, forward, residuals, rescued
-    backward = [spectral.Recurrence(r.a[::-1], r.c[::-1], r.b[::-1]) for r in recs]
-    rows, _ = spectral.ragged_null_vectors(backward, points[missed], owners[missed])
-    for i, row in zip(missed.tolist(), rows):
-        rec = recs[owners[i]]
-        n = rec.degree
-        vector, residuals[i] = _twisted(rec, points[i], coeffs[i, : n + 1], row[n::-1])
-        rescued[i] = residuals[i] <= RESIDUAL_TARGET and np.isfinite(vector).all()
-        coeffs[i, : n + 1] = vector
-    return coeffs, forward, residuals, rescued
-
-
-def _twisted(rec: spectral.Recurrence, x: float, f: ArrayF, g: ArrayF) -> Tuple[ArrayF, float]:
-    """Join a forward run f (f_0 = 1) and a backward run g (g_n = 1) at x.
-
-    The join at row t takes f_j for j <= t and g_j f_t / g_t below, so every
-    row but t holds by construction and the residual is all in row t
-    (Dhillon & Parlett, SIAM J. Matrix Anal. Appl. 25, 2004).  t is the row
-    where that residual, scaled like the terminal residual (by the largest
-    coefficient and the row's entries), is smallest; t = n is the forward
-    vector and t = 0 the backward one divided by its p_0.  Returns the
-    joined p_0..p_n and its residual (inf where no row gives a number).
-    """
-    # like the kernel, overflow to inf and inf - inf = nan pass silently
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        a, b, c = (horner(m.T, x) for m in rec)
-        # row t applied to the join scaled to p_t = 1, and that row's entries
-        gamma = a + np.pad(c * f[:-1] / f[1:], (1, 0)) + np.pad(b * g[1:] / g[:-1], (0, 1))
-        entries = np.max([np.abs(a), np.pad(np.abs(c), (1, 0)), np.pad(np.abs(b), (0, 1)),
-                          np.ones_like(a)], axis=0)
-        f_size, g_size = np.abs(f), np.abs(g)
-        size = np.maximum(
-            np.maximum.accumulate(f_size) / f_size,
-            np.maximum.accumulate(g_size[::-1])[::-1] / g_size,
-        )
-        residuals = np.abs(gamma) / (size * entries)
-        residuals[np.isnan(residuals)] = np.inf
-        t = int(np.argmin(residuals))
-        return np.concatenate([f[: t + 1], g[t + 1:] / g[t] * f[t]]), float(residuals[t])
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ParameterError, PrecisionError
+from .errors import ParameterError, PrecisionError, require_integer
 from .models import ModelConfig, effective_potential
 
 BOX_AMPLITUDE_TOL = 1e-6
@@ -66,9 +66,9 @@ class GridSpec:
             raise ParameterError("grid needs a finite rho_min and rho_max")
         if not (0 < self.rho_min < self.rho_max):
             raise ParameterError("grid needs 0 < rho_min < rho_max")
-        if not isinstance(self.points, (int, np.integer)):
-            raise ParameterError("grid needs an integer number of points")
-        if self.points < 100:
+        points = require_integer(self.points, "grid needs an integer number of points")
+        object.__setattr__(self, "points", points)
+        if points < 100:
             raise ParameterError("grid needs at least 100 points")
 
     @property
@@ -185,8 +185,13 @@ def lowest_eigenpairs(
     """Lowest `count` eigenpairs of the symmetric tridiagonal T = (diag, off).
 
     Full-accuracy bisection (dstebz) and inverse iteration (dstein), in
-    memory linear in the size of T; a LAPACK failure raises PrecisionError.
+    memory linear in the size of T; a LAPACK failure raises PrecisionError,
+    and a count that is not an integer from 1 to the size of T
+    ParameterError.
     """
+    count = require_integer(count, "count must be an integer")
+    if not 1 <= count <= len(diag):
+        raise ParameterError(f"count {count} is not between 1 and the size {len(diag)} of T")
     return _bisect(diag, off, count)
 
 
@@ -212,8 +217,7 @@ def solve_effective_potential(
     flux-form couplings (see the module docstring).  Returns (eigenvalues,
     eigenvectors) with eigenvectors in columns, in the scaled variable u.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise ParameterError("count must be an integer")
+    count = require_integer(count, "count must be an integer")
     if count < 1:
         raise ParameterError("need at least one eigenvalue")
     if count > grid.points - 2:

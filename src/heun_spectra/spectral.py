@@ -20,8 +20,9 @@ independent of any expanded polynomial:
   continuant and its derivative (``ragged_polish``, ``newton_corrections``).
 
 A root's bound state is the null vector of its matrix, the coefficients of
-the three-term recurrence run at the root, and its terminal residual
-certifies the root (``ragged_null_vectors``).
+the three-term recurrence run at the root (``ragged_null_vectors``), and
+``null_vectors`` certifies it: a terminal residual of at most
+RESIDUAL_TARGET, forward or, where that misses, twisted.
 
 The Newton polish, the corrections and the null vectors run over the roots
 of several blocks at once: point i belongs to recurrence owner[i], and to
@@ -47,10 +48,11 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .errors import RecurrenceBreakdownError
-from .heun_core import Recurrence, Scalar
+from .heun_core import Recurrence, Scalar, horner
 
 NEWTON_STEPS = 3
 RESCALE_ROWS = 8
+RESIDUAL_TARGET = 1e-10
 
 
 def determinant_polynomial(rec: Recurrence) -> np.ndarray:
@@ -248,6 +250,68 @@ def ragged_null_vectors(
         coeff_scale = np.where(inside, np.abs(coeffs), 0).max(axis=1)
         residuals = (np.abs(terminal) / (coeff_scale * entry_scale)).astype(float)
     return coeffs, residuals
+
+
+def null_vectors(
+    recs: Sequence[Recurrence], points: np.ndarray, owner: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(coeffs, forward, residuals, certified) at real roots points[i] of
+    recs[owner[i]]: null vectors laid out as by ``ragged_null_vectors``, the
+    forward runs' terminal residuals and the kept vectors' residuals.
+
+    The forward run from p_0 = 1 is kept where it meets RESIDUAL_TARGET.
+    Where it misses, the lower rows of the wanted vector follow the
+    recurrence's minimal solution, which a forward run loses and a backward
+    run keeps (Gautschi, SIAM Rev. 9, 1967): the kernel runs on the reversed
+    recurrences from p_n = 1 at those points only, and the runs are joined
+    (``_twisted``).  certified: the kept vector meets RESIDUAL_TARGET and
+    its p_0..p_n are finite (a forward run that meets it is: an overflow
+    reaches p_n and makes the residual nan).
+    """
+    owner = _owners(points, owner)
+    coeffs, forward = ragged_null_vectors(recs, points, owner)
+    residuals = forward.copy()
+    # a nan residual (an overflowed run) misses too
+    missed = np.flatnonzero(~(forward <= RESIDUAL_TARGET))
+    if len(missed):
+        backward = [Recurrence(r.a[::-1], r.c[::-1], r.b[::-1]) for r in recs]
+        rows, _ = ragged_null_vectors(backward, points[missed], owner[missed])
+        for i, row in zip(missed.tolist(), rows):
+            rec = recs[owner[i]]
+            f, g = coeffs[i, : rec.size], row[rec.degree::-1]
+            coeffs[i, : rec.size], residuals[i] = _twisted(rec, points[i], f, g)
+    padding = np.arange(coeffs.shape[1]) > _degrees(recs, owner)[:, None]
+    certified = (residuals <= RESIDUAL_TARGET) & (np.isfinite(coeffs) | padding).all(axis=1)
+    return coeffs, forward, residuals, certified
+
+
+def _twisted(rec: Recurrence, x: float, f: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Join a forward run f (f_0 = 1) and a backward run g (g_n = 1) at x.
+
+    The join at row t takes f_j for j <= t and g_j f_t / g_t below, so every
+    row but t holds by construction and the residual is all in row t
+    (Dhillon & Parlett, SIAM J. Matrix Anal. Appl. 25, 2004).  t is the row
+    where that residual, scaled like the terminal residual (by the largest
+    coefficient and the row's entries), is smallest; t = n is the forward
+    vector and t = 0 the backward one divided by its p_0.  Returns the
+    joined p_0..p_n and its residual (inf where no row gives a number).
+    """
+    # like the kernel, overflow to inf and inf - inf = nan pass silently
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a, b, c = (horner(m.T, x) for m in rec)
+        # row t applied to the join scaled to p_t = 1, and that row's entries
+        gamma = a + np.pad(c * f[:-1] / f[1:], (1, 0)) + np.pad(b * g[1:] / g[:-1], (0, 1))
+        entries = np.max([np.abs(a), np.pad(np.abs(c), (1, 0)), np.pad(np.abs(b), (0, 1)),
+                          np.ones_like(a)], axis=0)
+        f_size, g_size = np.abs(f), np.abs(g)
+        size = np.maximum(
+            np.maximum.accumulate(f_size) / f_size,
+            np.maximum.accumulate(g_size[::-1])[::-1] / g_size,
+        )
+        residuals = np.abs(gamma) / (size * entries)
+        residuals[np.isnan(residuals)] = np.inf
+        t = int(np.argmin(residuals))
+        return np.concatenate([f[: t + 1], g[t + 1:] / g[t] * f[t]]), float(residuals[t])
 
 
 def _owners(s: np.ndarray, owner: Optional[np.ndarray]) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heun_spectra import cli, models, verification
+from heun_spectra import cli, models, spectral, verification
 
 
 def run_cli(argv, capsys):
@@ -565,7 +565,7 @@ class TestVerify:
         assert err.splitlines() == ["error: seed must be non-negative, not -1"]
 
     def test_unreachable_tolerance_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(models, "RESIDUAL_TARGET", -1.0)
+        monkeypatch.setattr(spectral, "RESIDUAL_TARGET", -1.0)
         code, _, err = run_cli(
             ["spectrum", *SPEC_ARGS, "--n-max", "0"], capsys)
         assert code == 3

@@ -55,6 +55,22 @@ def reference_coefficients(config, block, value, bits=400):
         return polynomial_from_recurrence(rec, x[0]).coeffs
 
 
+# builders that take a block degree (n_max for permissible_blocks), and the
+# name their messages give it
+DEGREE_BUILDS = pytest.mark.parametrize("build, message", [
+    (lambda n: BlockSpec(n=n, l=0, sigma=+1), "block degree n"),
+    *[(functools.partial(permissible_blocks, ModelConfig(Example(example), variant, k, 1.0)),
+       "n_max")
+      for example, variant, k in ((1, "a", 1), (1, "b", 401), (2, "first", -1),
+                                  (2, "second", 401))],
+    *[(functools.partial(make_block, ModelConfig(Example(example), variant, k, 1.0), l=l),
+       "block degree n")
+      for example, variant, k, l in ((1, "a", 1, None), (1, "b", 1, None),
+                                     (2, "first", -1, 1), (2, "second", 1, None))],
+], ids=["BlockSpec", "a", "b", "first", "second",
+        "make_block-a", "make_block-b", "make_block-first", "make_block-second"])
+
+
 class TestConfigValidation:
     def test_case_b_needs_positive_k(self):
         with pytest.raises(ParameterError):
@@ -77,6 +93,24 @@ class TestConfigValidation:
     def test_messages_name_the_constraint(self):
         with pytest.raises(ParameterError, match="k"):
             ModelConfig(Example(2), "first", 3, 0.0)
+
+    def test_k_must_be_an_integer(self):
+        assert ModelConfig(Example(1), "a", np.int64(2), 1.0).k == 2
+        for k in (2.0, 2.5, True, "2", None):
+            with pytest.raises(ParameterError, match="^k must be an integer$"):
+                ModelConfig(Example(1), "a", k, 1.0)
+
+    def test_epsilon_is_any_finite_real_but_a_bool(self):
+        for epsilon, want in ((np.float32(1.5), 1.5), (np.int64(2), 2.0),
+                              (Fraction(1, 3), 1 / 3), (-7, -7.0), (0.25, 0.25)):
+            config = ModelConfig(Example(1), "a", 1, epsilon)
+            assert type(config.epsilon) is float and config.epsilon == want
+        # True used to pass as 1.0; 10**400 and Fraction(10**400) used to
+        # raise a raw OverflowError
+        for epsilon in (True, False, "1.5", None, 1j, math.inf, math.nan,
+                        np.float64(-np.inf), 10**400, Fraction(10**400)):
+            with pytest.raises(ParameterError, match="^epsilon must be a finite real number$"):
+                ModelConfig(Example(1), "a", 1, epsilon)
 
 
 class TestBlockEnumeration:
@@ -149,24 +183,38 @@ class TestBlockEnumeration:
         with pytest.raises(ParameterError, match=f"^{message} must be at most 200$"):
             build(models.MAX_DEGREE + 1)
 
-    @pytest.mark.parametrize("build, message", [
-        (lambda n: BlockSpec(n=n, l=0, sigma=+1), "block degree n"),
-        *[(functools.partial(permissible_blocks, ModelConfig(Example(example), variant, k, 1.0)),
-           "n_max")
-          for example, variant, k in ((1, "a", 1), (1, "b", 401), (2, "first", -1),
-                                      (2, "second", 401))],
-        *[(functools.partial(make_block, ModelConfig(Example(example), variant, k, 1.0), l=l),
-           "block degree n")
-          for example, variant, k, l in ((1, "a", 1, None), (1, "b", 1, None),
-                                         (2, "first", -1, 1), (2, "second", 1, None))],
-    ], ids=["BlockSpec", "a", "b", "first", "second",
-            "make_block-a", "make_block-b", "make_block-first", "make_block-second"])
+    @DEGREE_BUILDS
     def test_negative_degree_is_a_parameter_error(self, build, message):
         # the other end of the range; `spectrum ... --n-max -1` and
         # `wavefunction ... --n -1` print this
         build(0)
         with pytest.raises(ParameterError, match=f"^{message} must be non-negative$"):
             build(-1)
+
+    @DEGREE_BUILDS
+    def test_non_integer_degree_is_a_parameter_error(self, build, message):
+        # 2.5 used to make a block that failed to solve with a raw
+        # ValueError, True and 1.0 to pass as 1, "1" to raise a TypeError
+        assert build(np.int64(0)) == build(0)
+        for bad in (2.5, 1.0, np.float64(0.0), True, "1", None):
+            with pytest.raises(ParameterError, match=f"^{message} must be an integer$"):
+                build(bad)
+
+    def test_non_integer_l_or_sigma_is_a_parameter_error(self):
+        first = ModelConfig(Example(2), "first", -1, 1.0)
+        for build, message in (
+            (lambda: BlockSpec(3, "1", 1), "l must be an integer"),
+            (lambda: BlockSpec(1, 1.0, 1), "l must be an integer"),
+            (lambda: BlockSpec(1, 1, 1.0), "sigma must be +1 or -1"),
+            (lambda: BlockSpec(1, 1, True), "sigma must be +1 or -1"),
+            (lambda: make_block(first, 0, 1.5), "l must be an integer"),
+            (lambda: make_block(first, 0, True), "l must be an integer"),
+        ):
+            with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+                build()
+        block = BlockSpec(np.int64(1), np.int64(2), np.int64(-1))
+        assert block == BlockSpec(1, 2, -1)
+        assert [type(x) for x in (block.n, block.l, block.sigma)] == [int] * 3
 
     def test_angular_momentum_sign(self):
         assert BlockSpec(n=1, l=1, sigma=-1).angular_momentum == -1
@@ -535,7 +583,7 @@ class TestSpectrum:
     ):
         """A root whose forward and twisted null vectors both miss
         RESIDUAL_TARGET fails the block with PrecisionError."""
-        monkeypatch.setattr(models, "RESIDUAL_TARGET", -1.0)
+        monkeypatch.setattr(spectral, "RESIDUAL_TARGET", -1.0)
         with pytest.raises(PrecisionError, match=r"forward, .* twisted$"):
             solve_block(ModelConfig(Example(1), "a", 1, 0.5), BlockSpec(1, 1, +1))
 
@@ -560,7 +608,7 @@ class TestSpectrum:
                 assert r.eigenvector.coeffs == forward.coeffs
                 assert r.residual == forward.terminal_residual
                 continue
-            assert forward.terminal_residual > models.RESIDUAL_TARGET
+            assert forward.terminal_residual > spectral.RESIDUAL_TARGET
             # the forward run down to some row t, below it the backward run
             # scaled to agree with it at t
             f, p = forward.coeffs, r.eigenvector.coeffs
@@ -591,12 +639,12 @@ class TestSpectrum:
         _, forward = spectral.ragged_null_vectors([rec], values)
         reversed_rec = spectral.Recurrence(rec.a[::-1], rec.c[::-1], rec.b[::-1])
         _, backward = spectral.ragged_null_vectors([reversed_rec], values)
-        rescued = forward > models.RESIDUAL_TARGET
+        rescued = forward > spectral.RESIDUAL_TARGET
         assert rescued.sum() == rescued_count
         # at k = 19 the backward vector alone misses the target too
-        assert (backward[rescued] > models.RESIDUAL_TARGET).any() == (k == 19)
+        assert (backward[rescued] > spectral.RESIDUAL_TARGET).any() == (k == 19)
         for r in (r for r, miss in zip(physical, rescued) if miss):
-            assert r.residual <= models.RESIDUAL_TARGET
+            assert r.residual <= spectral.RESIDUAL_TARGET
             want = reference_coefficients(config, block, r.value)
             assert all(abs(p - w) <= 1e-13 * abs(w)
                        for p, w in zip(r.eigenvector.coeffs, want))
@@ -701,7 +749,7 @@ class TestSolveRecord:
                 [models.block_recurrence(config, block)],
                 np.array([r.value for r in physical]))
             rescued += [r for r, f in zip(physical, forward)
-                        if f > models.RESIDUAL_TARGET >= r.residual]
+                        if f > spectral.RESIDUAL_TARGET >= r.residual]
         assert len(rescued) == 5
 
     def test_listed_spectrum_queries_together_equal_blocks_solved_alone(self):
@@ -741,7 +789,7 @@ class TestSolveRecord:
         monkeypatch.setattr(np.linalg, "eigvals", fail_second)
         monkeypatch.setattr(spectral, "ragged_polish", no_polish)
         # every null vector would miss too, but the eigensolve stage comes first
-        monkeypatch.setattr(models, "RESIDUAL_TARGET", -1.0)
+        monkeypatch.setattr(spectral, "RESIDUAL_TARGET", -1.0)
         config = ModelConfig(Example(2), "second", 3, 30.0)
         blocks = permissible_blocks(config, n_max=2)
         with pytest.raises(PrecisionError, match=r"eigensolver failed on block BlockSpec\(n=1"):

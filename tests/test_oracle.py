@@ -67,7 +67,7 @@ class TestGridSpec:
                 warnings.simplefilter("error")
                 with pytest.raises(ParameterError, match="finite"):
                     GridSpec(rho_min, rho_max, 200)
-        for points in (200.5, 200.0, "200"):
+        for points in (200.5, 200.0, "200", True):
             with pytest.raises(ParameterError, match="integer"):
                 GridSpec(1e-3, 8.0, points)
         assert GridSpec(1e-3, 8.0, np.int64(200)).rhos().size == 200
@@ -96,6 +96,16 @@ class TestSolver:
                 with pytest.raises(ParameterError, match="integer"):
                     radial_eigensolve(cfg, 0, +1, g, count)
             assert solve_effective_potential(v, g, np.int64(2))[0].size == 2
+        # lowest_eigenpairs used to hand these to scipy, which raised a raw
+        # ValueError or TypeError, or took True as 1
+        diag, off = np.arange(10.0), np.ones(9)
+        for count in (0, 11, -1):
+            with pytest.raises(ParameterError, match="^count .* size 10 of T$"):
+                lowest_eigenpairs(diag, off, count)
+        for count in (2.5, np.float64(2.0), True, "3", None):
+            with pytest.raises(ParameterError, match="^count must be an integer$"):
+                lowest_eigenpairs(diag, off, count)
+        assert lowest_eigenpairs(diag, off, np.int64(10))[0].size == 10
 
     def test_potential_must_match_grid(self):
         g = GridSpec(1e-3, 8.0, 200)

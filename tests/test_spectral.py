@@ -4,6 +4,7 @@ The solve routines, the determinant routes that check them and
 ``polynomial_from_recurrence`` all take ``Recurrence`` arrays from
 ``block_recurrence``."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from heun_spectra import (
 )
 from heun_spectra.heun_core import horner
 from heun_spectra.models import (
-    RESIDUAL_TARGET,
     Example,
     block_recurrence,
     block_sequences,
@@ -36,10 +36,12 @@ from heun_spectra.models import (
 )
 from heun_spectra.spectral import (
     RESCALE_ROWS,
+    RESIDUAL_TARGET,
     Recurrence,
     _continuant_lanes,
     companion_eigenvalues,
     newton_corrections,
+    null_vectors,
     ragged_null_vectors,
     ragged_polish,
     symmetric_eigenvalues,
@@ -559,6 +561,68 @@ class TestRaggedKernel:
             points = [np.array([mpmath.mpf(x) for x in p], dtype=object) for p in starts]
             self.check_null_vectors(recs, points)
             self.check_polish(recs, points)
+
+    # Roots of model 1 blocks (case, k, epsilon, n), as symmetric_eigenvalues
+    # gives them, stored so that no LAPACK build can change them.  In 1b
+    # k = 37 the first root of each block (the first two at n = 36) misses
+    # the target forward and is rescued by the twisted join.  At epsilon =
+    # 1e300 and 1e100 the forward runs overflow; at 1e300 every join but one
+    # misses, at 1e100 roots 1 to 3 are rescued, with a nan forward residual
+    # and nan past p_n in the batch's padding, and root 4 meets the target
+    # with coefficients that are not finite.
+    RESCUE_POINTS = {
+        ("b", 37, 30.0, 30): ["0x1.8206e741f017bp+7", "0x1.0ea18b54c214ap+10",
+                              "0x1.09fb465c3346dp+11"],
+        ("b", 37, 30.0, 32): ["0x1.1098c327ad352p+7", "0x1.0db723040afa0p+10",
+                              "0x1.12ddbdae09fc3p+11"],
+        ("b", 37, 30.0, 34): ["0x1.40d8f1cb27c71p+6", "0x1.0cbe17c041755p+10",
+                              "0x1.1bcc487d4ce15p+11"],
+        ("b", 37, 30.0, 36): ["0x1.8c5ba377bf797p+4", "0x1.2c53213241ebfp+6",
+                              "0x1.0bb66a349861cp+10", "0x1.24c6c796791dep+11"],
+        ("b", 7, 1e300, 2): ["0x1.ddd4baa009302p+998", "0x1.4e7b4f70066e8p+999",
+                             "0x1.ae0c419008450p+999"],
+        ("b", 7, 1e300, 4): ["0x1.1eb2d66005835p+998", "0x1.ddd4baa009303p+998",
+                             "0x1.4e7b4f70066e8p+999", "0x1.ae0c419008450p+999",
+                             "0x1.06ce99d8050dbp+1000"],
+        ("b", 7, 1e300, 6): ["0x1.7e43c8800759bp+996", "0x1.4e7b4f70066e7p+999",
+                             "0x1.369712e805f8fp+1000"],
+        ("a", 1, 1e100, 5): ["0x1.249ad2594c37dp+332", "0x1.b6e83b85f253cp+333",
+                             "0x1.6dc186ef9f45cp+334", "0x1.0007780e22b0dp+335",
+                             "0x1.492e2ca475bedp+335"],
+    }
+    # sha256 of each block's (coeffs[:, :n+1], forward, residuals, certified)
+    # alone, in the order above, nan written as np.nan: recorded from the
+    # stage when it still lived in models (as _null_vectors)
+    RESCUE_DIGEST = "f5393a5b68fabf12a2aa801ea6f995bcf7568a84aef4e28750463cc614c325d4"
+
+    def test_null_vectors_batch_equals_blocks_alone_and_the_recorded_bytes(self):
+        recs, points = [], []
+        for (case, k, epsilon, n), hexes in self.RESCUE_POINTS.items():
+            config = ModelConfig(Example(1), case, k, epsilon)
+            recs.append(block_recurrence(config, make_block(config, n)))
+            points.append(np.array([float.fromhex(h) for h in hexes]))
+        alone = [null_vectors([rec], p) for rec, p in zip(recs, points)]
+        digest = hashlib.sha256()
+        for rec, (coeffs, *rest) in zip(recs, alone):
+            for x in (coeffs[:, : rec.size], *rest):
+                digest.update(np.where(np.isnan(x), np.nan, x).tobytes()
+                              if x.dtype == float else x.tobytes())
+        assert digest.hexdigest() == self.RESCUE_DIGEST
+        # forward-kept, rescued and uncertified roots of eight blocks, shuffled
+        s, owner = _batch(recs, points)
+        shuffle = np.random.default_rng(0).permutation(len(s))
+        coeffs, *rest = null_vectors(recs, s[shuffle], owner[shuffle])
+        for got, want in zip(rest, zip(*(a[1:] for a in alone))):
+            assert got.tobytes() == np.concatenate(want)[shuffle].tobytes()
+        rows = [c[:, : rec.size] for rec, (c, *_) in zip(recs, alone)]
+        want = [row for block in rows for row in block]
+        for got, i in zip(coeffs, shuffle.tolist()):
+            size = recs[owner[i]].size
+            assert got[:size].tobytes() == want[i].tobytes()
+        forward, residuals, certified = rest
+        assert 0 < certified.sum() < len(s)
+        assert (certified & ~(forward <= RESIDUAL_TARGET)).sum() == 5 + 3
+        assert (~certified & (residuals <= RESIDUAL_TARGET)).sum() == 1
 
     def test_block_recurrence_matches_the_scalar_closed_forms(self):
         # the arrays carry the bits (signed zeros included) of the closed
