@@ -49,6 +49,7 @@ are classified and ordered here, and certified by ``spectral.null_vectors``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -692,26 +693,46 @@ def decay_split(config: ModelConfig, root: SpectralRoot) -> float:
     return max(20.0, 10.0 + 35.0 / max(chi, 1e-6))
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_rule(a: float, b: float, panels: int) -> Tuple[ArrayF, ArrayF]:
+    """Nodes and weights (read-only) of composite GAUSS_ORDER-point
+    Gauss-Legendre on `panels` equal panels of [a, b].  Cached: every model 1
+    norm, and every model 2 norm with |chi| >= 3.5, integrates over the same
+    two intervals."""
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (edges[:-1, None] + half * (1.0 + _GAUSS_NODES)).ravel()
+    weights = (half * _GAUSS_WEIGHTS).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gauss_integral(
-    integrand: Callable[[ArrayF], ArrayF], a: float, b: float, scale: float = 0.0
+    integrand: Callable[[ArrayF], ArrayF],
+    a: float,
+    b: float,
+    scale: float = 0.0,
+    first: Sequence[float] = (),
 ) -> float:
     """Integral over [a, b] of an integrand evaluated on whole node arrays.
 
-    Composite GAUSS_ORDER-point Gauss-Legendre on NORM_START_PANELS equal
-    panels, doubled until two successive estimates differ by at most
-    NORM_RTOL * max(|estimate|, scale).  scale lets an integral that should
-    be small (a tail, an overlap) converge relative to a larger one.  At
-    NORM_MAX_PANELS the finer estimate is still returned if the last two
-    agree to NORM_FLOOR_RTOL; otherwise PrecisionError.
+    Composite GAUSS_ORDER-point Gauss-Legendre (_gauss_rule) on
+    NORM_START_PANELS equal panels, doubled until two successive estimates
+    differ by at most NORM_RTOL * max(|estimate|, scale).  scale lets an
+    integral that should be small (a tail, an overlap) converge relative to
+    a larger one.  At NORM_MAX_PANELS the finer estimate is still returned
+    if the last two agree to NORM_FLOOR_RTOL; otherwise PrecisionError.
+    first holds estimates already made on the first levels (NORM_START_PANELS
+    panels, then twice that, ...); the integrand is called only past them.
     """
     panels = NORM_START_PANELS
     previous = None
+    made = iter(first)
     while True:
-        edges = np.linspace(a, b, panels + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        nodes = (edges[:-1, None] + half * (1.0 + _GAUSS_NODES)).ravel()
-        weights = (half * _GAUSS_WEIGHTS).ravel()
-        estimate = float(np.dot(weights, integrand(nodes)))
+        estimate = next(made, None)
+        if estimate is None:
+            nodes, weights = _gauss_rule(a, b, panels)
+            estimate = float(np.dot(weights, integrand(nodes)))
         if not math.isfinite(estimate):
             return estimate
         if previous is not None:
@@ -733,8 +754,10 @@ def radial_norm(
 ) -> Tuple[float, float]:
     """(integral of |R|^2 rho d rho, fraction contributed past the decay radius).
 
-    Both parts are relative-accurate to about NORM_RTOL (the tail relative
-    to the head); see _gauss_integral.
+    The head [0, split] and the tail [split, 2 split] are each a
+    _gauss_integral, relative-accurate to about NORM_RTOL (the tail relative
+    to the head).  One integrand call gives both intervals' first two
+    estimates; an interval is evaluated again only where they disagree.
     """
     _require_physical(root)
 
@@ -742,10 +765,16 @@ def radial_norm(
         return radial_values(config, block, root, r) ** 2 * r
 
     split = decay_split(config, root)
+    intervals = ((0.0, split), (split, 2.0 * split))
+    nodes, weights = zip(*(_gauss_rule(a, b, panels) for a, b in intervals
+                           for panels in (NORM_START_PANELS, 2 * NORM_START_PANELS)))
     # a state whose factors overflow gives a non-finite norm, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        head = _gauss_integral(integrand, 0.0, split)
-        tail = _gauss_integral(integrand, split, 2.0 * split, scale=head)
+        values = integrand(np.concatenate(nodes))
+        parts = np.split(values, np.cumsum([x.size for x in nodes])[:-1])
+        first = [float(np.dot(w, v)) for w, v in zip(weights, parts)]
+        head = _gauss_integral(integrand, *intervals[0], first=first[:2])
+        tail = _gauss_integral(integrand, *intervals[1], scale=head, first=first[2:])
     total = head + tail
     if not (math.isfinite(total) and total > 0):
         raise PrecisionError(

@@ -27,10 +27,13 @@ width ISOLATION_TOL bisection costs some 30 Sturm passes per level, because
 ||T|| reaches 1e8 near the axis, so a grid of at least 2 COARSE_POINTS points
 is bisected only on every m-th node, m = points // COARSE_POINTS, and only to
 that width.  The coarse vectors, interpolated onto the full grid, are
-refined there by shifted tridiagonal solves (dgtsv) and Rayleigh-Ritz to a
-few ulps of ||T||, and kept only when one Sturm count of the full matrix
-proves that they are its lowest levels; otherwise the full matrix is
-bisected after all.  Nothing here touches the Heun machinery, so agreement
+refined there by two rounds of shifted tridiagonal solves (dgtsv), the
+first at the coarse levels and the second at each column's Rayleigh
+quotient x.Tx / x.x, and then by Rayleigh-Ritz to a few ulps of ||T||,
+which reshifts at the Ritz values while its residual misses that gate.  The
+Ritz pairs are kept only when one Sturm count of the full matrix proves
+that they are its lowest levels; otherwise the full matrix is bisected
+after all.  Nothing here touches the Heun machinery, so agreement
 with the roots is a genuine cross-check.
 """
 
@@ -48,7 +51,7 @@ from .errors import ParameterError, PrecisionError, require_integer
 from .models import ModelConfig, effective_potential
 
 BOX_AMPLITUDE_TOL = 1e-6
-ISOLATION_TOL = 1e-3  # coarse bisection width; the fine Rayleigh-Ritz refines past it
+ISOLATION_TOL = 1e-3  # coarse bisection width; the fine shifted solves refine past it
 RITZ_RESIDUAL_ULPS = 1e3  # gate on ||T x - theta x||, so theta is this near a level
 COARSE_POINTS = 500  # a grid of at least twice this many points starts on every m-th point
 
@@ -98,6 +101,16 @@ def channel_matrix(
     return diag, off
 
 
+def _times(
+    diag: NDArray[np.floating], off: NDArray[np.floating], x: NDArray[np.floating]
+) -> NDArray[np.floating]:
+    """T x for each column of x."""
+    tx = diag[:, None] * x
+    tx[1:] += off[:, None] * x[:-1]
+    tx[:-1] += off[:, None] * x[1:]
+    return tx
+
+
 def _shifted_solves(
     diag: NDArray[np.floating],
     off: NDArray[np.floating],
@@ -124,17 +137,16 @@ def _rayleigh_ritz(
 ) -> Tuple[NDArray[np.floating], NDArray[np.floating], float]:
     """Ritz pairs of T on span(basis) and their largest residual norm.
 
-    A round whose residual misses the gate reshifts: one shifted solve per
-    column at its Ritz value, then Rayleigh-Ritz again, for at most three
-    rounds.  The caller decides what a final miss means.
+    The basis comes from two shifted rounds, so it usually passes the gate
+    at once.  A round whose residual misses it reshifts: one shifted solve
+    per column at its Ritz value, then Rayleigh-Ritz again, for at most
+    three rounds.  The caller decides what a final miss means.
     """
     from scipy.linalg import qr
 
     for _ in range(3):
         basis = qr(basis, mode="economic", check_finite=False)[0]
-        tv = diag[:, None] * basis
-        tv[1:] += off[:, None] * basis[:-1]
-        tv[:-1] += off[:, None] * basis[1:]
+        tv = _times(diag, off, basis)
         vals, rotation = np.linalg.eigh(basis.T @ tv)
         vecs, tv = basis @ rotation, tv @ rotation
         tv -= vecs * vals  # now the Ritz residuals
@@ -199,12 +211,14 @@ def _prolong(coarse: NDArray[np.floating], stride: int, points: int) -> NDArray[
     """Linear interpolation of coarse-node columns onto every grid point.
 
     Past the last coarse node the columns fall linearly to the coarse
-    Dirichlet ghost, one coarse spacing further out.
+    Dirichlet ghost, one coarse spacing further out.  Each column is
+    contiguous, so the fine-grid steps run along the grid.
     """
-    t = (np.arange(stride) / stride)[None, :, None]
-    padded = np.vstack([coarse, np.zeros((1, coarse.shape[1]))])
-    fine = (1.0 - t) * padded[:-1, None] + t * padded[1:, None]
-    return fine.reshape(-1, coarse.shape[1])[:points]
+    t = np.arange(stride) / stride
+    padded = np.hstack([coarse.T, np.zeros((coarse.shape[1], 1))])
+    ends = np.stack([padded[:, :-1], padded[:, 1:]], axis=-1)
+    fine = ends @ np.stack([1.0 - t, t])  # (columns, coarse nodes, stride)
+    return fine.reshape(coarse.shape[1], -1)[:, :points].T
 
 
 def solve_effective_potential(
@@ -224,6 +238,7 @@ def solve_effective_potential(
         raise ParameterError(
             f"count {count} exceeds the {grid.points - 2} resolvable states"
         )
+    v_eff = np.asarray(v_eff, dtype=float)
     if v_eff.shape != (grid.points,) or not np.all(np.isfinite(v_eff)):
         raise ParameterError("v_eff must be finite and sampled on the grid")
     diag, off = channel_matrix(v_eff, grid)
@@ -231,8 +246,11 @@ def solve_effective_potential(
     if stride > 1 and count <= COARSE_POINTS - 2:  # the subgrid has >= COARSE_POINTS nodes
         coarse_vals, coarse_vecs = _bisect(
             *channel_matrix(v_eff, grid, stride), count, ISOLATION_TOL)
-        start = _shifted_solves(
+        first = _shifted_solves(
             diag, off, _prolong(coarse_vecs, stride, grid.points), coarse_vals)
+        quotients = (np.einsum("ij,ij->j", first, _times(diag, off, first))
+                     / np.einsum("ij,ij->j", first, first))
+        start = _shifted_solves(diag, off, first, quotients)
         norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
         gate = RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm
         vals, vecs, residual = _rayleigh_ritz(diag, off, start, gate)
@@ -253,10 +271,15 @@ def radial_eigensolve(
 ) -> List[float]:
     """Lowest `count` dimensionless channel energies of the configuration.
 
-    Warns when the lowest requested eigenfunction still has noticeable
-    amplitude at the outer wall, which means rho_max truncates the state and
-    the eigenvalue carries box error beyond the h^2 discretization error.
+    l and sigma follow BlockSpec's rule: integers (not bools), sigma +1 or
+    -1, else ParameterError.  Warns when the lowest requested eigenfunction
+    still has noticeable amplitude at the outer wall, which means rho_max
+    truncates the state and the eigenvalue carries box error beyond the h^2
+    discretization error.
     """
+    l = require_integer(l, "l must be an integer")
+    if require_integer(sigma, "sigma must be +1 or -1") not in (-1, +1):
+        raise ParameterError("sigma must be +1 or -1")
     r = grid.rhos()
     v = effective_potential(config, l, sigma, r)
     vals, vecs = solve_effective_potential(v, grid, count)

@@ -7,6 +7,7 @@ import os
 import re
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -942,6 +943,51 @@ class TestFieldsAndPotentials:
         assert np.all(np.diff(t_of_rho(grid)) > 0)
 
 
+def per_interval_gauss_integral(integrand, a, b, scale, levels):
+    """models._gauss_integral with one integrand call per level, as the
+    norm was computed before its first levels shared a call; appends the
+    number of levels it evaluated to levels."""
+    panels = models.NORM_START_PANELS
+    previous = None
+    count = 0
+    while True:
+        edges = np.linspace(a, b, panels + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        nodes = (edges[:-1, None] + half * (1.0 + models._GAUSS_NODES)).ravel()
+        weights = (half * models._GAUSS_WEIGHTS).ravel()
+        estimate = float(np.dot(weights, integrand(nodes)))
+        count += 1
+        if not math.isfinite(estimate):
+            levels.append(count)
+            return estimate
+        if previous is not None:
+            at_cap = panels >= models.NORM_MAX_PANELS
+            rtol = models.NORM_FLOOR_RTOL if at_cap else models.NORM_RTOL
+            if abs(estimate - previous) <= rtol * max(abs(estimate), scale):
+                levels.append(count)
+                return estimate
+            if at_cap:
+                raise PrecisionError(
+                    f"quadrature over [{a:g}, {b:g}] did not converge: "
+                    f"{panels} panels give {estimate!r}, {panels // 2} give {previous!r}"
+                )
+        previous = estimate
+        panels *= 2
+
+
+def per_interval_norm(cfg, block, root, levels):
+    """radial_norm by per_interval_gauss_integral: the head, then the tail
+    scaled by the head."""
+    def integrand(r):
+        return models.radial_values(cfg, block, root, r) ** 2 * r
+
+    split = models.decay_split(cfg, root)
+    head = per_interval_gauss_integral(integrand, 0.0, split, 0.0, levels)
+    tail = per_interval_gauss_integral(integrand, split, 2.0 * split, head, levels)
+    total = head + tail
+    return total, tail / total
+
+
 class TestWavefunctions:
     def test_positive_l_vanishes_at_origin(self):
         cfg = ModelConfig(Example(1), "a", 1, 0.3)
@@ -991,16 +1037,58 @@ class TestWavefunctions:
         assert tail < 1e-12
 
     @pytest.mark.xfail(strict=True, raises=PrecisionError,
-                       reason="model 1 norm quadrature does not converge past n = 17")
-    @pytest.mark.parametrize("n, index", [(18, 18), (30, 30)])
-    def test_high_model1_state_has_a_norm(self, n, index):
-        # every norm of this family converges at n = 17; at n = 18 only
-        # index 18 fails, at n = 30 indices 20-30 do
-        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+                       reason="model 1 norm quadrature does not converge at high degree")
+    @pytest.mark.parametrize("k, eps, n, index", [
+        pytest.param(1, 1.0, 18, 18, id="18-18"),
+        pytest.param(1, 1.0, 30, 30, id="30-30"),
+        pytest.param(2, -1.0, 17, 17, id="k2-eps-1-17-17")])
+    def test_high_model1_state_has_a_norm(self, k, eps, n, index):
+        # every norm of k = 1, eps = 1 converges at n = 17; at n = 18 only
+        # index 18 fails, at n = 30 indices 20-30 do.  At k = 2, eps = -1
+        # the top state fails already at n = 17
+        cfg = ModelConfig(Example(1), "a", k, eps)
         block = make_block(cfg, n)
         root = solve_block(cfg, block).roots[index]
         total, _ = radial_norm(cfg, block, root)
         assert math.isfinite(total) and total > 0
+
+    @pytest.mark.parametrize("example, case, k, eps, n", [
+        (1, "a", 3, 2.5, 2),  # two of the three states need a third level
+        (1, "b", 4, 0.5, 1),
+        (2, "second", 6, 100.0, 5),  # the top state needs a fourth level
+        (2, "second", 5, 1600.0, 4),  # norms down to 2.3e-34
+    ])
+    def test_norm_keeps_the_per_interval_bits(self, example, case, k, eps, n):
+        # one integrand call for both intervals' first two levels gives the
+        # same bits as evaluating each level of each interval on its own,
+        # and the integrand is called again only for the levels past two
+        cfg = ModelConfig(Example(example), case, k, eps)
+        block = make_block(cfg, n)
+        bound = [r for r in solve_block(cfg, block).roots if r.physical]
+        past_two = []
+        for root in bound:
+            levels = []
+            expect = per_interval_norm(cfg, block, root, levels)
+            with mock.patch.object(models, "radial_values",
+                                   wraps=models.radial_values) as spy:
+                got = radial_norm(cfg, block, root)
+            assert [x.hex() for x in got] == [x.hex() for x in expect]
+            past_two.append(sum(max(0, m - 2) for m in levels))
+            assert spy.call_count == 1 + past_two[-1]
+        assert len(bound) >= 2
+        if (example, k) in ((1, 3), (2, 6)):
+            assert max(past_two) >= 1
+
+    def test_unconverged_norm_keeps_the_per_interval_error(self):
+        cfg = ModelConfig(Example(1), "a", 2, -1.0)
+        block = make_block(cfg, 17)
+        root = solve_block(cfg, block).roots[17]
+        with pytest.raises(PrecisionError) as expect:
+            per_interval_norm(cfg, block, root, [])
+        with pytest.raises(PrecisionError) as got:
+            radial_norm(cfg, block, root)
+        assert str(got.value) == str(expect.value)
+        assert "did not converge" in str(got.value)
 
     @staticmethod
     def scalar_quad_norm(cfg, block, root):

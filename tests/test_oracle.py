@@ -188,12 +188,10 @@ class TestSolver:
         residual = dense(diag, off) @ vecs - vecs * vals
         assert np.max(np.abs(residual)) <= 1e-13
 
-    def test_missed_gate_reshifts_at_the_ritz_values(self):
-        # the first fine round, shifted at the coarse levels, misses the gate;
-        # the second is one shifted solve per level at the first round's Ritz
-        # values, with no second bisection
-        g = GridSpec(0.5, 30.0, 2 * oracle.COARSE_POINTS)
-        v = 1.0 / g.rhos() ** 2
+    @staticmethod
+    def recorded_solve(v, g, count):
+        """The solve with its fine rounds (shifts, output), its bisections,
+        its dgtsv solves and its QR factorizations recorded."""
         rounds = []
         real = oracle._shifted_solves
 
@@ -205,17 +203,50 @@ class TestSolver:
         lapack = scipy.linalg.lapack
         with mock.patch.object(oracle, "_bisect", wraps=oracle._bisect) as bisect, \
                 mock.patch.object(oracle, "_shifted_solves", recording), \
-                mock.patch.object(lapack, "dgtsv", wraps=lapack.dgtsv) as gtsv:
-            vals, _, matrix = solve_with_matrix(v, g, 3)
-        assert bisect.call_count == 1
-        assert len(rounds) == 2 and gtsv.call_count == 2 * 3
-        basis = np.linalg.qr(rounds[0][1])[0]
-        ritz = np.linalg.eigvalsh(basis.T @ matrix @ basis)
-        assert np.allclose(rounds[1][0], ritz, rtol=1e-12, atol=0.0)
+                mock.patch.object(lapack, "dgtsv", wraps=lapack.dgtsv) as gtsv, \
+                mock.patch.object(scipy.linalg, "qr", wraps=scipy.linalg.qr) as qr:
+            vals, _ = solve_effective_potential(v, g, count)
+        diag, off = oracle.channel_matrix(v, g)
+        exact, _ = lowest_eigenpairs(diag, off, count)
+        ulps = np.max(np.abs(vals - exact)) / (
+            np.finfo(float).eps * (np.max(np.abs(diag)) + 2 * np.max(np.abs(off))))
+        return rounds, bisect.call_count, gtsv.call_count, qr.call_count, ulps
+
+    def test_second_round_shifts_at_the_rayleigh_quotients(self):
+        # the first fine round is shifted at the coarse levels, the second at
+        # each column's Rayleigh quotient x.Tx / x.x; one Rayleigh-Ritz then
+        # passes the gate, with no second bisection
+        g = GridSpec(0.5, 30.0, 2 * oracle.COARSE_POINTS)
+        v = 1.0 / g.rhos() ** 2
+        rounds, bisects, gtsv, qr, ulps = self.recorded_solve(v, g, 3)
+        assert bisects == 1 and qr == 1
+        assert len(rounds) == 2 and gtsv == 2 * 3
+        x = rounds[0][1]
+        matrix = dense(*oracle.channel_matrix(v, g))
+        quotients = np.einsum("ij,ij->j", x, matrix @ x) / np.einsum("ij,ij->j", x, x)
+        assert np.allclose(rounds[1][0], quotients, rtol=1e-12, atol=0.0)
         assert not np.allclose(rounds[1][0], rounds[0][0], rtol=1e-12, atol=0.0)
-        exact, _ = lowest_eigenpairs(*oracle.channel_matrix(v, g), 3)
-        norm = np.linalg.norm(matrix, np.inf)
-        assert np.max(np.abs(vals - exact)) <= 0.5 * np.finfo(float).eps * norm
+        assert ulps <= 0.5
+
+    def test_missed_gate_reshifts_at_the_ritz_values(self):
+        # a channel drawn from the distribution of
+        # test_two_grid_levels_match_bisection whose first Rayleigh-Ritz
+        # misses the gate by some 300x: the kept reshift takes a third round
+        # at the Ritz values, and the fine grid is never bisected
+        g = GridSpec(0.409, 0.409 + 15.52, 2570)
+        v = wall_potential(g, 1, [-13.02, -49.09, -29.91, -35.37])
+        count = 12
+        rounds, bisects, gtsv, qr, ulps = self.recorded_solve(v, g, count)
+        assert bisects == 1 and qr == 2
+        assert len(rounds) == 3 and gtsv == 3 * count
+        diag, off = oracle.channel_matrix(v, g)
+        basis = np.linalg.qr(rounds[1][1])[0]
+        tv = diag[:, None] * basis
+        tv[1:] += off[:, None] * basis[:-1]
+        tv[:-1] += off[:, None] * basis[1:]
+        ritz = np.linalg.eigvalsh(basis.T @ tv)
+        assert np.allclose(rounds[2][0], ritz, rtol=1e-12, atol=0.0)
+        assert ulps <= 0.5
 
     @pytest.mark.parametrize("routine, points", [
         ("dstebz", 200), ("dstebz", 2 * oracle.COARSE_POINTS),
@@ -292,6 +323,14 @@ class TestSolver:
         with pytest.raises(ParameterError, match="finite"):
             solve_effective_potential(v, g, 1)
 
+    def test_potential_list_is_read_as_an_array(self):
+        # a list used to raise a raw AttributeError on .shape
+        g = GridSpec(1e-3, 8.0, 200)
+        v = 3.0 * np.cos(g.rhos())
+        listed = solve_effective_potential(v.tolist(), g, 2)
+        arrayed = solve_effective_potential(v, g, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(listed, arrayed))
+
     def test_eigenvector_columns(self):
         g = GridSpec(1e-3, 8.0, 500)
         vals, vecs = solve_effective_potential(np.zeros(g.points), g, 4)
@@ -365,6 +404,23 @@ class TestTwoGridStart:
 
 
 class TestRadialEigensolve:
+    @pytest.mark.parametrize("l, sigma, message", [
+        (2.5, +1, "l must be an integer"), (True, +1, "l must be an integer"),
+        ("1", +1, "l must be an integer"), (0, 2, "sigma must be"),
+        (0, 0, "sigma must be"), (0, True, "sigma must be"), (0, 1.0, "sigma must be")])
+    def test_l_and_sigma_follow_the_block_rule(self, l, sigma, message):
+        # 2.5, True, 2 and 0 used to return the levels of a channel that no
+        # block has, and "1" to raise a raw TypeError
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        with pytest.raises(ParameterError, match=message):
+            radial_eigensolve(cfg, l, sigma, GridSpec(1e-3, 8.0, 200), 1)
+
+    def test_numpy_integer_l_and_sigma_are_accepted(self):
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        g = GridSpec(1e-3, 8.0, 200)
+        assert radial_eigensolve(cfg, np.int64(1), np.int8(-1), g, 2) == \
+            radial_eigensolve(cfg, 1, -1, g, 2)
+
     def test_model1_ground_channel(self):
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         vals = radial_eigensolve(cfg, 0, +1, GridSpec(1e-3, 8.0, 4000), 1)
