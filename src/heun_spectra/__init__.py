@@ -48,11 +48,7 @@ from .models import (
     wavefunction,
 )
 from .oracle import GridSpec, MatchReport, compare_spectra, radial_eigensolve
-from .spectral import (
-    dense_determinant,
-    determinant_numeric,
-    determinant_polynomial,
-)
+from .spectral import determinant_numeric
 
 __version__ = "0.1.0"
 
@@ -75,9 +71,7 @@ __all__ = [
     "SpectrumRecord",
     "block_sequences",
     "compare_spectra",
-    "dense_determinant",
     "determinant_numeric",
-    "determinant_polynomial",
     "heunb_degree",
     "heunb_ode_residual",
     "heunb_sequences",

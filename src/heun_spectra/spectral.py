@@ -1,4 +1,4 @@
-"""Roots of the quantization matrices and the determinant routes that check them.
+"""Roots of the quantization matrices, their null vectors and their inertia.
 
 The spectral condition is det A_{n+1}(s) = 0, with A_{n+1} the tridiagonal
 matrix built from the recurrence sequences.  Its determinant is the
@@ -24,20 +24,16 @@ the three-term recurrence run at the root (``ragged_null_vectors``), and
 ``null_vectors`` certifies it: a terminal residual of at most
 RESIDUAL_TARGET, forward or, where that misses, twisted.
 
-The Newton polish, the corrections and the null vectors run over the roots
-of several blocks at once: point i belongs to recurrence owner[i], and to
-the only one when owner is None.  The points stay in that order and every
-point runs every row, padded past its own recurrence's last row; a point's
-result is read at that row, so every root sees the floating-point
-operations it would see alone.
+The Newton polish, the corrections, the null vectors and the inertia count
+(``inertia``) run over the points of several blocks at once: point i
+belongs to recurrence owner[i], and to the only one when owner is None.
+The points stay in that order and every point runs every row, padded past
+its own recurrence's last row; a point's result is that of its own last
+row, so every point sees the floating-point operations it would see alone.
 
-``determinant_polynomial`` (the continuant carried out on coefficient
-arrays, returning the determinant's coefficients for ``heun_core.horner``),
-``determinant_numeric`` and ``dense_determinant`` evaluate the same
-determinant by independent routes and serve as verification, exactly on a
-recurrence of Fractions.  The last two only call the recurrence's ``at``
-and ``size``, so its arrays may be of any scalar type, the ``SPoly`` view
-of ``models.block_sequences`` included.
+``determinant_numeric`` evaluates the continuant at one point through the
+recurrence's ``at``, so its arrays may be of any scalar type, the ``SPoly``
+view of ``models.block_sequences`` included.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import RecurrenceBreakdownError
 from .heun_core import Recurrence, Scalar, horner
@@ -55,23 +50,6 @@ RESCALE_ROWS = 8
 RESIDUAL_TARGET = 1e-10
 
 
-def determinant_polynomial(rec: Recurrence) -> np.ndarray:
-    """Determinant of the quantization matrix as a polynomial in s: its
-    coefficient array, lowest degree first, for ``heun_core.horner``.
-
-    The continuant runs on coefficient arrays with numpy's ``polymul`` and
-    ``polysub``, which trim trailing zeros; object arrays of Fractions stay
-    exact.  The array is new, never a view of the recurrence.
-    """
-    a, b, c = rec
-    d_prev2, d_prev = [1], a[0].copy()
-    for j in range(1, rec.size):
-        d_prev2, d_prev = d_prev, P.polysub(
-            P.polymul(a[j], d_prev), P.polymul(P.polymul(b[j - 1], c[j - 1]), d_prev2)
-        )
-    return d_prev
-
-
 def determinant_numeric(seqs: Recurrence, s: Scalar) -> Scalar:
     """Continuant recurrence after substituting s; cheap single-point value."""
     a, b, c = seqs.at(s)
@@ -79,34 +57,6 @@ def determinant_numeric(seqs: Recurrence, s: Scalar) -> Scalar:
     for j in range(1, seqs.size):
         d_prev2, d_prev = d_prev, a[j] * d_prev - (b[j - 1] * c[j - 1]) * d_prev2
     return d_prev
-
-
-def dense_determinant(seqs: Recurrence, s: Scalar) -> Scalar:
-    """Determinant of the explicitly assembled matrix; dual-path check.
-
-    The entries pick the matrix dtype.  Float and complex matrices go
-    through numpy's LAPACK LU.  Other entries (Fractions, mpmath numbers)
-    make an object matrix, whose determinant comes from Gaussian
-    elimination in their own arithmetic (exact for Fractions), pivoting on
-    the first non-zero entry of each column.
-    """
-    a, b, c = seqs.at(s)
-    m = np.diag(a) + np.diag(b, 1) + np.diag(c, -1)
-    if m.dtype != object:
-        return np.linalg.det(m).item()
-    rows, det = m.tolist(), 1
-    for j in range(len(rows)):
-        p = next((i for i in range(j, len(rows)) if rows[i][j] != 0), None)
-        if p is None:
-            return 0 * det
-        if p != j:
-            rows[j], rows[p], det = rows[p], rows[j], -det
-        det = det * rows[j][j]
-        for i in range(j + 1, len(rows)):
-            if rows[i][j] != 0:
-                f = rows[i][j] / rows[j][j]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[j])]
-    return det
 
 
 def symmetric_eigenvalues(rec: Recurrence) -> np.ndarray:
@@ -312,6 +262,42 @@ def _twisted(rec: Recurrence, x: float, f: np.ndarray, g: np.ndarray) -> Tuple[n
         residuals[np.isnan(residuals)] = np.inf
         t = int(np.argmin(residuals))
         return np.concatenate([f[: t + 1], g[t + 1:] / g[t] * f[t]]), float(residuals[t])
+
+
+def inertia(
+    recs: Sequence[Recurrence], points: np.ndarray, owner: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The number of negative pivots d_0 = a_0, d_j = a_j - e_{j-1} / d_{j-1},
+    e_j = b_j c_j, of the continuant at every points[i], a point of
+    recs[owner[i]].
+
+    Where every e_j > 0 the matrix is similar to a symmetric one, and by
+    Sylvester's law of inertia the count is its number of negative
+    eigenvalues, so counts at two points bracket the roots between them
+    (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  The points may be
+    floats, or Fractions (an object array, with recurrences converted
+    exactly to Fractions) for an exact count.  A zero pivot counts as
+    negative and is replaced by -pivmin, the smallest normal double in the
+    points' scalar type, as in LAPACK's dstebz.  Past its own last row a
+    point reads a = 1 and e = 0, a pivot of 1 that never counts.
+    """
+    owner = _owners(points, owner)
+    rows = max(rec.degree for rec in recs) + 1
+    a = _horner(_gather([r.a for r in recs], owner, rows, 1), points)[0]
+    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 0), points)[0]
+    c = _horner(_gather([r.c for r in recs], owner, rows - 1, 0), points)[0]
+    e = b * c
+    pivmin = (0 * points + 1) / 2**1022
+    counts = np.zeros(len(points), dtype=np.intp)
+    d = a[0]
+    # a pivot after -pivmin may overflow to inf, and the next one is a_j
+    with np.errstate(over="ignore"):
+        for j in range(rows):
+            if j:
+                d = a[j] - e[j - 1] / d
+            d = np.where(d == 0, -pivmin, d)
+            counts += d < 0
+    return counts
 
 
 def _owners(s: np.ndarray, owner: Optional[np.ndarray]) -> np.ndarray:

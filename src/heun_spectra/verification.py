@@ -1,11 +1,11 @@
 """Named self-checks wiring the analytic pipeline against independent routes.
 
 Each check recomputes something the solver claims through a second path:
-generic recurrence sequences against the model-substituted ones, determinant
-polynomials against exact dense determinants, assembled wavefunctions against
-the differential equations and the finite-difference eigensolver, field
-definitions against numerical derivatives.  The CLI `verify` subcommand and
-the test suite both run through this module.
+generic recurrence sequences against the model-substituted ones, printed
+roots against an exact inertia count of the quantization matrix, assembled
+wavefunctions against the differential equations and the finite-difference
+eigensolver, field definitions against numerical derivatives.  The CLI
+`verify` subcommand and the test suite both run through this module.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import heun_core, models, oracle, spectral
-from .errors import ParameterError
-from .heun_core import HeunBParams, HeunCParams, Recurrence, horner
+from .errors import ParameterError, require_integer
+from .heun_core import HeunBParams, HeunCParams, Recurrence
 from .models import BlockSpec, Example, ModelConfig
 
 QUICK = "quick"
@@ -183,14 +183,23 @@ def check_root_reality_and_count(
     )
 
 
-def check_determinant_dual_path(
+def check_inertia_certificate(
     rng: np.random.Generator, full: bool
 ) -> Tuple[bool, str]:
-    """The three determinant routes agree exactly at random spectral values,
-    on each block's recurrence in Fractions (exact, floats being dyadic)."""
+    """Every printed physical root is isolated and every block's set complete,
+    by exact inertia (``spectral.inertia`` on the recurrence in Fractions).
+
+    The count of negative pivots at x (1 -+ 2^-40) steps by exactly 1 across
+    each printed root x, down for model 1 (A(s) = s I + V) and up for model
+    2, and no two brackets of a block overlap.  Model 1 prints n + 1 roots;
+    model 2's count above its largest printed root equals the number printed
+    and #{beta_j < 0}, its count at 0-.  By Sylvester's law of inertia, a
+    step counts the roots in the bracket.
+    """
     n_cap = 20 if full else 8
-    worst = 0.0
-    cases = []
+    to_fraction = np.frompyfunc(Fraction, 1, 1)
+    delta = Fraction(1, 2**40)
+    recs, brackets, expected = [], [], []
     for n in sorted({1, 3, n_cap // 2, n_cap}):
         for config, l in (
             (ModelConfig(Example(1), "a", 1, float(rng.uniform(-3, 3))), None),
@@ -198,35 +207,31 @@ def check_determinant_dual_path(
             (ModelConfig(Example(2), "first", -(n + 1), float(rng.uniform(-3, 8))), n + 1),
             (ModelConfig(Example(2), "second", n + 1, float(rng.uniform(-3, 8))), None),
         ):
-            cases.append((config, models.make_block(config, n, l)))
-    to_fraction = np.frompyfunc(Fraction, 1, 1)
-    for config, block in cases:
-        rec = Recurrence(*map(to_fraction, models.block_recurrence(config, block)))
-        det = spectral.determinant_polynomial(rec)
-        for _ in range(20):
-            s = Fraction(float(rng.uniform(-10.0, 10.0)))
-            lu = spectral.dense_determinant(rec, s)
-            poly = horner(det, s)
-            cont = spectral.determinant_numeric(rec, s)
-            worst = max(worst, float(_rel(poly, lu)), float(_rel(cont, lu)))
-    ok = worst == 0
-
-    # ill-scaled probe: entries of magnitude ~ 1e6
-    probe = ModelConfig(Example(1), "a", 1, 1.0)
-    base = models.block_recurrence(probe, models.make_block(probe, 10))
-    scaled = Recurrence(*(m * 1e6 for m in base))
-    det_s = spectral.determinant_polynomial(scaled)
-    worst_scaled = 0.0
-    for _ in range(10):
-        s = float(rng.uniform(-5.0, 5.0))
-        worst_scaled = max(
-            worst_scaled,
-            _rel(float(horner(det_s, s)), spectral.dense_determinant(scaled, s)),
-        )
-    ok &= worst_scaled <= 1e-6
+            block = models.make_block(config, n, l)
+            rec = models.block_recurrence(config, block)
+            recs.append(Recurrence(*map(to_fraction, rec)))
+            roots = sorted(r.value for r in models.solve_block(config, block).roots
+                           if r.physical)
+            brackets.append([(x - abs(x) * delta, x + abs(x) * delta)
+                             for x in map(Fraction, roots)])
+            model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
+            negative_beta = int((rec.a[:, 0] < 0).sum())
+            expected.append((model_1, block.n + 1 if model_1 else negative_beta))
+    points = np.array([x for ends in brackets for pair in ends for x in pair], dtype=object)
+    owner = np.repeat(np.arange(len(recs)), [2 * len(ends) for ends in brackets])
+    counts = iter(spectral.inertia(recs, points, owner).tolist())
+    isolated = complete = 0
+    for ends, (model_1, want) in zip(brackets, expected):
+        steps = [(next(counts), next(counts)) for _ in ends]
+        apart = [True] + [hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:])]
+        isolated += sum((below - above if model_1 else above - below) == 1 and ok
+                        for (below, above), ok in zip(steps, apart))
+        complete += len(ends) == want and (model_1 or not ends or steps[-1][1] == want)
+    roots = sum(len(ends) for ends in brackets)
+    ok = isolated == roots and complete == len(recs)
     return ok, (
-        f"worst deviation {worst:.2e} (n <= {n_cap}); "
-        f"ill-scaled probe {worst_scaled:.2e}"
+        f"{isolated} of {roots} roots isolated by exact inertia, "
+        f"{complete} of {len(recs)} block sets complete (n <= {n_cap})"
     )
 
 
@@ -455,7 +460,7 @@ _REGISTRY: List[Tuple[str, Callable, bool]] = [
     ("sequence-identities", check_sequence_identities, True),
     ("closed-form-anchors", check_closed_form_anchors, True),
     ("root-reality-and-count", check_root_reality_and_count, True),
-    ("determinant-dual-path", check_determinant_dual_path, True),
+    ("inertia-certificate", check_inertia_certificate, True),
     ("ode-residuals", check_ode_residuals, True),
     ("field-identities", check_field_identities, True),
     ("schrodinger-residuals", check_schrodinger_residuals, True),
@@ -473,6 +478,7 @@ def run_checks(level: str = QUICK, seed: int = DEFAULT_SEED) -> List[CheckResult
     """
     if level not in (QUICK, FULL):
         raise ValueError(f"level must be {QUICK!r} or {FULL!r}")
+    seed = require_integer(seed, "seed must be an integer")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, not {seed}")
     full = level == FULL

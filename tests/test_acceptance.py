@@ -124,5 +124,5 @@ def test_criterion_09_orthogonality_normalizability(capsys):
           time.perf_counter() - start, 30.0)
 
 
-def test_criterion_10_determinant_dual_path(capsys):
-    _run_check(verification.check_determinant_dual_path, capsys, 10, 5.0)
+def test_criterion_10_inertia_certificate(capsys):
+    _run_check(verification.check_inertia_certificate, capsys, 10, 5.0)

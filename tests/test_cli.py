@@ -714,8 +714,8 @@ class TestSubprocess:
 
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_verify_loads_no_mpmath_or_scipy_integrate(self, level):
-        # the dual-path determinant check computes in Fractions, and the
-        # flux check integrates with the norm quadrature
+        # the inertia certificate counts in Fractions, and the flux check
+        # integrates with the norm quadrature
         script = (
             "import sys\n"
             "from heun_spectra import cli\n"
@@ -726,7 +726,9 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=CHILD_ENV)
         assert proc.stderr.splitlines()[-1] == "0 []"
-        assert "PASS determinant-dual-path: worst deviation 0.00e+00" in proc.stdout
+        roots = 40 if level == "quick" else 76
+        assert (f"PASS inertia-certificate: {roots} of {roots} roots isolated by exact "
+                "inertia, 16 of 16 block sets complete") in proc.stdout
 
     @pytest.mark.parametrize("argv, code", [
         (["spectrum", "--example", "1", "--case", "b", "--k", "3",

@@ -834,6 +834,8 @@ class TestModel2PhysicalCount:
         (45, 5000.0, 44),
         # n = 14 has 11 physical roots for 10: chi = -8.69e-4 is no root
         (49, 800.0, 14),
+        # n = 27, 29 and 30 have 2 physical roots each, and no negative beta_j
+        (151, 100.0, 30),
     ])
     def test_physical_count_is_the_number_of_negative_beta(self, k, epsilon, n_max):
         config = ModelConfig(Example(2), "second", k, epsilon)
@@ -859,21 +861,14 @@ class TestModel2PhysicalCount:
         to_fraction = np.frompyfunc(Fraction, 1, 1)
         rec = spectral.Recurrence(*map(to_fraction, models.block_recurrence(config, block)))
 
-        def negative_pivots(chi):
-            # N(chi): the negative pivots d_j of the symmetrized matrix,
-            # exact in Fractions, d_0 = a_0 and d_j = a_j - e_{j-1} / d_{j-1}
-            # with e_j = b_j c_j
-            a, b, c = rec.at(Fraction(chi))
-            pivots = [a[0]]
-            for j in range(1, len(a)):
-                pivots.append(a[j] - b[j - 1] * c[j - 1] / pivots[-1])
-            return sum(d < 0 for d in pivots)
-
         roots = [r.value for r in solve_block(config, block).roots if r.physical]
         assert roots
-        steps = [negative_pivots(x * (1 - 1e-8)) - negative_pivots(x * (1 + 1e-8))
-                 for x in roots]
-        assert steps == [1] * len(roots)
+        # N(chi), the negative pivots of the symmetrized matrix, exact in
+        # Fractions, just above and just below each root
+        points = np.array([Fraction(x * (1 - d)) for d in (1e-8, -1e-8) for x in roots],
+                          dtype=object)
+        above, below = np.split(spectral.inertia([rec], points), 2)
+        assert (above - below).tolist() == [1] * len(roots)
 
     @pytest.mark.xfail(strict=True, raises=PrecisionError,
                        reason="a spurious companion root in a block with no bound state")
@@ -881,6 +876,8 @@ class TestModel2PhysicalCount:
         (-27, -5.0, 2, 26, 29),
         # every beta_j of block (19, 43) is positive
         (-20, 40.0, 40, 19, 43),
+        # nor of block (49, 63): PrecisionError on chi = -127.80
+        (-50, 100.0, 13, 49, 63),
     ])
     def test_spurious_root_is_not_a_bound_state(self, k, epsilon, n_max, n, l):
         config = ModelConfig(Example(2), "first", k, epsilon)

@@ -1,8 +1,9 @@
-"""Determinant assembly, root finding, and null vectors.
+"""Determinant evaluation, root finding, null vectors and the inertia count.
 
-The solve routines, the determinant routes that check them and
+The solve routines, ``determinant_numeric``, ``inertia`` and
 ``polynomial_from_recurrence`` all take ``Recurrence`` arrays from
-``block_recurrence``."""
+``block_recurrence``.  The references here are the determinant expanded in
+the spectral parameter, the densely assembled matrix and per-point loops."""
 
 import hashlib
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 from numpy.polynomial.polynomial import polytrim
 
 from heun_spectra import (
@@ -20,9 +22,7 @@ from heun_spectra import (
     ModelConfig,
     ParameterError,
     RecurrenceBreakdownError,
-    dense_determinant,
     determinant_numeric,
-    determinant_polynomial,
     make_block,
     polynomial_from_recurrence,
     solve_block,
@@ -40,6 +40,7 @@ from heun_spectra.spectral import (
     Recurrence,
     _continuant_lanes,
     companion_eigenvalues,
+    inertia,
     newton_corrections,
     null_vectors,
     ragged_null_vectors,
@@ -53,6 +54,30 @@ def extended_recurrence(config, block):
     number, for arithmetic at the caller's working precision."""
     to_mpf = np.frompyfunc(mpmath.mpf, 1, 1)
     return Recurrence(*map(to_mpf, block_recurrence(config, block)))
+
+
+def determinant_polynomial(rec):
+    """Determinant of the quantization matrix as a polynomial in s: its
+    coefficient array, lowest degree first, for ``heun_core.horner``.
+
+    The continuant runs on coefficient arrays with numpy's ``polymul`` and
+    ``polysub``, which trim trailing zeros; object arrays of Fractions or
+    mpmath numbers stay in their own arithmetic.  The array is new, never a
+    view of the recurrence.
+    """
+    a, b, c = rec
+    d_prev2, d_prev = [1], a[0].copy()
+    for j in range(1, rec.size):
+        d_prev2, d_prev = d_prev, P.polysub(
+            P.polymul(a[j], d_prev), P.polymul(P.polymul(b[j - 1], c[j - 1]), d_prev2)
+        )
+    return d_prev
+
+
+def assembled(rec, s):
+    """The quantization matrix at s, assembled densely from ``rec.at(s)``."""
+    a, b, c = rec.at(s)
+    return np.diag(a) + np.diag(b, 1) + np.diag(c, -1)
 
 
 def expanded_roots(rec):
@@ -126,7 +151,7 @@ class TestDeterminantNumeric:
         det = determinant_polynomial(rec)
         for _ in range(20):
             s = float(rng.uniform(-8, 8))
-            lu = dense_determinant(rec, s)
+            lu = np.linalg.det(assembled(rec, s))
             scale = max(1.0, abs(lu))
             assert abs(horner(det, s) - lu) / scale < 1e-10
             assert abs(determinant_numeric(rec, s) - lu) / scale < 1e-10
@@ -140,21 +165,24 @@ class TestDeterminantNumeric:
         det = determinant_polynomial(scaled)
         for _ in range(10):
             s = float(rng.uniform(-5, 5))
-            lu = dense_determinant(scaled, s)
+            lu = np.linalg.det(assembled(scaled, s))
             assert abs(horner(det, s) - lu) / max(1.0, abs(lu)) < 1e-6
+            assert abs(determinant_numeric(scaled, s) - lu) / max(1.0, abs(lu)) < 1e-6
 
     @pytest.mark.parametrize("variant, k, n, l", [
         ("first", -3, 2, 4), ("second", 3, 2, None), ("second", 5, 0, None),
     ])
     def test_dense_route_at_complex_points_in_double(self, variant, k, n, l):
-        # model 2's unphysical roots are complex, so both routes must take
-        # complex points on the float recurrence
+        # model 2's unphysical roots are complex, so the continuant must take
+        # complex points on the float recurrence; LAPACK's LU of the
+        # assembled complex matrix is the reference
         cfg = ModelConfig(Example(2), variant, k, 2.0)
         rec = block_recurrence(cfg, make_block(cfg, n, l))
         for s in (1 + 1j, -0.5 + 2j, 3j):
-            lu = dense_determinant(rec, s)
-            assert isinstance(lu, complex)
-            assert abs(determinant_numeric(rec, s) - lu) <= 1e-12 * max(1.0, abs(lu))
+            cont = determinant_numeric(rec, s)
+            lu = np.linalg.det(assembled(rec, s))
+            assert isinstance(cont, complex)
+            assert abs(cont - lu) <= 1e-12 * max(1.0, abs(lu))
 
     def test_extended_precision_path(self):
         cfg = ModelConfig(Example(2), "first", -6, 4.0)
@@ -163,7 +191,7 @@ class TestDeterminantNumeric:
             rec = extended_recurrence(cfg, block)
             s = mpmath.mpf("1.375")
             cont = determinant_numeric(rec, s)
-            lu = dense_determinant(rec, s)
+            lu = mpmath.det(mpmath.matrix(assembled(rec, s).tolist()))
             assert abs(cont - lu) / max(1, abs(lu)) < mpmath.mpf(10) ** -40
 
 
@@ -667,6 +695,84 @@ class TestRaggedKernel:
                        for x in row)
         with pytest.raises(ParameterError, match="overflows the recurrence"):
             block_recurrence(config, block)
+
+
+def negative_pivots(rec, x):
+    """N(x) at one point of one recurrence, pivot by pivot as ``inertia``
+    states it: d_0 = a_0, d_j = a_j - b_{j-1} c_{j-1} / d_{j-1} from
+    ``rec.at(x)``, a zero pivot counted as negative and replaced by
+    -2^-1022 in the scalar type of x."""
+    a, b, c = rec.at(x)
+    pivmin = (0 * x + 1) / 2**1022
+    count = 0
+    for j in range(len(a)):
+        d = a[j] - b[j - 1] * c[j - 1] / d if j else a[0]
+        if d == 0:
+            d = -pivmin
+        count += d < 0
+    return count
+
+
+def exact(rec):
+    to_fraction = np.frompyfunc(Fraction, 1, 1)
+    return Recurrence(*map(to_fraction, rec))
+
+
+class TestInertia:
+    """The ragged inertia count against a loop over single points."""
+
+    @pytest.mark.parametrize("scalar", [float, Fraction])
+    def test_counts_equal_a_loop_over_single_points(self, scalar):
+        # both models in one shuffled batch, degree-0 blocks included, at
+        # points near each root (inside and outside a 1e-9 bracket), and
+        # spread over the real line
+        pairs = [(ModelConfig(Example(1), "a", 1, 0.75), n) for n in (0, 3, 9)]
+        pairs += [(ModelConfig(Example(1), "b", 40, -2.5), n) for n in (1, 7)]
+        pairs += [(ModelConfig(Example(2), "second", 13, 400.0), n) for n in (0, 5, 12)]
+        pairs += [(ModelConfig(Example(2), "first", -(n + 1), 60.0), n) for n in (0, 4)]
+        recs = [block_recurrence(config, make_block(config, n, n + 1 if config.k < 0 else None))
+                for config, n in pairs]
+        rng = np.random.default_rng(41)
+        points = []
+        for rec in recs:
+            roots = (symmetric_eigenvalues(rec) if rec.a.shape[1] == 2
+                     else np.sort_complex(pencil_roots(rec)[0]).real)
+            near = roots[:, None] * (1 + np.array([-1e-9, 1e-9, -1e-3, 1e-3]))
+            points.append(np.concatenate([near.ravel(), rng.uniform(-40, 40, 6)]))
+        s, owner = _batch(recs, points)
+        shuffle = rng.permutation(len(s))
+        s, owner = s[shuffle], owner[shuffle]
+        if scalar is Fraction:
+            recs = [exact(rec) for rec in recs]
+            s = np.array([Fraction(x) for x in s], dtype=object)
+        got = inertia(recs, s, owner)
+        want = [negative_pivots(recs[i], x) for x, i in zip(s.tolist(), owner.tolist())]
+        assert got.tolist() == want
+        # every count lies between 0 and the block's size, and both ends occur
+        sizes = np.array([rec.size for rec in recs])[owner]
+        assert np.all((0 <= got) & (got <= sizes))
+        assert (got == 0).any() and (got == sizes).any()
+
+    @pytest.mark.parametrize("scalar", [float, Fraction])
+    def test_a_zero_pivot_counts_as_negative(self, scalar):
+        def block_at(config, n, xs):
+            rec = block_recurrence(config, make_block(config, n))
+            dtype = object if scalar is Fraction else float
+            return (exact(rec) if scalar is Fraction else rec,
+                    np.array([scalar(x) for x in xs], dtype=dtype))
+
+        # x = eps makes a_0 = x - eps exactly 0 in the degree-0 block: the
+        # root itself counts, as the points just below it do
+        rec, points = block_at(ModelConfig(Example(1), "a", 1, 0.75), 0,
+                               [0.75 - 2**-30, 0.75, 0.75 + 2**-30])
+        assert inertia([rec], points).tolist() == [1, 1, 0]
+        assert [negative_pivots(rec, x) for x in points.tolist()] == [1, 1, 0]
+        # a zero first pivot of a larger block: at eps = 0, a_0 = s, and at
+        # s = 0 the next pivot is a_1 + e_0 / pivmin > 0, so the count is
+        # that of A(0) = V, one negative eigenvalue for the roots -4 and 4
+        rec, points = block_at(ModelConfig(Example(1), "a", 1, 0.0), 1, [0.0])
+        assert inertia([rec], points).tolist() == [1]
+        assert negative_pivots(rec, points.tolist()[0]) == 1
 
 
 def closed_form_entries(config, block):

@@ -1,32 +1,88 @@
 """Mutant checks: a verification check must fail on a deliberately broken
-program, or its pass shows nothing."""
+program, or its pass shows nothing.  And ``run_checks``' input rule."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from heun_spectra import models, spectral, verification
+from heun_spectra import models, verification
+from heun_spectra.errors import ParameterError
+from heun_spectra.models import Example
 
 
 def run(check):
     return check(np.random.default_rng(verification.DEFAULT_SEED), False)
 
 
-class TestDeterminantDualPath:
-    def test_a_relative_error_of_two_to_the_minus_80_fails(self, monkeypatch):
-        # far inside any float tolerance, and lost entirely if a float
-        # slipped into the Fraction path (d + d / 2**80 == d in double)
-        numeric = spectral.determinant_numeric
+def mutate_first_block(monkeypatch, example, change):
+    """models.solve_block with change applied to the roots of the first
+    block of the example that the caller solves."""
+    solve = models.solve_block
+    changed = []
 
-        def perturbed(rec, s):
-            d = numeric(rec, s)
-            return d + d / 2**80
+    def mutant(config, block, precision=None):
+        result = solve(config, block, precision)
+        if config.example is example and not changed:
+            changed.append(block)
+            result = dataclasses.replace(result, roots=change(result.roots))
+        return result
 
-        monkeypatch.setattr(spectral, "determinant_numeric", perturbed)
-        ok, detail = run(verification.check_determinant_dual_path)
-        assert not ok
-        assert not detail.startswith("worst deviation 0.00e+00 ")
+    monkeypatch.setattr(models, "solve_block", mutant)
+    return changed
+
+
+class TestInertiaCertificate:
+    def test_the_default_seed_passes(self):
+        assert run(verification.check_inertia_certificate) == (True, (
+            "40 of 40 roots isolated by exact inertia, "
+            "16 of 16 block sets complete (n <= 8)"))
+
+    def test_a_spurious_model2_root_fails(self, monkeypatch):
+        def spurious(roots):
+            extra = models.SpectralRoot(value=-0.5, energy=-0.25, physical=True,
+                                        residual=0.0)
+            return roots + (extra,)
+
+        changed = mutate_first_block(monkeypatch, Example.NONRATIONAL, spurious)
+        ok, detail = run(verification.check_inertia_certificate)
+        assert changed and not ok
+        assert detail == ("40 of 41 roots isolated by exact inertia, "
+                          "15 of 16 block sets complete (n <= 8)")
+
+    def test_a_dropped_root_fails(self, monkeypatch):
+        def dropped(roots):
+            first = next(i for i, r in enumerate(roots) if r.physical)
+            return roots[:first] + roots[first + 1:]
+
+        changed = mutate_first_block(monkeypatch, Example.REPULSIVE_POLYNOMIAL, dropped)
+        ok, detail = run(verification.check_inertia_certificate)
+        assert changed and not ok
+        assert detail == ("39 of 39 roots isolated by exact inertia, "
+                          "15 of 16 block sets complete (n <= 8)")
+
+    def test_a_model1_root_moved_by_one_part_in_a_million_fails(self, monkeypatch):
+        def moved(roots):
+            return (dataclasses.replace(roots[0], value=roots[0].value * (1 + 1e-6)),
+                    *roots[1:])
+
+        changed = mutate_first_block(monkeypatch, Example.REPULSIVE_POLYNOMIAL, moved)
+        ok, detail = run(verification.check_inertia_certificate)
+        assert changed and not ok
+        assert detail == ("39 of 40 roots isolated by exact inertia, "
+                          "16 of 16 block sets complete (n <= 8)")
+
+    def test_a_root_printed_twice_in_place_of_another_fails(self, monkeypatch):
+        # both brackets step across the same root, so only their overlap
+        # shows that the set is not the block's
+        def doubled(roots):
+            return (roots[0], roots[0], *roots[2:])
+
+        changed = mutate_first_block(monkeypatch, Example.REPULSIVE_POLYNOMIAL, doubled)
+        ok, detail = run(verification.check_inertia_certificate)
+        assert changed and not ok
+        assert detail == ("39 of 40 roots isolated by exact inertia, "
+                          "16 of 16 block sets complete (n <= 8)")
 
 
 class TestRootRealityAndCount:
@@ -53,3 +109,10 @@ class TestOdeResiduals:
         monkeypatch.setattr(verification, "_heunc_params_for", shifted)
         ok, _ = run(verification.check_ode_residuals)
         assert not ok
+
+
+class TestRunChecks:
+    @pytest.mark.parametrize("seed", [2.5, "1", None, True])
+    def test_a_seed_that_is_not_an_integer_is_a_parameter_error(self, seed):
+        with pytest.raises(ParameterError, match="^seed must be an integer$"):
+            verification.run_checks(seed=seed)
