@@ -29,12 +29,15 @@ is bisected only on every m-th node, m = points // COARSE_POINTS, and only to
 that width.  The coarse vectors, interpolated onto the full grid, are
 refined there by two rounds of shifted tridiagonal solves (dgtsv), the
 first at the coarse levels and the second at each column's Rayleigh
-quotient x.Tx / x.x, and then by Rayleigh-Ritz to a few ulps of ||T||,
-which reshifts at the Ritz values while its residual misses that gate.  The
-Ritz pairs are kept only when one Sturm count of the full matrix proves
-that they are its lowest levels; otherwise the full matrix is bisected
-after all.  Nothing here touches the Heun machinery, so agreement
-with the roots is a genuine cross-check.
+quotient x.Tx / x.x, and then by one Rayleigh-Ritz step.  The Ritz pairs
+are kept only when every residual is within a few ulps of ||T|| and one
+Sturm count of the full matrix proves that they are its lowest levels;
+otherwise the full matrix is bisected after all.  Nothing here touches the
+Heun machinery, so agreement with the roots is a genuine cross-check.
+
+Each block's bound states are the lowest levels of their channel (Sturm
+oscillation), so compare_spectra pairs the i-th analytic level with the
+i-th numeric one.
 """
 
 from __future__ import annotations
@@ -130,31 +133,17 @@ def _shifted_solves(
 
 
 def _rayleigh_ritz(
-    diag: NDArray[np.floating],
-    off: NDArray[np.floating],
-    basis: NDArray[np.floating],
-    gate: float,
+    diag: NDArray[np.floating], off: NDArray[np.floating], basis: NDArray[np.floating]
 ) -> Tuple[NDArray[np.floating], NDArray[np.floating], float]:
-    """Ritz pairs of T on span(basis) and their largest residual norm.
-
-    The basis comes from two shifted rounds, so it usually passes the gate
-    at once.  A round whose residual misses it reshifts: one shifted solve
-    per column at its Ritz value, then Rayleigh-Ritz again, for at most
-    three rounds.  The caller decides what a final miss means.
-    """
+    """Ritz pairs of T on span(basis) and their largest residual norm."""
     from scipy.linalg import qr
 
-    for _ in range(3):
-        basis = qr(basis, mode="economic", check_finite=False)[0]
-        tv = _times(diag, off, basis)
-        vals, rotation = np.linalg.eigh(basis.T @ tv)
-        vecs, tv = basis @ rotation, tv @ rotation
-        tv -= vecs * vals  # now the Ritz residuals
-        residual = float(np.sqrt(np.max(np.einsum("ij,ij->j", tv, tv))))
-        if residual <= gate:
-            break
-        basis = _shifted_solves(diag, off, vecs, vals)
-    return vals, vecs, residual
+    basis = qr(basis, mode="economic", check_finite=False)[0]
+    tv = _times(diag, off, basis)
+    vals, rotation = np.linalg.eigh(basis.T @ tv)
+    vecs, tv = basis @ rotation, tv @ rotation
+    tv -= vecs * vals  # now the Ritz residuals
+    return vals, vecs, float(np.sqrt(np.max(np.einsum("ij,ij->j", tv, tv))))
 
 
 def _count_at_most(
@@ -253,7 +242,7 @@ def solve_effective_potential(
         start = _shifted_solves(diag, off, first, quotients)
         norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
         gate = RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm
-        vals, vecs, residual = _rayleigh_ritz(diag, off, start, gate)
+        vals, vecs, residual = _rayleigh_ritz(diag, off, start)
         # Kahan: each Ritz value lies within its residual of a distinct level,
         # so exactly `count` levels up to vals[-1] + delta makes them the lowest
         delta = 2 * residual + gate
@@ -298,7 +287,7 @@ def radial_eigensolve(
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Greedy nearest matching of analytic levels against a numeric spectrum."""
+    """Index matching of analytic levels against a numeric spectrum."""
 
     pairs: Tuple[Tuple[float, float, float], ...]  # (analytic, numeric, error)
     unmatched: Tuple[float, ...]
@@ -318,23 +307,20 @@ def compare_spectra(
     numeric: Sequence[float],
     tol: float = 1e-3,
 ) -> MatchReport:
-    """Match each analytic level to its nearest unused numeric level.
+    """Pair the i-th lowest analytic level with the i-th lowest numeric one.
 
     The error metric is |a - v| / max(1, |a|): relative for energies of
-    magnitude above one, absolute below.  A level with no numeric partner
-    within tol lands in unmatched.
+    magnitude above one, absolute below.  A level with no numeric partner,
+    or one outside tol, lands in unmatched; numeric levels above the
+    analytic ones are not read.
     """
-    pool = [float(v) for v in numeric]
+    levels = sorted(float(v) for v in numeric)
     pairs = []
     unmatched = []
-    for a in sorted(float(x) for x in analytic):
-        if not pool:
-            unmatched.append(a)
-            continue
-        idx = min(range(len(pool)), key=lambda i: abs(pool[i] - a))
-        err = abs(pool[idx] - a) / max(1.0, abs(a))
+    for i, a in enumerate(sorted(float(x) for x in analytic)):
+        err = abs(levels[i] - a) / max(1.0, abs(a)) if i < len(levels) else math.inf
         if err <= tol:
-            pairs.append((a, pool.pop(idx), err))
+            pairs.append((a, levels[i], err))
         else:
             unmatched.append(a)
     return MatchReport(pairs=tuple(pairs), unmatched=tuple(unmatched), tol=tol)

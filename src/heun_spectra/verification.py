@@ -416,10 +416,8 @@ def check_oracle_agreement(rng: np.random.Generator, full: bool) -> Tuple[bool, 
         analytic = [
             r.energy for r in models.solve_block(config, block).roots if r.physical
         ]
-        # the extra pool states above the bound spectrum are continuum box
-        # levels: they touch the outer wall, which warns only for the lowest
         numeric = oracle.radial_eigensolve(
-            config, block.l, block.sigma, grid, count=len(analytic) + 3
+            config, block.l, block.sigma, grid, count=len(analytic)
         )
         report = oracle.compare_spectra(analytic, numeric, tol=1e-3)
         if not report.passed:
@@ -477,7 +475,7 @@ def run_checks(level: str = QUICK, seed: int = DEFAULT_SEED) -> List[CheckResult
     a non-negative integer (ParameterError otherwise).
     """
     if level not in (QUICK, FULL):
-        raise ValueError(f"level must be {QUICK!r} or {FULL!r}")
+        raise ParameterError(f"level must be {QUICK!r} or {FULL!r}")
     seed = require_integer(seed, "seed must be an integer")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, not {seed}")

@@ -538,8 +538,8 @@ class TestSpectrum:
 
     def test_high_degree_blocks_stay_in_double(self):
         # past n = 20, where the expanded-polynomial solver needed 128 bits;
-        # each physical root is confirmed by one 256-bit Newton step on
-        # determinant_numeric, with a central-difference derivative
+        # each physical root is confirmed by one 256-bit Newton step on the
+        # continuant, with its exact derivative
         cases = [
             (ModelConfig(Example(1), "a", 2, -1.0), 21),
             (ModelConfig(Example(1), "a", 3, 2.5), 30),
@@ -555,14 +555,10 @@ class TestSpectrum:
             physical = [r for r in res.roots if r.physical]
             assert physical
             with mpmath.workprec(256):
-                rec = extended_recurrence(config, block)
-                for root in physical:
-                    x = mpmath.mpf(root.value)
-                    h = mpmath.mpf(2) ** -100 * max(1, abs(x))
-                    slope = (spectral.determinant_numeric(rec, x + h)
-                             - spectral.determinant_numeric(rec, x - h)) / (2 * h)
-                    step = spectral.determinant_numeric(rec, x) / slope
-                    assert abs(step) <= 1e-12 * max(1, abs(x)), (config, n, root.value)
+                x = np.array([mpmath.mpf(r.value) for r in physical], dtype=object)
+                steps = spectral.newton_corrections([extended_recurrence(config, block)], x)
+                for root, value, step in zip(physical, x, steps):
+                    assert abs(step) <= 1e-12 * max(1, abs(value)), (config, n, root.value)
 
     def test_unphysical_residual_is_the_relative_newton_correction(self):
         # |D/D'| / max(1, |value|) with Python's complex abs, which differs

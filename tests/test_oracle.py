@@ -228,24 +228,17 @@ class TestSolver:
         assert not np.allclose(rounds[1][0], rounds[0][0], rtol=1e-12, atol=0.0)
         assert ulps <= 0.5
 
-    def test_missed_gate_reshifts_at_the_ritz_values(self):
+    def test_missed_gate_falls_back_after_one_rayleigh_ritz(self):
         # a channel drawn from the distribution of
-        # test_two_grid_levels_match_bisection whose first Rayleigh-Ritz
-        # misses the gate by some 300x: the kept reshift takes a third round
-        # at the Ritz values, and the fine grid is never bisected
+        # test_two_grid_levels_match_bisection whose Rayleigh-Ritz misses the
+        # gate by some 300x: there is no reshift, and the full grid is
+        # bisected after the one Rayleigh-Ritz step
         g = GridSpec(0.409, 0.409 + 15.52, 2570)
         v = wall_potential(g, 1, [-13.02, -49.09, -29.91, -35.37])
         count = 12
         rounds, bisects, gtsv, qr, ulps = self.recorded_solve(v, g, count)
-        assert bisects == 1 and qr == 2
-        assert len(rounds) == 3 and gtsv == 3 * count
-        diag, off = oracle.channel_matrix(v, g)
-        basis = np.linalg.qr(rounds[1][1])[0]
-        tv = diag[:, None] * basis
-        tv[1:] += off[:, None] * basis[:-1]
-        tv[:-1] += off[:, None] * basis[1:]
-        ritz = np.linalg.eigvalsh(basis.T @ tv)
-        assert np.allclose(rounds[2][0], ritz, rtol=1e-12, atol=0.0)
+        assert qr == 1 and bisects == 2
+        assert len(rounds) == 2 and gtsv == 2 * count
         assert ulps <= 0.5
 
     @pytest.mark.parametrize("routine, points", [
@@ -510,3 +503,23 @@ class TestCompareSpectra:
         report = compare_spectra([1.0, 1.0], [1.0, 9.0], tol=1e-3)
         assert len(report.pairs) == 1
         assert report.unmatched == (1.0,)
+
+    def test_dropped_level_fails(self):
+        # the analytic list lacks the channel's lowest level: its level 0
+        # is paired with the oracle's level 0, not with the nearest one
+        report = compare_spectra([2.0], [-1.0, 2.0], tol=1e-3)
+        assert not report.passed
+        assert report.unmatched == (2.0,)
+
+    def test_added_level_fails(self):
+        # the oracle finds a level between two analytic ones, so the upper
+        # analytic level is paired with it
+        report = compare_spectra([-1.0, 2.0], [-1.0, 0.5, 2.0], tol=1e-3)
+        assert not report.passed
+        assert report.pairs == ((-1.0, -1.0, 0.0),)
+        assert report.unmatched == (2.0,)
+
+    def test_longer_numeric_list_pairs_its_lowest_levels(self):
+        report = compare_spectra([2.0, -1.0], [-1.0, 2.0, 2.0005, 7.0], tol=1e-3)
+        assert report.passed
+        assert report.pairs == ((-1.0, -1.0, 0.0), (2.0, 2.0, 0.0))

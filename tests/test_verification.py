@@ -111,8 +111,37 @@ class TestOdeResiduals:
         assert not ok
 
 
+class TestOracleAgreement:
+    def test_a_dropped_lowest_level_fails(self, monkeypatch):
+        # 1a k = 1, eps = 0, n = 1 prints the levels -4 and 4; without -4
+        # the printed 4 is paired with the channel's lowest level, which a
+        # nearest-level match would have skipped for its level 1
+        solve = models.solve_block
+        target = (models.ModelConfig(Example(1), "a", 1, 0.0),
+                  models.BlockSpec(n=1, l=1, sigma=+1))
+
+        def mutant(config, block, precision=None):
+            result = solve(config, block, precision)
+            if (config, block) == target:
+                physical = [r for r in result.roots if r.physical]
+                assert [r.energy for r in physical] == pytest.approx([-4.0, 4.0])
+                result = dataclasses.replace(
+                    result, roots=tuple(r for r in result.roots if r is not physical[0]))
+            return result
+
+        monkeypatch.setattr(models, "solve_block", mutant)
+        ok, detail = run(verification.check_oracle_agreement)
+        assert not ok
+        assert detail == ("unmatched levels (4.0,) in block "
+                          "BlockSpec(n=1, l=1, sigma=1) of example 1 a")
+
+
 class TestRunChecks:
     @pytest.mark.parametrize("seed", [2.5, "1", None, True])
     def test_a_seed_that_is_not_an_integer_is_a_parameter_error(self, seed):
         with pytest.raises(ParameterError, match="^seed must be an integer$"):
             verification.run_checks(seed=seed)
+
+    def test_an_unknown_level_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="^level must be 'quick' or 'full'$"):
+            verification.run_checks(level="medium")
