@@ -29,9 +29,10 @@ is bisected only on every m-th node, m = points // COARSE_POINTS, and only to
 that width.  The coarse vectors, interpolated onto the full grid, are
 refined there by two rounds of shifted tridiagonal solves (dgtsv), the
 first at the coarse levels and the second at each column's Rayleigh
-quotient x.Tx / x.x, and then by one Rayleigh-Ritz step.  The Ritz pairs
-are kept only when every residual is within a few ulps of ||T|| and one
-Sturm count of the full matrix proves that they are its lowest levels;
+quotient x.Tx / x.x.  The refined columns are kept when each one's residual
+||T x - theta x|| / ||x|| at its quotient theta is within a few ulps of ||T||,
+the intervals of that radius plus the gate about them are disjoint and
+increasing, and one Sturm count proves that they hold the lowest levels;
 otherwise the full matrix is bisected after all.  Nothing here touches the
 Heun machinery, so agreement with the roots is a genuine cross-check.
 
@@ -55,7 +56,7 @@ from .models import ModelConfig, effective_potential
 
 BOX_AMPLITUDE_TOL = 1e-6
 ISOLATION_TOL = 1e-3  # coarse bisection width; the fine shifted solves refine past it
-RITZ_RESIDUAL_ULPS = 1e3  # gate on ||T x - theta x||, so theta is this near a level
+RITZ_RESIDUAL_ULPS = 1e3  # gate on ||T x - theta x|| / ||x||, so theta is this near a level
 COARSE_POINTS = 500  # a grid of at least twice this many points starts on every m-th point
 
 
@@ -105,13 +106,16 @@ def channel_matrix(
 
 
 def _times(
-    diag: NDArray[np.floating], off: NDArray[np.floating], x: NDArray[np.floating]
+    diag: NDArray[np.floating],
+    off: NDArray[np.floating],
+    x: NDArray[np.floating],
+    out: NDArray[np.floating],
 ) -> NDArray[np.floating]:
-    """T x for each column of x."""
-    tx = diag[:, None] * x
-    tx[1:] += off[:, None] * x[:-1]
-    tx[:-1] += off[:, None] * x[1:]
-    return tx
+    """T x for each column of x, written into out."""
+    np.multiply(diag[:, None], x, out=out)
+    out[1:] += off[:, None] * x[:-1]
+    out[:-1] += off[:, None] * x[1:]
+    return out
 
 
 def _shifted_solves(
@@ -130,20 +134,6 @@ def _shifted_solves(
             raise PrecisionError(f"LAPACK dgtsv failed (info = {info})")
         out[:, i] = y[:, 0]
     return out
-
-
-def _rayleigh_ritz(
-    diag: NDArray[np.floating], off: NDArray[np.floating], basis: NDArray[np.floating]
-) -> Tuple[NDArray[np.floating], NDArray[np.floating], float]:
-    """Ritz pairs of T on span(basis) and their largest residual norm."""
-    from scipy.linalg import qr
-
-    basis = qr(basis, mode="economic", check_finite=False)[0]
-    tv = _times(diag, off, basis)
-    vals, rotation = np.linalg.eigh(basis.T @ tv)
-    vecs, tv = basis @ rotation, tv @ rotation
-    tv -= vecs * vals  # now the Ritz residuals
-    return vals, vecs, float(np.sqrt(np.max(np.einsum("ij,ij->j", tv, tv))))
 
 
 def _count_at_most(
@@ -218,7 +208,8 @@ def solve_effective_potential(
     v_eff holds the channel potential sampled on grid.rhos(); the centrifugal
     reduction term from the R -> u substitution is carried implicitly by the
     flux-form couplings (see the module docstring).  Returns (eigenvalues,
-    eigenvectors) with eigenvectors in columns, in the scaled variable u.
+    eigenvectors) with eigenvectors in columns, in the scaled variable u:
+    unit columns from the refined start, orthonormal ones from bisection.
     """
     count = require_integer(count, "count must be an integer")
     if count < 1:
@@ -235,19 +226,26 @@ def solve_effective_potential(
     if stride > 1 and count <= COARSE_POINTS - 2:  # the subgrid has >= COARSE_POINTS nodes
         coarse_vals, coarse_vecs = _bisect(
             *channel_matrix(v_eff, grid, stride), count, ISOLATION_TOL)
-        first = _shifted_solves(
+        x = _shifted_solves(
             diag, off, _prolong(coarse_vecs, stride, grid.points), coarse_vals)
-        quotients = (np.einsum("ij,ij->j", first, _times(diag, off, first))
-                     / np.einsum("ij,ij->j", first, first))
-        start = _shifted_solves(diag, off, first, quotients)
-        norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
-        gate = RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm
-        vals, vecs, residual = _rayleigh_ritz(diag, off, start)
-        # Kahan: each Ritz value lies within its residual of a distinct level,
-        # so exactly `count` levels up to vals[-1] + delta makes them the lowest
-        delta = 2 * residual + gate
-        if residual <= gate and _count_at_most(diag, off, vals[-1] + delta) == count:
-            return vals, vecs
+        work = _times(diag, off, x, np.empty_like(x))  # T x of each round
+        quotients = np.einsum("ij,ij->j", x, work) / np.einsum("ij,ij->j", x, x)
+        x = _shifted_solves(diag, off, x, quotients)
+        gate = RITZ_RESIDUAL_ULPS * np.finfo(float).eps * (
+            np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
+        # an overflowed column reads nan here, and nan fails every test below
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = np.einsum("ij,ij->j", x, x)
+            vals = np.einsum("ij,ij->j", x, _times(diag, off, x, work)) / squares
+            work -= x * vals  # now the residuals
+            residuals = np.sqrt(np.einsum("ij,ij->j", work, work) / squares)
+            # disjoint intervals hold distinct levels (Parlett, The Symmetric
+            # Eigenvalue Problem, ch. 4), and the Sturm count the lowest ones
+            lows, tops = vals - residuals - gate, vals + residuals + gate
+            if (np.all(residuals <= gate) and np.all(tops[:-1] < lows[1:])
+                    and _count_at_most(diag, off, tops[-1]) == count):
+                x /= np.sqrt(squares)  # unit columns
+                return vals, x
     return lowest_eigenpairs(diag, off, count)
 
 

@@ -173,13 +173,13 @@ def ragged_null_vectors(
     owner = _owners(s, owner)
     last = _degrees(recs, owner)
     rows = max(rec.degree for rec in recs) + 1
-    a = _horner(_gather([r.a for r in recs], owner, rows, 0), s)[0]
-    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 1), s)[0]
+    a = _horner(_gather([r.a for r in recs], owner, rows, 0), s)
+    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 1), s)
     # one padded row past the longest c, c_{-1} = 0 in the scalar type of s:
     # row 0 reads it next to p_0, and a point of a degree-0 block as its
     # terminal row's c, which leaves |terminal| and the scale as they are
     # without c
-    c = _horner(_gather([r.c for r in recs], owner, rows, 0), s)[0]
+    c = _horner(_gather([r.c for r in recs], owner, rows, 0), s)
     stalled = (b == 0).any(axis=1)
     if stalled.any():
         j = int(np.argmax(stalled))
@@ -283,9 +283,9 @@ def inertia(
     """
     owner = _owners(points, owner)
     rows = max(rec.degree for rec in recs) + 1
-    a = _horner(_gather([r.a for r in recs], owner, rows, 1), points)[0]
-    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 0), points)[0]
-    c = _horner(_gather([r.c for r in recs], owner, rows - 1, 0), points)[0]
+    a = _horner(_gather([r.a for r in recs], owner, rows, 1), points)
+    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 0), points)
+    c = _horner(_gather([r.c for r in recs], owner, rows - 1, 0), points)
     e = b * c
     pivmin = (0 * points + 1) / 2**1022
     counts = np.zeros(len(points), dtype=np.intp)
@@ -348,8 +348,8 @@ def _corrections(lanes, s: np.ndarray) -> np.ndarray:
     (a = 1, e = 0) would not keep them: 0 * inf is nan.
     """
     a_coeffs, e_coeffs, ends = lanes
-    a, da = _horner(a_coeffs, s)
-    e, de = _horner(e_coeffs, s)
+    a, da = _horner_with_derivative(a_coeffs, s)
+    e, de = _horner_with_derivative(e_coeffs, s)
     d, dd = a[0], da[0]
     d_prev, dd_prev = np.ones_like(d), np.zeros_like(d)
     kept = []
@@ -371,10 +371,17 @@ def _corrections(lanes, s: np.ndarray) -> np.ndarray:
     return np.where(nonzero, d / np.where(nonzero, dd, 1), 0 * d)
 
 
-def _horner(coeffs: np.ndarray, s: np.ndarray):
-    """Values and derivatives at every point of the polynomials whose
-    coefficients are coeffs[:, j, i]: Horner's rule, one array operation per
-    degree."""
+def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Values at every point of the polynomials whose coefficients are
+    coeffs[:, j, i]: Horner's rule, one array operation per degree."""
+    value = coeffs[-1] + 0 * s
+    for k in range(len(coeffs) - 2, -1, -1):
+        value = value * s + coeffs[k]
+    return value
+
+
+def _horner_with_derivative(coeffs: np.ndarray, s: np.ndarray):
+    """``_horner``'s values, with the same operations, and the derivatives."""
     top = len(coeffs) - 1
     value = coeffs[top] + 0 * s
     deriv = 0 * value

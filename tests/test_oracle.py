@@ -170,6 +170,29 @@ class TestSolver:
         assert np.max(np.abs(vals - exact)) <= (
             oracle.RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm)
 
+    def test_seeded_wall_channels_rarely_fall_back(self):
+        # 150 channels from default_rng(2026) and the distribution of
+        # test_two_grid_levels_match_bisection: every level lies within the
+        # gate of full bisection, and no more than the 16 channels measured
+        # fall back, so that any further loss of the fast path fails
+        rng = np.random.default_rng(2026)
+        real = oracle._bisect
+        fallbacks = 0
+        for _ in range(150):
+            rho_min = rng.uniform(1e-3, 0.5)
+            g = GridSpec(rho_min, rho_min + rng.uniform(2.0, 40.0),
+                         int(rng.integers(2000, 8001)))
+            count, l = int(rng.integers(1, 15)), int(rng.integers(0, 11))
+            v = wall_potential(g, l, rng.uniform(-50.0, 50.0, 4))
+            with mock.patch.object(oracle, "_bisect", wraps=real) as spy:
+                vals, _ = solve_effective_potential(v, g, count)
+            fallbacks += spy.call_count == 2
+            diag, off = oracle.channel_matrix(v, g)
+            norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
+            assert np.max(np.abs(vals - real(diag, off, count)[0])) <= (
+                oracle.RITZ_RESIDUAL_ULPS * np.finfo(float).eps * norm)
+        assert fallbacks <= 16
+
     def test_mirror_pairs_split_below_1e_10_are_both_resolved(self):
         # two identical wells joined by a 1e-6 coupling: every level of one
         # well becomes a pair split far below the bisection width
@@ -191,35 +214,37 @@ class TestSolver:
     @staticmethod
     def recorded_solve(v, g, count):
         """The solve with its fine rounds (shifts, output), its bisections,
-        its dgtsv solves and its QR factorizations recorded."""
+        its dgtsv solves and its QR and eigh factorizations recorded."""
         rounds = []
         real = oracle._shifted_solves
 
         def recording(diag, off, vecs, shifts):
             out = real(diag, off, vecs, shifts)
-            rounds.append((np.array(shifts), out))
+            rounds.append((np.array(shifts), out.copy()))
             return out
 
         lapack = scipy.linalg.lapack
         with mock.patch.object(oracle, "_bisect", wraps=oracle._bisect) as bisect, \
                 mock.patch.object(oracle, "_shifted_solves", recording), \
                 mock.patch.object(lapack, "dgtsv", wraps=lapack.dgtsv) as gtsv, \
-                mock.patch.object(scipy.linalg, "qr", wraps=scipy.linalg.qr) as qr:
+                mock.patch.object(scipy.linalg, "qr", wraps=scipy.linalg.qr) as qr, \
+                mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             vals, _ = solve_effective_potential(v, g, count)
         diag, off = oracle.channel_matrix(v, g)
         exact, _ = lowest_eigenpairs(diag, off, count)
         ulps = np.max(np.abs(vals - exact)) / (
             np.finfo(float).eps * (np.max(np.abs(diag)) + 2 * np.max(np.abs(off))))
-        return rounds, bisect.call_count, gtsv.call_count, qr.call_count, ulps
+        return rounds, bisect.call_count, gtsv.call_count, qr.call_count + eigh.call_count, ulps
 
     def test_second_round_shifts_at_the_rayleigh_quotients(self):
         # the first fine round is shifted at the coarse levels, the second at
-        # each column's Rayleigh quotient x.Tx / x.x; one Rayleigh-Ritz then
-        # passes the gate, with no second bisection
+        # each column's Rayleigh quotient x.Tx / x.x; the second round's
+        # columns then pass the certificate as they are, with no QR, no
+        # eigh and no second bisection
         g = GridSpec(0.5, 30.0, 2 * oracle.COARSE_POINTS)
         v = 1.0 / g.rhos() ** 2
-        rounds, bisects, gtsv, qr, ulps = self.recorded_solve(v, g, 3)
-        assert bisects == 1 and qr == 1
+        rounds, bisects, gtsv, factorizations, ulps = self.recorded_solve(v, g, 3)
+        assert bisects == 1 and factorizations == 0
         assert len(rounds) == 2 and gtsv == 2 * 3
         x = rounds[0][1]
         matrix = dense(*oracle.channel_matrix(v, g))
@@ -228,18 +253,125 @@ class TestSolver:
         assert not np.allclose(rounds[1][0], rounds[0][0], rtol=1e-12, atol=0.0)
         assert ulps <= 0.5
 
-    def test_missed_gate_falls_back_after_one_rayleigh_ritz(self):
+    def test_refined_columns_are_the_unit_second_round_columns(self):
+        # the certified levels are the second round's own Rayleigh quotients,
+        # and the vectors its columns scaled to unit length
+        g = GridSpec(0.5, 30.0, 2 * oracle.COARSE_POINTS)
+        v = 1.0 / g.rhos() ** 2
+        real = oracle._shifted_solves
+        outputs = []
+
+        def recording(*args):
+            outputs.append(real(*args).copy())
+            return outputs[-1].copy()
+
+        with mock.patch.object(oracle, "_shifted_solves", recording):
+            vals, vecs = solve_effective_potential(v, g, 3)
+        x, (diag, off) = outputs[-1], oracle.channel_matrix(v, g)
+        norms = np.sqrt(np.einsum("ij,ij->j", x, x))
+        assert np.allclose(vecs, x / norms, rtol=1e-14, atol=0.0)
+        assert np.allclose(np.einsum("ij,ij->j", vecs, vecs), 1.0, rtol=1e-14, atol=0.0)
+        quotients = np.einsum("ij,ij->j", x, dense(diag, off) @ x) / norms ** 2
+        norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
+        assert np.max(np.abs(vals - quotients)) <= 10 * np.finfo(float).eps * norm
+
+    def test_missed_gate_falls_back_to_bisection(self):
         # a channel drawn from the distribution of
-        # test_two_grid_levels_match_bisection whose Rayleigh-Ritz misses the
-        # gate by some 300x: there is no reshift, and the full grid is
-        # bisected after the one Rayleigh-Ritz step
+        # test_two_grid_levels_match_bisection whose second-round residuals
+        # miss the gate by some 300x: after the two fine rounds the full grid
+        # is bisected, with no QR or eigh on the way
         g = GridSpec(0.409, 0.409 + 15.52, 2570)
         v = wall_potential(g, 1, [-13.02, -49.09, -29.91, -35.37])
         count = 12
-        rounds, bisects, gtsv, qr, ulps = self.recorded_solve(v, g, count)
-        assert qr == 1 and bisects == 2
+        rounds, bisects, gtsv, factorizations, ulps = self.recorded_solve(v, g, count)
+        assert factorizations == 0 and bisects == 2
         assert len(rounds) == 2 and gtsv == 2 * count
         assert ulps <= 0.5
+
+    @staticmethod
+    def falls_back(v, g, count, coarse=None):
+        """Whether the solve bisects the full grid, with coarse(vals, vecs)
+        applied to the coarse start; its levels and vectors must then be
+        full bisection's."""
+        real = oracle._bisect
+
+        def bisect(diag, off, count, tol=0.0):
+            vals, vecs = real(diag, off, count, tol)
+            if coarse is not None and diag.size == oracle.COARSE_POINTS:
+                vals, vecs = coarse(vals, vecs)
+            return vals, vecs
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with mock.patch.object(oracle, "_bisect", wraps=bisect) as spy:
+                vals, vecs = solve_effective_potential(v, g, count)
+        direct_vals, direct_vecs = lowest_eigenpairs(*oracle.channel_matrix(v, g), count)
+        assert np.array_equal(vals, direct_vals) == (spy.call_count == 2)
+        assert np.array_equal(vecs, direct_vecs) == (spy.call_count == 2)
+        return spy.call_count == 2
+
+    def test_two_columns_on_one_level_fall_back(self):
+        # duplicated start columns converge to the lowest level twice: their
+        # intervals coincide, while the Sturm count at the top of the third
+        # column's interval still reads 3
+        g = GridSpec(1e-3, 8.0, 2 * oracle.COARSE_POINTS)
+        v = np.zeros(g.points)
+        assert not self.falls_back(v, g, 3)
+        assert self.falls_back(v, g, 3, lambda vals, vecs: (vals[[0, 0, 2]], vecs[:, [0, 0, 2]]))
+
+    def test_start_without_the_lowest_level_falls_back(self):
+        # a coarse start at levels 1 to 3 refines to three certified,
+        # disjoint and increasing intervals, and only the Sturm count (4 up
+        # to the top of the last one) sees that level 0 is missing
+        g = GridSpec(1e-3, 8.0, 2 * oracle.COARSE_POINTS)
+        v = np.zeros(g.points)
+        stride = g.points // oracle.COARSE_POINTS
+        vals, vecs = oracle._bisect(*oracle.channel_matrix(v, g, stride), 4,
+                                    oracle.ISOLATION_TOL)
+        assert self.falls_back(v, g, 3, lambda *_: (vals[1:], vecs[:, 1:]))
+
+    def test_non_finite_residual_falls_back(self, monkeypatch):
+        # a second-round column scaled to entries of 1e200 overflows x.x and
+        # x.Tx, so its quotient inf / inf and its residual are nan: the
+        # certificate fails without a warning and the full grid is bisected
+        g = GridSpec(1e-3, 8.0, 2 * oracle.COARSE_POINTS)
+        real = scipy.linalg.lapack.dgtsv
+        calls = []
+
+        def overflowing(*args):
+            *out, y, info = real(*args)
+            calls.append(None)
+            if len(calls) == 5:  # the second round's second column
+                y = y * (1e200 / np.max(np.abs(y)))
+            return (*out, y, info)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", overflowing)
+        assert self.falls_back(np.zeros(g.points), g, 3)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("case", ["out of order", "overlapping"])
+    def test_intervals_out_of_order_or_overlapping_fall_back(self, monkeypatch, case):
+        # out of order: the coarse start lists level 1 before level 0, so the
+        # intervals are disjoint but decreasing, and the count at the top of
+        # the last one (level 2) still reads 3.  overlapping: a gate wider
+        # than half the gap between levels 0 and 1 but narrower than the gap
+        # from level 2 to level 3 joins the first two intervals, and the
+        # count still reads 3
+        g = GridSpec(1e-3, 8.0, 2 * oracle.COARSE_POINTS)
+        v = np.zeros(g.points)
+        coarse = None
+        if case == "out of order":
+            def coarse(vals, vecs):
+                return vals[[1, 0, 2]], vecs[:, [1, 0, 2]]
+        else:
+            diag, off = oracle.channel_matrix(v, g)
+            levels = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 3))
+            gaps = np.diff(levels)
+            assert gaps[0] / 2 < gaps[2]
+            norm = np.max(np.abs(diag)) + 2 * np.max(np.abs(off))
+            monkeypatch.setattr(oracle, "RITZ_RESIDUAL_ULPS",
+                                (gaps[0] / 2 + gaps[2]) / 2 / (np.finfo(float).eps * norm))
+        assert self.falls_back(v, g, 3, coarse)
 
     @pytest.mark.parametrize("routine, points", [
         ("dstebz", 200), ("dstebz", 2 * oracle.COARSE_POINTS),
@@ -353,6 +485,25 @@ class TestTwoGridStart:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_refinement_holds_at_most_five_grid_by_level_arrays(self):
+        # the certified refinement needs the two rounds' outputs and one T x
+        # work array, about 4 arrays of 8,000 x 14 floats at its peak here;
+        # the Rayleigh-Ritz step it replaced peaked at 6.4
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        grid, count = GridSpec(1e-3, 8.0, 8000), 14
+        radial_eigensolve(cfg, 0, +1, grid, 1)  # loads scipy outside the trace
+        with warnings.catch_warnings(), \
+                mock.patch.object(oracle, "_bisect", wraps=oracle._bisect) as spy:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            tracemalloc.start()
+            try:
+                radial_eigensolve(cfg, 0, +1, grid, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert spy.call_count == 1  # certified, no fallback
+        assert peak < 5 * grid.points * count * 8
 
     def test_direct_solve_memory_stays_linear_in_the_grid(self):
         # the fallback's bisection on the 8,000-point channel above: stemr
