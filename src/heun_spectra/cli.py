@@ -5,6 +5,12 @@ round-trips binary64 exactly, and the emitters below are hand-rolled so the
 byte stream is deterministic for identical flags.  Exit codes: 0 success,
 2 parameter error, 3 precision failure, 4 selection error, 5 verification
 failure.
+
+Parsing, ``blocks`` and the configuration checks need only ``families``,
+which imports no numpy; each other command imports ``models`` (and with it
+numpy) or ``verification`` once its flags, configuration and block are
+checked.  So ``blocks``, ``--help``, a usage error and a bad configuration
+never import numpy.
 """
 
 from __future__ import annotations
@@ -12,14 +18,16 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from . import models, verification
+from . import families
 from .errors import ParameterError, PrecisionError, SelectionError
-from .models import Example, ModelConfig
+from .families import Example, ModelConfig
+
+if TYPE_CHECKING:
+    from . import models
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -55,7 +63,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def cmd_blocks(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    blocks = models.permissible_blocks(config, n_max=args.n_max)
+    blocks = families.permissible_blocks(config, n_max=args.n_max)
     print(
         f"example={int(config.example)} case={config.variant} k={config.k} "
         f"epsilon={_fmt(config.epsilon)} n_max={args.n_max}"
@@ -105,6 +113,8 @@ def _numbers(record: models.SpectrumRecord, vectors: bool) -> tuple:
     """The numbers of the report in printed order: for each root its value
     (the real part, then the energy of a real root or the imaginary part of
     another), its residual and, with vectors, a physical root's null vector."""
+    import numpy as np
+
     head = np.stack([
         record.value.real,
         np.where(record.real, record.energy, record.value.imag),
@@ -166,7 +176,9 @@ def _csv_report(record: models.SpectrumRecord) -> str:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    blocks = models.permissible_blocks(config, n_max=args.n_max)
+    blocks = families.permissible_blocks(config, n_max=args.n_max)
+    from . import models
+
     record = models.solve_record(config, blocks)
     print(_json_report(config, record) if args.format == "json" else _csv_report(record))
     return EXIT_OK
@@ -176,11 +188,15 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     config = _config_from(args)
     if not 2 <= args.samples <= 10**6:
         raise ParameterError(f"--samples must be at {'least 2' if args.samples < 2 else 'most 10**6'}")
-    if not (np.isfinite(args.rho_max) and args.rho_max > 0):
+    if not (math.isfinite(args.rho_max) and args.rho_max > 0):
         raise ParameterError("--rho-max must be positive and finite")
-    if not np.isfinite(args.phi):
+    if not math.isfinite(args.phi):
         raise ParameterError("--phi must be finite")
-    block = models.make_block(config, args.n, args.l)
+    block = families.make_block(config, args.n, args.l)
+    import numpy as np
+
+    from . import models
+
     roots = models.solve_block(config, block).roots
     if not (0 <= args.index < len(roots)):
         raise SelectionError(
@@ -206,7 +222,10 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = verification.run_checks(level=args.level, seed=args.seed)
+    from . import verification
+
+    seed = verification.DEFAULT_SEED if args.seed is None else args.seed
+    results = verification.run_checks(level=args.level, seed=seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -230,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    n_max_help = (f"degree budget, at most {models.MAX_DEGREE} "
+    n_max_help = (f"degree budget, at most {families.MAX_DEGREE} "
                   "(block-count budget for example 2 first)")
     p_blocks = sub.add_parser("blocks", help="list permissible angular blocks")
     _add_config_flags(p_blocks)
@@ -246,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wf = sub.add_parser("wavefunction", help="sample one bound state on a radial grid")
     _add_config_flags(p_wf)
     p_wf.add_argument("--n", type=int, required=True,
-                      help=f"block degree, at most {models.MAX_DEGREE}")
+                      help=f"block degree, at most {families.MAX_DEGREE}")
     p_wf.add_argument("--l", type=int, default=None,
                       help="angular number (needed when n does not fix the block)")
     p_wf.add_argument("--index", type=int, default=0,
@@ -263,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the self-check suite")
     p_ver.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_ver.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
+    p_ver.add_argument("--seed", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

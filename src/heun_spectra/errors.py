@@ -1,6 +1,6 @@
 """Exception types shared across the solver stack, and the integer-input rule."""
 
-import numpy as np
+import numbers
 
 
 class ParameterError(ValueError):
@@ -26,8 +26,9 @@ class SelectionError(LookupError):
 
 
 def require_integer(value, message: str) -> int:
-    """value as a Python int, when it is an int or a numpy integer and not a
-    bool; anything else raises ParameterError(message)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """value as a Python int, when it is an integer (an int, or a numpy
+    integer, which numpy registers as ``numbers.Integral``) and not a bool;
+    anything else raises ParameterError(message)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(message)
     return int(value)

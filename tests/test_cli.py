@@ -545,6 +545,13 @@ class TestVerify:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].startswith("verification passed:")
 
+    def test_default_seed_is_the_documented_seed(self, capsys):
+        # --seed defaults to None, and cmd_verify substitutes DEFAULT_SEED
+        assert verification.DEFAULT_SEED == 20240817
+        default = run_cli(["verify", "--level", "quick"], capsys)[:2]
+        assert run_cli(["verify", "--level", "quick", "--seed", "20240817"],
+                       capsys)[:2] == default
+
     def test_corrupt_check_exits_5(self, capsys, monkeypatch):
         # the first check reports a failure; the others still run
         registry = list(verification._REGISTRY)
@@ -672,13 +679,62 @@ class TestSubprocess:
         doc = json.loads(proc.stdout)
         assert doc["blocks"][0]["roots"][0]["value"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("argv, code, stdout, stderr", [
+        (["blocks", "--example", "1", "--case", "a", "--k", "1", "--n-max", "2"], 0,
+         "example=1 case=a k=1 epsilon=0 n_max=2\nn l sigma\n"
+         "0 0 +1\n1 1 +1\n2 2 +1\n3 blocks\n", ""),
+        (["--help"], 0, None, ""),
+        (["spectrum", "--example", "1", "--case", "a"], 2, "",
+         "heun-spectra spectrum: error: the following arguments are required: --k\n"),
+        (["spectrum", "--example", "1", "--case", "b", "--k", "0"], 2, "",
+         "error: case b requires k >= 1 (2l = k - n - 1 must be non-negative)\n"),
+    ], ids=["blocks", "help", "usage-error", "config-error"])
+    def test_commands_without_numerics_load_no_numpy(self, argv, code, stdout, stderr):
+        # a cold process that lists blocks, prints help or rejects its flags
+        # or configuration never imports numpy, the solver or the oracle
+        script = (
+            "import runpy, sys\n"
+            f"sys.argv = ['heun-spectra', *{argv!r}]\n"
+            "try:\n"
+            "    runpy.run_module('heun_spectra', run_name='__main__')\n"
+            "finally:\n"
+            "    print([m for m in ('numpy', 'heun_spectra.models') if m in sys.modules],\n"
+            "          file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**CHILD_ENV, "COLUMNS": "80"})
+        assert proc.returncode == code
+        assert proc.stderr.endswith(stderr + "[]\n")
+        if stdout is None:
+            assert proc.stdout.startswith(
+                "usage: heun-spectra [-h] {blocks,spectrum,wavefunction,verify} ...\n")
+            assert "  verify              run the self-check suite\n" in proc.stdout
+        else:
+            assert proc.stdout == stdout
+
+    def test_import_and_block_rules_load_no_numpy(self):
+        # the block rules are integer arithmetic: a cold process lists blocks
+        # through the package's lazy exports without importing numpy
+        script = (
+            "import sys\n"
+            "import heun_spectra as h\n"
+            "config = h.ModelConfig(h.Example(1), 'a', 1, 0.0)\n"
+            "print(len(h.permissible_blocks(config, 2)), 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "3 False\n"
+
     def test_import_loads_no_scipy_linalg_or_integrate(self):
         # Cold start-up: commands that never solve a block, integrate a norm
         # or polish a root in extended precision must not pay for these
-        # imports.
+        # imports.  The CLI imports the numeric modules per command, so
+        # verification (which imports models, spectral and the oracle) is
+        # imported here explicitly.
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import heun_spectra, heun_spectra.cli, sys; "
+             "import heun_spectra, heun_spectra.cli, heun_spectra.verification, sys; "
              "print(' '.join(m for m in ('scipy.linalg', 'scipy.integrate', "
              "'mpmath') if m in sys.modules))"],
             capture_output=True, text=True, env=CHILD_ENV)
@@ -697,12 +753,14 @@ class TestSubprocess:
     def test_spectrum_loads_no_scipy_or_mpmath(self, family, blocks):
         # the solve path uses numpy's eigensolvers only, in double precision;
         # scipy serves the oracle, and mpmath only the extended-precision
-        # recurrences of the tests and the benchmark's reference
+        # recurrences of the tests and the benchmark's reference; neither
+        # the oracle nor the verify suite is imported to solve
         script = (
             "import sys\n"
             "from heun_spectra import cli\n"
             f"code = cli.main(['spectrum', *{family!r}])\n"
-            "loaded = [m for m in ('scipy', 'mpmath') if m in sys.modules]\n"
+            "loaded = [m for m in ('scipy', 'mpmath', 'heun_spectra.verification', "
+            "'heun_spectra.oracle') if m in sys.modules]\n"
             "print(code, loaded, file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],

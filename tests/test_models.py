@@ -940,14 +940,15 @@ def per_interval_gauss_integral(integrand, a, b, scale, levels):
     """models._gauss_integral with one integrand call per level, as the
     norm was computed before its first levels shared a call; appends the
     number of levels it evaluated to levels."""
+    x, w = np.polynomial.legendre.leggauss(models.GAUSS_ORDER)
     panels = models.NORM_START_PANELS
     previous = None
     count = 0
     while True:
         edges = np.linspace(a, b, panels + 1)
         half = 0.5 * np.diff(edges)[:, None]
-        nodes = (edges[:-1, None] + half * (1.0 + models._GAUSS_NODES)).ravel()
-        weights = (half * models._GAUSS_WEIGHTS).ravel()
+        nodes = (edges[:-1, None] + half * (1.0 + x)).ravel()
+        weights = (half * w).ravel()
         estimate = float(np.dot(weights, integrand(nodes)))
         count += 1
         if not math.isfinite(estimate):
