@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -151,7 +150,7 @@ def _json_report(config: ModelConfig, record: models.SpectrumRecord) -> str:
     template = (
         "{\n"
         f'  "example": {int(config.example)},\n'
-        f'  "case": {json.dumps(config.variant)},\n'
+        f'  "case": "{config.variant}",\n'
         f'  "k": {config.k},\n'
         f'  "epsilon": {_fmt(config.epsilon)},\n'
         f'  "blocks": {_json_list(blocks, "  ")},\n'
@@ -308,7 +307,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

@@ -126,15 +126,16 @@ class PolynomialCoefficients:
     (t = 0) has its residual at row 0.
     """
 
-    degree: int
     coeffs: Tuple[Scalar, ...]
     terminal_residual: float
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count must equal degree + 1")
         if self.coeffs[0] != 1:
             raise ValueError("recurrence normalization requires p_0 = 1")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
 
 class Recurrence(NamedTuple):
@@ -176,9 +177,9 @@ class SPoly(np.ndarray):
         return tuple(self.tolist())
 
 
-def _near_nonneg_int(value: float, tol: float = INTEGER_TOL) -> Optional[int]:
+def _near_nonneg_int(value: float) -> Optional[int]:
     n = round(value)
-    if abs(value - n) <= tol and n >= 0:
+    if abs(value - n) <= INTEGER_TOL and n >= 0:
         return int(n)
     return None
 
@@ -278,9 +279,7 @@ def polynomial_from_recurrence(seqs: Recurrence, s: Scalar) -> PolynomialCoeffic
     entry_scale = max(abs(a[n]), abs(c[n - 1]), 1.0)
     coeff_scale = max(abs(pj) for pj in p)
     residual = float(abs(terminal) / (coeff_scale * entry_scale))
-    return PolynomialCoefficients(
-        degree=n, coeffs=tuple(p), terminal_residual=residual
-    )
+    return PolynomialCoefficients(coeffs=tuple(p), terminal_residual=residual)
 
 
 def _poly_derivatives(coeffs: Sequence[Scalar], z: Scalar) -> Tuple[Scalar, Scalar, Scalar]:

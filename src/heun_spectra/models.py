@@ -107,7 +107,6 @@ class BlockResult:
     block: BlockSpec
     roots: Tuple[SpectralRoot, ...]
     precision_bits: int
-    filtered_count: int
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,7 @@ def solve_block(
             energy=energy if real else None,
             physical=physical,
             residual=residual,
-            eigenvector=(PolynomialCoefficients(block.n, tuple(coeffs), residual)
+            eigenvector=(PolynomialCoefficients(tuple(coeffs), residual)
                          if physical else None),
             borderline=borderline,
         )
@@ -288,12 +287,7 @@ def solve_block(
             record.physical.tolist(), record.borderline.tolist(),
             record.residual.tolist(), record.coeffs.tolist())
     )
-    return BlockResult(
-        block=block,
-        roots=roots,
-        precision_bits=53,
-        filtered_count=sum(1 for r in roots if not r.physical),
-    )
+    return BlockResult(block=block, roots=roots, precision_bits=53)
 
 
 def solve_record(config: ModelConfig, blocks: Sequence[BlockSpec]) -> SpectrumRecord:

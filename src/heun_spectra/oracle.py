@@ -170,22 +170,6 @@ def _bisect(
         raise PrecisionError(f"LAPACK bisection failed: {exc}") from exc
 
 
-def lowest_eigenpairs(
-    diag: NDArray[np.floating], off: NDArray[np.floating], count: int
-) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
-    """Lowest `count` eigenpairs of the symmetric tridiagonal T = (diag, off).
-
-    Full-accuracy bisection (dstebz) and inverse iteration (dstein), in
-    memory linear in the size of T; a LAPACK failure raises PrecisionError,
-    and a count that is not an integer from 1 to the size of T
-    ParameterError.
-    """
-    count = require_integer(count, "count must be an integer")
-    if not 1 <= count <= len(diag):
-        raise ParameterError(f"count {count} is not between 1 and the size {len(diag)} of T")
-    return _bisect(diag, off, count)
-
-
 def _prolong(coarse: NDArray[np.floating], stride: int, points: int) -> NDArray[np.floating]:
     """Linear interpolation of coarse-node columns onto every grid point.
 
@@ -246,7 +230,7 @@ def solve_effective_potential(
                     and _count_at_most(diag, off, tops[-1]) == count):
                 x /= np.sqrt(squares)  # unit columns
                 return vals, x
-    return lowest_eigenpairs(diag, off, count)
+    return _bisect(diag, off, count)
 
 
 def radial_eigensolve(

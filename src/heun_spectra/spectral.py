@@ -30,6 +30,9 @@ belongs to recurrence owner[i], and to the only one when owner is None.
 The points stay in that order and every point runs every row, padded past
 its own recurrence's last row; a point's result is that of its own last
 row, so every point sees the floating-point operations it would see alone.
+Each point's entries are its recurrence's coefficient rows, gathered by
+point and evaluated by ``heun_core.horner``; the corrections also need the
+derivatives (``_horner_with_derivative``).
 
 ``determinant_numeric`` evaluates the continuant at one point through the
 recurrence's ``at``, so its arrays may be of any scalar type, the ``SPoly``
@@ -173,13 +176,13 @@ def ragged_null_vectors(
     owner = _owners(s, owner)
     last = _degrees(recs, owner)
     rows = max(rec.degree for rec in recs) + 1
-    a = _horner(_gather([r.a for r in recs], owner, rows, 0), s)
-    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 1), s)
-    # one padded row past the longest c, c_{-1} = 0 in the scalar type of s:
+    a = horner(_gather([r.a for r in recs], owner, rows, 0), s)
+    b = horner(_gather([r.b for r in recs], owner, rows - 1, 1), s)
+    # one padded row past the longest c, c_{-1} = 0:
     # row 0 reads it next to p_0, and a point of a degree-0 block as its
     # terminal row's c, which leaves |terminal| and the scale as they are
     # without c
-    c = _horner(_gather([r.c for r in recs], owner, rows, 0), s)
+    c = horner(_gather([r.c for r in recs], owner, rows, 0), s)
     stalled = (b == 0).any(axis=1)
     if stalled.any():
         j = int(np.argmax(stalled))
@@ -283,9 +286,9 @@ def inertia(
     """
     owner = _owners(points, owner)
     rows = max(rec.degree for rec in recs) + 1
-    a = _horner(_gather([r.a for r in recs], owner, rows, 1), points)
-    b = _horner(_gather([r.b for r in recs], owner, rows - 1, 0), points)
-    c = _horner(_gather([r.c for r in recs], owner, rows - 1, 0), points)
+    a = horner(_gather([r.a for r in recs], owner, rows, 1), points)
+    b = horner(_gather([r.b for r in recs], owner, rows - 1, 0), points)
+    c = horner(_gather([r.c for r in recs], owner, rows - 1, 0), points)
     e = b * c
     pivmin = (0 * points + 1) / 2**1022
     counts = np.zeros(len(points), dtype=np.intp)
@@ -371,17 +374,10 @@ def _corrections(lanes, s: np.ndarray) -> np.ndarray:
     return np.where(nonzero, d / np.where(nonzero, dd, 1), 0 * d)
 
 
-def _horner(coeffs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Values at every point of the polynomials whose coefficients are
-    coeffs[:, j, i]: Horner's rule, one array operation per degree."""
-    value = coeffs[-1] + 0 * s
-    for k in range(len(coeffs) - 2, -1, -1):
-        value = value * s + coeffs[k]
-    return value
-
-
 def _horner_with_derivative(coeffs: np.ndarray, s: np.ndarray):
-    """``_horner``'s values, with the same operations, and the derivatives."""
+    """Values at every point of the polynomials whose coefficients are
+    coeffs[:, j, i], by the operations of ``heun_core.horner`` (its seed
+    broadcast to the points), and their derivatives."""
     top = len(coeffs) - 1
     value = coeffs[top] + 0 * s
     deriv = 0 * value

@@ -213,7 +213,7 @@ class TestJsonEmitter:
                       else list(r.eigenvector.coeffs)}
                      for r in res.roots]}
                 for res in results],
-            "filtered_root_count": sum(res.filtered_count for res in results),
+            "filtered_root_count": sum(not r.physical for res in results for r in res.roots),
             "precision_bits": max((res.precision_bits for res in results), default=53),
         }
         assert out == reference_json(report) + "\n"
@@ -276,7 +276,7 @@ def reference_report(config, results, fmt):
         f'  "k": {config.k},\n'
         f'  "epsilon": {fmt17(config.epsilon)},\n'
         f'  "blocks": {json_list(blocks, "  ")},\n'
-        f'  "filtered_root_count": {sum(res.filtered_count for res in results)},\n'
+        f'  "filtered_root_count": {sum(not r.physical for res in results for r in res.roots)},\n'
         f'  "precision_bits": {precision_bits}\n'
         "}")
 
@@ -691,15 +691,15 @@ class TestSubprocess:
     ], ids=["blocks", "help", "usage-error", "config-error"])
     def test_commands_without_numerics_load_no_numpy(self, argv, code, stdout, stderr):
         # a cold process that lists blocks, prints help or rejects its flags
-        # or configuration never imports numpy, the solver or the oracle
+        # or configuration never imports numpy, the solver, the oracle or json
         script = (
             "import runpy, sys\n"
             f"sys.argv = ['heun-spectra', *{argv!r}]\n"
             "try:\n"
             "    runpy.run_module('heun_spectra', run_name='__main__')\n"
             "finally:\n"
-            "    print([m for m in ('numpy', 'heun_spectra.models') if m in sys.modules],\n"
-            "          file=sys.stderr)\n"
+            "    print([m for m in ('numpy', 'heun_spectra.models', 'json')\n"
+            "           if m in sys.modules], file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env={**CHILD_ENV, "COLUMNS": "80"})
@@ -754,13 +754,14 @@ class TestSubprocess:
         # the solve path uses numpy's eigensolvers only, in double precision;
         # scipy serves the oracle, and mpmath only the extended-precision
         # recurrences of the tests and the benchmark's reference; neither
-        # the oracle nor the verify suite is imported to solve
+        # the oracle nor the verify suite is imported to solve, and the JSON
+        # report is written without json
         script = (
             "import sys\n"
             "from heun_spectra import cli\n"
             f"code = cli.main(['spectrum', *{family!r}])\n"
             "loaded = [m for m in ('scipy', 'mpmath', 'heun_spectra.verification', "
-            "'heun_spectra.oracle') if m in sys.modules]\n"
+            "'heun_spectra.oracle', 'json') if m in sys.modules]\n"
             "print(code, loaded, file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],

@@ -171,14 +171,14 @@ class TestRecurrence:
         assert poly.terminal_residual < 1e-10
 
     @pytest.mark.parametrize("coeffs, message", [
-        ((1.0,), "coefficient count must equal degree + 1"),
         ((1.0 + 2**-52, 0.5), "recurrence normalization requires p_0 = 1"),
-    ], ids=["count", "p0"])
+        ((complex(1.0, 2**-52), 0.5), "recurrence normalization requires p_0 = 1"),
+    ], ids=["p0", "p0-complex"])
     def test_coefficients_are_checked(self, coeffs, message):
         # the p_0 check caught complex points whose a_0 / a_0 missed 1
-        PolynomialCoefficients(1, (1.0, 0.5), 0.0)
+        assert PolynomialCoefficients((1.0, 0.5), 0.0).degree == 1
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            PolynomialCoefficients(1, coeffs, 0.0)
+            PolynomialCoefficients(coeffs, 0.0)
 
     def test_symbolic_entries_require_substitution(self):
         # both diagonal entries are s itself
@@ -226,7 +226,6 @@ class TestOdeResiduals:
         for z in (0.5, 1.0, 2.0):
             assert heunb_ode_residual(params, poly, z) < 1e-12
         bad = type(poly)(
-            degree=poly.degree,
             coeffs=poly.coeffs[:-1] + (poly.coeffs[-1] * 1.01,),
             terminal_residual=poly.terminal_residual,
         )

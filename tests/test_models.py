@@ -514,10 +514,20 @@ class TestSpectrum:
         res1 = solve_block(
             ModelConfig(Example(1), "a", 2, 1.1), BlockSpec(4, 3, +1))
         assert len(res1.roots) == 5
-        assert res1.filtered_count == 0
+        assert sum(not r.physical for r in res1.roots) == 0
         res2 = solve_block(
             ModelConfig(Example(2), "second", 3, 9.0), BlockSpec(2, -3, -1))
         assert len(res2.roots) == 6
+
+    def test_eigenvector_degree_is_the_block_degree(self):
+        # degree is derived from the coefficient count, so every physical
+        # root's eigenvector carries exactly n + 1 coefficients
+        for cfg, block in ((ModelConfig(Example(1), "a", 2, 1.1), BlockSpec(4, 3, +1)),
+                           (ModelConfig(Example(2), "second", 3, 30.0), BlockSpec(2, -3, -1))):
+            vectors = [r.eigenvector for r in solve_block(cfg, block).roots if r.physical]
+            assert vectors and None not in vectors
+            assert [v.degree for v in vectors] == [block.n] * len(vectors)
+            assert all(len(v.coeffs) == block.n + 1 for v in vectors)
 
     def test_roots_sorted_ascending_by_energy(self):
         res = solve_block(

@@ -26,7 +26,7 @@ from heun_spectra import (
 )
 from heun_spectra import oracle
 from heun_spectra.models import Example
-from heun_spectra.oracle import lowest_eigenpairs, solve_effective_potential
+from heun_spectra.oracle import solve_effective_potential
 
 
 SCIPY_FAILURES = {  # the LinAlgError of eigh_tridiagonal when LAPACK returns info = 1
@@ -82,11 +82,12 @@ class TestSolver:
     def test_count_capacity(self):
         g = GridSpec(1e-3, 8.0, 100)
         v = np.zeros(100)
-        with pytest.raises(ParameterError):
-            solve_effective_potential(v, g, 99)
-        with pytest.raises(ParameterError):
-            solve_effective_potential(v, g, 0)
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        for count in (99, 0, -1):
+            with pytest.raises(ParameterError):
+                solve_effective_potential(v, g, count)
+            with pytest.raises(ParameterError):
+                radial_eigensolve(cfg, 0, +1, g, count)
         for points in (200, 2000):
             g = GridSpec(1e-3, 8.0, points)
             v = np.zeros(points)
@@ -96,16 +97,6 @@ class TestSolver:
                 with pytest.raises(ParameterError, match="integer"):
                     radial_eigensolve(cfg, 0, +1, g, count)
             assert solve_effective_potential(v, g, np.int64(2))[0].size == 2
-        # lowest_eigenpairs used to hand these to scipy, which raised a raw
-        # ValueError or TypeError, or took True as 1
-        diag, off = np.arange(10.0), np.ones(9)
-        for count in (0, 11, -1):
-            with pytest.raises(ParameterError, match="^count .* size 10 of T$"):
-                lowest_eigenpairs(diag, off, count)
-        for count in (2.5, np.float64(2.0), True, "3", None):
-            with pytest.raises(ParameterError, match="^count must be an integer$"):
-                lowest_eigenpairs(diag, off, count)
-        assert lowest_eigenpairs(diag, off, np.int64(10))[0].size == 10
 
     def test_potential_must_match_grid(self):
         g = GridSpec(1e-3, 8.0, 200)
@@ -205,7 +196,7 @@ class TestSolver:
         exact = np.linalg.eigvalsh(dense(diag, off))
         splits = exact[1:8:2] - exact[0:8:2]
         assert np.all((splits > 0) & (splits < 1e-10))
-        vals, vecs = lowest_eigenpairs(diag, off, 8)
+        vals, vecs = oracle._bisect(diag, off, 8)
         assert np.max(np.abs(vals - exact[:8])) <= 1e-14
         assert np.allclose(vecs.T @ vecs, np.eye(8), atol=1e-12)
         residual = dense(diag, off) @ vecs - vecs * vals
@@ -231,7 +222,7 @@ class TestSolver:
                 mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh:
             vals, _ = solve_effective_potential(v, g, count)
         diag, off = oracle.channel_matrix(v, g)
-        exact, _ = lowest_eigenpairs(diag, off, count)
+        exact, _ = oracle._bisect(diag, off, count)
         ulps = np.max(np.abs(vals - exact)) / (
             np.finfo(float).eps * (np.max(np.abs(diag)) + 2 * np.max(np.abs(off))))
         return rounds, bisect.call_count, gtsv.call_count, qr.call_count + eigh.call_count, ulps
@@ -305,7 +296,7 @@ class TestSolver:
             warnings.simplefilter("error")
             with mock.patch.object(oracle, "_bisect", wraps=bisect) as spy:
                 vals, vecs = solve_effective_potential(v, g, count)
-        direct_vals, direct_vecs = lowest_eigenpairs(*oracle.channel_matrix(v, g), count)
+        direct_vals, direct_vecs = oracle._bisect(*oracle.channel_matrix(v, g), count)
         assert np.array_equal(vals, direct_vals) == (spy.call_count == 2)
         assert np.array_equal(vecs, direct_vecs) == (spy.call_count == 2)
         return spy.call_count == 2
@@ -415,7 +406,7 @@ class TestSolver:
         # eigenvectors perturbed by 1e-6 pass the count and miss only the gate
         g = GridSpec(1e-3, 8.0, 2 * oracle.COARSE_POINTS)
         v = np.zeros(g.points)
-        direct_vals, direct_vecs = lowest_eigenpairs(*oracle.channel_matrix(v, g), 3)
+        direct_vals, direct_vecs = oracle._bisect(*oracle.channel_matrix(v, g), 3)
         real = oracle._bisect
 
         def rough(diag, off, count, tol=0.0):
@@ -512,10 +503,10 @@ class TestTwoGridStart:
         grid = GridSpec(1e-3, 8.0, 8000)
         diag, off = oracle.channel_matrix(
             oracle.effective_potential(cfg, 0, +1, grid.rhos()), grid)
-        lowest_eigenpairs(diag, off, 1)  # loads scipy outside the trace
+        oracle._bisect(diag, off, 1)  # loads scipy outside the trace
         tracemalloc.start()
         try:
-            vals, _ = lowest_eigenpairs(diag, off, 14)
+            vals, _ = oracle._bisect(diag, off, 14)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -541,7 +532,7 @@ class TestTwoGridStart:
             vals, vecs = solve_effective_potential(v, g, 3)
         assert [call.args[0].size for call in spy.call_args_list] == [
             oracle.COARSE_POINTS, g.points]
-        direct_vals, direct_vecs = lowest_eigenpairs(*oracle.channel_matrix(v, g), 3)
+        direct_vals, direct_vecs = oracle._bisect(*oracle.channel_matrix(v, g), 3)
         assert vals[0] < -100.0
         assert np.array_equal(vals, direct_vals)
         assert np.array_equal(vecs, direct_vecs)
