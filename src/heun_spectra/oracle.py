@@ -1,40 +1,40 @@
-"""Independent finite-difference check of the analytic spectra.
+"""Independent check of the analytic spectra on a Lagrange-Jacobi mesh.
 
-The radial problem is symmetrized by the substitution R = rho^(-1/2) u, which
-removes the first-derivative term:
+Each channel is the radial problem -(1/rho) (rho R')' + V_eff R = E R on the
+box [0, rho_max], regular at the axis and with a Dirichlet wall at rho_max.
+Near the axis V_eff = mu^2 / rho^2 + W with W bounded, mu = sigma |l| for
+model 1 and mu = sigma |l| + k for model 2.  W is written without the
+1/rho^2 terms that cancel against the barrier, so it stays accurate at the
+axis.
 
-    -u'' + [ V_eff(rho) - 1/(4 rho^2) ] u = E u,
-    V_eff = (sigma |l| / rho - A_phi)^2 + u_scalar .
+The state is written R = rho^mu_c g with mu_c = min(|mu|, AXIS_POWER_CAP).
+After an integration by parts the quadratic form reads
 
-The matrix is assembled in flux (finite-volume) form: each grid node owns the
-cell between the midpoints to its neighbours, and the radial flux rho R'
-through each cell face supplies the couplings.  After the similarity scaling
-by rho^(1/2) that is a real symmetric tridiagonal matrix which agrees with
-the naive stencil 2/h^2 + V_eff - 1/(4 rho^2) to O(h^2) away from the axis,
-but keeps the discrete operator bounded below near rho = 0, where putting
--1/(4 rho^2) on the diagonal manufactures spurious wall states and O(1)
-eigenvalue errors in channels whose R does not vanish at the axis.
+    int rho^(2 mu_c + 1) [ g'^2 + ((mu^2 - mu_c^2) / rho^2 + W) g^2 ] d rho,
 
-Boundaries are Dirichlet ghosts one spacing outside the stored endpoints.
-When the grid reaches the axis (rho_min <= h) the inner face carries zero
-flux instead, which is the regularity condition R'(0) = 0; a hard wall at a
-tiny rho_min would shift s-wave-like levels by O(1/log rho_min) and never
-reproduce the analytic spectrum.
+so the rest of the barrier stays in the potential.  Factoring out all of
+rho^|mu| also reproduces the free-disk levels, but to 1e-13 where the
+capped factor gets 1e-14 to 1e-15 at |mu| = 40-400, and rho^|mu| overflows
+at |mu| = 400.
 
-Sturm bisection and inverse iteration (LAPACK dstebz and dstein, through
-scipy's eigh_tridiagonal) give the lowest levels and their vectors.  Even to
-width ISOLATION_TOL bisection costs some 30 Sturm passes per level, because
-||T|| reaches 1e8 near the axis, so a grid of at least 2 COARSE_POINTS points
-is bisected only on every m-th node, m = points // COARSE_POINTS, and only to
-that width.  The coarse vectors, interpolated onto the full grid, are
-refined there by two rounds of shifted tridiagonal solves (dgtsv), the
-first at the coarse levels and the second at each column's Rayleigh
-quotient x.Tx / x.x.  The refined columns are kept when each one's residual
-||T x - theta x|| / ||x|| at its quotient theta is within a few ulps of ||T||,
-the intervals of that radius plus the gate about them are disjoint and
-increasing, and one Sturm count proves that they hold the lowest levels;
-otherwise the full matrix is bisected after all.  Nothing here touches the
-Heun machinery, so agreement with the roots is a genuine cross-check.
+With t = 2 rho / rho_max - 1 the basis is (1 - t) L_i(t), L_i the Lagrange
+polynomials on the N Gauss-Jacobi nodes t_i of weight
+(1 - t)^2 (1 + t)^(2 mu_c + 1), scaled to unit norm by the Gauss weights
+lambda_i (Baye, "The Lagrange-mesh method", Phys. Rep. 565, 2015).  This is
+a discrete variable representation: the Gauss rule makes the overlap the
+identity and the potential the diagonal (mu^2 - mu_c^2) / rho_i^2 + W(rho_i),
+and the kinetic matrix, a polynomial integral of degree 2N - 2 under the
+weight (1 + t)^(2 mu_c + 1), is exact with the N-node rule of that weight.
+The nodes are the eigenvalues of the Jacobi matrix, the weights come from
+the Christoffel function 1 / sum_k p_k(t_i)^2 of the orthonormal
+polynomials, and the derivatives of L_i from the barycentric formula.  The
+kinetic matrix does not depend on rho_max, so it is built once per (N, mu_c).
+
+The levels converge spectrally in N.  radial_eigensolve accepts them when
+two consecutive MESH_SIZES agree to MESH_RTOL, and raises PrecisionError
+when none do; no size or scale is taken from the analytic roots.  Nothing
+here touches the Heun machinery, so agreement with the roots is a genuine
+cross-check.
 
 Each block's bound states are the lowest levels of their channel (Sturm
 oscillation), so compare_spectra pairs the i-th analytic level with the
@@ -43,26 +43,30 @@ i-th numeric one.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ParameterError, PrecisionError, require_integer
-from .models import ModelConfig, effective_potential
+from .families import Example, ModelConfig
 
 BOX_AMPLITUDE_TOL = 1e-6
-ISOLATION_TOL = 1e-3  # coarse bisection width; the fine shifted solves refine past it
-RITZ_RESIDUAL_ULPS = 1e3  # gate on ||T x - theta x|| / ||x||, so theta is this near a level
-COARSE_POINTS = 500  # a grid of at least twice this many points starts on every m-th point
+AXIS_POWER_CAP = 4  # largest power of rho factored out of R at the axis
+MESH_SIZES = (120, 180, 270, 400)  # mesh points; each solve is checked by the next
+MESH_RTOL = 1e-9  # two sizes must agree to this, relative above |E| = 1
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform radial grid (rho_min, rho_max, interior point count)."""
+    """The channel's box (rho_min, rho_max, points).
+
+    The mesh reads only rho_max; rho_min and points are validated but unused.
+    """
 
     rho_min: float
     rho_max: float
@@ -78,159 +82,114 @@ class GridSpec:
         if points < 100:
             raise ParameterError("grid needs at least 100 points")
 
-    @property
-    def h(self) -> float:
-        return (self.rho_max - self.rho_min) / (self.points - 1)
 
-    def rhos(self) -> NDArray[np.floating]:
-        return np.linspace(self.rho_min, self.rho_max, self.points)
-
-
-def channel_matrix(
-    v_eff: NDArray[np.floating], grid: GridSpec, stride: int = 1
-) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
-    """Flux-form tridiagonal (diag, off) of the channel on every stride-th node.
-
-    The axis condition is the full grid's, so a coarse subgrid models the same
-    boundary as the grid it is taken from.
-    """
-    r = grid.rhos()[::stride]
-    h = stride * grid.h
-    outer = r + 0.5 * h
-    inner = np.maximum(r - 0.5 * h, 0.0)
-    if grid.rho_min <= grid.h * (1.0 + 1e-9):
-        inner[0] = 0.0
-    diag = (inner + outer) / (r * h * h) + v_eff[::stride]
-    off = -outer[:-1] / (h * h * np.sqrt(r[:-1] * r[1:]))
-    return diag, off
+def _axis_power(config: ModelConfig, l: int, sigma: int) -> int:
+    """mu of the channel, after BlockSpec's rule for l and sigma: R ~ rho^|mu|
+    at the axis."""
+    m = sigma * abs(require_integer(l, "l must be an integer"))
+    if require_integer(sigma, "sigma must be +1 or -1") not in (-1, +1):
+        raise ParameterError("sigma must be +1 or -1")
+    return m if config.example is Example.REPULSIVE_POLYNOMIAL else m + config.k
 
 
-def _times(
-    diag: NDArray[np.floating],
-    off: NDArray[np.floating],
-    x: NDArray[np.floating],
-    out: NDArray[np.floating],
+def _regular_potential(
+    config: ModelConfig, m: int, r: NDArray[np.floating]
 ) -> NDArray[np.floating]:
-    """T x for each column of x, written into out."""
-    np.multiply(diag[:, None], x, out=out)
-    out[1:] += off[:, None] * x[:-1]
-    out[:-1] += off[:, None] * x[1:]
-    return out
+    """W = V_eff - mu^2 / rho^2 for m = sigma |l|, with no 1/rho^2 term."""
+    r2 = r * r
+    k, eps = config.k, config.epsilon
+    if config.example is Example.REPULSIVE_POLYNOMIAL:
+        # (m / rho - A_phi)^2 + u with A_phi = rho (eps + 3 rho^2) / 2
+        return 0.25 * r2 * (eps + r2) ** 2 - m * (eps + 3.0 * r2) - 2.0 * k * r2
+    # (m + k s)^2 / rho^2 - (m + k)^2 / rho^2 with s = 1 / sqrt(rho^2 + 1),
+    # and s - 1 = -rho^2 s / (1 + sqrt(rho^2 + 1))
+    root = np.sqrt(r2 + 1.0)
+    s = 1.0 / root
+    w = s * s
+    return -k * s * (2 * m + k * (1.0 + s)) / (1.0 + root) + 0.25 * (3.0 * w * w - eps * w)
 
 
-def _shifted_solves(
-    diag: NDArray[np.floating],
-    off: NDArray[np.floating],
-    vecs: NDArray[np.floating],
-    shifts: NDArray[np.floating],
-) -> NDArray[np.floating]:
-    """One inverse-iteration step per column: (T - shifts[i]) y_i = vecs[:, i]."""
-    from scipy.linalg import lapack
-
-    out = np.empty_like(vecs)
-    for i, shift in enumerate(shifts):
-        *_, y, info = lapack.dgtsv(off, diag - shift, off, vecs[:, i:i + 1])
-        if info != 0:
-            raise PrecisionError(f"LAPACK dgtsv failed (info = {info})")
-        out[:, i] = y[:, 0]
-    return out
-
-
-def _count_at_most(
-    diag: NDArray[np.floating], off: NDArray[np.floating], value: float
-) -> int:
-    """Number of eigenvalues of T at or below value, by Sturm count.
-
-    dstebz range V on (Gershgorin floor, value] with an abstol wider than the
-    interval counts the levels in it without bisecting any of them.
-    """
-    from scipy.linalg import lapack
-
-    lower = np.min(diag) - 2 * np.max(np.abs(off), initial=0.0)  # Gershgorin
-    floor = lower - abs(lower) - 1.0  # strictly below it at any scale
-    m, *_, info = lapack.dstebz(diag, off, 1, floor, value, 0, 0, 2 * (value - floor), "E")
-    if info != 0:
-        raise PrecisionError(f"LAPACK dstebz failed (info = {info})")
-    return m
-
-
-def _bisect(
-    diag: NDArray[np.floating], off: NDArray[np.floating], count: int, tol: float = 0.0
-) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
-    """Lowest `count` eigenpairs of T by bisection to width tol (0: full
-    accuracy) and inverse iteration; a LAPACK failure raises PrecisionError."""
-    # Imported here so that importing the package loads no scipy.
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
+def _eigen(solver: Callable, matrix: NDArray[np.floating]):
     try:
-        # stebz, not stemr, whose n x n work array is 488 MB at 8,000 points
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1),
-                                check_finite=False, tol=tol, lapack_driver="stebz")
-    except LinAlgError as exc:
-        raise PrecisionError(f"LAPACK bisection failed: {exc}") from exc
+        return solver(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise PrecisionError(f"mesh eigensolver failed: {exc}") from exc
 
 
-def _prolong(coarse: NDArray[np.floating], stride: int, points: int) -> NDArray[np.floating]:
-    """Linear interpolation of coarse-node columns onto every grid point.
-
-    Past the last coarse node the columns fall linearly to the coarse
-    Dirichlet ghost, one coarse spacing further out.  Each column is
-    contiguous, so the fine-grid steps run along the grid.
-    """
-    t = np.arange(stride) / stride
-    padded = np.hstack([coarse.T, np.zeros((coarse.shape[1], 1))])
-    ends = np.stack([padded[:, :-1], padded[:, 1:]], axis=-1)
-    fine = ends @ np.stack([1.0 - t, t])  # (columns, coarse nodes, stride)
-    return fine.reshape(coarse.shape[1], -1)[:, :points].T
-
-
-def solve_effective_potential(
-    v_eff: NDArray[np.floating], grid: GridSpec, count: int
+def _gauss_jacobi(
+    size: int, alpha: int, beta: int
 ) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
-    """Lowest eigenpairs of -u'' + (v_eff - 1/(4 rho^2)) u = E u, Dirichlet.
+    """Nodes and weights of the size-point Gauss rule of (1 - t)^alpha (1 + t)^beta."""
+    j = np.arange(size, dtype=float)
+    s = 2 * j + alpha + beta
+    diag = (beta * beta - alpha * alpha) / (s * (s + 2))
+    j, s = j[1:], s[1:]
+    off = np.sqrt(4 * j * (j + alpha) * (j + beta) * (j + alpha + beta)
+                  / (s * s * (s + 1) * (s - 1)))
+    nodes = _eigen(np.linalg.eigvalsh, np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mass = math.exp((alpha + beta + 1) * math.log(2.0) + math.lgamma(alpha + 1)
+                    + math.lgamma(beta + 1) - math.lgamma(alpha + beta + 2))
+    # orthonormal polynomials at the nodes, by their three-term recurrence
+    before, p = np.zeros(size), np.full(size, 1.0 / math.sqrt(mass))
+    christoffel = p * p
+    for i in range(size - 1):
+        before, p = p, ((nodes - diag[i]) * p - (off[i - 1] * before if i else 0.0)) / off[i]
+        christoffel += p * p
+    return nodes, 1.0 / christoffel
 
-    v_eff holds the channel potential sampled on grid.rhos(); the centrifugal
-    reduction term from the R -> u substitution is carried implicitly by the
-    flux-form couplings (see the module docstring).  Returns (eigenvalues,
-    eigenvectors) with eigenvectors in columns, in the scaled variable u:
-    unit columns from the refined start, orthonormal ones from bisection.
-    """
-    count = require_integer(count, "count must be an integer")
-    if count < 1:
-        raise ParameterError("need at least one eigenvalue")
-    if count > grid.points - 2:
-        raise ParameterError(
-            f"count {count} exceeds the {grid.points - 2} resolvable states"
-        )
-    v_eff = np.asarray(v_eff, dtype=float)
-    if v_eff.shape != (grid.points,) or not np.all(np.isfinite(v_eff)):
-        raise ParameterError("v_eff must be finite and sampled on the grid")
-    diag, off = channel_matrix(v_eff, grid)
-    stride = grid.points // COARSE_POINTS
-    if stride > 1 and count <= COARSE_POINTS - 2:  # the subgrid has >= COARSE_POINTS nodes
-        coarse_vals, coarse_vecs = _bisect(
-            *channel_matrix(v_eff, grid, stride), count, ISOLATION_TOL)
-        x = _shifted_solves(
-            diag, off, _prolong(coarse_vecs, stride, grid.points), coarse_vals)
-        work = _times(diag, off, x, np.empty_like(x))  # T x of each round
-        quotients = np.einsum("ij,ij->j", x, work) / np.einsum("ij,ij->j", x, x)
-        x = _shifted_solves(diag, off, x, quotients)
-        gate = RITZ_RESIDUAL_ULPS * np.finfo(float).eps * (
-            np.max(np.abs(diag)) + 2 * np.max(np.abs(off)))
-        # an overflowed column reads nan here, and nan fails every test below
-        with np.errstate(over="ignore", invalid="ignore"):
-            squares = np.einsum("ij,ij->j", x, x)
-            vals = np.einsum("ij,ij->j", x, _times(diag, off, x, work)) / squares
-            work -= x * vals  # now the residuals
-            residuals = np.sqrt(np.einsum("ij,ij->j", work, work) / squares)
-            # disjoint intervals hold distinct levels (Parlett, The Symmetric
-            # Eigenvalue Problem, ch. 4), and the Sturm count the lowest ones
-            lows, tops = vals - residuals - gate, vals + residuals + gate
-            if (np.all(residuals <= gate) and np.all(tops[:-1] < lows[1:])
-                    and _count_at_most(diag, off, tops[-1]) == count):
-                x /= np.sqrt(squares)  # unit columns
-                return vals, x
-    return _bisect(diag, off, count)
+
+@functools.lru_cache(maxsize=32)  # every MESH_SIZES and mu_c
+def _mesh_basis(
+    size: int, mu_c: int
+) -> Tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
+    """Nodes t_i, Gauss weights lambda_i and the kinetic matrix in t of the
+    orthonormal basis (1 - t) L_i(t) / sqrt(lambda_i)."""
+    beta = 2 * mu_c + 1
+    t, lam = _gauss_jacobi(size, 2, beta)
+    s, w = _gauss_jacobi(size, 0, beta)  # exact for the kinetic integrand
+    gaps = s - t[:, None]  # (basis i, node m)
+    spread = t[:, None] - t
+    np.fill_diagonal(spread, 1.0)
+    lagrange = np.prod(gaps, axis=0) / (np.prod(spread, axis=1)[:, None] * gaps)
+    slopes = lagrange * (np.sum(1.0 / gaps, axis=0) - 1.0 / gaps)
+    derivative = ((1.0 - s) * slopes - lagrange) / np.sqrt(lam)[:, None]
+    kinetic = (derivative * w) @ derivative.T
+    kinetic = 0.5 * (kinetic + kinetic.T)
+    for shared in (t, lam, kinetic):  # every caller gets these same arrays
+        shared.setflags(write=False)
+    return t, lam, kinetic
+
+
+def _mesh_matrix(
+    config: ModelConfig, l: int, sigma: int, rho_max: float, size: int
+) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
+    """The channel's mesh Hamiltonian, and the factor that turns an
+    eigenvector into R at the nodes."""
+    mu = _axis_power(config, l, sigma)
+    mu_c = min(abs(mu), AXIS_POWER_CAP)
+    t, lam, kinetic = _mesh_basis(size, mu_c)
+    half = 0.5 * rho_max
+    rho = half * (1.0 + t)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        potential = ((mu * mu - mu_c * mu_c) / (rho * rho)
+                     + _regular_potential(config, sigma * abs(l), rho))
+    if not np.all(np.isfinite(potential)):
+        raise ParameterError("the channel potential is not finite on the mesh")
+    matrix = kinetic / (half * half)
+    matrix[np.diag_indices(size)] += potential
+    return matrix, rho ** mu_c * (1.0 - t) / np.sqrt(lam)
+
+
+def mesh_levels(
+    config: ModelConfig, l: int, sigma: int, grid: GridSpec, size: int
+) -> NDArray[np.floating]:
+    """All size levels of the channel on one mesh of the box [0, grid.rho_max],
+    in increasing order; the lowest converge first.  l and sigma follow
+    BlockSpec's rule."""
+    size = require_integer(size, "size must be an integer")
+    if not 1 <= size <= MESH_SIZES[-1]:
+        raise ParameterError(f"size must lie between 1 and {MESH_SIZES[-1]}, not {size}")
+    return _eigen(np.linalg.eigvalsh, _mesh_matrix(config, l, sigma, grid.rho_max, size)[0])
 
 
 def radial_eigensolve(
@@ -240,31 +199,41 @@ def radial_eigensolve(
     grid: GridSpec,
     count: int,
 ) -> List[float]:
-    """Lowest `count` dimensionless channel energies of the configuration.
+    """Lowest `count` dimensionless channel energies in the box [0, grid.rho_max].
 
     l and sigma follow BlockSpec's rule: integers (not bools), sigma +1 or
-    -1, else ParameterError.  Warns when the lowest requested eigenfunction
-    still has noticeable amplitude at the outer wall, which means rho_max
-    truncates the state and the eigenvalue carries box error beyond the h^2
-    discretization error.
+    -1, else ParameterError.  count may not exceed the smallest mesh size.
+    The levels of the first mesh size that agrees with the one before it to
+    MESH_RTOL are returned; PrecisionError when no size does.  Warns when
+    the lowest level's R at the outermost node is more than
+    BOX_AMPLITUDE_TOL of its largest value at the nodes, which means
+    rho_max truncates the state and the level carries box error.
     """
-    l = require_integer(l, "l must be an integer")
-    if require_integer(sigma, "sigma must be +1 or -1") not in (-1, +1):
-        raise ParameterError("sigma must be +1 or -1")
-    r = grid.rhos()
-    v = effective_potential(config, l, sigma, r)
-    vals, vecs = solve_effective_potential(v, grid, count)
-    # the columns above it may be box levels, which touch the wall
-    edge = abs(vecs[-1, 0])
-    peak = np.max(np.abs(vecs[:, 0]))
-    if peak > 0 and edge / peak > BOX_AMPLITUDE_TOL:
+    count = require_integer(count, "count must be an integer")
+    if not 1 <= count <= MESH_SIZES[0]:
+        raise ParameterError(
+            f"count must lie between 1 and the {MESH_SIZES[0]} levels of the "
+            f"smallest mesh, not {count}")
+    matrix, to_r = _mesh_matrix(config, l, sigma, grid.rho_max, MESH_SIZES[0])
+    levels, vectors = _eigen(np.linalg.eigh, matrix)
+    r = np.abs(vectors[:, 0] * to_r)  # the levels above it may be box levels
+    if r[-1] > BOX_AMPLITUDE_TOL * np.max(r):
         warnings.warn(
-            f"eigenfunction amplitude {edge / peak:.2e} at rho_max = "
+            f"eigenfunction amplitude {r[-1] / np.max(r):.2e} at rho_max = "
             f"{grid.rho_max}; enlarge the box",
             RuntimeWarning,
             stacklevel=2,
         )
-    return [float(v) for v in vals]
+    levels = levels[:count]
+    for size in MESH_SIZES[1:]:
+        finer = mesh_levels(config, l, sigma, grid, size)[:count]
+        gap = float(np.max(np.abs(levels - finer) / np.maximum(1.0, np.abs(finer))))
+        if gap <= MESH_RTOL:
+            return [float(v) for v in finer]
+        levels = finer
+    raise PrecisionError(
+        f"mesh levels of channel l = {l}, sigma = {sigma} still differ by "
+        f"{gap:.1e} between {MESH_SIZES[-2]} and {MESH_SIZES[-1]} points")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 Each check recomputes something the solver claims through a second path:
 generic recurrence sequences against the model-substituted ones, printed
 roots against an exact inertia count of the quantization matrix, assembled
-wavefunctions against the differential equations and the finite-difference
+wavefunctions against the differential equations and the Lagrange-mesh
 eigensolver, field definitions against numerical derivatives.  The CLI
 `verify` subcommand and the test suite both run through this module.
 """
@@ -399,27 +399,29 @@ def check_normalizability(rng: np.random.Generator, full: bool) -> Tuple[bool, s
 
 
 def check_oracle_agreement(rng: np.random.Generator, full: bool) -> Tuple[bool, str]:
-    """Finite-difference channel spectra reproduce the analytic levels."""
-    grid1 = oracle.GridSpec(1e-3, 8.0, 4000)
-    grid2 = oracle.GridSpec(1e-3, 40.0, 8000)
+    """Lagrange-mesh channel spectra reproduce the analytic levels to 1e-10,
+    and the smallest mesh already agrees with the certified levels."""
+    box1 = oracle.GridSpec(1e-3, 8.0, 4000)  # the mesh reads only rho_max
+    box2 = oracle.GridSpec(1e-3, 40.0, 8000)
     channels = [
-        (ModelConfig(Example(1), "a", 1, 1.0), BlockSpec(n=0, l=0, sigma=+1), grid1),
-        (ModelConfig(Example(1), "a", 1, 0.0), BlockSpec(n=1, l=1, sigma=+1), grid1),
-        (ModelConfig(Example(1), "b", 3, 1.0), BlockSpec(n=0, l=1, sigma=-1), grid1),
-        (ModelConfig(Example(1), "b", 4, 0.7), BlockSpec(n=1, l=1, sigma=-1), grid1),
-        (ModelConfig(Example(2), "first", -1, 15.0), BlockSpec(n=0, l=1, sigma=+1), grid2),
-        (ModelConfig(Example(2), "second", 1, 15.0), BlockSpec(n=0, l=-1, sigma=-1), grid2),
+        (ModelConfig(Example(1), "a", 1, 1.0), BlockSpec(n=0, l=0, sigma=+1), box1),
+        (ModelConfig(Example(1), "a", 1, 0.0), BlockSpec(n=1, l=1, sigma=+1), box1),
+        (ModelConfig(Example(1), "b", 3, 1.0), BlockSpec(n=0, l=1, sigma=-1), box1),
+        (ModelConfig(Example(1), "b", 4, 0.7), BlockSpec(n=1, l=1, sigma=-1), box1),
+        (ModelConfig(Example(2), "first", -1, 15.0), BlockSpec(n=0, l=1, sigma=+1), box2),
+        (ModelConfig(Example(2), "second", 1, 15.0), BlockSpec(n=0, l=-1, sigma=-1), box2),
     ]
+    smallest = oracle.MESH_SIZES[0]
     matched_states = 0
-    worst = 0.0
-    for config, block, grid in channels:
+    worst = spread = 0.0
+    for config, block, box in channels:
         analytic = [
             r.energy for r in models.solve_block(config, block).roots if r.physical
         ]
         numeric = oracle.radial_eigensolve(
-            config, block.l, block.sigma, grid, count=len(analytic)
+            config, block.l, block.sigma, box, count=len(analytic)
         )
-        report = oracle.compare_spectra(analytic, numeric, tol=1e-3)
+        report = oracle.compare_spectra(analytic, numeric, tol=1e-10)
         if not report.passed:
             return False, (
                 f"unmatched levels {report.unmatched} in block {block} "
@@ -427,22 +429,12 @@ def check_oracle_agreement(rng: np.random.Generator, full: bool) -> Tuple[bool, 
             )
         matched_states += len(report.pairs)
         worst = max(worst, report.max_error)
-
-    # second-order convergence on an l = 1 channel, where the eigenfunction
-    # vanishes at the axis and the error is pure h^2 truncation (the axis
-    # cell geometry of l = 0 channels changes discretely with h, so their
-    # ratios wobble around 4 even though the absolute errors are tiny)
-    config, block, _ = channels[1]
-    errors = []
-    for points in (1000, 2000):
-        g = oracle.GridSpec(1e-3, 8.0, points)
-        value = oracle.radial_eigensolve(config, block.l, block.sigma, g, 1)[0]
-        errors.append(abs(value - (-4.0)))
-    ratio = errors[0] / errors[1] if errors[1] > 0 else math.inf
-    ok = matched_states >= 6 and 2.5 <= ratio <= 6.0
+        coarse = oracle.mesh_levels(config, block.l, block.sigma, box, smallest)
+        spread = max(spread, *(_rel(a, b) for a, b in zip(coarse, numeric)))
+    ok = matched_states >= 6 and spread <= oracle.MESH_RTOL
     return ok, (
-        f"{matched_states} states matched, worst error {worst:.2e}; "
-        f"halving h scales the anchor error by {ratio:.2f} (want ~4)"
+        f"{matched_states} states matched, worst error {worst:.2e}; the "
+        f"{smallest}-point mesh agrees with the certified levels to {spread:.2e}"
     )
 
 

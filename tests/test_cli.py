@@ -610,20 +610,16 @@ class TestVerify:
         assert all(line.endswith(" s") for line in first_err.splitlines())
 
     def test_oracle_lapack_failure_exits_3(self, capsys, monkeypatch):
-        import scipy.linalg
+        # eigh solves the oracle's smallest mesh, and nothing else in verify
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        def failing(*args, **kwargs):
-            # what eigh_tridiagonal raises when dstein returns info = 1
-            raise scipy.linalg.LinAlgError(
-                "stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
         code, out, err = run_cli(["verify", "--level", "full"], capsys)
         assert code == 3
         assert out == ""
         assert err.splitlines() == [
-            "error: LAPACK bisection failed: "
-            "stein (eigh_tridiagonal) 1 eigenvectors failed to converge"]
+            "error: mesh eigensolver failed: Eigenvalues did not converge"]
 
     def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
         def fail(matrix):
@@ -726,17 +722,15 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "3 False\n"
 
-    def test_import_loads_no_scipy_linalg_or_integrate(self):
-        # Cold start-up: commands that never solve a block, integrate a norm
-        # or polish a root in extended precision must not pay for these
-        # imports.  The CLI imports the numeric modules per command, so
-        # verification (which imports models, spectral and the oracle) is
-        # imported here explicitly.
+    def test_import_loads_no_scipy_or_mpmath(self):
+        # No module of the package imports scipy, and no command mpmath.
+        # The CLI imports the numeric modules per command, so verification
+        # (which imports models, spectral and the oracle) is imported here
+        # explicitly.
         proc = subprocess.run(
             [sys.executable, "-c",
              "import heun_spectra, heun_spectra.cli, heun_spectra.verification, sys; "
-             "print(' '.join(m for m in ('scipy.linalg', 'scipy.integrate', "
-             "'mpmath') if m in sys.modules))"],
+             "print(' '.join(m for m in ('scipy', 'mpmath') if m in sys.modules))"],
             capture_output=True, text=True, env=CHILD_ENV)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
@@ -752,10 +746,9 @@ class TestSubprocess:
     ], ids=["family0", "family1", "family2"])
     def test_spectrum_loads_no_scipy_or_mpmath(self, family, blocks):
         # the solve path uses numpy's eigensolvers only, in double precision;
-        # scipy serves the oracle, and mpmath only the extended-precision
-        # recurrences of the tests and the benchmark's reference; neither
-        # the oracle nor the verify suite is imported to solve, and the JSON
-        # report is written without json
+        # scipy and mpmath serve only the tests and the benchmark's
+        # reference; neither the oracle nor the verify suite is imported to
+        # solve, and the JSON report is written without json
         script = (
             "import sys\n"
             "from heun_spectra import cli\n"
@@ -772,14 +765,15 @@ class TestSubprocess:
         assert report["precision_bits"] == 53
 
     @pytest.mark.parametrize("level", ["quick", "full"])
-    def test_verify_loads_no_mpmath_or_scipy_integrate(self, level):
-        # the inertia certificate counts in Fractions, and the flux check
-        # integrates with the norm quadrature
+    def test_verify_loads_no_mpmath_or_scipy(self, level):
+        # the inertia certificate counts in Fractions, the flux check
+        # integrates with the norm quadrature, and the oracle solves its
+        # meshes with numpy
         script = (
             "import sys\n"
             "from heun_spectra import cli\n"
             f"code = cli.main(['verify', '--level', {level!r}])\n"
-            "loaded = [m for m in ('mpmath', 'scipy.integrate') if m in sys.modules]\n"
+            "loaded = [m for m in ('mpmath', 'scipy') if m in sys.modules]\n"
             "print(code, loaded, file=sys.stderr)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
