@@ -3,7 +3,7 @@
 The solvable families reduce to polynomial solutions of the biconfluent and
 confluent Heun equations; each angular block's spectrum is the root set of a
 tridiagonal determinant, found as the eigenvalues of a structured matrix and
-independently cross-checked by a finite-difference radial eigensolver.
+independently cross-checked by a Lagrange-mesh radial eigensolver.
 
 The names of ``__all__`` load their module on first access, so importing the
 package, or ``heun_spectra.families`` for the block rules, loads no numpy.
@@ -12,49 +12,6 @@ package, or ``heun_spectra.families`` for the block rules, loads no numpy.
 from importlib import import_module
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlockResult",
-    "BlockSpec",
-    "Example",
-    "GridSpec",
-    "HeunBParams",
-    "HeunCParams",
-    "MatchReport",
-    "ModelConfig",
-    "ParameterError",
-    "PolynomialCoefficients",
-    "PrecisionError",
-    "RadialProfile",
-    "RecurrenceBreakdownError",
-    "SelectionError",
-    "SpectralRoot",
-    "SpectrumRecord",
-    "block_sequences",
-    "compare_spectra",
-    "determinant_numeric",
-    "heunb_degree",
-    "heunb_ode_residual",
-    "heunb_sequences",
-    "heunc_degree",
-    "heunc_ode_residual",
-    "heunc_sequences",
-    "magnetic_field",
-    "make_block",
-    "permissible_blocks",
-    "polynomial_from_recurrence",
-    "radial_eigensolve",
-    "radial_norm",
-    "radial_profile",
-    "scalar_potential",
-    "schrodinger_residual",
-    "solve_block",
-    "solve_record",
-    "t_of_rho",
-    "total_flux",
-    "vector_potential",
-    "wavefunction",
-]
 
 # The module that defines each name of __all__.
 _SOURCES = {
@@ -72,6 +29,7 @@ _SOURCES = {
     "spectral": ("determinant_numeric",),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

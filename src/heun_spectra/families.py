@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .errors import ParameterError, SelectionError, require_integer
 
@@ -134,9 +134,9 @@ _RULES = {
 
 def _family_block(
     config: ModelConfig, n: int, l: Optional[int] = None
-) -> Optional[BlockSpec]:
-    """The family's block of degree n (of angular number l for ``first``),
-    or None when the rule in ``_RULES`` admits none."""
+) -> Optional[Tuple[int, int, int]]:
+    """(n, l, sigma) of the family's block of degree n (of angular number l
+    for ``first``), or None when the rule in ``_RULES`` admits none."""
     k = config.k
     if config.variant == "a":
         ok, l, sigma = n >= k - 1, n + 1 - k, +1
@@ -146,7 +146,7 @@ def _family_block(
         ok, sigma = n == -k - 1 and l is not None and l >= -k, +1
     else:
         ok, l, sigma = n <= k - 1, -n - 1, -1
-    return BlockSpec(n, l, sigma) if ok else None
+    return (n, l, sigma) if ok else None
 
 
 def permissible_blocks(config: ModelConfig, n_max: int = 10) -> List[BlockSpec]:
@@ -164,11 +164,12 @@ def permissible_blocks(config: ModelConfig, n_max: int = 10) -> List[BlockSpec]:
         raise ParameterError(f"n_max must be at most {MAX_DEGREE}")
     k = config.k
     if config.variant == "first":
-        return [_family_block(config, -k - 1, l) for l in range(-k, -k + n_max + 1)]
+        return [BlockSpec(*_family_block(config, -k - 1, l))
+                for l in range(-k, -k + n_max + 1)]
     # no block of b or second passes degree k - 1, so the scan stops there
     top = n_max if config.variant == "a" else min(n_max, k - 1)
     ns = range(top, -1, -1) if config.variant == "second" else range(top + 1)
-    return [block for block in (_family_block(config, n) for n in ns) if block]
+    return [BlockSpec(*block) for block in (_family_block(config, n) for n in ns) if block]
 
 
 def make_block(config: ModelConfig, n: int, l: Optional[int] = None) -> BlockSpec:
@@ -185,7 +186,8 @@ def make_block(config: ModelConfig, n: int, l: Optional[int] = None) -> BlockSpe
         raise ParameterError("block degree n must be non-negative")
     if config.variant == "first" and l is None:
         raise SelectionError("the first family needs l (n is fixed at -k-1)")
-    block = _family_block(config, n, l)
+    found = _family_block(config, n, l)
+    block = BlockSpec(*found) if found else None
     if block is None or (l is not None and block.l != l):
         selected = f"n = {n}" if l is None else f"n = {n}, l = {l}"
         raise SelectionError(

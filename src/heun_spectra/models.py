@@ -185,8 +185,9 @@ def block_recurrences(
     and otherwise the first whose entries epsilon overflows.
     """
     blocks = list(blocks)
-    for block in blocks:
-        if families._family_block(config, block.n, block.l) != block:
+    table = [(block.n, block.l, block.sigma) for block in blocks]
+    for block, row in zip(blocks, table):
+        if families._family_block(config, block.n, block.l) != row:
             raise ParameterError(
                 f"block {block} is not permissible: case {config.variant} "
                 f"requires {families._RULES[config.variant]}"
@@ -196,32 +197,23 @@ def block_recurrences(
     sizes = np.array([block.n + 1 for block in blocks], dtype=np.intp)
     owner = np.repeat(np.arange(len(blocks)), sizes)
     ends = np.cumsum(sizes)
-
-    def per_row(values, dtype=np.int64):
-        # each block's exact Python integer, one int64 per row, as numpy
-        # converts it when it meets the row indices
-        return np.array(values, dtype=dtype)[owner]
-
-    e, n = config.epsilon, per_row([block.n for block in blocks])
+    # each block's exact Python integers, one int64 row per recurrence row
+    n, l, sigma = np.array(table, dtype=np.int64)[owner].T
+    e = config.epsilon
     j = np.arange(len(owner)) - np.repeat(ends - sizes, sizes)
     if config.example is Example.REPULSIVE_POLYNOMIAL:
-        shift = per_row([(1 - block.sigma) * block.l for block in blocks])
-        l = per_row([block.l for block in blocks])
         # a huge epsilon overflows silently, as Python floats do, and is
         # rejected below
         with np.errstate(over="ignore"):
-            beta = -e * (2 * j + 1 + shift)
+            beta = -e * (2 * j + 1 + (1 - sigma) * l)
         b = 2 * (j * (j + l + 2) + l + 1)
         a = np.stack([beta, np.ones(len(j))], axis=1)
         c = 4.0 * (n - j)[:, None]
     else:
-        m, base, s = zip(*[
-            (block.l, block.l * block.l - block.n * block.n - block.n, -1)
-            if block.sigma > 0 else (config.k, block.n, 3)
-            for block in blocks
-        ])
-        m, base = per_row(m), per_row(base)
-        beta = (base - j * (j - 2 * n - 1)) + per_row([0.25 * (x - e) for x in s], float)
+        first = sigma > 0
+        m = np.where(first, l, config.k)
+        base = np.where(first, l * l - n * n - n, n)
+        beta = (base - j * (j - 2 * n - 1)) + 0.25 * (np.where(first, -1, 3) - e)
         alpha = 2 * (2 * j - n - m)
         b = (j + 1) * (j - n - m)
         a = np.stack([beta, alpha, np.ones(len(j))], axis=1)

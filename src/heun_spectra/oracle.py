@@ -242,7 +242,6 @@ class MatchReport:
 
     pairs: Tuple[Tuple[float, float, float], ...]  # (analytic, numeric, error)
     unmatched: Tuple[float, ...]
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -274,4 +273,4 @@ def compare_spectra(
             pairs.append((a, levels[i], err))
         else:
             unmatched.append(a)
-    return MatchReport(pairs=tuple(pairs), unmatched=tuple(unmatched), tol=tol)
+    return MatchReport(pairs=tuple(pairs), unmatched=tuple(unmatched))

@@ -145,61 +145,34 @@ def check_closed_form_anchors(
     )
 
 
-def check_root_reality_and_count(
-    rng: np.random.Generator, full: bool
-) -> Tuple[bool, str]:
-    """Model 1 blocks: n+1 real roots, residuals under 1e-10; model 2 bound-state counts."""
-    n_cap = 10 if full else 6
-    ok = True
-    solved = 0
-    worst_resid = 0.0
-    for k in range(1, 5):
-        for variant in ("a", "b"):
-            eps = float(rng.uniform(-3.0, 3.0))
-            config = ModelConfig(Example(1), variant, k, eps)
-            for block in models.permissible_blocks(config, n_max=n_cap):
-                result = models.solve_block(config, block)
-                roots = result.roots
-                ok &= len(roots) == block.n + 1
-                ok &= all(r.physical for r in roots)
-                worst_resid = max(worst_resid, max(r.residual for r in roots))
-                solved += 1
-    ok &= worst_resid < 1e-10
-    count_ok = True
-    for k in list(range(-3, 0)) + list(range(1, 4)):
-        variant = "first" if k < 0 else "second"
-        eps = float(rng.uniform(-3.0, 8.0))
-        config = ModelConfig(Example(2), variant, k, eps)
-        for block in models.permissible_blocks(config, n_max=2):
-            # one bound state per negative constant diagonal term beta_j
-            physical = sum(r.physical for r in models.solve_block(config, block).roots)
-            beta = models.block_recurrence(config, block).a[:, 0]
-            count_ok &= physical == int((beta < 0).sum())
-            solved += 1
-    ok &= count_ok
-    return ok, (
-        f"{solved} blocks; model 1 all real with worst residual {worst_resid:.2e}; "
-        f"model 2 counts {'ok' if count_ok else 'WRONG'}"
-    )
-
-
 def check_inertia_certificate(
     rng: np.random.Generator, full: bool
 ) -> Tuple[bool, str]:
     """Every printed physical root is isolated and every block's set complete,
     by exact inertia (``spectral.inertia`` on the recurrence in Fractions).
 
-    The count of negative pivots at x (1 -+ 2^-40) steps by exactly 1 across
-    each printed root x, down for model 1 (A(s) = s I + V) and up for model
-    2, and no two brackets of a block overlap.  Model 1 prints n + 1 roots;
-    model 2's count above its largest printed root equals the number printed
-    and #{beta_j < 0}, its count at 0-.  By Sylvester's law of inertia, a
-    step counts the roots in the bracket.
+    The blocks are every block of model 1 with k = 1..4 up to n = 10 (full)
+    or 6, every block of model 2 with |k| <= 3 up to n_max = 2, and a degree
+    ladder of every family up to n = 20 or 8.  The count of negative pivots
+    at x (1 -+ 2^-40) steps by exactly 1 across each printed root x, down
+    for model 1 (A(s) = s I + V) and up for model 2, and no two brackets of
+    a block overlap.  Model 1 prints n + 1 roots; model 2's count above its
+    largest printed root equals the number printed and #{beta_j < 0}, its
+    count at 0-.  By Sylvester's law of inertia, a step counts the roots in
+    the bracket.  The solver itself makes each root real and holds it to
+    ``spectral.RESIDUAL_TARGET``.
     """
     n_cap = 20 if full else 8
-    to_fraction = np.frompyfunc(Fraction, 1, 1)
-    delta = Fraction(1, 2**40)
-    recs, brackets, expected = [], [], []
+    small = []
+    for k in range(1, 5):
+        for variant in ("a", "b"):
+            config = ModelConfig(Example(1), variant, k, float(rng.uniform(-3, 3)))
+            small += [(config, b) for b in models.permissible_blocks(config, 10 if full else 6)]
+    for k in (-3, -2, -1, 1, 2, 3):
+        variant = "first" if k < 0 else "second"
+        config = ModelConfig(Example(2), variant, k, float(rng.uniform(-3, 8)))
+        small += [(config, b) for b in models.permissible_blocks(config, n_max=2)]
+    ladder = []
     for n in sorted({1, 3, n_cap // 2, n_cap}):
         for config, l in (
             (ModelConfig(Example(1), "a", 1, float(rng.uniform(-3, 3))), None),
@@ -207,16 +180,20 @@ def check_inertia_certificate(
             (ModelConfig(Example(2), "first", -(n + 1), float(rng.uniform(-3, 8))), n + 1),
             (ModelConfig(Example(2), "second", n + 1, float(rng.uniform(-3, 8))), None),
         ):
-            block = models.make_block(config, n, l)
-            rec = models.block_recurrence(config, block)
-            recs.append(Recurrence(*map(to_fraction, rec)))
-            roots = sorted(r.value for r in models.solve_block(config, block).roots
-                           if r.physical)
-            brackets.append([(x - abs(x) * delta, x + abs(x) * delta)
-                             for x in map(Fraction, roots)])
-            model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
-            negative_beta = int((rec.a[:, 0] < 0).sum())
-            expected.append((model_1, block.n + 1 if model_1 else negative_beta))
+            ladder.append((config, models.make_block(config, n, l)))
+    to_fraction = np.frompyfunc(Fraction, 1, 1)
+    delta = Fraction(1, 2**40)
+    recs, brackets, expected = [], [], []
+    for config, block in ladder + small:
+        rec = models.block_recurrence(config, block)
+        recs.append(Recurrence(*map(to_fraction, rec)))
+        roots = sorted(r.value for r in models.solve_block(config, block).roots
+                       if r.physical)
+        brackets.append([(x - abs(x) * delta, x + abs(x) * delta)
+                         for x in map(Fraction, roots)])
+        model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
+        negative_beta = int((rec.a[:, 0] < 0).sum())
+        expected.append((model_1, block.n + 1 if model_1 else negative_beta))
     points = np.array([x for ends in brackets for pair in ends for x in pair], dtype=object)
     owner = np.repeat(np.arange(len(recs)), [2 * len(ends) for ends in brackets])
     counts = iter(spectral.inertia(recs, points, owner).tolist())
@@ -449,7 +426,6 @@ class CheckResult:
 _REGISTRY: List[Tuple[str, Callable, bool]] = [
     ("sequence-identities", check_sequence_identities, True),
     ("closed-form-anchors", check_closed_form_anchors, True),
-    ("root-reality-and-count", check_root_reality_and_count, True),
     ("inertia-certificate", check_inertia_certificate, True),
     ("ode-residuals", check_ode_residuals, True),
     ("field-identities", check_field_identities, True),

@@ -635,11 +635,12 @@ class TestVerify:
         assert "Traceback" not in err
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMPARE_STDOUT = os.path.join(ROOT, "tools", "compare_stdout.py")
+
+
 def load_compare_stdout():
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "tools", "compare_stdout.py")
-    spec = importlib.util.spec_from_file_location("compare_stdout", path)
+    spec = importlib.util.spec_from_file_location("compare_stdout", COMPARE_STDOUT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -656,6 +657,20 @@ class TestCommandList:
         assert cli.build_parser() is parser
         for argv in commands:
             assert parser.parse_args(argv).command == argv[0]
+
+    def test_check_mode_runs_each_command_twice(self, tmp_path):
+        # exit 0, exit 2 (a rejected configuration) and a verify run, whose
+        # per-check wall times differ between the passes and are masked
+        commands = tmp_path / "commands.txt"
+        commands.write_text("blocks --example 1 --case a --k 1 --n-max 2\n"
+                            "spectrum --example 1 --case b --k 0  # exit 2\n"
+                            "verify --level quick\n")
+        proc = subprocess.run(
+            [sys.executable, COMPARE_STDOUT, "--check", ROOT, "--commands", str(commands)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == ("3 commands, 0 without a documented exit code, "
+                               "0 whose second pass differs\n")
 
     def test_difference_report_counts_every_differing_line(self):
         first_difference = load_compare_stdout().first_difference
@@ -779,9 +794,9 @@ class TestSubprocess:
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=CHILD_ENV)
         assert proc.stderr.splitlines()[-1] == "0 []"
-        roots = 40 if level == "quick" else 76
+        roots, blocks = (157, 59) if level == "quick" else (345, 75)
         assert (f"PASS inertia-certificate: {roots} of {roots} roots isolated by exact "
-                "inertia, 16 of 16 block sets complete") in proc.stdout
+                f"inertia, {blocks} of {blocks} block sets complete") in proc.stdout
 
     @pytest.mark.parametrize("argv, code", [
         (["spectrum", "--example", "1", "--case", "b", "--k", "3",

@@ -130,6 +130,12 @@ class TestSequences:
         assert len(seqs.b) == 5
         assert len(seqs.c) == 5
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be non-negative$"):
+            heunb_sequences(HeunBParams(0.0, 0.0, 2.0, 0.0), -1)
+        with pytest.raises(ValueError, match="^degree must be non-negative$"):
+            heunc_sequences(HeunCParams(4.0, 0.0, 0.0, -8.0, 0.0), -1)
+
     def test_non_finite_parameters_rejected(self):
         with pytest.raises(ValueError):
             HeunBParams(math.nan, 0.0, 1.0, 0.0)

@@ -24,15 +24,8 @@ def imported_names(tree):
 
 
 def used_names(tree):
-    """Every name the module reads, and the strings of its ``__all__``."""
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
-    return used
+    """Every name the module reads."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

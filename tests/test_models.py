@@ -1,5 +1,6 @@
 """Block rules, sequences, spectra, fields, wavefunctions, and residuals."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -90,6 +91,11 @@ class TestConfigValidation:
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
             ModelConfig(Example(1), "first", 1, 1.0)
+
+    def test_unknown_example(self):
+        for example in (0, 3):
+            with pytest.raises(ParameterError, match="^example must be 1 or 2$"):
+                ModelConfig(example, "a", 1, 1.0)
 
     def test_messages_name_the_constraint(self):
         with pytest.raises(ParameterError, match="k"):
@@ -216,6 +222,11 @@ class TestBlockEnumeration:
         block = BlockSpec(np.int64(1), np.int64(2), np.int64(-1))
         assert block == BlockSpec(1, 2, -1)
         assert [type(x) for x in (block.n, block.l, block.sigma)] == [int] * 3
+
+    def test_integer_sigma_other_than_plus_or_minus_one_is_a_parameter_error(self):
+        for sigma in (0, 2, -2):
+            with pytest.raises(ParameterError, match=r"^sigma must be \+1 or -1$"):
+                BlockSpec(1, 1, sigma)
 
     def test_angular_momentum_sign(self):
         assert BlockSpec(n=1, l=1, sigma=-1).angular_momentum == -1
@@ -939,6 +950,20 @@ class TestFieldsAndPotentials:
         cfg1 = ModelConfig(Example(1), "a", 1, 1.0)
         assert math.isinf(total_flux(cfg1))
 
+    def test_negative_radius_rejected(self):
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        for field in (vector_potential, scalar_potential, magnetic_field):
+            with pytest.raises(ValueError, match="^rho must be non-negative$"):
+                field(cfg, [1.0, -0.5])
+        with pytest.raises(ValueError, match="^rho must be non-negative$"):
+            t_of_rho(-1e-300)
+
+    def test_effective_potential_needs_a_positive_radius(self):
+        cfg = ModelConfig(Example(2), "second", 2, 1.0)
+        for rho in (0.0, [1.0, -1.0]):
+            with pytest.raises(ValueError, match="^the effective potential needs rho > 0$"):
+                models.effective_potential(cfg, -1, -1, rho)
+
     def test_t_of_rho(self):
         assert t_of_rho(0.0) == 1.0
         assert t_of_rho(math.sqrt(3.0)) == pytest.approx(1.5, abs=1e-15)
@@ -1141,6 +1166,17 @@ class TestWavefunctions:
         with pytest.raises(PrecisionError, match="did not converge"):
             radial_norm(cfg, block, root)
 
+    def test_overflowing_state_has_a_non_finite_norm(self):
+        # R^2 overflows at every node, so the quadrature returns its first
+        # non-finite estimate instead of refining it to the panel cap
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        block = make_block(cfg, 1)
+        root = solve_block(cfg, block).roots[0]
+        huge = dataclasses.replace(root, eigenvector=models.PolynomialCoefficients(
+            coeffs=(1.0, 1e300), terminal_residual=0.0))
+        with pytest.raises(PrecisionError, match="^state norm inf of root "):
+            radial_norm(cfg, block, huge)
+
     def test_noise_floor_norm_is_accepted_at_the_panel_cap(self, monkeypatch):
         # noise of 1e-7 keeps successive estimates from agreeing to
         # NORM_RTOL, but not to NORM_FLOOR_RTOL: the head reaches
@@ -1214,8 +1250,31 @@ class TestSchrodingerResidual:
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         block = make_block(cfg, 0)
         root = solve_block(cfg, block).roots[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^grid must satisfy rho_min >= 5 h$"):
             schrodinger_residual(cfg, block, root, np.arange(0.001, 1.0, 1e-3))
+
+    @pytest.mark.parametrize("grid, message", [
+        (np.linspace(0.1, 1.0, 4), "grid must be a 1-d array with at least 5 points"),
+        (np.linspace(0.1, 1.0, 12).reshape(2, 6),
+         "grid must be a 1-d array with at least 5 points"),
+        (np.linspace(1.0, 0.1, 10), "grid must be uniformly spaced and increasing"),
+        (np.array([0.1, 0.2, 0.3, 0.5, 0.6]),
+         "grid must be uniformly spaced and increasing"),
+    ], ids=["four-points", "two-d", "decreasing", "uneven"])
+    def test_grid_shape_and_spacing(self, grid, message):
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        block = make_block(cfg, 0)
+        root = solve_block(cfg, block).roots[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            schrodinger_residual(cfg, block, root, grid)
+
+    def test_root_without_a_real_energy_is_a_selection_error(self):
+        cfg = ModelConfig(Example(2), "second", 1, 1.0)
+        block = make_block(cfg, 0)
+        root = models.SpectralRoot(value=-1 + 1j, energy=None, physical=False,
+                                   residual=0.0)
+        with pytest.raises(SelectionError, match="^residual check needs a real-energy root$"):
+            schrodinger_residual(cfg, block, root, np.linspace(0.5, 1.0, 11))
 
 
 class TestResidualsAcrossFamilies:

@@ -33,10 +33,15 @@ def mutate_first_block(monkeypatch, example, change):
 
 
 class TestInertiaCertificate:
+    # each mutant changes the first block of its model that the check
+    # solves: the degree ladder's n = 1 block
+    LADDER_FIRST = {Example.REPULSIVE_POLYNOMIAL: models.BlockSpec(n=1, l=1, sigma=+1),
+                    Example.NONRATIONAL: models.BlockSpec(n=1, l=2, sigma=+1)}
+
     def test_the_default_seed_passes(self):
         assert run(verification.check_inertia_certificate) == (True, (
-            "40 of 40 roots isolated by exact inertia, "
-            "16 of 16 block sets complete (n <= 8)"))
+            "157 of 157 roots isolated by exact inertia, "
+            "59 of 59 block sets complete (n <= 8)"))
 
     def test_a_spurious_model2_root_fails(self, monkeypatch):
         def spurious(roots):
@@ -46,9 +51,9 @@ class TestInertiaCertificate:
 
         changed = mutate_first_block(monkeypatch, Example.NONRATIONAL, spurious)
         ok, detail = run(verification.check_inertia_certificate)
-        assert changed and not ok
-        assert detail == ("40 of 41 roots isolated by exact inertia, "
-                          "15 of 16 block sets complete (n <= 8)")
+        assert changed == [self.LADDER_FIRST[Example.NONRATIONAL]] and not ok
+        assert detail == ("157 of 158 roots isolated by exact inertia, "
+                          "58 of 59 block sets complete (n <= 8)")
 
     def test_a_dropped_root_fails(self, monkeypatch):
         def dropped(roots):
@@ -57,9 +62,9 @@ class TestInertiaCertificate:
 
         changed = mutate_first_block(monkeypatch, Example.REPULSIVE_POLYNOMIAL, dropped)
         ok, detail = run(verification.check_inertia_certificate)
-        assert changed and not ok
-        assert detail == ("39 of 39 roots isolated by exact inertia, "
-                          "15 of 16 block sets complete (n <= 8)")
+        assert changed == [self.LADDER_FIRST[Example.REPULSIVE_POLYNOMIAL]] and not ok
+        assert detail == ("156 of 156 roots isolated by exact inertia, "
+                          "58 of 59 block sets complete (n <= 8)")
 
     def test_a_model1_root_moved_by_one_part_in_a_million_fails(self, monkeypatch):
         def moved(roots):
@@ -68,9 +73,9 @@ class TestInertiaCertificate:
 
         changed = mutate_first_block(monkeypatch, Example.REPULSIVE_POLYNOMIAL, moved)
         ok, detail = run(verification.check_inertia_certificate)
-        assert changed and not ok
-        assert detail == ("39 of 40 roots isolated by exact inertia, "
-                          "16 of 16 block sets complete (n <= 8)")
+        assert changed == [self.LADDER_FIRST[Example.REPULSIVE_POLYNOMIAL]] and not ok
+        assert detail == ("156 of 157 roots isolated by exact inertia, "
+                          "59 of 59 block sets complete (n <= 8)")
 
     def test_a_root_printed_twice_in_place_of_another_fails(self, monkeypatch):
         # both brackets step across the same root, so only their overlap
@@ -80,20 +85,19 @@ class TestInertiaCertificate:
 
         changed = mutate_first_block(monkeypatch, Example.REPULSIVE_POLYNOMIAL, doubled)
         ok, detail = run(verification.check_inertia_certificate)
-        assert changed and not ok
-        assert detail == ("39 of 40 roots isolated by exact inertia, "
-                          "16 of 16 block sets complete (n <= 8)")
+        assert changed == [self.LADDER_FIRST[Example.REPULSIVE_POLYNOMIAL]] and not ok
+        assert detail == ("156 of 157 roots isolated by exact inertia, "
+                          "59 of 59 block sets complete (n <= 8)")
 
-
-class TestRootRealityAndCount:
-    def test_model2_count_fails_when_a_bound_state_is_lost(self, monkeypatch):
-        # the default seed's model 2 blocks hold physical roots at
+    def test_a_lost_model2_bound_state_fails(self, monkeypatch):
+        # the default seed's small model 2 blocks hold physical roots at
         # chi = -0.073 and -0.315; a floor of 0.1 turns the first unphysical
         monkeypatch.setattr(models, "PHYSICAL_NEG_TOL", 0.1)
         with pytest.warns(RuntimeWarning, match="borderline"):
-            ok, detail = run(verification.check_root_reality_and_count)
+            ok, detail = run(verification.check_inertia_certificate)
         assert not ok
-        assert detail.endswith("model 2 counts WRONG")
+        assert detail == ("156 of 156 roots isolated by exact inertia, "
+                          "58 of 59 block sets complete (n <= 8)")
 
 
 class TestOdeResiduals:

@@ -1,6 +1,7 @@
 """Run a list of heun-spectra commands against two checkouts and diff them.
 
     python tools/compare_stdout.py BEFORE AFTER [--commands FILE]
+    python tools/compare_stdout.py --check CHECKOUT [--commands FILE]
 
 BEFORE and AFTER are checkout roots (directories holding ``src/``).  Each
 line of the command file is one argument list for ``heun-spectra`` (blank
@@ -19,6 +20,15 @@ stderr the checkout's own ``src`` path is replaced by ``<src>``, so warning
 locations compare by file and line, and the per-check wall times that
 ``verify`` prints (``name: 0.33 s``) read ``name: <t> s``, so that timing
 noise is not reported as a difference.
+
+``--check`` runs every command of one checkout twice in this interpreter,
+with mpmath and all of scipy blocked, as no command needs them.  It reports
+each command that ends with an exit code outside 0/2/3/4/5, prints a
+traceback or a leaked numpy warning ("... encountered in ...") on stderr,
+or whose second pass differs from its first in stdout, stderr (verify's
+wall times masked) or exit code, and exits 1 when there is one: output is
+byte-identical for the same flags, cached parsers and per-command warning
+filters included.
 """
 
 from __future__ import annotations
@@ -42,6 +52,10 @@ DEFAULT_COMMANDS = os.path.join(HERE, "stdout_commands.txt")
 Outcome = Tuple[str, str, int]  # stdout, stderr, exit code
 
 VERIFY_TIME = re.compile(r"^([\w-]+): \d+\.\d+ s$", re.MULTILINE)
+
+
+def mask_times(err: str) -> str:
+    return VERIFY_TIME.sub(r"\1: <t> s", err)
 
 
 def read_commands(path: str) -> List[List[str]]:
@@ -76,8 +90,28 @@ def run_checkout(root: str, commands_path: str) -> List[Outcome]:
         [sys.executable, os.path.abspath(__file__), "--child", commands_path],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         check=True)
-    return [(out, VERIFY_TIME.sub(r"\1: <t> s", err.replace(src, "<src>")), code)
+    return [(out, mask_times(err.replace(src, "<src>")), code)
             for out, err, code in json.loads(proc.stdout)]
+
+
+def check(root: str, commands_path: str) -> int:
+    """``--check``: every command of the checkout twice, in this process."""
+    sys.modules["mpmath"] = sys.modules["scipy"] = None
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
+    commands = read_commands(commands_path)
+    passes = [[(out, mask_times(err), code) for out, err, code in run_in_process(commands)]
+              for _ in range(2)]
+    bad = [(code, " ".join(argv)) for argv, (_, err, code) in zip(commands, passes[0])
+           if code not in (0, 2, 3, 4, 5) or "Traceback" in err or "encountered in" in err]
+    drift = [" ".join(argv) for argv, first, second in zip(commands, *passes)
+             if first != second]
+    for code, command in bad:
+        print(f"exit {code}: {command}")
+    for command in drift:
+        print(f"second pass differs: {command}")
+    print(f"{len(commands)} commands, {len(bad)} without a documented exit code, "
+          f"{len(drift)} whose second pass differs")
+    return 1 if bad or drift else 0
 
 
 def first_difference(a: str, b: str) -> str:
@@ -95,11 +129,15 @@ def main() -> int:
     parser.add_argument("before", nargs="?")
     parser.add_argument("after", nargs="?")
     parser.add_argument("--commands", default=DEFAULT_COMMANDS)
+    parser.add_argument("--check", metavar="CHECKOUT",
+                        help="run every command of one checkout twice instead")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
         json.dump(run_in_process(read_commands(args.child)), sys.stdout)
         return 0
+    if args.check:
+        return check(args.check, args.commands)
     if not (args.before and args.after):
         parser.error("BEFORE and AFTER checkouts are required")
     commands = read_commands(args.commands)
