@@ -16,8 +16,10 @@ class PrecisionError(RuntimeError):
 
     Raised when an eigensolver fails, when neither the forward nor the
     twisted null vector of a physical root meets the residual tolerance,
-    when a state norm is not finite and positive, or when a norm quadrature
-    does not converge.
+    when a state norm is not finite and positive, when a norm quadrature
+    does not converge, and by the oracle when its mesh eigensolver fails
+    ("mesh eigensolver failed") or no two mesh sizes agree ("mesh levels
+    ... still differ").
     """
 
 

@@ -151,10 +151,6 @@ class Recurrence(NamedTuple):
     c: np.ndarray
 
     @property
-    def degree(self) -> int:
-        return len(self.a) - 1
-
-    @property
     def size(self) -> int:
         return len(self.a)
 

@@ -120,7 +120,8 @@ class SpectrumRecord:
     (whether the root counts as real, so that value.real is its value),
     energy (NaN where not real), the physical and borderline flags, and
     residual; coeffs[i, :n+1] is the null vector p_0..p_n of a physical
-    root of a degree-n block (the rest of the row is padding).
+    root of a degree-n block.  The rest of the row is padding, which is not
+    zero in general: it holds the kernel's run past row n.
     """
 
     blocks: Tuple[BlockSpec, ...]

@@ -27,12 +27,13 @@ RESIDUAL_TARGET, forward or, where that misses, twisted.
 The Newton polish, the corrections, the null vectors and the inertia count
 (``inertia``) run over the points of several blocks at once: point i
 belongs to recurrence owner[i], and to the only one when owner is None.
-The points stay in that order and every point runs every row, padded past
-its own recurrence's last row; a point's result is that of its own last
-row, so every point sees the floating-point operations it would see alone.
-Each point's entries are its recurrence's coefficient rows, gathered by
-point and evaluated by ``heun_core.horner``; the corrections also need the
-derivatives (``_horner_with_derivative``).
+The points stay in that order and every point runs every row; a point's
+result is that of its own last row, so every point sees the floating-point
+operations it would see alone.  Each point's entries are its recurrence's
+coefficient rows, gathered by point once (``_lanes``) and evaluated by
+``heun_core.horner``; the corrections also need the derivatives
+(``_horner_with_derivative``).  Past its own last row a point reads a = 1,
+b = 1 and c = 0, a pivot that never counts and a b_j that never stalls.
 
 ``determinant_numeric`` evaluates the continuant at one point through the
 recurrence's ``at``, so its arrays may be of any scalar type, the ``SPoly``
@@ -41,7 +42,7 @@ view of ``models.block_sequences`` included.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,7 +130,7 @@ def newton_corrections(
     with recurrences converted exactly to mpmath numbers.
     """
     s = np.asarray(s)
-    return _corrections(_continuant_lanes(recs, _owners(s, owner)), s)
+    return _corrections(_continuant_lanes(_lanes(recs, s, owner)), s)
 
 
 def ragged_polish(
@@ -145,7 +146,7 @@ def ragged_polish(
     Returns (roots, corrections) with corrections[i] = D/D' at the returned
     roots[i].
     """
-    lanes = _continuant_lanes(recs, _owners(roots, owner))
+    lanes = _continuant_lanes(_lanes(recs, roots, owner))
     step = _corrections(lanes, roots)
     for _ in range(NEWTON_STEPS):
         moved = roots - step
@@ -173,25 +174,16 @@ def ragged_null_vectors(
     terminal residual (see PolynomialCoefficients).  Raises
     RecurrenceBreakdownError when some b_j vanishes.
     """
-    owner = _owners(s, owner)
-    last = _degrees(recs, owner)
-    rows = max(rec.degree for rec in recs) + 1
-    a = horner(_gather([r.a for r in recs], owner, rows, 0), s)
-    b = horner(_gather([r.b for r in recs], owner, rows - 1, 1), s)
-    # one padded row past the longest c, c_{-1} = 0:
-    # row 0 reads it next to p_0, and a point of a degree-0 block as its
-    # terminal row's c, which leaves |terminal| and the scale as they are
-    # without c
-    c = horner(_gather([r.c for r in recs], owner, rows, 0), s)
+    *coeffs, last = _lanes(recs, s, owner)
+    a, b, c = (horner(m, s) for m in coeffs)
     stalled = (b == 0).any(axis=1)
     if stalled.any():
         j = int(np.argmax(stalled))
         raise RecurrenceBreakdownError(f"b_{j} = 0 stalls the recurrence")
-    n = rows - 1
     # like Python floats, overflow to inf and inf - inf = nan pass silently
     with np.errstate(over="ignore", invalid="ignore"):
         p = [0 * s + 1]  # p_0 = 1 in the scalar type of s
-        for j in range(n):
+        for j in range(len(a) - 1):
             p.append(-(c[j - 1] * p[j - 1] + a[j] * p[j]) / b[j])
         coeffs = np.stack(p, axis=1)
         lane = np.arange(len(s))
@@ -199,7 +191,7 @@ def ragged_null_vectors(
         c_n, p_m = c[last - 1, lane], coeffs[lane, last - 1]
         terminal = c_n * p_m + a_n * p_n
         entry_scale = np.maximum(np.maximum(np.abs(a_n), np.abs(c_n)), 1.0)
-        inside = np.arange(n + 1) <= last[:, None]
+        inside = np.arange(len(a)) <= last[:, None]
         coeff_scale = np.where(inside, np.abs(coeffs), 0).max(axis=1)
         residuals = (np.abs(terminal) / (coeff_scale * entry_scale)).astype(float)
     return coeffs, residuals
@@ -221,7 +213,7 @@ def null_vectors(
     its p_0..p_n are finite (a forward run that meets it is: an overflow
     reaches p_n and makes the residual nan).
     """
-    owner = _owners(points, owner)
+    owner = np.zeros(len(points), dtype=np.intp) if owner is None else owner
     coeffs, forward = ragged_null_vectors(recs, points, owner)
     residuals = forward.copy()
     # a nan residual (an overflowed run) misses too
@@ -231,9 +223,9 @@ def null_vectors(
         rows, _ = ragged_null_vectors(backward, points[missed], owner[missed])
         for i, row in zip(missed.tolist(), rows):
             rec = recs[owner[i]]
-            f, g = coeffs[i, : rec.size], row[rec.degree::-1]
+            f, g = coeffs[i, : rec.size], row[rec.size - 1::-1]
             coeffs[i, : rec.size], residuals[i] = _twisted(rec, points[i], f, g)
-    padding = np.arange(coeffs.shape[1]) > _degrees(recs, owner)[:, None]
+    padding = np.arange(coeffs.shape[1]) >= np.array([r.size for r in recs])[owner, None]
     certified = (residuals <= RESIDUAL_TARGET) & (np.isfinite(coeffs) | padding).all(axis=1)
     return coeffs, forward, residuals, certified
 
@@ -281,21 +273,16 @@ def inertia(
     floats, or Fractions (an object array, with recurrences converted
     exactly to Fractions) for an exact count.  A zero pivot counts as
     negative and is replaced by -pivmin, the smallest normal double in the
-    points' scalar type, as in LAPACK's dstebz.  Past its own last row a
-    point reads a = 1 and e = 0, a pivot of 1 that never counts.
+    points' scalar type, as in LAPACK's dstebz.
     """
-    owner = _owners(points, owner)
-    rows = max(rec.degree for rec in recs) + 1
-    a = horner(_gather([r.a for r in recs], owner, rows, 1), points)
-    b = horner(_gather([r.b for r in recs], owner, rows - 1, 0), points)
-    c = horner(_gather([r.c for r in recs], owner, rows - 1, 0), points)
-    e = b * c
+    a, b, c = (horner(m, points) for m in _lanes(recs, points, owner)[:3])
+    e = b * c[:-1]
     pivmin = (0 * points + 1) / 2**1022
     counts = np.zeros(len(points), dtype=np.intp)
     d = a[0]
     # a pivot after -pivmin may overflow to inf, and the next one is a_j
     with np.errstate(over="ignore"):
-        for j in range(rows):
+        for j in range(len(a)):
             if j:
                 d = a[j] - e[j - 1] / d
             d = np.where(d == 0, -pivmin, d)
@@ -303,39 +290,38 @@ def inertia(
     return counts
 
 
-def _owners(s: np.ndarray, owner: Optional[np.ndarray]) -> np.ndarray:
-    return np.zeros(len(s), dtype=np.intp) if owner is None else owner
+def _lanes(recs: Sequence[Recurrence], s: np.ndarray, owner: Optional[np.ndarray]):
+    """The recurrences laid out by point: (a, b, c, last), with m[k, j, i]
+    coefficient k of row j of recs[owner[i]]'s m and last[i] its last row.
+
+    Past a point's last row a reads 1 and b reads 1.  c has one row more
+    than b, c_{-1} = 0 for every point: row 0 reads it next to p_0, and a
+    point of a degree-0 block as its terminal row's c, which leaves
+    |terminal| and the scale as they are without c.
+    """
+    owner = np.zeros(len(s), dtype=np.intp) if owner is None else owner
+    sizes = np.array([rec.size for rec in recs], dtype=np.intp)
+    rows = int(sizes.max())
+    lanes = []
+    for m, size, pad in zip(zip(*recs), (rows, rows - 1, rows), (1, 1, 0)):
+        dtype = object if any(x.dtype == object for x in m) else float
+        stacked = np.zeros((max(x.shape[1] for x in m), size, len(m)), dtype=dtype)
+        for i, x in enumerate(m):
+            stacked[: x.shape[1], : len(x), i] = x.T
+            stacked[0, len(x):, i] = pad
+        lanes.append(stacked[:, :, owner])
+    return (*lanes, sizes[owner] - 1)
 
 
-def _degrees(recs: Sequence[Recurrence], owner: np.ndarray) -> np.ndarray:
-    return np.array([rec.degree for rec in recs], dtype=np.intp)[owner]
-
-
-def _gather(mats: List[np.ndarray], owner: np.ndarray, rows: int, pad) -> np.ndarray:
-    """Coefficient matrices laid out by point: out[k, j, i] is coefficient k
-    of row j of mats[owner[i]], and the constant pad past its last row."""
-    width = max(m.shape[1] for m in mats)
-    dtype = object if any(m.dtype == object for m in mats) else float
-    stacked = np.zeros((width, rows, len(mats)), dtype=dtype)
-    for i, m in enumerate(mats):
-        stacked[: m.shape[1], : len(m), i] = m.T
-        stacked[0, len(m):, i] = pad
-    return stacked[:, :, owner]
-
-
-def _continuant_lanes(recs: Sequence[Recurrence], owner: np.ndarray):
+def _continuant_lanes(lanes):
     """The continuant laid out by point, for ``_corrections``: the a and e
-    coefficients of each point's recurrence, and ends[j] = the points whose
-    recurrence ends at row j, for the rows where some point's does."""
-    last = _degrees(recs, owner)
-    rows = max(rec.degree for rec in recs) + 1
-    return (
-        _gather([r.a for r in recs], owner, rows, 0),
-        # e_j = b_j c_j; the 0.0 + turns a -0.0 coefficient into 0.0, which
-        # the solve path's bits depend on
-        _gather([0.0 + r.b * r.c for r in recs], owner, rows - 1, 0),
-        {j: np.flatnonzero(last == j) for j in set(last.tolist())},
-    )
+    coefficients of ``_lanes``, and ends[j] = the points whose recurrence
+    ends at row j, for the rows where some point's does."""
+    a, b, c, last = lanes
+    ends = {j: np.flatnonzero(last == j) for j in set(last.tolist())}
+    # e_j = b_j c_j; the 0.0 + turns a -0.0 coefficient into 0.0, which the
+    # solve path's bits depend on
+    return a, 0.0 + b * c[:, :-1], ends
 
 
 # as in ragged_null_vectors, overflow to inf and inf - inf = nan pass silently
@@ -347,8 +333,8 @@ def _corrections(lanes, s: np.ndarray) -> np.ndarray:
     is a multiple of RESCALE_ROWS acts on each point alone.  A point whose
     recurrence ends before the last row keeps the (D, D') of its own last
     row: they are copied out on the rows where some point ends and written
-    back after the loop, so a lone block copies nothing.  Neutral pad rows
-    (a = 1, e = 0) would not keep them: 0 * inf is nan.
+    back after the loop, so a lone block copies nothing.  The pad rows of
+    ``_lanes`` (a = 1, e = 0) would not keep them: 0 * inf is nan.
     """
     a_coeffs, e_coeffs, ends = lanes
     a, da = _horner_with_derivative(a_coeffs, s)

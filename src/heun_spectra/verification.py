@@ -45,6 +45,11 @@ def _heunc_params_for(config: ModelConfig, block: BlockSpec, s: float) -> HeunCP
                        gamma=float(k + l), delta=0.0, eta=eta)
 
 
+def _bound(config: ModelConfig, block: BlockSpec) -> List[models.SpectralRoot]:
+    """The block's physical roots, in printed order."""
+    return [r for r in models.solve_block(config, block).roots if r.physical]
+
+
 # ---------------------------------------------------------------------------
 # individual checks; each returns (passed, detail)
 
@@ -187,8 +192,7 @@ def check_inertia_certificate(
     for config, block in ladder + small:
         rec = models.block_recurrence(config, block)
         recs.append(Recurrence(*map(to_fraction, rec)))
-        roots = sorted(r.value for r in models.solve_block(config, block).roots
-                       if r.physical)
+        roots = sorted(r.value for r in _bound(config, block))
         brackets.append([(x - abs(x) * delta, x + abs(x) * delta)
                          for x in map(Fraction, roots)])
         model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
@@ -230,22 +234,18 @@ def check_ode_residuals(rng: np.random.Generator, full: bool) -> Tuple[bool, str
     states = 0
     every_family = True
     for config, block in specs:
-        physical = [r for r in models.solve_block(config, block).roots if r.physical]
+        physical = _bound(config, block)
         every_family &= len(physical) > 0
+        if config.example is Example.REPULSIVE_POLYNOMIAL:
+            params_for, residual, zs = _heunb_params_for, heun_core.heunb_ode_residual, (0.2, 5.0)
+        else:
+            params_for, residual, zs = _heunc_params_for, heun_core.heunc_ode_residual, (1.1, 6.0)
         for root in physical:
             states += 1
-            if config.example is Example.REPULSIVE_POLYNOMIAL:
-                params = _heunb_params_for(config, block, root.value)
-                for _ in range(10):
-                    z = float(rng.uniform(0.2, 5.0))
-                    worst = max(worst, heun_core.heunb_ode_residual(
-                        params, root.eigenvector, z))
-            else:
-                params = _heunc_params_for(config, block, root.value)
-                for _ in range(10):
-                    z = float(rng.uniform(1.1, 6.0))
-                    worst = max(worst, heun_core.heunc_ode_residual(
-                        params, root.eigenvector, z))
+            params = params_for(config, block, root.value)
+            for _ in range(10):
+                z = float(rng.uniform(*zs))
+                worst = max(worst, residual(params, root.eigenvector, z))
     ok = every_family and worst <= 1e-8
     return ok, f"{states} states, worst relative equation residual {worst:.2e}"
 
@@ -296,14 +296,13 @@ def check_field_identities(rng: np.random.Generator, full: bool) -> Tuple[bool, 
     )
 
 
-def _anchor_states() -> List[Tuple[ModelConfig, BlockSpec]]:
-    return [
-        (ModelConfig(Example(1), "a", 1, 1.0), BlockSpec(n=0, l=0, sigma=+1)),
-        (ModelConfig(Example(1), "a", 1, 0.0), BlockSpec(n=1, l=1, sigma=+1)),
-        (ModelConfig(Example(1), "b", 3, 1.0), BlockSpec(n=0, l=1, sigma=-1)),
-        (ModelConfig(Example(2), "first", -1, 15.0), BlockSpec(n=0, l=1, sigma=+1)),
-        (ModelConfig(Example(2), "second", 1, 15.0), BlockSpec(n=0, l=-1, sigma=-1)),
-    ]
+_ANCHOR_STATES = (
+    (ModelConfig(Example(1), "a", 1, 1.0), BlockSpec(n=0, l=0, sigma=+1)),
+    (ModelConfig(Example(1), "a", 1, 0.0), BlockSpec(n=1, l=1, sigma=+1)),
+    (ModelConfig(Example(1), "b", 3, 1.0), BlockSpec(n=0, l=1, sigma=-1)),
+    (ModelConfig(Example(2), "first", -1, 15.0), BlockSpec(n=0, l=1, sigma=+1)),
+    (ModelConfig(Example(2), "second", 1, 15.0), BlockSpec(n=0, l=-1, sigma=-1)),
+)
 
 
 def check_schrodinger_residuals(
@@ -313,14 +312,10 @@ def check_schrodinger_residuals(
     grid = np.linspace(0.1, 4.0, 3901)  # h = 1e-3
     worst = 0.0
     states = 0
-    for config, block in _anchor_states():
-        for root in models.solve_block(config, block).roots:
-            if not root.physical:
-                continue
+    for config, block in _ANCHOR_STATES:
+        for root in _bound(config, block):
             states += 1
-            worst = max(
-                worst, models.schrodinger_residual(config, block, root, grid)
-            )
+            worst = max(worst, models.schrodinger_residual(config, block, root, grid))
     ok = states >= 5 and worst < 1e-5
     return ok, f"{states} states, worst FD residual {worst:.2e} at h = 1e-3"
 
@@ -335,7 +330,7 @@ def check_orthogonality(rng: np.random.Generator, full: bool) -> Tuple[bool, str
     worst = 0.0
     pairs = 0
     for config, block in configs:
-        roots = [r for r in models.solve_block(config, block).roots if r.physical]
+        roots = _bound(config, block)
         norms = {}
         for r in roots:
             norms[r.value], _ = models.radial_norm(config, block, r)
@@ -364,10 +359,8 @@ def check_normalizability(rng: np.random.Generator, full: bool) -> Tuple[bool, s
     raises PrecisionError on a norm that is not finite and positive)."""
     worst_tail = 0.0
     states = 0
-    for config, block in _anchor_states():
-        for root in models.solve_block(config, block).roots:
-            if not root.physical:
-                continue
+    for config, block in _ANCHOR_STATES:
+        for root in _bound(config, block):
             _, tail = models.radial_norm(config, block, root)
             worst_tail = max(worst_tail, tail)
             states += 1
@@ -392,9 +385,7 @@ def check_oracle_agreement(rng: np.random.Generator, full: bool) -> Tuple[bool, 
     matched_states = 0
     worst = spread = 0.0
     for config, block, box in channels:
-        analytic = [
-            r.energy for r in models.solve_block(config, block).roots if r.physical
-        ]
+        analytic = [r.energy for r in _bound(config, block)]
         numeric = oracle.radial_eigensolve(
             config, block.l, block.sigma, box, count=len(analytic)
         )

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +142,12 @@ class TestSequences:
             HeunBParams(math.nan, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             HeunCParams(1.0, math.inf, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("alpha", [Fraction(10**400), "x"], ids=["overflow", "type"])
+    def test_unconvertible_parameters_rejected(self, alpha):
+        # too large for a float (OverflowError), and not a number (TypeError)
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            HeunBParams(alpha, 0.0, 1.0, 0.0)
 
 
 class TestRecurrence:

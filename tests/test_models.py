@@ -1276,6 +1276,14 @@ class TestSchrodingerResidual:
         with pytest.raises(SelectionError, match="^residual check needs a real-energy root$"):
             schrodinger_residual(cfg, block, root, np.linspace(0.5, 1.0, 11))
 
+    def test_a_grid_where_the_state_underflows_is_refused(self):
+        # far out the state's exp(2 chi t) underflows to 0 on every point
+        cfg = ModelConfig(Example(2), "first", -1, 15.0)
+        block = make_block(cfg, 0, 1)
+        root = next(r for r in solve_block(cfg, block).roots if r.physical)
+        with pytest.raises(ValueError, match="^radial values vanish on the whole grid$"):
+            schrodinger_residual(cfg, block, root, np.linspace(2000, 2001, 100))
+
 
 class TestResidualsAcrossFamilies:
     def test_all_four_families(self):

@@ -258,7 +258,7 @@ class TestRadialEigensolve:
 
 class TestCompareSpectra:
     def test_identical(self):
-        report = compare_spectra([1.0, 2.0], [1.0, 2.0])
+        report = compare_spectra([1.0, 2.0], [1.0, 2.0], tol=1e-10)
         assert report.passed
         assert report.max_error == 0.0
 

@@ -39,6 +39,7 @@ from heun_spectra.spectral import (
     RESIDUAL_TARGET,
     Recurrence,
     _continuant_lanes,
+    _lanes,
     companion_eigenvalues,
     inertia,
     newton_corrections,
@@ -500,10 +501,10 @@ class TestRaggedKernel:
     def check_null_vectors(self, recs, points):
         s, owner = _batch(recs, points)
         coeffs, residuals = ragged_null_vectors(recs, s, owner)
-        assert coeffs.shape == (len(s), max(r.degree for r in recs) + 1)
+        assert coeffs.shape == (len(s), max(r.size for r in recs))
         for x, i, got, residual in zip(s, owner, coeffs, residuals):
             want = polynomial_from_recurrence(recs[i], x)
-            assert tuple(got[: recs[i].degree + 1]) == want.coeffs
+            assert tuple(got[: recs[i].size]) == want.coeffs
             assert residual == want.terminal_residual
 
     def check_polish(self, recs, points):
@@ -684,7 +685,7 @@ class TestRaggedKernel:
                 assert len(got) == 3
                 for g, w in zip(got, want):
                     assert repr(g.tolist()) == repr(w)
-                e_lanes = _continuant_lanes([got], np.zeros(1, dtype=np.intp))[1]
+                e_lanes = _continuant_lanes(_lanes([got], np.zeros(1), None))[1]
                 assert repr(e_lanes[:, :, 0].T.tolist()) == repr(products)
         # where a closed form overflows, the arrays are refused; eps = 1e300
         # overflows model 1's diagonal only where the multiplier 2j + 1 + 2l
