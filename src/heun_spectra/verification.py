@@ -154,18 +154,11 @@ def check_inertia_certificate(
     rng: np.random.Generator, full: bool
 ) -> Tuple[bool, str]:
     """Every printed physical root is isolated and every block's set complete,
-    by exact inertia (``spectral.inertia`` on the recurrence in Fractions).
+    by ``spectral.certify`` in Fractions at delta = 2^-40: exact inertia.
 
     The blocks are every block of model 1 with k = 1..4 up to n = 10 (full)
     or 6, every block of model 2 with |k| <= 3 up to n_max = 2, and a degree
-    ladder of every family up to n = 20 or 8.  The count of negative pivots
-    at x (1 -+ 2^-40) steps by exactly 1 across each printed root x, down
-    for model 1 (A(s) = s I + V) and up for model 2, and no two brackets of
-    a block overlap.  Model 1 prints n + 1 roots; model 2's count above its
-    largest printed root equals the number printed and #{beta_j < 0}, its
-    count at 0-.  By Sylvester's law of inertia, a step counts the roots in
-    the bracket.  The solver itself makes each root real and holds it to
-    ``spectral.RESIDUAL_TARGET``.
+    ladder of every family up to n = 20 or 8.
     """
     n_cap = 20 if full else 8
     small = []
@@ -187,32 +180,14 @@ def check_inertia_certificate(
         ):
             ladder.append((config, models.make_block(config, n, l)))
     to_fraction = np.frompyfunc(Fraction, 1, 1)
-    delta = Fraction(1, 2**40)
-    recs, brackets, expected = [], [], []
-    for config, block in ladder + small:
-        rec = models.block_recurrence(config, block)
-        recs.append(Recurrence(*map(to_fraction, rec)))
-        roots = sorted(r.value for r in _bound(config, block))
-        brackets.append([(x - abs(x) * delta, x + abs(x) * delta)
-                         for x in map(Fraction, roots)])
-        model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
-        negative_beta = int((rec.a[:, 0] < 0).sum())
-        expected.append((model_1, block.n + 1 if model_1 else negative_beta))
-    points = np.array([x for ends in brackets for pair in ends for x in pair], dtype=object)
-    owner = np.repeat(np.arange(len(recs)), [2 * len(ends) for ends in brackets])
-    counts = iter(spectral.inertia(recs, points, owner).tolist())
-    isolated = complete = 0
-    for ends, (model_1, want) in zip(brackets, expected):
-        steps = [(next(counts), next(counts)) for _ in ends]
-        apart = [True] + [hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:])]
-        isolated += sum((below - above if model_1 else above - below) == 1 and ok
-                        for (below, above), ok in zip(steps, apart))
-        complete += len(ends) == want and (model_1 or not ends or steps[-1][1] == want)
-    roots = sum(len(ends) for ends in brackets)
-    ok = isolated == roots and complete == len(recs)
-    return ok, (
-        f"{isolated} of {roots} roots isolated by exact inertia, "
-        f"{complete} of {len(recs)} block sets complete (n <= {n_cap})"
+    recs = [Recurrence(*map(to_fraction, models.block_recurrence(*p))) for p in ladder + small]
+    bound = [sorted(Fraction(r.value) for r in _bound(*p)) for p in ladder + small]
+    roots = np.array([x for xs in bound for x in xs], dtype=object)
+    owner = np.repeat(np.arange(len(recs)), [len(xs) for xs in bound])
+    isolated, complete = spectral.certify(recs, roots, owner, delta=Fraction(1, 2**40))
+    return bool(isolated.all() and complete.all()), (
+        f"{isolated.sum()} of {len(roots)} roots isolated by exact inertia, "
+        f"{complete.sum()} of {len(recs)} block sets complete (n <= {n_cap})"
     )
 
 

@@ -1081,6 +1081,27 @@ class TestWavefunctions:
         total, _ = radial_norm(cfg, block, root)
         assert math.isfinite(total) and total > 0
 
+    @pytest.mark.xfail(strict=True, raises=PrecisionError,
+                       reason="norm quadrature fails on a physical state")
+    @pytest.mark.parametrize("example, case, k, eps, n, index", [
+        # from n = 11 on, Horner on p_j t^j cancels: the panels disagree
+        # over [0, 20]
+        pytest.param(2, "second", 45, 5000.0, 11, 23, id="second-45-5000-11-23"),
+        pytest.param(2, "second", 45, 5000.0, 14, 28, id="second-45-5000-14-28"),
+        pytest.param(2, "second", 45, 5000.0, 20, 35, id="second-45-5000-20-35"),
+        # weakly bound, chi = -5.77e-4: the panels disagree over [0, 60686.1]
+        pytest.param(2, "second", 45, 100.0, 4, 9, id="second-45-100-4-9"),
+        # R peaks at e^450, and R^2 overflows to a norm of inf
+        pytest.param(1, "a", 1, -60.0, 0, 0, id="1a-1-minus60-0-0"),
+    ])
+    def test_physical_state_has_a_norm(self, example, case, k, eps, n, index):
+        cfg = ModelConfig(Example(example), case, k, eps)
+        block = make_block(cfg, n)
+        root = solve_block(cfg, block).roots[index]
+        assert root.physical
+        total, _ = radial_norm(cfg, block, root)
+        assert math.isfinite(total) and total > 0
+
     @pytest.mark.parametrize("example, case, k, eps, n", [
         (1, "a", 3, 2.5, 2),  # two of the three states need a third level
         (1, "b", 4, 0.5, 1),

@@ -1,4 +1,5 @@
-"""Determinant evaluation, root finding, null vectors and the inertia count.
+"""Determinant evaluation, root finding, null vectors, the inertia count and
+the certificate built on it.
 
 The solve routines, ``determinant_numeric``, ``inertia`` and
 ``polynomial_from_recurrence`` all take ``Recurrence`` arrays from
@@ -33,6 +34,7 @@ from heun_spectra.models import (
     block_recurrence,
     block_sequences,
     permissible_blocks,
+    solve_record,
 )
 from heun_spectra.spectral import (
     RESCALE_ROWS,
@@ -40,6 +42,7 @@ from heun_spectra.spectral import (
     Recurrence,
     _continuant_lanes,
     _lanes,
+    certify,
     companion_eigenvalues,
     inertia,
     newton_corrections,
@@ -774,6 +777,95 @@ class TestInertia:
         rec, points = block_at(ModelConfig(Example(1), "a", 1, 0.0), 1, [0.0])
         assert inertia([rec], points).tolist() == [1]
         assert negative_pivots(rec, points.tolist()[0]) == 1
+
+
+def certified_query(config, n_max):
+    """``certify`` in floats at delta = 1e-8 on every block of a query, with
+    each block's physical roots ascending: (blocks, isolated, complete, the
+    n of every refused block).  A block is refused when it is not complete
+    or one of its roots is not isolated."""
+    record = solve_record(config, permissible_blocks(config, n_max))
+    recs = [block_recurrence(config, block) for block in record.blocks]
+    roots = [np.sort(record.value[lo:hi][record.physical[lo:hi]].real)
+             for lo, hi in zip(record.bounds, record.bounds[1:])]
+    roots, owner = _batch(recs, roots)
+    isolated, complete = certify(recs, roots, owner, 1e-8)
+    refused = ~complete
+    refused[owner[~isolated]] = True
+    return record.blocks, isolated, complete, sorted(
+        b.n for b, r in zip(record.blocks, refused) if r)
+
+
+class TestCertify:
+    """What the certificate says today of printed roots: each must be one
+    step of the inertia count, in a bracket of its own, and each block must
+    hold all of its roots."""
+
+    @pytest.mark.parametrize("n, isolated, complete", [(20, 21, True), (39, 19, False)])
+    def test_float_and_fraction_verdicts_agree(self, n, isolated, complete):
+        config = ModelConfig(Example(2), "second", 45, 5000.0)
+        block = make_block(config, n)
+        rec = block_recurrence(config, block)
+        roots = np.array(sorted(r.value for r in solve_block(config, block).roots
+                                if r.physical))
+        owner = np.zeros(len(roots), dtype=np.intp)
+        in_floats = certify([rec], roots, owner, 1e-8)
+        in_fractions = certify([exact(rec)], np.array([Fraction(x) for x in roots], dtype=object),
+                               owner, Fraction(1, 10**8))
+        assert len(roots) == 21
+        for got in (in_floats, in_fractions):
+            assert got[0].sum() == isolated and got[1].tolist() == [complete]
+        assert np.array_equal(in_floats[0], in_fractions[0])
+
+    @pytest.mark.parametrize("k, epsilon, n_max, counts, refused", [
+        # repro (a): the blocks n = 32..44; n = 41 is complete, but two of
+        # its roots are no step of the count
+        (45, 5000.0, 44, (783, 800, 33, 45), list(range(32, 45))),
+        # repro (b): n = 14 prints 11 roots for 10
+        (49, 800.0, 14, (115, 116, 14, 15), [14]),
+        # repro (e): n = 27, 29 and 30 have no bound state, and n = 23 and
+        # 24 print theirs off
+        (151, 100.0, 30, (38, 46, 26, 31), [23, 24, 27, 29, 30]),
+    ])
+    def test_model2_queries_refuse_the_wrong_blocks(self, k, epsilon, n_max, counts, refused):
+        config = ModelConfig(Example(2), "second", k, epsilon)
+        blocks, isolated, complete, got = certified_query(config, n_max)
+        assert (isolated.sum(), len(isolated), complete.sum(), len(blocks)) == counts
+        assert got == refused
+
+    def test_model1_query_is_certified(self):
+        _, isolated, complete, refused = certified_query(
+            ModelConfig(Example(1), "a", 3, 1.0), 40)
+        assert (isolated.sum(), len(isolated)) == (858, 858)
+        assert complete.all() and refused == []
+
+    @pytest.mark.parametrize("scalar", [float, Fraction])
+    def test_zero_points(self, scalar):
+        # model 1 always wants roots; the model 2 block n = 27 of k = 151,
+        # eps = 100 has no negative beta_j and wants none; n = 20 of k = 45,
+        # eps = 5000 wants 21
+        pairs = [(ModelConfig(Example(1), "a", 1, 0.75), 2),
+                 (ModelConfig(Example(2), "second", 151, 100.0), 27),
+                 (ModelConfig(Example(2), "second", 45, 5000.0), 20)]
+        recs = [block_recurrence(config, make_block(config, n)) for config, n in pairs]
+        roots = np.array([], dtype=object if scalar is Fraction else float)
+        if scalar is Fraction:
+            recs = [exact(rec) for rec in recs]
+        isolated, complete = certify(recs, roots, np.array([], dtype=np.intp), scalar(1e-8))
+        assert isolated.shape == (0,) and complete.tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("shift", [0.0, 0.5e-8], ids=["twice", "half-a-bracket-above"])
+    def test_a_bracket_over_the_one_below_is_refused(self, shift):
+        config = ModelConfig(Example(1), "a", 1, 0.75)
+        rec = block_recurrence(config, make_block(config, 2))
+        r0, _, r2 = symmetric_eigenvalues(rec)
+        roots = np.array([r0, r0 + abs(r0) * shift, r2])
+        # the count steps down by one across both brackets that hold r0
+        ends = roots[:, None] + np.abs(roots)[:, None] * np.array([-1e-8, 1e-8])
+        below, above = inertia([rec], ends.ravel()).reshape(-1, 2).T
+        assert (below - above).tolist() == [1, 1, 1]
+        isolated, complete = certify([rec], roots, np.zeros(3, dtype=np.intp), 1e-8)
+        assert isolated.tolist() == [True, False, True] and complete.tolist() == [True]
 
 
 def closed_form_entries(config, block):
