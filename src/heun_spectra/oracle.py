@@ -32,8 +32,11 @@ kinetic matrix does not depend on rho_max, so it is built once per (N, mu_c).
 
 The levels converge spectrally in N.  radial_eigensolve accepts them when
 two consecutive MESH_SIZES agree to MESH_RTOL, and raises PrecisionError
-when none do; no size or scale is taken from the analytic roots.  Nothing
-here touches the Heun machinery, so agreement with the roots is a genuine
+when none do; no size or scale is taken from the analytic roots.  Every
+size is solved for its eigenvalues only.  The box test reads one vector,
+the lowest of the smallest mesh, and takes it from one shifted linear solve
+(one step of inverse iteration) rather than from a full eigh.  Nothing here
+touches the Heun machinery, so agreement with the roots is a genuine
 cross-check.
 
 Each block's bound states are the lowest levels of their channel (Sturm
@@ -109,9 +112,11 @@ def _regular_potential(
     return -k * s * (2 * m + k * (1.0 + s)) / (1.0 + root) + 0.25 * (3.0 * w * w - eps * w)
 
 
-def _eigen(solver: Callable, matrix: NDArray[np.floating]):
+def _eigen(solver: Callable, *operands: NDArray[np.floating]):
+    """solver(*operands), an eigensolver or the shifted solve, with a LAPACK
+    failure raised as PrecisionError."""
     try:
-        return solver(matrix)
+        return solver(*operands)
     except np.linalg.LinAlgError as exc:
         raise PrecisionError(f"mesh eigensolver failed: {exc}") from exc
 
@@ -162,12 +167,11 @@ def _mesh_basis(
 
 def _mesh_matrix(
     config: ModelConfig, l: int, sigma: int, rho_max: float, size: int
-) -> Tuple[NDArray[np.floating], NDArray[np.floating]]:
-    """The channel's mesh Hamiltonian, and the factor that turns an
-    eigenvector into R at the nodes."""
+) -> NDArray[np.floating]:
+    """The channel's mesh Hamiltonian, a new array."""
     mu = _axis_power(config, l, sigma)
     mu_c = min(abs(mu), AXIS_POWER_CAP)
-    t, lam, kinetic = _mesh_basis(size, mu_c)
+    t, _, kinetic = _mesh_basis(size, mu_c)
     half = 0.5 * rho_max
     rho = half * (1.0 + t)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -177,7 +181,42 @@ def _mesh_matrix(
         raise ParameterError("the channel potential is not finite on the mesh")
     matrix = kinetic / (half * half)
     matrix[np.diag_indices(size)] += potential
-    return matrix, rho ** mu_c * (1.0 - t) / np.sqrt(lam)
+    return matrix
+
+
+def _to_r(config: ModelConfig, l: int, sigma: int, rho_max: float, size: int
+          ) -> NDArray[np.floating]:
+    """The factor that turns a mesh vector into R at the nodes."""
+    mu_c = min(abs(_axis_power(config, l, sigma)), AXIS_POWER_CAP)
+    t, lam, _ = _mesh_basis(size, mu_c)
+    return (0.5 * rho_max * (1.0 + t)) ** mu_c * (1.0 - t) / np.sqrt(lam)
+
+
+def _ground_vector(
+    matrix: NDArray[np.floating], levels: NDArray[np.floating]
+) -> NDArray[np.floating]:
+    """The lowest eigenvector of the mesh matrix, up to scale, by one step of
+    inverse iteration from the all-ones vector; matrix is overwritten.
+
+    The shift sigma = E_0 - delta, delta = eps ||H||_2, sits one rounding of
+    the spectrum below the computed lowest level: eigvalsh's E_0 is off the
+    true level by some e <= delta, so H - E_0 I can be singular to working
+    precision, and delta keeps it off.  With x = (H - sigma I)^-1 1 =
+    sum_j c_j v_j / (E_j - sigma), the part of x off v_0 relative to the
+    part along it is, by Cauchy-Schwarz,
+
+        tan angle(x, v_0) <= (||c|| / |c_0|) (delta + e) / (E_1 - E_0)
+                          <= sqrt(N) 2 delta / (E_1 - E_0),
+
+    since ||c|| = ||1|| = sqrt(N) and c_0 = |sum_i v_0,i| >= ||v_0|| = 1
+    when v_0 has one sign at the nodes, as the nodeless ground level's has
+    up to entries of a few 1e-3 of its peak (Ipsen, SIAM Rev. 39, 1997;
+    Parlett, The Symmetric Eigenvalue Problem, ch. 4).
+    """
+    size = len(levels)
+    shift = levels[0] - np.finfo(float).eps * max(abs(levels[0]), abs(levels[-1]))
+    matrix[np.diag_indices(size)] -= shift
+    return _eigen(np.linalg.solve, matrix, np.ones(size))
 
 
 def mesh_levels(
@@ -189,7 +228,7 @@ def mesh_levels(
     size = require_integer(size, "size must be an integer")
     if not 1 <= size <= MESH_SIZES[-1]:
         raise ParameterError(f"size must lie between 1 and {MESH_SIZES[-1]}, not {size}")
-    return _eigen(np.linalg.eigvalsh, _mesh_matrix(config, l, sigma, grid.rho_max, size)[0])
+    return _eigen(np.linalg.eigvalsh, _mesh_matrix(config, l, sigma, grid.rho_max, size))
 
 
 def radial_eigensolve(
@@ -204,22 +243,25 @@ def radial_eigensolve(
     l and sigma follow BlockSpec's rule: integers (not bools), sigma +1 or
     -1, else ParameterError.  count may not exceed the smallest mesh size.
     The levels of the first mesh size that agrees with the one before it to
-    MESH_RTOL are returned; PrecisionError when no size does.  Warns when
-    the lowest level's R at the outermost node is more than
-    BOX_AMPLITUDE_TOL of its largest value at the nodes, which means
-    rho_max truncates the state and the level carries box error.  Only the
-    lowest level is tested: an upper bound level that the wall truncates
-    passes silently (model 2 n = 4, eps = 150 is 5.6e-5 off its root at
-    rho_max = 20, and matches to 3.2e-12 at rho_max = 40).
+    MESH_RTOL are returned; PrecisionError when no size does, or when LAPACK
+    fails.  Warns when the lowest level's R on the smallest mesh (from
+    _ground_vector) is at the outermost node more than BOX_AMPLITUDE_TOL of
+    its largest value at the nodes, which means rho_max truncates the state
+    and the level carries box error.  Only the lowest level is tested: an
+    upper bound level that the wall truncates passes silently (model 2
+    n = 4, eps = 150 is 5.6e-5 off its root at rho_max = 20, and matches to
+    3.2e-12 at rho_max = 40).
     """
     count = require_integer(count, "count must be an integer")
     if not 1 <= count <= MESH_SIZES[0]:
         raise ParameterError(
             f"count must lie between 1 and the {MESH_SIZES[0]} levels of the "
             f"smallest mesh, not {count}")
-    matrix, to_r = _mesh_matrix(config, l, sigma, grid.rho_max, MESH_SIZES[0])
-    levels, vectors = _eigen(np.linalg.eigh, matrix)
-    r = np.abs(vectors[:, 0] * to_r)  # the levels above it may be box levels
+    matrix = _mesh_matrix(config, l, sigma, grid.rho_max, MESH_SIZES[0])
+    levels = _eigen(np.linalg.eigvalsh, matrix)
+    to_r = _to_r(config, l, sigma, grid.rho_max, MESH_SIZES[0])
+    # only the lowest level is tested: the levels above it may be box levels
+    r = np.abs(_ground_vector(matrix, levels) * to_r)
     if r[-1] > BOX_AMPLITUDE_TOL * np.max(r):
         warnings.warn(
             f"eigenfunction amplitude {r[-1] / np.max(r):.2e} at rho_max = "

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -610,11 +611,12 @@ class TestVerify:
         assert all(line.endswith(" s") for line in first_err.splitlines())
 
     def test_oracle_lapack_failure_exits_3(self, capsys, monkeypatch):
-        # eigh solves the oracle's smallest mesh, and nothing else in verify
-        def failing(matrix):
+        # solve gives the oracle's box test its vector, and nothing else in
+        # verify calls it
+        def failing(*operands):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, "solve", failing)
         code, out, err = run_cli(["verify", "--level", "full"], capsys)
         assert code == 3
         assert out == ""
@@ -678,6 +680,28 @@ class TestCommandList:
                 == "line 2: 'b' -> 'x' (2 of 4 lines differ)")
         assert (first_difference("a\nb\n", "a\nb\nc\nd\n")
                 == "2 lines -> 4 lines (2 of 4 lines differ)")
+
+
+AB = os.path.join(ROOT, "tools", "ab.py")
+
+
+class TestPairedTiming:
+    def test_a_checkout_against_itself_reads_a_ratio_near_one(self):
+        spec = importlib.util.spec_from_file_location("ab", AB)
+        ab = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ab)
+        trees = [ab.load_ops(ROOT, "this"), ab.load_ops(ROOT, "against")]
+        # two packages, and the one the other tests import is left in place
+        assert trees[0].oracle is not trees[1].oracle
+        assert trees[0].oracle.__name__ == "heun_spectra_this.oracle"
+        assert sys.modules["heun_spectra.cli"] is cli
+        import workloads
+        with open(os.path.join(ROOT, "benchmarks", "reference.json")) as f:
+            reference = json.load(f)
+        (this, against), failed = ab.paired_times(
+            trees, [workloads.states_ops(0)[:2]], reference)
+        assert failed == 0 and len(this) == len(against) == 2
+        assert 0.5 < statistics.median(this) / statistics.median(against) < 2
 
 
 class TestSubprocess:

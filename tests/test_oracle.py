@@ -133,11 +133,11 @@ class TestSolver:
         with pytest.raises(PrecisionError, match="still differ by 1.0e-06 between 270 and 400"):
             self.solve_with_sizes(cfg, lambda size: 1e-6 * oracle.MESH_SIZES.index(size))
 
-    @pytest.mark.parametrize("routine", ["eigh", "eigvalsh"])
+    @pytest.mark.parametrize("routine", ["eigvalsh", "solve"])
     def test_lapack_failure_raises_precision_error(self, monkeypatch, routine):
-        # eigh solves the smallest mesh, eigvalsh the larger ones (and the
-        # Jacobi matrices of an uncached basis)
-        def failing(matrix):
+        # eigvalsh solves every mesh (and the Jacobi matrices of an uncached
+        # basis), solve gives the box test its vector
+        def failing(*operands):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, routine, failing)
@@ -153,13 +153,15 @@ class TestSolver:
             radial_eigensolve(cfg, 0, +1, BOX, 1)
 
     def test_kinetic_matrix_is_cached_per_size_and_axis_power(self):
-        # mu = 2 and mu = -2 share one basis, and rho_max does not enter it
+        # mu = 2 and mu = -2 share one basis, and rho_max does not enter it;
+        # each call reads the basis three times: for the 120-point matrix,
+        # for its R factor, and for the 180-point matrix
         oracle._mesh_basis.cache_clear()
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         for l, sigma, box in ((2, +1, BOX), (2, -1, BOX), (2, +1, GridSpec(1e-3, 5.0, 100))):
             radial_eigensolve(cfg, l, sigma, box, 1)
         info = oracle._mesh_basis.cache_info()
-        assert (info.misses, info.hits) == (2, 4)
+        assert (info.misses, info.hits) == (2, 7)
 
 
 class TestRadialEigensolve:
@@ -230,7 +232,8 @@ class TestRadialEigensolve:
         # the ground state's R has died off there
         cfg = ModelConfig(Example(2), "first", -1, 15.0)
         grid = GridSpec(1e-3, 40.0, 2000)
-        matrix, to_r = oracle._mesh_matrix(cfg, 1, +1, grid.rho_max, oracle.MESH_SIZES[0])
+        matrix = oracle._mesh_matrix(cfg, 1, +1, grid.rho_max, oracle.MESH_SIZES[0])
+        to_r = oracle._to_r(cfg, 1, +1, grid.rho_max, oracle.MESH_SIZES[0])
         r = np.abs(np.linalg.eigh(matrix)[1][:, :4] * to_r[:, None])
         edge = r[-1] / r.max(axis=0)
         assert edge[0] < 1e-12 and (edge[1:] > oracle.BOX_AMPLITUDE_TOL).all()
@@ -254,6 +257,80 @@ class TestRadialEigensolve:
         vals = radial_eigensolve(
             cfg, block.l, block.sigma, GridSpec(1e-3, 8.0, 4000), 1)
         assert vals[0] > analytic - 1e-10
+
+
+def _channel_grid(rng, count):
+    """Seeded channels of both models, l in [-20, 20], in boxes of 2.5 to 40."""
+    channels = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            config = ModelConfig(Example(1), str(rng.choice(["a", "b"])),
+                                 int(rng.integers(1, 15)), float(rng.uniform(-3.0, 3.0)))
+        else:
+            variant = str(rng.choice(["first", "second"]))
+            k = int(rng.integers(1, 40)) * (1 if variant == "second" else -1)
+            config = ModelConfig(Example(2), variant, k,
+                                 float(rng.choice([2.0, 15.0, 60.0, 150.0, 400.0, 1600.0])))
+        channels.append((config, int(rng.integers(-20, 21)), int(rng.choice([-1, 1])),
+                         float(rng.choice([2.5, 5.0, 8.0, 12.0, 20.0, 40.0]))))
+    return channels
+
+
+# the warning channel, the confined model 2 channel, and two quiet ones
+BOX_TEST_CHANNELS = [
+    (ModelConfig(Example(1), "a", 1, 0.0), 1, +1, 2.5),
+    (ModelConfig(Example(2), "first", -1, 15.0), 1, +1, 40.0),
+    (ModelConfig(Example(1), "a", 3, 1.25), 6, +1, 8.0),
+    (ModelConfig(Example(2), "second", 5, 150.0), -5, -1, 40.0),
+]
+
+
+class TestBoxVector:
+    """The box test reads one vector, from one shifted solve, not from eigh."""
+
+    @pytest.mark.parametrize("config, l, sigma, rho_max", BOX_TEST_CHANNELS, ids=str)
+    def test_no_eigh_call(self, monkeypatch, config, l, sigma, rho_max):
+        def solve(box_warnings):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                levels = radial_eigensolve(config, l, sigma, GridSpec(1e-3, rho_max, 200), 4)
+            box_warnings.extend(str(w.message) for w in seen)
+            return levels
+
+        def failing(*operands):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        before, after = [], []
+        levels = solve(before)
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        assert solve(after) == levels
+        assert after == before
+        assert bool(before) == (rho_max == 2.5)
+
+    def test_shifted_solve_matches_eigh(self):
+        # the wall amplitude the box test reads agrees with that of eigh's
+        # lowest vector to 1e-3 wherever it is above 1e-9, no verdict
+        # changes, and the vector lies inside _ground_vector's bound
+        size = oracle.MESH_SIZES[0]
+        verdicts = set()
+        for config, l, sigma, rho_max in (BOX_TEST_CHANNELS
+                                          + _channel_grid(np.random.default_rng(37), 150)):
+            matrix = oracle._mesh_matrix(config, l, sigma, rho_max, size)
+            to_r = oracle._to_r(config, l, sigma, rho_max, size)
+            exact = np.linalg.eigh(matrix)[1][:, 0]
+            levels = np.linalg.eigvalsh(matrix)
+            vector = oracle._ground_vector(matrix, levels)
+            reference, amplitude = (np.abs(v * to_r)[-1] / np.max(np.abs(v * to_r))
+                                    for v in (exact, vector))
+            if reference > 1e-9:
+                assert abs(amplitude - reference) <= 1e-3 * reference
+            assert (amplitude > oracle.BOX_AMPLITUDE_TOL) == (reference > oracle.BOX_AMPLITUDE_TOL)
+            verdicts.add(bool(reference > oracle.BOX_AMPLITUDE_TOL))
+            x = vector / np.linalg.norm(vector)
+            delta = np.finfo(float).eps * max(abs(levels[0]), abs(levels[-1]))
+            assert (np.linalg.norm(x - (x @ exact) * exact)
+                    <= math.sqrt(size) * 2 * delta / (levels[1] - levels[0]))
+        assert verdicts == {True, False}
 
 
 class TestCompareSpectra:
