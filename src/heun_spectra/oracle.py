@@ -33,11 +33,13 @@ kinetic matrix does not depend on rho_max, so it is built once per (N, mu_c).
 The levels converge spectrally in N.  radial_eigensolve accepts them when
 two consecutive MESH_SIZES agree to MESH_RTOL, and raises PrecisionError
 when none do; no size or scale is taken from the analytic roots.  Every
-size is solved for its eigenvalues only.  The box test reads one vector,
-the lowest of the smallest mesh, and takes it from one shifted linear solve
-(one step of inverse iteration) rather than from a full eigh.  Nothing here
-touches the Heun machinery, so agreement with the roots is a genuine
-cross-check.
+size is solved for its eigenvalues only.  The smallest mesh (80 points)
+only checks the next one, so the returned levels, the finer mesh's of the
+agreeing pair, come from 120 points or more.  The box test reads one
+vector, the lowest of the 120-point mesh, and takes it from one shifted
+linear solve (one step of inverse iteration) rather than from a full eigh.
+Nothing here touches the Heun machinery, so agreement with the roots is a
+genuine cross-check.
 
 Each block's bound states are the lowest levels of their channel (Sturm
 oscillation), so compare_spectra pairs the i-th analytic level with the
@@ -60,7 +62,7 @@ from .families import Example, ModelConfig
 
 BOX_AMPLITUDE_TOL = 1e-6
 AXIS_POWER_CAP = 4  # largest power of rho factored out of R at the axis
-MESH_SIZES = (120, 180, 270, 400)  # mesh points; each solve is checked by the next
+MESH_SIZES = (80, 120, 180, 270, 400)  # mesh points; each solve is checked by the next
 MESH_RTOL = 1e-9  # two sizes must agree to this, relative above |E| = 1
 
 
@@ -143,7 +145,7 @@ def _gauss_jacobi(
     return nodes, 1.0 / christoffel
 
 
-@functools.lru_cache(maxsize=32)  # every MESH_SIZES and mu_c
+@functools.lru_cache(maxsize=32)  # every MESH_SIZES and mu_c: 25 entries
 def _mesh_basis(
     size: int, mu_c: int
 ) -> Tuple[NDArray[np.floating], NDArray[np.floating], NDArray[np.floating]]:
@@ -231,6 +233,46 @@ def mesh_levels(
     return _eigen(np.linalg.eigvalsh, _mesh_matrix(config, l, sigma, grid.rho_max, size))
 
 
+def _ladder(
+    config: ModelConfig, l: int, sigma: int, grid: GridSpec, count: int
+) -> Tuple[List[float], NDArray[np.floating]]:
+    """radial_eigensolve's levels, and all levels of the smallest mesh.
+
+    Each rung is one size of MESH_SIZES, solved by mesh_levels, except the
+    box rung MESH_SIZES[1], whose matrix the box test also reads; it warns
+    at the caller of the function that calls this one.
+    """
+    count = require_integer(count, "count must be an integer")
+    if not 1 <= count <= MESH_SIZES[0]:
+        raise ParameterError(
+            f"count must lie between 1 and the {MESH_SIZES[0]} levels of the "
+            f"smallest mesh, not {count}")
+    smallest = mesh_levels(config, l, sigma, grid, MESH_SIZES[0])
+    box = MESH_SIZES[1]
+    matrix = _mesh_matrix(config, l, sigma, grid.rho_max, box)
+    levels = _eigen(np.linalg.eigvalsh, matrix)
+    # only the lowest level is tested: the levels above it may be box levels
+    r = np.abs(_ground_vector(matrix, levels)
+               * _to_r(config, l, sigma, grid.rho_max, box))
+    if r[-1] > BOX_AMPLITUDE_TOL * np.max(r):
+        warnings.warn(
+            f"eigenfunction amplitude {r[-1] / np.max(r):.2e} at rho_max = "
+            f"{grid.rho_max}; enlarge the box",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    coarse, levels = smallest[:count], levels[:count]
+    for size in MESH_SIZES[2:] + (None,):
+        gap = float(np.max(np.abs(coarse - levels) / np.maximum(1.0, np.abs(levels))))
+        if gap <= MESH_RTOL:
+            return [float(v) for v in levels], smallest
+        if size is not None:
+            coarse, levels = levels, mesh_levels(config, l, sigma, grid, size)[:count]
+    raise PrecisionError(
+        f"mesh levels of channel l = {l}, sigma = {sigma} still differ by "
+        f"{gap:.1e} between {MESH_SIZES[-2]} and {MESH_SIZES[-1]} points")
+
+
 def radial_eigensolve(
     config: ModelConfig,
     l: int,
@@ -244,41 +286,22 @@ def radial_eigensolve(
     -1, else ParameterError.  count may not exceed the smallest mesh size.
     The levels of the first mesh size that agrees with the one before it to
     MESH_RTOL are returned; PrecisionError when no size does, or when LAPACK
-    fails.  Warns when the lowest level's R on the smallest mesh (from
+    fails.  The smallest mesh only checks the next one, so every returned
+    level comes from MESH_SIZES[1] = 120 points or more.
+
+    Warns when the lowest level's R on the 120-point mesh (from
     _ground_vector) is at the outermost node more than BOX_AMPLITUDE_TOL of
     its largest value at the nodes, which means rho_max truncates the state
-    and the level carries box error.  Only the lowest level is tested: an
-    upper bound level that the wall truncates passes silently (model 2
-    n = 4, eps = 150 is 5.6e-5 off its root at rho_max = 20, and matches to
-    3.2e-12 at rho_max = 40).
+    and the level carries box error.  The box test reads MESH_SIZES[1], not
+    the smallest mesh, whose vector is not yet resolved: on 600 seeded
+    channels (both models, rho_max 2.5-40), 80 points flip 9 verdicts into
+    spurious warnings (model 1b, k = 12, eps = -2.92, l = 19, rho_max = 12
+    has a wall amplitude of 1.3e-6 at 80 points and 3.5e-8 at 120).  Only
+    the lowest level is tested: an upper bound level that the wall
+    truncates passes silently (model 2 n = 4, eps = 150 is 5.6e-5 off its
+    root at rho_max = 20, and matches to 3.2e-12 at rho_max = 40).
     """
-    count = require_integer(count, "count must be an integer")
-    if not 1 <= count <= MESH_SIZES[0]:
-        raise ParameterError(
-            f"count must lie between 1 and the {MESH_SIZES[0]} levels of the "
-            f"smallest mesh, not {count}")
-    matrix = _mesh_matrix(config, l, sigma, grid.rho_max, MESH_SIZES[0])
-    levels = _eigen(np.linalg.eigvalsh, matrix)
-    to_r = _to_r(config, l, sigma, grid.rho_max, MESH_SIZES[0])
-    # only the lowest level is tested: the levels above it may be box levels
-    r = np.abs(_ground_vector(matrix, levels) * to_r)
-    if r[-1] > BOX_AMPLITUDE_TOL * np.max(r):
-        warnings.warn(
-            f"eigenfunction amplitude {r[-1] / np.max(r):.2e} at rho_max = "
-            f"{grid.rho_max}; enlarge the box",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    levels = levels[:count]
-    for size in MESH_SIZES[1:]:
-        finer = mesh_levels(config, l, sigma, grid, size)[:count]
-        gap = float(np.max(np.abs(levels - finer) / np.maximum(1.0, np.abs(finer))))
-        if gap <= MESH_RTOL:
-            return [float(v) for v in finer]
-        levels = finer
-    raise PrecisionError(
-        f"mesh levels of channel l = {l}, sigma = {sigma} still differ by "
-        f"{gap:.1e} between {MESH_SIZES[-2]} and {MESH_SIZES[-1]} points")
+    return _ladder(config, l, sigma, grid, count)[0]
 
 
 @dataclass(frozen=True)

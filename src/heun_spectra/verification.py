@@ -361,7 +361,7 @@ def check_oracle_agreement(rng: np.random.Generator, full: bool) -> Tuple[bool, 
     worst = spread = 0.0
     for config, block, box in channels:
         analytic = [r.energy for r in _bound(config, block)]
-        numeric = oracle.radial_eigensolve(
+        numeric, coarse = oracle._ladder(
             config, block.l, block.sigma, box, count=len(analytic)
         )
         report = oracle.compare_spectra(analytic, numeric, tol=1e-10)
@@ -372,7 +372,6 @@ def check_oracle_agreement(rng: np.random.Generator, full: bool) -> Tuple[bool, 
             )
         matched_states += len(report.pairs)
         worst = max(worst, report.max_error)
-        coarse = oracle.mesh_levels(config, block.l, block.sigma, box, smallest)
         spread = max(spread, *(_rel(a, b) for a, b in zip(coarse, numeric)))
     ok = matched_states >= 6 and spread <= oracle.MESH_RTOL
     return ok, (

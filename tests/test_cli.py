@@ -686,7 +686,8 @@ AB = os.path.join(ROOT, "tools", "ab.py")
 
 
 class TestPairedTiming:
-    def test_a_checkout_against_itself_reads_a_ratio_near_one(self):
+    @pytest.mark.parametrize("workload", ["states", "sweep", "high-degree"])
+    def test_a_checkout_against_itself_reads_a_ratio_near_one(self, workload):
         spec = importlib.util.spec_from_file_location("ab", AB)
         ab = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(ab)
@@ -699,7 +700,7 @@ class TestPairedTiming:
         with open(os.path.join(ROOT, "benchmarks", "reference.json")) as f:
             reference = json.load(f)
         (this, against), failed = ab.paired_times(
-            trees, [workloads.states_ops(0)[:2]], reference)
+            trees, workload, [workloads.ops_for(workload, 0)[:2]], reference)
         assert failed == 0 and len(this) == len(against) == 2
         assert 0.5 < statistics.median(this) / statistics.median(against) < 2
 

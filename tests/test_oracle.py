@@ -97,34 +97,58 @@ class TestSolver:
         assert np.all(error <= 1e-12 * scale)
 
     def test_levels_agree_between_mesh_sizes(self):
-        # spectral convergence: the 120- and 180-point meshes agree far
-        # inside MESH_RTOL, and the certified levels are the finer mesh's
+        # spectral convergence: the 80-point mesh agrees with the 120-point
+        # one inside MESH_RTOL (to 3.3e-10), the 120- and 180-point meshes
+        # agree far inside it, and the certified levels are the finer mesh's
+        # of the first agreeing pair
         cfg = ModelConfig(Example(1), "a", 3, 1.25)
-        coarse, fine = (oracle.mesh_levels(cfg, 6, +1, BOX, size)[:8]
-                        for size in oracle.MESH_SIZES[:2])
+        smallest, coarse, fine = (oracle.mesh_levels(cfg, 6, +1, BOX, size)[:8]
+                                  for size in oracle.MESH_SIZES[:3])
+        assert np.all(np.abs(smallest - coarse)
+                      <= oracle.MESH_RTOL * np.maximum(1.0, np.abs(coarse)))
         assert np.all(np.abs(coarse - fine) <= 1e-11 * np.maximum(1.0, np.abs(fine)))
-        assert radial_eigensolve(cfg, 6, +1, BOX, 8) == fine.tolist()
+        assert radial_eigensolve(cfg, 6, +1, BOX, 8) == coarse.tolist()
 
     @staticmethod
-    def solve_with_sizes(cfg, perturb):
-        """radial_eigensolve with mesh_levels(size) shifted by perturb(size),
-        and the sizes it asked mesh_levels for."""
-        real = oracle.mesh_levels
+    def solve_with_sizes(cfg, perturb, l=0, count=3):
+        """radial_eigensolve with every level of the size-point mesh shifted
+        by perturb(size), and the sizes it built a mesh matrix for: each
+        rung builds one."""
+        real = oracle._mesh_matrix
         sizes = []
 
-        def shifted(config, l, sigma, grid, size):
+        def shifted(config, l, sigma, rho_max, size):
             sizes.append(size)
-            return real(config, l, sigma, grid, size) + perturb(size)
+            matrix = real(config, l, sigma, rho_max, size)
+            matrix[np.diag_indices(size)] += perturb(size)
+            return matrix
 
-        with mock.patch.object(oracle, "mesh_levels", shifted):
-            return radial_eigensolve(cfg, 0, +1, BOX, 3), sizes
+        with mock.patch.object(oracle, "_mesh_matrix", shifted):
+            return radial_eigensolve(cfg, l, +1, BOX, count), sizes
+
+    def test_a_channel_the_smallest_mesh_certifies_stops_at_120_points(self):
+        # the 80-point mesh only checks: the levels are the 120-point mesh's
+        cfg = ModelConfig(Example(1), "a", 1, 1.0)
+        vals, sizes = self.solve_with_sizes(cfg, lambda size: 0.0)
+        assert sizes == [80, 120]
+        assert vals == oracle.mesh_levels(cfg, 0, +1, BOX, 120)[:3].tolist()
+
+    def test_a_climbing_states_channel_returns_the_180_point_levels(self):
+        # a `states` channel (1a k = 1, eps = 1.5, n = 10 and three levels
+        # above its 11 bound ones) whose 80-point mesh is not yet converged
+        cfg = ModelConfig(Example(1), "a", 1, 1.5)
+        assert make_block(cfg, 10, 10).sigma == +1
+        vals, sizes = self.solve_with_sizes(cfg, lambda size: 0.0, l=10, count=14)
+        assert sizes == [80, 120, 180]
+        assert vals == oracle.mesh_levels(cfg, 10, +1, BOX, 180)[:14].tolist()
 
     def test_a_disagreeing_size_grows_the_mesh(self):
-        # a 180-point solve that misses the 120-point one by 1e-6 is checked
-        # against 270 points, which it misses too; 400 points agree with 270
+        # the 80-point mesh misses the 120-point one by 1e-6, and a 180-point
+        # solve that misses the 120-point one too is checked against 270
+        # points, which it misses as well; 400 points agree with 270
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
-        vals, sizes = self.solve_with_sizes(cfg, lambda size: 1e-6 * (size == 180))
-        assert sizes == [180, 270, 400]
+        vals, sizes = self.solve_with_sizes(cfg, lambda size: 1e-6 * (size in (80, 180)))
+        assert sizes == [80, 120, 180, 270, 400]
         assert vals == oracle.mesh_levels(cfg, 0, +1, BOX, 400)[:3].tolist()
 
     def test_no_agreeing_sizes_raise_precision_error(self):
@@ -154,8 +178,8 @@ class TestSolver:
 
     def test_kinetic_matrix_is_cached_per_size_and_axis_power(self):
         # mu = 2 and mu = -2 share one basis, and rho_max does not enter it;
-        # each call reads the basis three times: for the 120-point matrix,
-        # for its R factor, and for the 180-point matrix
+        # each call reads the basis three times: for the 80-point matrix,
+        # for the 120-point matrix and for its R factor
         oracle._mesh_basis.cache_clear()
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         for l, sigma, box in ((2, +1, BOX), (2, -1, BOX), (2, +1, GridSpec(1e-3, 5.0, 100))):
@@ -222,9 +246,11 @@ class TestRadialEigensolve:
             assert report.passed and len(report.pairs) == block.n + 1
 
     def test_box_warning_when_state_touches_wall(self):
+        # the warning points at the caller of radial_eigensolve
         cfg = ModelConfig(Example(1), "a", 1, 0.0)
-        with pytest.warns(RuntimeWarning, match="enlarge the box"):
+        with pytest.warns(RuntimeWarning, match="enlarge the box") as record:
             radial_eigensolve(cfg, 1, +1, GridSpec(1e-3, 2.5, 800), 2)
+        assert [w.filename for w in record] == [__file__]
 
     def test_box_levels_above_a_confined_ground_state_do_not_warn(self):
         # model 2 binds one state here (E = -1); the three levels above it
@@ -232,8 +258,8 @@ class TestRadialEigensolve:
         # the ground state's R has died off there
         cfg = ModelConfig(Example(2), "first", -1, 15.0)
         grid = GridSpec(1e-3, 40.0, 2000)
-        matrix = oracle._mesh_matrix(cfg, 1, +1, grid.rho_max, oracle.MESH_SIZES[0])
-        to_r = oracle._to_r(cfg, 1, +1, grid.rho_max, oracle.MESH_SIZES[0])
+        matrix = oracle._mesh_matrix(cfg, 1, +1, grid.rho_max, oracle.MESH_SIZES[1])
+        to_r = oracle._to_r(cfg, 1, +1, grid.rho_max, oracle.MESH_SIZES[1])
         r = np.abs(np.linalg.eigh(matrix)[1][:, :4] * to_r[:, None])
         edge = r[-1] / r.max(axis=0)
         assert edge[0] < 1e-12 and (edge[1:] > oracle.BOX_AMPLITUDE_TOL).all()
@@ -310,8 +336,9 @@ class TestBoxVector:
     def test_shifted_solve_matches_eigh(self):
         # the wall amplitude the box test reads agrees with that of eigh's
         # lowest vector to 1e-3 wherever it is above 1e-9, no verdict
-        # changes, and the vector lies inside _ground_vector's bound
-        size = oracle.MESH_SIZES[0]
+        # changes, and the vector lies inside _ground_vector's bound; the
+        # matrix is the box rung's, the mesh the box test reads
+        size = oracle.MESH_SIZES[1]
         verdicts = set()
         for config, l, sigma, rho_max in (BOX_TEST_CHANNELS
                                           + _channel_grid(np.random.default_rng(37), 150)):
@@ -331,6 +358,66 @@ class TestBoxVector:
             assert (np.linalg.norm(x - (x @ exact) * exact)
                     <= math.sqrt(size) * 2 * delta / (levels[1] - levels[0]))
         assert verdicts == {True, False}
+
+    def test_the_smallest_rung_moves_no_box_warning(self):
+        # the box test solves the 120-point mesh, MESH_SIZES[1]: with the
+        # 80-point rung's levels shifted (and its vectors tilted), no warning
+        # changes in verdict or text.  The returned levels are the 180-point
+        # mesh's or a finer one's, or, where the 80-point mesh certifies,
+        # agree with the 180-point mesh's to 1e-10
+        real_matrix, real_vector = oracle._mesh_matrix, oracle._ground_vector
+        box_sizes, sizes = [], []
+
+        def spy(config, l, sigma, rho_max, size):
+            sizes.append(size)
+            return real_matrix(config, l, sigma, rho_max, size)
+
+        def shifted(config, l, sigma, rho_max, size):
+            matrix = real_matrix(config, l, sigma, rho_max, size)
+            if size == oracle.MESH_SIZES[0]:
+                matrix[np.diag_indices(size)] += 1e-3 * np.arange(size)
+            return matrix
+
+        def ground_vector(matrix, levels):
+            box_sizes.append(len(levels))
+            return real_vector(matrix, levels)
+
+        def solve(config, l, sigma, grid):
+            # a model 1 channel in a wide box can stay unresolved at 400
+            # points; its box test has run by then
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                try:
+                    levels = radial_eigensolve(config, l, sigma, grid, 4)
+                except PrecisionError:
+                    levels = None
+            return levels, [str(w.message) for w in seen]
+
+        verdicts, stops = set(), set()
+        for config, l, sigma, rho_max in (BOX_TEST_CHANNELS
+                                          + _channel_grid(np.random.default_rng(38), 150)):
+            grid = GridSpec(1e-3, rho_max, 200)
+            sizes.clear()
+            with mock.patch.object(oracle, "_ground_vector", ground_vector):
+                with mock.patch.object(oracle, "_mesh_matrix", spy):
+                    levels, before = solve(config, l, sigma, grid)
+                with mock.patch.object(oracle, "_mesh_matrix", shifted):
+                    _, after = solve(config, l, sigma, grid)
+            assert after == before
+            verdicts.add(bool(before))
+            if levels is None:
+                continue
+            stop = sizes[-1]
+            finer = oracle.mesh_levels(config, l, sigma, grid, max(stop, 180))[:4]
+            if stop == oracle.MESH_SIZES[1]:
+                assert np.all(np.abs(levels - finer)
+                              <= 1e-10 * np.maximum(1.0, np.abs(finer)))
+            else:
+                assert levels == finer.tolist()
+            stops.add(stop)
+        assert verdicts == {True, False}
+        assert {120, 180} <= stops
+        assert set(box_sizes) == {oracle.MESH_SIZES[1]}
 
 
 class TestCompareSpectra:

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from heun_spectra import models, verification
+from heun_spectra import models, oracle, verification
 from heun_spectra.errors import ParameterError
 from heun_spectra.models import Example
 
@@ -138,6 +138,22 @@ class TestOracleAgreement:
         assert not ok
         assert detail == ("unmatched levels (4.0,) in block "
                           "BlockSpec(n=1, l=1, sigma=1) of example 1 a")
+
+    def test_each_mesh_is_built_once(self, monkeypatch):
+        # the smallest mesh's levels come with the certified ones, rather
+        # than from a second solve of that mesh
+        build = oracle._mesh_matrix
+        meshes = []
+
+        def spy(config, l, sigma, rho_max, size):
+            meshes.append((config, l, sigma, rho_max, size))
+            return build(config, l, sigma, rho_max, size)
+
+        monkeypatch.setattr(oracle, "_mesh_matrix", spy)
+        ok, detail = run(verification.check_oracle_agreement)
+        assert ok and f"the {oracle.MESH_SIZES[0]}-point mesh agrees" in detail
+        assert len(set(meshes)) == len(meshes)
+        assert [mesh[-1] for mesh in meshes].count(oracle.MESH_SIZES[0]) == 6
 
 
 class TestRunChecks:

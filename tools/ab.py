@@ -1,12 +1,13 @@
-"""In-process paired timing of the benchmark's ``states`` ops on two checkouts.
+"""In-process paired timing of the benchmark's ops on two checkouts.
 
-    python tools/ab.py --against PATH [--rounds N] [--seed S]
+    python tools/ab.py --against PATH [--workload W] [--rounds N] [--seed S]
 
 Loads the package of this checkout and that of the checkout at PATH (a
 directory holding ``src/heun_spectra``) side by side, under the package
 names ``heun_spectra_this`` and ``heun_spectra_against``, and binds a copy of
 this checkout's ``benchmarks/ops.py`` to each, so both trees run the
-benchmark's own ``states`` op.  The benchmark files are only read.
+benchmark's own ops of workload W: ``states`` (the default), ``sweep`` or
+``high-degree``.  The benchmark files are only read.
 
 After one untimed pass, each round times the op list that
 ``benchmarks/workloads.py`` deals for pass ``round`` of the seed, op by op
@@ -81,23 +82,23 @@ def load_ops(root: str, name: str):
     return ops
 
 
-def paired_times(trees: Sequence, passes: Sequence[Sequence], reference: dict
-                 ) -> Tuple[List[List[float]], int]:
-    """Per-op ms of the two ops modules of trees over the op lists of
-    passes, after one untimed pass over the first list, and the number of
-    timed results that fail their check."""
+def paired_times(trees: Sequence, workload: str, passes: Sequence[Sequence],
+                 reference: dict) -> Tuple[List[List[float]], int]:
+    """Per-op ms of the two ops modules of trees over the workload's op
+    lists of passes, after one untimed pass over the first list, and the
+    number of timed results that fail their check."""
     for op in passes[0]:
         for ops in trees:
-            ops.execute("states", op)
+            ops.execute(workload, op)
     times: List[List[float]] = [[], []]
     failed = 0
     for round_, op_list in enumerate(passes):
         for i, op in enumerate(op_list):
             for t in (0, 1) if (round_ + i) % 2 == 0 else (1, 0):
                 start = time.perf_counter()
-                raw = trees[t].execute("states", op)
+                raw = trees[t].execute(workload, op)
                 times[t].append(1e3 * (time.perf_counter() - start))
-                failed += not trees[t].check("states", op, raw, reference)[0]
+                failed += not trees[t].check(workload, op, raw, reference)[0]
     return times, failed
 
 
@@ -105,6 +106,8 @@ def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True,
                         help="root of the other checkout (holding src/heun_spectra)")
+    parser.add_argument("--workload", choices=("states", "sweep", "high-degree"),
+                        default="states")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -115,12 +118,12 @@ def main(argv: Sequence[str] = None) -> int:
     os.environ.update({var: "1" for var in THREAD_VARS})
     trees = [load_ops(ROOT, "this"), load_ops(args.against, "against")]
     import workloads
-    passes = [workloads.states_ops(args.seed, i) for i in range(args.rounds)]
+    passes = [workloads.ops_for(args.workload, args.seed, i) for i in range(args.rounds)]
     with open(os.path.join(BENCH, "reference.json")) as f:
         reference = json.load(f)
-    (this, against), failed = paired_times(trees, passes, reference)
+    (this, against), failed = paired_times(trees, args.workload, passes, reference)
     this_ms, against_ms = statistics.median(this), statistics.median(against)
-    print(f"{len(this)} states ops per tree, {args.rounds} rounds, seed {args.seed}")
+    print(f"{len(this)} {args.workload} ops per tree, {args.rounds} rounds, seed {args.seed}")
     print(f"this:    {this_ms:.3f} ms/op (median)")
     print(f"against: {against_ms:.3f} ms/op (median)")
     print(f"ratio this/against: {this_ms / against_ms:.3f}")
