@@ -18,7 +18,9 @@ from .errors import ParameterError, SelectionError, require_integer
 
 # Largest block degree and n_max.  A query's ragged arrays hold rows x roots
 # entries, so its memory grows as n_max^3: at this bound the worst query
-# (201 model 2 blocks of degree 200) peaks near 2 GB.
+# (201 model 2 blocks of degree 200, ``spectrum --example 2 --case second
+# --k 201 --epsilon 5000 --n-max 200``) peaks at 974 MB of RSS at commit
+# d37d274, measured in a child process under a 4 GB address-space cap.
 MAX_DEGREE = 200
 
 

@@ -49,7 +49,6 @@ are classified and ordered here, and certified by ``spectral.null_vectors``.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -442,15 +441,14 @@ def t_of_rho(rho) -> ArrayF:
 # ---------------------------------------------------------------------------
 # wavefunctions
 
-# Norm quadrature (_gauss_integral).  Its tolerance is relative only:
-# model 2 norms run down to 1e-34, below any useful absolute floor.
-GAUSS_ORDER = 32
+# Norm quadrature (_de_integral), relative only: model 2 norms run down to
+# 1e-34, below any useful absolute floor.  Rounding noise of the p_0 = 1
+# polynomial can keep successive sums from agreeing to NORM_RTOL; at
+# DE_FINEST_STEP, agreement to NORM_FLOOR_RTOL is accepted instead.
+DE_HALF_WIDTH = 6.0
+DE_FIRST_STEP = 0.25
+DE_FINEST_STEP = 2.0**-7
 NORM_RTOL = 1e-10
-NORM_START_PANELS = 4
-NORM_MAX_PANELS = 512
-# Cancellation in the p_0 = 1 polynomial leaves rounding noise in the
-# integrand that can keep successive estimates from agreeing to NORM_RTOL;
-# at the panel cap, agreement to this is accepted instead.
 NORM_FLOOR_RTOL = 1e-6
 
 
@@ -499,109 +497,109 @@ def wavefunction(
 
 
 def decay_split(config: ModelConfig, root: SpectralRoot) -> float:
-    """Radius beyond which the state's tail is numerically negligible."""
+    """The tail radius of ``radial_norm``: the state's part past it should
+    be numerically negligible."""
     if config.example is Example.REPULSIVE_POLYNOMIAL:
         return 20.0
     chi = abs(float(root.value))
     return max(20.0, 10.0 + 35.0 / max(chi, 1e-6))
 
 
-@functools.cache
-def _legendre_rule() -> Tuple[ArrayF, ArrayF]:
-    """GAUSS_ORDER-point Gauss-Legendre nodes and weights on [-1, 1], built
-    on the first norm, so that only a norm loads ``numpy.polynomial``."""
-    return np.polynomial.legendre.leggauss(GAUSS_ORDER)
+def _de_integral(integrand: Callable[[ArrayF], ArrayF], scale: float,
+                 reference: float = 0.0, cut: float = math.inf) -> Tuple[float, float]:
+    """(integral over [0, inf), the part of its sum from nodes past cut) of
+    an integrand evaluated on whole node arrays, by double-exponential
+    quadrature (Takahasi & Mori, Publ. RIMS 9, 1974): the trapezoid rule in
+    tau on u = scale exp(tau - e^-tau), |tau| <= DE_HALF_WIDTH, for an
+    integrand that decays about exponentially past u ~ scale.
 
-
-@functools.lru_cache(maxsize=16)
-def _gauss_rule(a: float, b: float, panels: int) -> Tuple[ArrayF, ArrayF]:
-    """Nodes and weights (read-only) of composite GAUSS_ORDER-point
-    Gauss-Legendre on `panels` equal panels of [a, b].  Cached: every model 1
-    norm, and every model 2 norm with |chi| >= 3.5, integrates over the same
-    two intervals."""
-    x, w = _legendre_rule()
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes = (edges[:-1, None] + half * (1.0 + x)).ravel()
-    weights = (half * w).ravel()
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _gauss_integral(
-    integrand: Callable[[ArrayF], ArrayF],
-    a: float,
-    b: float,
-    scale: float = 0.0,
-    first: Sequence[float] = (),
-) -> float:
-    """Integral over [a, b] of an integrand evaluated on whole node arrays.
-
-    Composite GAUSS_ORDER-point Gauss-Legendre (_gauss_rule) on
-    NORM_START_PANELS equal panels, doubled until two successive estimates
-    differ by at most NORM_RTOL * max(|estimate|, scale).  scale lets an
-    integral that should be small (a tail, an overlap) converge relative to
-    a larger one.  At NORM_MAX_PANELS the finer estimate is still returned
-    if the last two agree to NORM_FLOOR_RTOL; otherwise PrecisionError.
-    first holds estimates already made on the first levels (NORM_START_PANELS
-    panels, then twice that, ...); the integrand is called only past them.
+    The first call gives the steps DE_FIRST_STEP and half that (97 nodes);
+    each halving after it evaluates the new midpoints only, until two sums
+    differ by at most NORM_RTOL * max(|sum|, reference), reference letting a
+    small integral (an overlap) converge relative to a larger one.  At
+    DE_FINEST_STEP (1,537 nodes) agreement to NORM_FLOOR_RTOL is accepted,
+    and otherwise PrecisionError raised.  A non-finite sum returns at once.
     """
-    panels = NORM_START_PANELS
-    previous = None
-    made = iter(first)
+    def terms(tau: ArrayF) -> Tuple[ArrayF, ArrayF]:
+        decay = np.exp(-tau)
+        u = scale * np.exp(tau - decay)
+        return u, integrand(u) * u * (1.0 + decay)
+
+    step = DE_FIRST_STEP / 2
+    tau = np.arange(-DE_HALF_WIDTH, DE_HALF_WIDTH + step, step)
+    u, f = terms(tau)
+    # Far out, factors that over- and underflow can make a long-decayed
+    # integrand inf or nan: from the first such node on, the nodes of every
+    # step are left out if the term before it is negligible.
+    top = int(np.argmin(np.isfinite(f))) or tau.size
+    if top < tau.size and abs(f[top - 1]) <= NORM_RTOL * abs(f[:top].sum()):
+        u, f, tau = u[:top], f[:top], tau[:top]
+    previous, whole = DE_FIRST_STEP * float(f[::2].sum()), float(f.sum())
+    past, nodes = float(f[u > cut].sum()), tau.size
     while True:
-        estimate = next(made, None)
-        if estimate is None:
-            nodes, weights = _gauss_rule(a, b, panels)
-            estimate = float(np.dot(weights, integrand(nodes)))
-        if not math.isfinite(estimate):
-            return estimate
-        if previous is not None:
-            at_cap = panels >= NORM_MAX_PANELS
-            rtol = NORM_FLOOR_RTOL if at_cap else NORM_RTOL
-            if abs(estimate - previous) <= rtol * max(abs(estimate), scale):
-                return estimate
-            if at_cap:
-                raise PrecisionError(
-                    f"quadrature over [{a:g}, {b:g}] did not converge: "
-                    f"{panels} panels give {estimate!r}, {panels // 2} give {previous!r}"
-                )
-        previous = estimate
-        panels *= 2
+        total = step * whole
+        rtol = NORM_FLOOR_RTOL if step <= DE_FINEST_STEP else NORM_RTOL
+        if not math.isfinite(total) or abs(total - previous) <= rtol * max(
+                abs(total), reference):
+            return total, step * past
+        if step <= DE_FINEST_STEP:
+            raise PrecisionError(
+                f"quadrature at scale {scale:g} did not converge: {nodes} nodes "
+                f"give {total!r}, {nodes // 2 + 1} give {previous!r}")
+        previous, step = total, step / 2
+        u, f = terms(np.arange(-DE_HALF_WIDTH + step, tau[-1], 2 * step))  # midpoints
+        nodes += u.size
+        whole += float(f.sum())
+        past += float(f[u > cut].sum())
 
 
-def radial_norm(
-    config: ModelConfig, block: BlockSpec, root: SpectralRoot
-) -> Tuple[float, float]:
-    """(integral of |R|^2 rho d rho, fraction contributed past the decay radius).
+def _radial_integral(config: ModelConfig, block: BlockSpec, a: SpectralRoot, b: SpectralRoot,
+                     reference: float = 0.0, cut: float = math.inf) -> Tuple[float, float]:
+    """(integral of R_a R_b rho d rho, its part past rho = cut) for two
+    physical states of one block: _de_integral of ``radial_values`` in the
+    model's own variable.
 
-    The head [0, split] and the tail [split, 2 split] are each a
-    _gauss_integral, relative-accurate to about NORM_RTOL (the tail relative
-    to the head).  One integrand call gives both intervals' first two
-    estimates; an interval is evaluated again only where they disagree.
+    Model 1 takes x = rho^2 / 2 (rho d rho = dx) at the peak of
+    e^(-x^2 - eps x) x^(|l| + 2n), at least 1/4.  Model 2 takes u = t - 1
+    (rho d rho = 2 (2u + 1) du) at the peak (1 + k + l) / (2 |chi_a| +
+    2 |chi_b|) of u^(1 + k + l) e^(2 (chi_a + chi_b) u).
+    """
+    is_model_1 = config.example is Example.REPULSIVE_POLYNOMIAL
+    if is_model_1:
+        m, eps = abs(block.l) + 2 * block.n, config.epsilon
+        # the positive root of 2 x^2 + eps x - m; it cancels only below 1/4
+        scale = max(0.25, (math.hypot(eps, math.sqrt(8 * m)) - eps) / 4)
+        past = cut * cut / 2
+    else:
+        scale = (1 + config.k + block.l) / (2 * abs(float(a.value)) + 2 * abs(float(b.value)))
+        past = float(t_of_rho(cut)) - 1.0
+
+    def integrand(v: ArrayF) -> ArrayF:
+        if is_model_1:
+            rho, jacobian = np.sqrt(2.0 * v), 1.0
+        else:
+            rho, jacobian = 2.0 * np.sqrt(v * (v + 1.0)), 2.0 * (2.0 * v + 1.0)
+        r_a = radial_values(config, block, a, rho)
+        return r_a * (r_a if b is a else radial_values(config, block, b, rho)) * jacobian
+
+    # a state whose factors overflow gives a non-finite sum, for the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _de_integral(integrand, scale, reference, past)
+
+
+def radial_norm(config: ModelConfig, block: BlockSpec,
+                root: SpectralRoot) -> Tuple[float, float]:
+    """(integral of |R|^2 rho d rho, fraction contributed past decay_split).
+
+    One _radial_integral, relative-accurate to about NORM_RTOL; the tail is
+    the part of its sum from the nodes past the decay radius.
     """
     _require_physical(root)
-
-    def integrand(r: ArrayF) -> ArrayF:
-        return radial_values(config, block, root, r) ** 2 * r
-
-    split = decay_split(config, root)
-    intervals = ((0.0, split), (split, 2.0 * split))
-    nodes, weights = zip(*(_gauss_rule(a, b, panels) for a, b in intervals
-                           for panels in (NORM_START_PANELS, 2 * NORM_START_PANELS)))
-    # a state whose factors overflow gives a non-finite norm, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = integrand(np.concatenate(nodes))
-        parts = np.split(values, np.cumsum([x.size for x in nodes])[:-1])
-        first = [float(np.dot(w, v)) for w, v in zip(weights, parts)]
-        head = _gauss_integral(integrand, *intervals[0], first=first[:2])
-        tail = _gauss_integral(integrand, *intervals[1], scale=head, first=first[2:])
-    total = head + tail
+    total, tail = _radial_integral(config, block, root, root, cut=decay_split(config, root))
     if not (math.isfinite(total) and total > 0):
         raise PrecisionError(
             f"state norm {total!r} of root {root.value!r} in block {block} "
-            "is not finite and positive"
-        )
+            "is not finite and positive")
     return total, tail / total
 
 
@@ -613,12 +611,13 @@ def radial_profile(
     phi: float = 0.0,
     normalize: bool = False,
 ) -> RadialProfile:
-    """Sampled wavefunction along a ray with the radial norm attached.
+    """Sampled wavefunction along a ray with its ``radial_norm`` attached.
 
     normalize rescales the emitted values by 1/sqrt(norm) so they integrate
     to one; the norm field always reports the p_0 = 1 state's norm, so the
-    original amplitude stays recoverable.  Raises PrecisionError when a
-    sampled value is not finite (far out, where the factors of R overflow).
+    original amplitude stays recoverable.  Raises PrecisionError when the
+    norm does, and when a sampled value is not finite (far out, where the
+    factors of R overflow).
     """
     g = np.asarray(grid, dtype=float)
     norm, _ = radial_norm(config, block, root)

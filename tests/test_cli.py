@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -537,6 +538,18 @@ class TestWavefunction:
         abs2 = np.array([float(r[3]) for r in rows])
         assert np.trapezoid(abs2 * rho, rho) == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+    def test_weakly_bound_state_prints(self, capsys, normalize):
+        # chi = -5.77e-4: the norm converges, so both commands print
+        code, out, err = run_cli(
+            ["wavefunction", "--example", "2", "--case", "second", "--k", "45",
+             "--epsilon", "100", "--n", "4", "--index", "9", "--samples", "2",
+             *normalize], capsys)
+        assert (code, err) == (0, "")
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 2 and np.isfinite(rows).all()
+        assert rows[1][1] != 0
+
 
 class TestVerify:
     def test_quick_passes(self, capsys):
@@ -703,6 +716,30 @@ class TestPairedTiming:
             trees, workload, [workloads.ops_for(workload, 0)[:2]], reference)
         assert failed == 0 and len(this) == len(against) == 2
         assert 0.5 < statistics.median(this) / statistics.median(against) < 2
+        lines = ab.report(this, against, [2])
+        number = r"\d+\.\d{3}"
+        for line, name in zip(lines, ("this:    ", "against: ")):
+            assert re.fullmatch(
+                f"{name}{number} ms/op \\(median\\), IQR {number} \\({number} to {number}\\)",
+                line)
+        assert re.fullmatch(f"ratio this/against: {number}", lines[2])
+        assert re.fullmatch(f"per-round ratio quartiles: {number} / {number} / {number} "
+                            r"\(1 rounds\)", lines[3])
+
+    def test_spread_lines_read_the_quartiles(self):
+        spec = importlib.util.spec_from_file_location("ab", AB)
+        ab = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ab)
+        # rounds of two ops; each round of this takes 1.1, 1.0, 0.9, 1.2
+        # and 0.8 times against's
+        against = [1.0, 3.0] * 5
+        this = [x * r for r in (1.1, 1.0, 0.9, 1.2, 0.8) for x in (1.0, 3.0)]
+        assert ab.report(this, against, [2] * 5) == [
+            "this:    1.800 ms/op (median), IQR 1.900 (1.025 to 2.925)",
+            "against: 2.000 ms/op (median), IQR 2.000 (1.000 to 3.000)",
+            "ratio this/against: 0.900",
+            "per-round ratio quartiles: 0.900 / 1.000 / 1.100 (5 rounds)",
+        ]
 
 
 class TestSubprocess:
@@ -836,11 +873,11 @@ class TestSubprocess:
         # the forward run overflows to a nan residual, which used to pass
         (["spectrum", "--example", "1", "--case", "b", "--k", "7",
           "--epsilon", "1e300", "--n-max", "6"], 3),
-        # an in-range degree whose state norm overflows at epsilon = 0
+        # a state whose norm overflows: R^2 peaks at e^900
         (["wavefunction", "--example", "1", "--case", "a", "--k", "1",
-          "--n", "150", "--samples", "3"], 3),
+          "--epsilon=-60", "--n", "0", "--samples", "3"], 3),
     ], ids=["spectrum-1b", "wavefunction-1a", "spectrum-2-second", "spectrum-1a",
-            "spectrum-1b-nan", "wavefunction-1a-n150"])
+            "spectrum-1b-nan", "wavefunction-1a-norm-overflows"])
     def test_overflowing_epsilon_exits_with_one_error_line(self, argv, code):
         # no traceback and no numpy warnings, in a fresh process
         proc = subprocess.run([sys.executable, "-m", "heun_spectra", *argv],

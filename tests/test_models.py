@@ -971,50 +971,64 @@ class TestFieldsAndPotentials:
         assert np.all(np.diff(t_of_rho(grid)) > 0)
 
 
-def per_interval_gauss_integral(integrand, a, b, scale, levels):
-    """models._gauss_integral with one integrand call per level, as the
-    norm was computed before its first levels shared a call; appends the
-    number of levels it evaluated to levels."""
-    x, w = np.polynomial.legendre.leggauss(models.GAUSS_ORDER)
-    panels = models.NORM_START_PANELS
-    previous = None
-    count = 0
+def per_level_de_integral(integrand, scale, levels):
+    """models._de_integral with one integrand call on the whole node set of
+    each level, from DE_FIRST_STEP on; appends each level's (sum, nodes) to
+    levels.  Without the far-end trim, which no state here needs."""
+    step = models.DE_FIRST_STEP
     while True:
-        edges = np.linspace(a, b, panels + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        nodes = (edges[:-1, None] + half * (1.0 + x)).ravel()
-        weights = (half * w).ravel()
-        estimate = float(np.dot(weights, integrand(nodes)))
-        count += 1
-        if not math.isfinite(estimate):
-            levels.append(count)
-            return estimate
-        if previous is not None:
-            at_cap = panels >= models.NORM_MAX_PANELS
-            rtol = models.NORM_FLOOR_RTOL if at_cap else models.NORM_RTOL
-            if abs(estimate - previous) <= rtol * max(abs(estimate), scale):
-                levels.append(count)
-                return estimate
-            if at_cap:
-                raise PrecisionError(
-                    f"quadrature over [{a:g}, {b:g}] did not converge: "
-                    f"{panels} panels give {estimate!r}, {panels // 2} give {previous!r}"
-                )
-        previous = estimate
-        panels *= 2
+        tau = -models.DE_HALF_WIDTH + step * np.arange(
+            round(2 * models.DE_HALF_WIDTH / step) + 1)
+        u = scale * np.exp(tau - np.exp(-tau))
+        levels.append((step * float(np.sum(integrand(u) * u * (1 + np.exp(-tau)))),
+                       tau.size))
+        if len(levels) > 1:
+            (previous, _), (total, _) = levels[-2:]
+            rtol = (models.NORM_FLOOR_RTOL if step <= models.DE_FINEST_STEP
+                    else models.NORM_RTOL)
+            if abs(total - previous) <= rtol * abs(total):
+                return total
+            if step <= models.DE_FINEST_STEP:
+                return None
+        step /= 2
 
 
-def per_interval_norm(cfg, block, root, levels):
-    """radial_norm by per_interval_gauss_integral: the head, then the tail
-    scaled by the head."""
-    def integrand(r):
-        return models.radial_values(cfg, block, root, r) ** 2 * r
+def per_level_norm(cfg, block, root, levels):
+    """radial_norm's integral by per_level_de_integral, in the model's own
+    variable at radial_norm's scale."""
+    calls = []
+    with mock.patch.object(models, "_de_integral",
+                           lambda *args, **kwargs: calls.append(args) or (1.0, 0.0)):
+        radial_norm(cfg, block, root)
+    integrand, scale = calls[0][:2]
+    return per_level_de_integral(integrand, scale, levels)
 
-    split = models.decay_split(cfg, root)
-    head = per_interval_gauss_integral(integrand, 0.0, split, 0.0, levels)
-    tail = per_interval_gauss_integral(integrand, split, 2.0 * split, head, levels)
-    total = head + tail
-    return total, tail / total
+
+def mpmath_norm(cfg, block, root):
+    """The norm by 40-digit mpmath.quad over the same double coefficients and
+    root, in the model's own variable: x = rho^2 / 2 for model 1 and
+    u = t - 1 for model 2, split at powers of 4 of the state's scale.  40
+    digits cover the cancellation in P of the states here, not that of
+    `second` k = 201, eps = 5000, which needs about 120."""
+    with mpmath.workdps(40):
+        p = [mpmath.mpf(c) for c in reversed(root.eigenvector.coeffs)]
+        if cfg.example is Example.REPULSIVE_POLYNOMIAL:
+            eps, m = mpmath.mpf(cfg.epsilon), abs(block.l)
+            scale = max(1.0, block.n)
+
+            def f(x):
+                return (mpmath.exp(-x * x - eps * x) * (2 * x) ** m
+                        * mpmath.polyval(p, x) ** 2)
+        else:
+            chi, k, l = mpmath.mpf(root.value), cfg.k, block.l
+            scale = (1 + k + l) / (4 * abs(root.value))
+
+            def f(u):
+                t = 1 + u
+                return (2 * (2 * u + 1) ** 2 * t ** (block.sigma * (k - l)) * u ** (k + l)
+                        * mpmath.exp(4 * chi * t) * mpmath.polyval(p, t) ** 2)
+        points = [0] + [scale * 4.0**j for j in range(-4, 5)] + [mpmath.inf]
+        return float(mpmath.quad(f, points))
 
 
 class TestWavefunctions:
@@ -1072,9 +1086,9 @@ class TestWavefunctions:
         pytest.param(1, 1.0, 30, 30, id="30-30"),
         pytest.param(2, -1.0, 17, 17, id="k2-eps-1-17-17")])
     def test_high_model1_state_has_a_norm(self, k, eps, n, index):
-        # every norm of k = 1, eps = 1 converges at n = 17; at n = 18 only
-        # index 18 fails, at n = 30 indices 20-30 do.  At k = 2, eps = -1
-        # the top state fails already at n = 17
+        # at k = 1, eps = 1 the top state fails from n = 17 on, indices
+        # 17-18 at n = 18 and 19-30 at n = 30.  At k = 2, eps = -1 the top
+        # state fails at n = 17 too
         cfg = ModelConfig(Example(1), "a", k, eps)
         block = make_block(cfg, n)
         root = solve_block(cfg, block).roots[index]
@@ -1084,13 +1098,11 @@ class TestWavefunctions:
     @pytest.mark.xfail(strict=True, raises=PrecisionError,
                        reason="norm quadrature fails on a physical state")
     @pytest.mark.parametrize("example, case, k, eps, n, index", [
-        # from n = 11 on, Horner on p_j t^j cancels: the panels disagree
-        # over [0, 20]
+        # from n = 11 on, Horner on p_j t^j cancels: successive steps
+        # disagree
         pytest.param(2, "second", 45, 5000.0, 11, 23, id="second-45-5000-11-23"),
         pytest.param(2, "second", 45, 5000.0, 14, 28, id="second-45-5000-14-28"),
         pytest.param(2, "second", 45, 5000.0, 20, 35, id="second-45-5000-20-35"),
-        # weakly bound, chi = -5.77e-4: the panels disagree over [0, 60686.1]
-        pytest.param(2, "second", 45, 100.0, 4, 9, id="second-45-100-4-9"),
         # R peaks at e^450, and R^2 overflows to a norm of inf
         pytest.param(1, "a", 1, -60.0, 0, 0, id="1a-1-minus60-0-0"),
     ])
@@ -1102,43 +1114,78 @@ class TestWavefunctions:
         total, _ = radial_norm(cfg, block, root)
         assert math.isfinite(total) and total > 0
 
+    def test_weakly_bound_state_has_a_norm(self):
+        # chi = -5.77e-4: the state extends to u ~ 1e4, where e^(4 chi u)
+        # has decayed
+        cfg = ModelConfig(Example(2), "second", 45, 100.0)
+        block = make_block(cfg, 4)
+        root = solve_block(cfg, block).roots[9]
+        assert root.value == pytest.approx(-5.77e-4, rel=1e-3)
+        total, tail = radial_norm(cfg, block, root)
+        assert total == pytest.approx(9.906103768776568e-07, rel=1e-10, abs=0)
+        assert tail < 1e-12
+
+    @pytest.mark.parametrize("example, case, k, eps, n, l, index", [
+        (1, "a", 2, 0.9, 2, None, None),
+        (1, "b", 4, 0.5, 1, None, None),
+        (2, "first", -2, 45.0, 1, 3, None),
+        (2, "second", 2, 30.0, 1, None, None),
+        (2, "second", 5, 1600.0, 4, None, None),  # norms down to 2.3e-34
+        (2, "second", 45, 100.0, 4, None, 9),  # the weakly bound state
+        # far out u^100 overflows where t^-101 underflows: the nan nodes
+        # are left out
+        (2, "second", 201, 100.0, 0, None, None),
+    ])
+    def test_norm_matches_mpmath(self, example, case, k, eps, n, l, index):
+        cfg = ModelConfig(Example(example), case, k, eps)
+        block = make_block(cfg, n, l)
+        roots = solve_block(cfg, block).roots
+        bound = [r for r in roots if r.physical] if index is None else [roots[index]]
+        for root in bound:
+            total, _ = radial_norm(cfg, block, root)
+            assert total == pytest.approx(mpmath_norm(cfg, block, root), rel=1e-10, abs=0)
+
     @pytest.mark.parametrize("example, case, k, eps, n", [
-        (1, "a", 3, 2.5, 2),  # two of the three states need a third level
+        (1, "a", 3, 2.5, 2),
         (1, "b", 4, 0.5, 1),
-        (2, "second", 6, 100.0, 5),  # the top state needs a fourth level
+        (2, "second", 6, 100.0, 5),
         (2, "second", 5, 1600.0, 4),  # norms down to 2.3e-34
     ])
-    def test_norm_keeps_the_per_interval_bits(self, example, case, k, eps, n):
-        # one integrand call for both intervals' first two levels gives the
-        # same bits as evaluating each level of each interval on its own,
-        # and the integrand is called again only for the levels past two
+    def test_norm_evaluates_each_node_once(self, example, case, k, eps, n):
+        # one integrand call gives the first two levels, and each later call
+        # only the new level's midpoints; the sum is that of evaluating each
+        # level on its whole node set
         cfg = ModelConfig(Example(example), case, k, eps)
         block = make_block(cfg, n)
         bound = [r for r in solve_block(cfg, block).roots if r.physical]
-        past_two = []
         for root in bound:
             levels = []
-            expect = per_interval_norm(cfg, block, root, levels)
+            expect = per_level_norm(cfg, block, root, levels)
             with mock.patch.object(models, "radial_values",
                                    wraps=models.radial_values) as spy:
-                got = radial_norm(cfg, block, root)
-            assert [x.hex() for x in got] == [x.hex() for x in expect]
-            past_two.append(sum(max(0, m - 2) for m in levels))
-            assert spy.call_count == 1 + past_two[-1]
+                total, _ = radial_norm(cfg, block, root)
+            assert total == pytest.approx(expect, rel=1e-14, abs=0)
+            sizes = [np.size(call.args[-1]) for call in spy.call_args_list]
+            assert len(sizes) == len(levels) - 1
+            assert sum(sizes) == levels[-1][1]
         assert len(bound) >= 2
-        if (example, k) in ((1, 3), (2, 6)):
-            assert max(past_two) >= 1
 
-    def test_unconverged_norm_keeps_the_per_interval_error(self):
+    def test_unconverged_norm_reports_the_last_two_levels(self):
         cfg = ModelConfig(Example(1), "a", 2, -1.0)
         block = make_block(cfg, 17)
         root = solve_block(cfg, block).roots[17]
-        with pytest.raises(PrecisionError) as expect:
-            per_interval_norm(cfg, block, root, [])
-        with pytest.raises(PrecisionError) as got:
+        levels = []
+        assert per_level_norm(cfg, block, root, levels) is None
+        with pytest.raises(PrecisionError, match="did not converge") as got:
             radial_norm(cfg, block, root)
-        assert str(got.value) == str(expect.value)
-        assert "did not converge" in str(got.value)
+        message = re.fullmatch(
+            r"quadrature at scale \S+ did not converge: (\d+) nodes give (\S+), "
+            r"(\d+) give (\S+)", str(got.value))
+        assert message
+        (previous, fewer), (total, nodes) = levels[-2:]
+        assert (int(message[1]), int(message[3])) == (nodes, fewer) == (1537, 769)
+        assert float(message[2]) == pytest.approx(total, rel=1e-12)
+        assert float(message[4]) == pytest.approx(previous, rel=1e-12)
 
     @staticmethod
     def scalar_quad_norm(cfg, block, root):
@@ -1189,7 +1236,7 @@ class TestWavefunctions:
 
     def test_overflowing_state_has_a_non_finite_norm(self):
         # R^2 overflows at every node, so the quadrature returns its first
-        # non-finite estimate instead of refining it to the panel cap
+        # non-finite sum instead of refining it to the finest step
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         block = make_block(cfg, 1)
         root = solve_block(cfg, block).roots[0]
@@ -1198,10 +1245,10 @@ class TestWavefunctions:
         with pytest.raises(PrecisionError, match="^state norm inf of root "):
             radial_norm(cfg, block, huge)
 
-    def test_noise_floor_norm_is_accepted_at_the_panel_cap(self, monkeypatch):
-        # noise of 1e-7 keeps successive estimates from agreeing to
-        # NORM_RTOL, but not to NORM_FLOOR_RTOL: the head reaches
-        # NORM_MAX_PANELS and is accepted there, near the exact 1/4
+    def test_noise_floor_norm_is_accepted_at_the_finest_step(self, monkeypatch):
+        # noise of 1e-7 keeps successive sums from agreeing to NORM_RTOL,
+        # but not to NORM_FLOOR_RTOL: the rule reaches DE_FINEST_STEP and
+        # is accepted there, near the exact 1/4
         cfg = ModelConfig(Example(1), "a", 1, 1.0)
         block = make_block(cfg, 0)
         root = solve_block(cfg, block).roots[0]
@@ -1215,7 +1262,7 @@ class TestWavefunctions:
 
         monkeypatch.setattr(models, "radial_values", noisy)
         total, _ = radial_norm(cfg, block, root)
-        assert max(sizes) == models.NORM_MAX_PANELS * models.GAUSS_ORDER
+        assert sizes == [97, 96, 192, 384, 768]
         assert abs(total - 0.25) <= 1e-8
 
     def test_normalized_profile_integrates_to_one(self):

@@ -13,9 +13,12 @@ After one untimed pass, each round times the op list that
 ``benchmarks/workloads.py`` deals for pass ``round`` of the seed, op by op
 on both trees, and alternates which tree goes first.  Every timed result is
 checked against ``benchmarks/reference.json`` (untimed).  The script prints
-each tree's median ms per op and their ratio, this over against, and exits
-1 when an op fails its check.  Pairing whole ops a few milliseconds apart
-in one process takes the host's drift out of the ratio, which separate
+each tree's median ms per op with its interquartile range, their ratio
+(this over against), and the quartiles of the per-round ratio, each round's
+summed ms of this over those of against; and it exits 1 when an op fails its
+check.  A ratio whose per-round quartiles straddle 1 is not resolved from
+host noise.  Pairing whole ops a few milliseconds apart in one process
+takes the host's drift out of the ratio, which separate
 ``benchmarks/run.py`` runs leave in.  BLAS and OpenMP run one thread, as in
 the benchmark.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import statistics
@@ -102,6 +106,31 @@ def paired_times(trees: Sequence, workload: str, passes: Sequence[Sequence],
     return times, failed
 
 
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """Lower quartile, median and upper quartile (one value is all three)."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def report(this: Sequence[float], against: Sequence[float],
+           round_sizes: Sequence[int]) -> List[str]:
+    """The summary lines for the per-op ms of both trees, whose ops come in
+    rounds of round_sizes ops."""
+    lines = []
+    for name, times in (("this:   ", this), ("against:", against)):
+        q1, median, q3 = quartiles(times)
+        lines.append(f"{name} {median:.3f} ms/op (median), IQR {q3 - q1:.3f} "
+                     f"({q1:.3f} to {q3:.3f})")
+    lines.append(f"ratio this/against: {statistics.median(this) / statistics.median(against):.3f}")
+    ends = list(itertools.accumulate(round_sizes))
+    ratios = [sum(this[lo:hi]) / sum(against[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+    lines.append("per-round ratio quartiles: " + " / ".join(
+        f"{q:.3f}" for q in quartiles(ratios)) + f" ({len(ratios)} rounds)")
+    return lines
+
+
 def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True,
@@ -122,11 +151,8 @@ def main(argv: Sequence[str] = None) -> int:
     with open(os.path.join(BENCH, "reference.json")) as f:
         reference = json.load(f)
     (this, against), failed = paired_times(trees, args.workload, passes, reference)
-    this_ms, against_ms = statistics.median(this), statistics.median(against)
     print(f"{len(this)} {args.workload} ops per tree, {args.rounds} rounds, seed {args.seed}")
-    print(f"this:    {this_ms:.3f} ms/op (median)")
-    print(f"against: {against_ms:.3f} ms/op (median)")
-    print(f"ratio this/against: {this_ms / against_ms:.3f}")
+    print("\n".join(report(this, against, [len(ops) for ops in passes])))
     if failed:
         print(f"{failed} ops failed their check", file=sys.stderr)
     return 1 if failed else 0
